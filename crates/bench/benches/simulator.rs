@@ -11,6 +11,7 @@ use quartz_netsim::time::SimTime;
 use quartz_netsim::transport::TcpVariant;
 use quartz_topology::builders::{quartz_in_core, quartz_mesh};
 use quartz_topology::graph::{Network, SwitchRole};
+use quartz_topology::route::{FlatRoutes, RouteTable};
 use std::hint::black_box;
 
 /// One 2 ms run of a 4-switch mesh with 16 hosts at ~40 % load; returns
@@ -230,13 +231,11 @@ fn run_instrumented_4pod() -> ShardedSim {
 /// The scale target: a 10 240-host Quartz-in-core composite (16 pods ×
 /// 16 ToRs × 40 hosts, 16-switch core ring) built, partitioned into 16
 /// domains, and driven with 512 pod-crossing RPC flows. One timed pass
-/// (construction and run recorded separately) — skipped under
-/// `QUARTZ_BENCH_FAST` so CI smoke stays quick.
+/// (construction and run recorded separately), plus the heap bytes of
+/// the route tables the engine holds (`route_bytes`: the value sits in
+/// the `mean_ns`/`min_ns` fields, like `per_event` rows keep events in
+/// `iters`).
 fn bench_composite_10k_hosts() {
-    if std::env::var_os("QUARTZ_BENCH_FAST").is_some() {
-        println!("composite_10k_hosts: skipped (QUARTZ_BENCH_FAST)");
-        return;
-    }
     let (mut sim, build_ns) = wall_timed(|| {
         let c = quartz_in_core(16, 16, 40, 16);
         let mut sim = ShardedSim::new(
@@ -262,14 +261,27 @@ fn bench_composite_10k_hosts() {
     let events = sim.events_processed();
     let s = sim.stats();
     assert_eq!(s.summary(0).count, 512 * 50, "every RPC must complete");
+    // The engine holds one route table and its flattening; build the
+    // same pair outside the timed pass to size them.
+    let net = quartz_in_core(16, 16, 40, 16).net;
+    let table = RouteTable::all_shortest_paths(&net);
+    let route_bytes = (table.heap_bytes() + FlatRoutes::new(&table, &net).heap_bytes()) as f64;
     note("composite_10k_hosts", "construct", build_ns, build_ns, 1);
     note("composite_10k_hosts", "run_2ms", run_ns, run_ns, events);
+    note(
+        "composite_10k_hosts",
+        "route_bytes",
+        route_bytes,
+        route_bytes,
+        1,
+    );
     println!(
-        "composite_10k_hosts: {} domains, {} events, construct {:.2} s, run {:.2} s ({:.2} M events/s)",
+        "composite_10k_hosts: {} domains, {} events, construct {:.3} s, run {:.3} s ({:.2} M events/s), route tables {:.2} MB",
         sim.domain_count(),
         events,
         build_ns / 1e9,
         run_ns / 1e9,
         events as f64 * 1e3 / run_ns,
+        route_bytes / 1e6,
     );
 }

@@ -40,7 +40,7 @@ use crate::transport::{ReceiverState, SendAction, SenderState, TcpVariant, Trans
 use quartz_core::rng::StdRng;
 use quartz_obs::{DropReason, Event, MetricsRegistry, Recorder};
 use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
-use quartz_topology::route::{FlatRoutes, RouteChange, RouteTable};
+use quartz_topology::route::{FlatRoutes, RouteChange, RouteError, RouteTable};
 use std::collections::VecDeque;
 
 /// Valiant load balancing configuration (§3.4).
@@ -694,14 +694,15 @@ impl Simulator {
     /// Registers an additional routing table (e.g. a per-VLAN spanning
     /// tree from [`quartz_topology::spain::SpainFabric`]); returns its
     /// index for [`Simulator::pin_flow_to_table`].
-    pub fn add_route_table(&mut self, table: RouteTable) -> usize {
-        assert_eq!(
-            table.node_count(),
-            self.net.node_count(),
-            "table must cover this network"
-        );
-        self.extra_flat.push(FlatRoutes::new(&table, &self.net));
-        self.extra_flat.len() - 1
+    ///
+    /// # Errors
+    /// A table built over another fabric — a different node count, or a
+    /// next hop with no link in this network — is rejected with the
+    /// [`RouteError`] that says which.
+    pub fn add_route_table(&mut self, table: RouteTable) -> Result<usize, RouteError> {
+        self.extra_flat
+            .push(FlatRoutes::try_new(&table, &self.net)?);
+        Ok(self.extra_flat.len() - 1)
     }
 
     /// Pins a flow's packets to a previously registered table — the §6
@@ -2495,7 +2496,9 @@ mod tests {
             let p = prototype_quartz();
             let spain = SpainFabric::per_switch(&p.net);
             let mut sim = Simulator::new(p.net.clone(), no_prop_cfg());
-            let t = sim.add_route_table(spain.table(vlan).clone());
+            let t = sim
+                .add_route_table(spain.table(vlan).clone())
+                .expect("VLAN trees span this fabric");
             let f = sim.add_flow(
                 p.hosts[2],
                 p.hosts[4],
@@ -2535,6 +2538,32 @@ mod tests {
             SimTime::ZERO,
         );
         sim.pin_flow_to_table(f, 3);
+    }
+
+    #[test]
+    fn route_table_from_another_fabric_is_a_typed_error() {
+        // Twelve nodes each, wired differently: the mesh table names
+        // switch-to-switch hops the tree does not have.
+        let p = prototype_quartz();
+        let tree = quartz_topology::builders::two_tier(2, 4, 2, 1.0, 1.0);
+        assert_eq!(tree.net.node_count(), p.net.node_count());
+        let mut sim = Simulator::new(tree.net, SimConfig::default());
+        let err = sim
+            .add_route_table(RouteTable::all_shortest_paths(&p.net))
+            .unwrap_err();
+        assert!(matches!(err, RouteError::NotAdjacent { .. }), "{err}");
+        let err = sim
+            .add_route_table(RouteTable::all_shortest_paths(
+                &quartz_mesh(4, 1, 1.0, 1.0).net,
+            ))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RouteError::NodeCount {
+                table: 8,
+                network: 12
+            }
+        );
     }
 
     #[test]

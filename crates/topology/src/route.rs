@@ -7,15 +7,51 @@
 //! prototype (via SPAIN, §6). Valiant load balancing is expressed on top
 //! of this table by routing to a chosen intermediate switch first.
 //!
-//! [`RouteTable`] stores, for every destination node, the set of
-//! shortest-path next hops at every node — the ECMP DAG. Selection among
-//! equal-cost hops is by flow hash, so a flow's packets stay on one path
-//! (no reordering), which is how real ECMP behaves.
+//! [`RouteTable`] answers, for every `(at, dst)` node pair, the set of
+//! shortest-path next hops at `at` toward `dst` — the ECMP DAG. Selection
+//! among equal-cost hops is by flow hash, so a flow's packets stay on one
+//! path (no reordering), which is how real ECMP behaves.
+//!
+//! # Leaf folding
+//!
+//! Routes are computed between **routing nodes** only. A **leaf host** —
+//! a host with exactly one link, whose other end is a switch — is only
+//! ever the first or last node of a path: its switch (its *ToR*) is its
+//! only next hop, and no shortest path transits it. So a leaf is folded
+//! onto its ToR at lookup time:
+//!
+//! * at the leaf, the next hop toward any reachable `dst` is the ToR;
+//! * at the ToR, the next hop toward the leaf is the leaf itself;
+//! * at any other routing node, `next_hops(at, leaf)` is
+//!   `next_hops(at, tor)` — a neighbor `v` is one hop closer to the leaf
+//!   exactly when it is one hop closer to the ToR, and a leaf neighbor
+//!   is never closer, so the sets agree element for element, in
+//!   adjacency order.
+//!
+//! Every other node is a routing node: switches, multi-homed hosts
+//! (`dual_tor_mesh`), relay hosts (BCube, DCell, CamCube) and isolated
+//! nodes. A fabric with R routing nodes and n nodes stores an R×R
+//! distance table, the R×R ECMP sets as one CSR array, and one column
+//! entry per node: O(R² + n) memory and R breadth-first searches, however
+//! many hosts hang off the switches. The 5 424-node Quartz-in-core
+//! composite has R = 304. A fabric without leaves has R = n and the
+//! same tables as a dense all-pairs build.
+//!
+//! A leaf is live when it, its access link and its ToR are; the first two
+//! are flags in the leaf's column and the third is the ToR's own row. So
+//! failing or restoring a host access link (or a leaf host) is an O(1)
+//! [`RouteTable::patch`], and only routing-node changes run searches.
+//!
+//! [`FlatRoutes`] resolves the same table to `(next hop, directed link
+//! slot)` entries for the simulator's per-hop path.
 
-use crate::graph::{LinkId, Network, NodeId};
+use crate::graph::{LinkId, Network, NodeId, NodeKind};
 use std::collections::VecDeque;
+use std::fmt;
+use std::mem::size_of;
 
-/// All-pairs next-hop table.
+/// Shortest-path next-hop table over every node pair, stored between
+/// routing nodes (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -27,19 +63,58 @@ use std::collections::VecDeque;
 /// let p = prototype_quartz();
 /// let table = RouteTable::all_shortest_paths(&p.net);
 /// assert_eq!(table.next_hops(p.switches[0], p.switches[3]), &[p.switches[3]]);
+/// // A host's only next hop is its switch.
+/// assert_eq!(table.next_hops(p.hosts[0], p.hosts[7]), &[p.switches[0]]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RouteTable {
-    n: usize,
-    /// `dist[dst][node]` in links; `u32::MAX` = unreachable.
-    dist: Vec<Vec<u32>>,
-    /// `next[dst][node]` = shortest-path next hops from `node` toward
-    /// `dst`.
-    next: Vec<Vec<Vec<NodeId>>>,
+    /// Per node: its routing index, or its leaf column.
+    place: Vec<Place>,
+    /// Routing nodes in id order (routing index → node).
+    routers: Vec<NodeId>,
+    /// `dist[dst * R + at]` in links between routing nodes; `u32::MAX` =
+    /// unreachable (and every entry of a dead node's row and column).
+    dist: Vec<u32>,
+    /// CSR offsets of the ECMP sets, `R * R + 1` entries, indexed like
+    /// `dist`.
+    offsets: Vec<u32>,
+    /// Concatenated ECMP sets, each in the at-node's adjacency order.
+    hops: Vec<NodeId>,
+}
+
+/// Where a node sits in a [`RouteTable`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Place {
+    /// A routing node: its index into the R×R tables.
+    Router(u32),
+    /// A leaf host, folded onto its attachment switch.
+    Leaf(Leaf),
+}
+
+/// A leaf host's column: where it attaches and whether it is live.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Leaf {
+    /// The host itself, so its last hop can be handed out as a slice.
+    host: NodeId,
+    /// The attachment switch (a routing node).
+    tor: NodeId,
+    /// The attachment switch's routing index.
+    tor_r: u32,
+    /// The host is not dead.
+    alive: bool,
+    /// The access link is not dead.
+    link_up: bool,
+}
+
+impl Leaf {
+    /// The host and its access link are up (its ToR may still be down).
+    fn attached(&self) -> bool {
+        self.alive && self.link_up
+    }
 }
 
 impl RouteTable {
-    /// Builds the full ECMP table with one reverse BFS per destination.
+    /// Builds the full ECMP table with one reverse BFS per routing node.
     pub fn all_shortest_paths(net: &Network) -> Self {
         Self::degraded(net, |_| false, |_| false)
     }
@@ -54,23 +129,23 @@ impl RouteTable {
         dead_link: impl Fn(LinkId) -> bool,
         dead_node: impl Fn(NodeId) -> bool,
     ) -> Self {
-        let n = net.node_count();
-        debug_assert!(n <= u32::MAX as usize, "node ids fit u32");
-        let mut dist = Vec::with_capacity(n);
-        let mut next = Vec::with_capacity(n);
-        for d in 0..n {
-            let dst = NodeId(d as u32);
-            if dead_node(dst) {
-                // Nothing routes toward a dead destination.
-                dist.push(vec![u32::MAX; n]);
-                next.push(vec![Vec::new(); n]);
-                continue;
-            }
-            let (dv, nv) = bfs_to(net, dst, &dead_link, &dead_node);
-            dist.push(dv);
-            next.push(nv);
+        let (place, routers) = fold_leaves(net, &dead_link, &dead_node);
+        let r = routers.len();
+        let graph = Graph::new(net, &place, &routers);
+        let mut dist = vec![u32::MAX; r * r];
+        let mut offsets = Vec::with_capacity(r * r + 1);
+        let mut hops = Vec::new();
+        offsets.push(0);
+        for (d, row) in dist.chunks_mut(r.max(1)).enumerate() {
+            graph.route_to(d, row, &dead_link, &dead_node, &mut offsets, &mut hops);
         }
-        RouteTable { n, dist, next }
+        RouteTable {
+            place,
+            routers,
+            dist,
+            offsets,
+            hops,
+        }
     }
 
     /// Builds a single-path table routed along the BFS spanning tree
@@ -98,8 +173,8 @@ impl RouteTable {
         let mut tree = Network::new();
         for node in net.nodes() {
             match node.kind {
-                crate::graph::NodeKind::Host => tree.add_host(node.rack),
-                crate::graph::NodeKind::Switch(r) => tree.add_switch(r, node.rack),
+                NodeKind::Host => tree.add_host(node.rack),
+                NodeKind::Switch(r) => tree.add_switch(r, node.rack),
             };
         }
         debug_assert!(parent.len() <= u32::MAX as usize, "node ids fit u32");
@@ -111,16 +186,64 @@ impl RouteTable {
         Self::all_shortest_paths(&tree)
     }
 
+    /// Number of routing nodes, R.
+    fn r(&self) -> usize {
+        self.routers.len()
+    }
+
+    /// The routing node standing in for `x` and the links between them:
+    /// a router stands for itself (0 links), an attached leaf for its
+    /// ToR (1 link); a detached leaf reaches nothing.
+    fn anchor(&self, x: NodeId) -> Option<(usize, usize)> {
+        match self.place[x.0 as usize] {
+            Place::Router(r) => Some((r as usize, 0)),
+            Place::Leaf(l) => l.attached().then_some((l.tor_r as usize, 1)),
+        }
+    }
+
+    /// The ECMP set between two routing nodes.
+    fn set(&self, at: usize, dst: usize) -> &[NodeId] {
+        let i = dst * self.r() + at;
+        &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// Shortest-path length in links, if reachable.
     pub fn path_len(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let d = self.dist[to.0 as usize][from.0 as usize];
-        (d != u32::MAX).then_some(d as usize)
+        if from == to {
+            let alive = match self.place[from.0 as usize] {
+                Place::Router(r) => self.dist[r as usize * (self.r() + 1)] == 0,
+                Place::Leaf(l) => l.alive,
+            };
+            return alive.then_some(0);
+        }
+        let (a, ea) = self.anchor(from)?;
+        let (d, ed) = self.anchor(to)?;
+        let hops = self.dist[d * self.r() + a];
+        (hops != u32::MAX).then_some(hops as usize + ea + ed)
     }
 
     /// The ECMP next-hop set at `at` toward `dst` (empty at `dst` itself
     /// or if unreachable).
     pub fn next_hops(&self, at: NodeId, dst: NodeId) -> &[NodeId] {
-        &self.next[dst.0 as usize][at.0 as usize]
+        if at == dst {
+            return &[];
+        }
+        match &self.place[at.0 as usize] {
+            Place::Leaf(l) => match self.path_len(at, dst) {
+                Some(_) => std::slice::from_ref(&l.tor),
+                None => &[],
+            },
+            &Place::Router(a) => match &self.place[dst.0 as usize] {
+                &Place::Router(d) => self.set(a as usize, d as usize),
+                Place::Leaf(l) if !l.attached() => &[],
+                // Last hop: a live ToR hands the packet to its leaf.
+                Place::Leaf(l) if l.tor == at => match self.path_len(at, at) {
+                    Some(_) => std::slice::from_ref(&l.host),
+                    None => &[],
+                },
+                Place::Leaf(l) => self.set(a as usize, l.tor_r as usize),
+            },
+        }
     }
 
     /// Deterministic ECMP selection: pick among the equal-cost next hops
@@ -149,7 +272,16 @@ impl RouteTable {
 
     /// Number of nodes in the table.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.place.len()
+    }
+
+    /// Heap memory the table holds, in bytes (allocated capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.place.capacity() * size_of::<Place>()
+            + self.routers.capacity() * size_of::<NodeId>()
+            + self.dist.capacity() * size_of::<u32>()
+            + self.offsets.capacity() * size_of::<u32>()
+            + self.hops.capacity() * size_of::<NodeId>()
     }
 
     /// Incrementally updates the table for one topology `change`,
@@ -162,8 +294,11 @@ impl RouteTable {
     /// `debug_assert`s on every reconvergence and
     /// `incremental_patch_matches_scratch_rebuild` pins.
     ///
-    /// The affected-destination tests are exact for links and
-    /// conservative for nodes:
+    /// A change to a leaf host or its access link only flips a flag in
+    /// the leaf's column: O(1). A change between routing nodes reruns
+    /// the search toward every routing destination it may affect. The
+    /// affected-destination tests are exact for links and conservative
+    /// for nodes:
     ///
     /// * a removed link `(a, b)` only matters for destinations whose
     ///   DAG contains it, i.e. `|dist[a] − dist[b]| == 1` (removing an
@@ -183,49 +318,202 @@ impl RouteTable {
         dead_link: impl Fn(LinkId) -> bool,
         dead_node: impl Fn(NodeId) -> bool,
     ) {
-        let n = self.n;
-        debug_assert!(n <= u32::MAX as usize, "node ids fit u32");
-        for d in 0..n {
-            let dst = NodeId(d as u32);
-            let affected = match change {
-                RouteChange::LinkDown(l) => {
-                    let link = net.link(l);
-                    let da = self.dist[d][link.a.0 as usize];
-                    let db = self.dist[d][link.b.0 as usize];
-                    da != u32::MAX && db != u32::MAX && (da == db + 1 || db == da + 1)
-                }
-                RouteChange::LinkUp(l) => {
-                    let link = net.link(l);
-                    if dead_node(link.a) || dead_node(link.b) {
-                        // A leg into a dead switch: the link stays
-                        // unusable, nothing to recompute.
-                        false
-                    } else {
-                        let da = self.dist[d][link.a.0 as usize];
-                        let db = self.dist[d][link.b.0 as usize];
-                        (da != u32::MAX && (db == u32::MAX || da < db))
-                            || (db != u32::MAX && (da == u32::MAX || db < da))
+        match change {
+            RouteChange::LinkDown(l) | RouteChange::LinkUp(l) => {
+                let link = net.link(l);
+                for end in [link.a, link.b] {
+                    if let Place::Leaf(leaf) = &mut self.place[end.0 as usize] {
+                        leaf.link_up = !dead_link(l);
+                        return;
                     }
                 }
-                RouteChange::NodeDown(x) => dst == x || self.dist[d][x.0 as usize] != u32::MAX,
-                RouteChange::NodeUp(x) => {
-                    dst == x
-                        || net.neighbors(x).iter().any(|&(v, l)| {
-                            !dead_link(l) && !dead_node(v) && self.dist[d][v.0 as usize] != u32::MAX
-                        })
+            }
+            RouteChange::NodeDown(x) | RouteChange::NodeUp(x) => {
+                if let Place::Leaf(leaf) = &mut self.place[x.0 as usize] {
+                    leaf.alive = !dead_node(x);
+                    return;
                 }
-            };
-            if !affected {
+            }
+        }
+        // A change between routing nodes: each endpoint is one.
+        let r = self.r();
+        let index = |x: NodeId| match self.place[x.0 as usize] {
+            Place::Router(i) => Some(i as usize),
+            Place::Leaf(_) => None,
+        };
+        let affected: Vec<bool> =
+            self.dist
+                .chunks(r.max(1))
+                .enumerate()
+                .map(|(d, dist)| {
+                    let at = |x: NodeId| index(x).map_or(u32::MAX, |i| dist[i]);
+                    match change {
+                        RouteChange::LinkDown(l) => {
+                            let link = net.link(l);
+                            let (da, db) = (at(link.a), at(link.b));
+                            da != u32::MAX && db != u32::MAX && (da == db + 1 || db == da + 1)
+                        }
+                        RouteChange::LinkUp(l) => {
+                            let link = net.link(l);
+                            if dead_node(link.a) || dead_node(link.b) {
+                                // A leg into a dead switch: the link stays
+                                // unusable, nothing to recompute.
+                                false
+                            } else {
+                                let (da, db) = (at(link.a), at(link.b));
+                                (da != u32::MAX && (db == u32::MAX || da < db))
+                                    || (db != u32::MAX && (da == u32::MAX || db < da))
+                            }
+                        }
+                        RouteChange::NodeDown(x) => index(x) == Some(d) || at(x) != u32::MAX,
+                        RouteChange::NodeUp(x) => {
+                            index(x) == Some(d)
+                                || net.neighbors(x).iter().any(|&(v, l)| {
+                                    !dead_link(l) && !dead_node(v) && at(v) != u32::MAX
+                                })
+                        }
+                    }
+                })
+                .collect();
+        if !affected.contains(&true) {
+            return;
+        }
+        // Splice: affected rows are searched again, the others copied.
+        let graph = Graph::new(net, &self.place, &self.routers);
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut hops = Vec::with_capacity(self.hops.len());
+        offsets.push(0);
+        for (d, row) in self.dist.chunks_mut(r).enumerate() {
+            if affected[d] {
+                graph.route_to(d, row, &dead_link, &dead_node, &mut offsets, &mut hops);
                 continue;
             }
-            if dead_node(dst) {
-                self.dist[d].iter_mut().for_each(|v| *v = u32::MAX);
-                self.next[d].iter_mut().for_each(Vec::clear);
-            } else {
-                let (dv, nv) = bfs_to(net, dst, &dead_link, &dead_node);
-                self.dist[d] = dv;
-                self.next[d] = nv;
+            let old = &self.offsets[d * r..=(d + 1) * r];
+            let (lo, hi) = (old[0] as usize, old[r] as usize);
+            let base = hops.len();
+            hops.extend_from_slice(&self.hops[lo..hi]);
+            debug_assert!(hops.len() <= u32::MAX as usize, "hop offsets fit u32");
+            offsets.extend(old[1..].iter().map(|&o| (o as usize - lo + base) as u32));
+        }
+        self.offsets = offsets;
+        self.hops = hops;
+    }
+}
+
+/// Splits `net`'s nodes into routing nodes (in id order) and leaf hosts,
+/// taking each leaf's liveness from the predicates.
+fn fold_leaves(
+    net: &Network,
+    dead_link: &impl Fn(LinkId) -> bool,
+    dead_node: &impl Fn(NodeId) -> bool,
+) -> (Vec<Place>, Vec<NodeId>) {
+    let leaf_link = |x: NodeId| match net.neighbors(x) {
+        &[(tor, link)] if net.node(x).kind.is_host() && net.node(tor).kind.is_switch() => {
+            Some((tor, link))
+        }
+        _ => None,
+    };
+    let mut index = vec![u32::MAX; net.node_count()];
+    let mut routers = Vec::new();
+    for node in net.nodes() {
+        if leaf_link(node.id).is_none() {
+            debug_assert!(routers.len() < u32::MAX as usize, "node ids fit u32");
+            index[node.id.0 as usize] = routers.len() as u32;
+            routers.push(node.id);
+        }
+    }
+    let place = net
+        .nodes()
+        .map(|node| match leaf_link(node.id) {
+            None => Place::Router(index[node.id.0 as usize]),
+            Some((tor, link)) => Place::Leaf(Leaf {
+                host: node.id,
+                tor,
+                tor_r: index[tor.0 as usize],
+                alive: !dead_node(node.id),
+                link_up: !dead_link(link),
+            }),
+        })
+        .collect();
+    (place, routers)
+}
+
+/// The routing subgraph in routing indices: each router's router
+/// neighbors as `(index, link)`, in [`Network::neighbors`] order.
+struct Graph<'a> {
+    routers: &'a [NodeId],
+    /// CSR offsets into `adj`, `R + 1` entries.
+    start: Vec<usize>,
+    adj: Vec<(usize, LinkId)>,
+}
+
+impl<'a> Graph<'a> {
+    fn new(net: &Network, place: &[Place], routers: &'a [NodeId]) -> Self {
+        let mut start = Vec::with_capacity(routers.len() + 1);
+        let mut adj = Vec::new();
+        start.push(0);
+        for &u in routers {
+            adj.extend(
+                net.neighbors(u)
+                    .iter()
+                    .filter_map(|&(v, l)| match place[v.0 as usize] {
+                        Place::Router(i) => Some((i as usize, l)),
+                        Place::Leaf(_) => None,
+                    }),
+            );
+            start.push(adj.len());
+        }
+        Graph {
+            routers,
+            start,
+            adj,
+        }
+    }
+
+    fn neighbors(&self, u: usize) -> &[(usize, LinkId)] {
+        &self.adj[self.start[u]..self.start[u + 1]]
+    }
+
+    /// Reverse BFS toward router `d` over the surviving routing graph:
+    /// fills `dist` (d's row) and appends d's ECMP sets, one per router
+    /// in index order, to `offsets` / `hops`.
+    fn route_to(
+        &self,
+        d: usize,
+        dist: &mut [u32],
+        dead_link: &impl Fn(LinkId) -> bool,
+        dead_node: &impl Fn(NodeId) -> bool,
+        offsets: &mut Vec<u32>,
+        hops: &mut Vec<NodeId>,
+    ) {
+        let mut queue = VecDeque::new();
+        let live = |v: usize, l: LinkId| !dead_link(l) && !dead_node(self.routers[v]);
+        dist.fill(u32::MAX);
+        // Nothing routes toward a dead destination.
+        if !dead_node(self.routers[d]) {
+            dist[d] = 0;
+            queue.push_back(d);
+        }
+        while let Some(u) = queue.pop_front() {
+            for &(v, l) in self.neighbors(u) {
+                if dist[v] == u32::MAX && live(v, l) {
+                    dist[v] = dist[u] + 1;
+                    queue.push_back(v);
+                }
             }
+        }
+        for (u, &du) in dist.iter().enumerate() {
+            // An unreached router is dead or cut off; `d` has no next hop.
+            if du != u32::MAX && du != 0 {
+                hops.extend(
+                    self.neighbors(u)
+                        .iter()
+                        .filter(|&&(v, l)| dist[v].wrapping_add(1) == du && live(v, l))
+                        .map(|&(v, _)| self.routers[v]),
+                );
+            }
+            debug_assert!(hops.len() <= u32::MAX as usize, "hop offsets fit u32");
+            offsets.push(hops.len() as u32);
         }
     }
 }
@@ -243,19 +531,81 @@ pub enum RouteChange {
     NodeUp(NodeId),
 }
 
-/// [`RouteTable`] flattened for the per-hop fast path: one contiguous
-/// CSR array of `(next hop, directed link slot)` entries indexed by
-/// `dst * n + at`, so a forwarding decision is two array reads and a
-/// modulo — no nested `Vec` chasing and no adjacency search for the
-/// link (`slot = 2 × link + direction` matches the simulator's
-/// per-direction link array layout).
+/// Why a [`RouteTable`] cannot forward over a [`Network`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RouteError {
+    /// The table covers a different number of nodes than the network.
+    NodeCount {
+        /// Nodes in the table.
+        table: usize,
+        /// Nodes in the network.
+        network: usize,
+    },
+    /// The table forwards from `at` to `next`, but the network has no
+    /// link between them: the table was built over another fabric.
+    NotAdjacent {
+        /// The forwarding node.
+        at: NodeId,
+        /// The next hop the table names.
+        next: NodeId,
+    },
+}
+
+impl fmt::Display for RouteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RouteError::NodeCount { table, network } => write!(
+                f,
+                "route table covers {table} nodes but the network has {network}"
+            ),
+            RouteError::NotAdjacent { at, next } => write!(
+                f,
+                "route next hop must be adjacent: the table forwards {at} -> {next}, which share no link"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RouteError {}
+
+/// [`RouteTable`] resolved for the per-hop fast path: every next hop
+/// comes with its directed link slot (`slot = 2 × link + direction`,
+/// the simulator's per-direction link array layout), so forwarding needs
+/// no adjacency search.
+///
+/// The routing-node ECMP sets sit in one CSR array over an `(R+1)×(R+1)`
+/// grid whose last row and column are empty. Each node has one grid
+/// index, used as its row when it is the destination and as its column
+/// when it forwards: a router's own, a live leaf's ToR's, and the empty
+/// one for a leaf that is cut off. So every hop is two per-node reads,
+/// two offsets and a pick:
+///
+/// * at a router, the cell is the ECMP set — toward a leaf, its ToR's;
+/// * at a live leaf, the cell is its ToR's set toward `dst`: the leaf's
+///   one next hop, the ToR, applies when that set is non-empty or `dst`
+///   shares the ToR's index (the ToR itself, or a leaf on it);
+/// * at a ToR toward one of its own live leaves the cell is the empty
+///   diagonal, and the leaf's entry supplies the last hop.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatRoutes {
-    n: usize,
-    /// CSR offsets, `n * n + 1` entries.
+    /// `R + 1`: the grid's row length.
+    stride: usize,
+    /// Per node: its grid index and, for a live leaf, its hops.
+    node: Vec<Entry>,
+    /// CSR offsets, `stride * stride + 1` entries.
     offsets: Vec<u32>,
     /// Concatenated ECMP sets, in [`RouteTable::next_hops`] order.
     hops: Vec<(NodeId, u32)>,
+}
+
+/// One node's place in a [`FlatRoutes`] grid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    /// Grid row as destination and column as forwarding node.
+    idx: u32,
+    /// For a live leaf (attached, with a live ToR): its first hop `(ToR,
+    /// uplink slot)` and its ToR's last hop `(leaf, downlink slot)`.
+    edge: Option<[(NodeId, u32); 2]>,
 }
 
 impl FlatRoutes {
@@ -263,36 +613,115 @@ impl FlatRoutes {
     /// directed link slot once, here, instead of per packet.
     ///
     /// # Panics
-    /// Panics if the table references a hop with no link in `net`.
+    /// Panics if the table does not fit `net` (see
+    /// [`FlatRoutes::try_new`]).
     pub fn new(table: &RouteTable, net: &Network) -> Self {
-        let n = table.n;
-        debug_assert!(n <= u32::MAX as usize, "node ids fit u32");
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut hops = Vec::new();
-        offsets.push(0);
-        for dst in 0..n {
-            for at in 0..n {
-                for &next in &table.next[dst][at] {
-                    let at_id = NodeId(at as u32);
-                    let l = net
-                        .link_between(at_id, next)
-                        .expect("route next hop must be adjacent");
-                    let dir = u32::from(net.link(l).a != at_id);
-                    hops.push((next, 2 * l.0 + dir));
+        Self::try_new(table, net).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FlatRoutes::new`], or why `table` cannot forward over `net`: it
+    /// covers a different node count, or names a next hop `net` has no
+    /// link to. O(R² · ECMP width + n + links).
+    pub fn try_new(table: &RouteTable, net: &Network) -> Result<Self, RouteError> {
+        let n = table.node_count();
+        if net.node_count() != n {
+            return Err(RouteError::NodeCount {
+                table: n,
+                network: net.node_count(),
+            });
+        }
+        let r = table.r();
+        let stride = r + 1;
+        debug_assert!(stride <= u32::MAX as usize, "node ids fit u32");
+        let empty = r as u32;
+        let slot = |at: NodeId, l: LinkId| 2 * l.0 + u32::from(net.link(l).a != at);
+
+        // Routing-node sets: same entries, same order as the table's;
+        // resolved per forwarding node through its first link to each
+        // neighbor (the link `Network::link_between` would pick).
+        let mut hops = vec![(NodeId(0), 0); table.hops.len()];
+        let mut first_slot = vec![u32::MAX; n];
+        for (a, &at) in table.routers.iter().enumerate() {
+            for &(v, l) in net.neighbors(at).iter().rev() {
+                first_slot[v.0 as usize] = slot(at, l);
+            }
+            for d in 0..r {
+                let i = d * r + a;
+                let set = table.offsets[i] as usize..table.offsets[i + 1] as usize;
+                for (hop, &next) in hops[set.clone()].iter_mut().zip(&table.hops[set]) {
+                    let s = first_slot[next.0 as usize];
+                    if s == u32::MAX {
+                        return Err(RouteError::NotAdjacent { at, next });
+                    }
+                    *hop = (next, s);
                 }
-                debug_assert!(hops.len() <= u32::MAX as usize, "hop offsets fit u32");
-                offsets.push(hops.len() as u32);
+            }
+            for &(v, _) in net.neighbors(at) {
+                first_slot[v.0 as usize] = u32::MAX;
             }
         }
-        FlatRoutes { n, offsets, hops }
+        // The grid: the table's rows with an empty column appended, then
+        // the empty row.
+        let mut offsets = Vec::with_capacity(stride * stride + 1);
+        offsets.push(0);
+        for row in table.offsets.windows(r + 1).step_by(r.max(1)).take(r) {
+            offsets.extend_from_slice(&row[1..]);
+            offsets.push(row[r]);
+        }
+        let end = *offsets.last().unwrap_or(&0);
+        offsets.resize(stride * stride + 1, end);
+
+        let mut node = Vec::with_capacity(n);
+        for p in &table.place {
+            node.push(match *p {
+                Place::Router(idx) => Entry { idx, edge: None },
+                Place::Leaf(l) => {
+                    let up = net
+                        .link_between(l.host, l.tor)
+                        .ok_or(RouteError::NotAdjacent {
+                            at: l.host,
+                            next: l.tor,
+                        })?;
+                    let up = slot(l.host, up);
+                    if l.attached() && table.path_len(l.tor, l.tor).is_some() {
+                        Entry {
+                            idx: l.tor_r,
+                            edge: Some([(l.tor, up), (l.host, up ^ 1)]),
+                        }
+                    } else {
+                        Entry {
+                            idx: empty,
+                            edge: None,
+                        }
+                    }
+                }
+            });
+        }
+        Ok(FlatRoutes {
+            stride,
+            node,
+            offsets,
+            hops,
+        })
     }
 
     /// The ECMP set at `at` toward `dst` as `(next hop, directed link
     /// slot)` entries, in the same order as [`RouteTable::next_hops`].
     #[inline]
     pub fn next_hops(&self, at: NodeId, dst: NodeId) -> &[(NodeId, u32)] {
-        let i = dst.0 as usize * self.n + at.0 as usize;
-        &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        let (a, d) = (&self.node[at.0 as usize], &self.node[dst.0 as usize]);
+        let i = d.idx as usize * self.stride + a.idx as usize;
+        let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        match (&a.edge, &d.edge) {
+            // First hop: the leaf's ToR, if the ToR can deliver.
+            (Some([up, _]), _) if at != dst && (lo != hi || a.idx == d.idx) => {
+                std::slice::from_ref(up)
+            }
+            (Some(_), _) => &[],
+            // Last hop: the ToR hands the packet to its own leaf.
+            (None, Some([_, down])) if a.idx == d.idx => std::slice::from_ref(down),
+            _ => &self.hops[lo..hi],
+        }
     }
 
     /// Deterministic ECMP pick by flow hash — selects the same hop as
@@ -315,50 +744,16 @@ impl FlatRoutes {
 
     /// Number of nodes covered.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.node.len()
     }
-}
 
-/// Reverse BFS from `dst` over the surviving graph: distances and
-/// next-hop sets toward `dst`.
-fn bfs_to(
-    net: &Network,
-    dst: NodeId,
-    dead_link: &impl Fn(LinkId) -> bool,
-    dead_node: &impl Fn(NodeId) -> bool,
-) -> (Vec<u32>, Vec<Vec<NodeId>>) {
-    let n = net.node_count();
-    let mut dist = vec![u32::MAX; n];
-    let mut q = VecDeque::new();
-    dist[dst.0 as usize] = 0;
-    q.push_back(dst);
-    while let Some(u) = q.pop_front() {
-        for &(v, l) in net.neighbors(u) {
-            if dead_link(l) || dead_node(v) {
-                continue;
-            }
-            if dist[v.0 as usize] == u32::MAX {
-                dist[v.0 as usize] = dist[u.0 as usize] + 1;
-                q.push_back(v);
-            }
-        }
+    /// Heap memory the flattened table holds, in bytes (allocated
+    /// capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.node.capacity() * size_of::<Entry>()
+            + self.offsets.capacity() * size_of::<u32>()
+            + self.hops.capacity() * size_of::<(NodeId, u32)>()
     }
-    let mut next = vec![Vec::new(); n];
-    debug_assert!(n <= u32::MAX as usize, "node ids fit u32");
-    for u in 0..n {
-        if dist[u] == u32::MAX || dist[u] == 0 || dead_node(NodeId(u as u32)) {
-            continue;
-        }
-        for &(v, l) in net.neighbors(NodeId(u as u32)) {
-            if dead_link(l) || dead_node(v) {
-                continue;
-            }
-            if dist[v.0 as usize] + 1 == dist[u] {
-                next[u].push(v);
-            }
-        }
-    }
-    (dist, next)
 }
 
 #[cfg(test)]
@@ -534,25 +929,15 @@ mod tests {
         }
     }
 
-    /// Drives `patch` through a fault/recovery script and cross-checks
-    /// every step against a from-scratch `degraded` build.
-    #[test]
-    fn patch_matches_scratch_rebuild_through_a_fault_script() {
-        let p = prototype_quartz();
-        let l01 = p.net.link_between(p.switches[0], p.switches[1]).unwrap();
-        let l23 = p.net.link_between(p.switches[2], p.switches[3]).unwrap();
-        let script = [
-            RouteChange::LinkDown(l01),
-            RouteChange::NodeDown(p.switches[2]),
-            RouteChange::LinkDown(l23), // already implicitly dead leg
-            RouteChange::LinkUp(l01),
-            RouteChange::NodeUp(p.switches[2]),
-            RouteChange::LinkUp(l23),
-        ];
-        let mut dead_links = vec![false; p.net.link_count()];
-        let mut dead_nodes = vec![false; p.net.node_count()];
-        let mut table = RouteTable::all_shortest_paths(&p.net);
-        for change in script {
+    /// Drives `patch` through a fault/recovery script, cross-checking
+    /// every step against a from-scratch `degraded` build; returns the
+    /// patched table after each step.
+    fn replay(net: &Network, script: &[RouteChange]) -> Vec<RouteTable> {
+        let mut dead_links = vec![false; net.link_count()];
+        let mut dead_nodes = vec![false; net.node_count()];
+        let mut table = RouteTable::all_shortest_paths(net);
+        let mut steps = Vec::new();
+        for &change in script {
             match change {
                 RouteChange::LinkDown(l) => dead_links[l.0 as usize] = true,
                 RouteChange::LinkUp(l) => dead_links[l.0 as usize] = false,
@@ -560,12 +945,74 @@ mod tests {
                 RouteChange::NodeUp(x) => dead_nodes[x.0 as usize] = false,
             }
             let (dl, dn) = (&dead_links, &dead_nodes);
-            table.patch(&p.net, change, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
-            let scratch = RouteTable::degraded(&p.net, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
+            table.patch(net, change, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
+            let scratch = RouteTable::degraded(net, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
             assert_eq!(table, scratch, "diverged after {change:?}");
+            steps.push(table.clone());
         }
+        steps
+    }
+
+    #[test]
+    fn patch_matches_scratch_rebuild_through_a_fault_script() {
+        let p = prototype_quartz();
+        let l01 = p.net.link_between(p.switches[0], p.switches[1]).unwrap();
+        let l23 = p.net.link_between(p.switches[2], p.switches[3]).unwrap();
+        let steps = replay(
+            &p.net,
+            &[
+                RouteChange::LinkDown(l01),
+                RouteChange::NodeDown(p.switches[2]),
+                RouteChange::LinkDown(l23), // already implicitly dead leg
+                RouteChange::LinkUp(l01),
+                RouteChange::NodeUp(p.switches[2]),
+                RouteChange::LinkUp(l23),
+            ],
+        );
         // Everything recovered: back to the pristine table.
-        assert_eq!(table, RouteTable::all_shortest_paths(&p.net));
+        assert_eq!(steps.last(), Some(&RouteTable::all_shortest_paths(&p.net)));
+    }
+
+    #[test]
+    fn patch_matches_scratch_rebuild_through_leaf_events() {
+        // Cut and restore a host access link, then kill and revive the
+        // ToR, orphaning every host in its rack.
+        let t3 = three_tier(2, 2, 2, 2, 10.0, 40.0);
+        let (host, peer, far) = (t3.hosts[0], t3.hosts[1], *t3.hosts.last().unwrap());
+        let tor = t3.net.host_tor(host).unwrap();
+        assert_eq!(
+            t3.net.host_tor(peer),
+            Some(tor),
+            "hosts 0 and 1 share a rack"
+        );
+        let access = t3.net.link_between(host, tor).unwrap();
+        let steps = replay(
+            &t3.net,
+            &[
+                RouteChange::LinkDown(access),
+                RouteChange::LinkUp(access),
+                RouteChange::NodeDown(tor),
+                RouteChange::LinkDown(access), // a leg of the dead ToR
+                RouteChange::NodeUp(tor),
+                RouteChange::LinkUp(access),
+            ],
+        );
+        // Cut access link: the host is alone, its rack-mate is not.
+        let cut = &steps[0];
+        assert_eq!(cut.path_len(host, host), Some(0));
+        assert_eq!(cut.path_len(host, far), None);
+        assert_eq!(cut.next_hops(tor, host), &[]);
+        assert_eq!(cut.path_len(peer, far), Some(6));
+        // Dead ToR: the whole rack is orphaned.
+        let dead = &steps[2];
+        for h in [host, peer] {
+            assert_eq!(dead.path_len(h, far), None);
+            assert_eq!(dead.path_len(far, h), None);
+            assert_eq!(dead.next_hops(h, far), &[]);
+        }
+        let pristine = RouteTable::all_shortest_paths(&t3.net);
+        assert_eq!(steps[1], pristine);
+        assert_eq!(steps[5], pristine);
     }
 
     #[test]
@@ -589,6 +1036,60 @@ mod tests {
             let scratch = RouteTable::degraded(&t3.net, |l| dead && l == agg_core, |_| false);
             assert_eq!(table, scratch, "diverged after {change:?}");
         }
+    }
+
+    #[test]
+    fn flat_routes_reject_a_table_from_another_fabric() {
+        // Same node count, different wiring: host 1 hangs off another
+        // switch, so the table's last hop to it names a missing link.
+        let wire = |h1_switch: usize| {
+            let mut net = Network::new();
+            let s = [
+                net.add_switch(SwitchRole::TopOfRack, Some(0)),
+                net.add_switch(SwitchRole::TopOfRack, Some(1)),
+            ];
+            let h0 = net.add_host(Some(0));
+            let h1 = net.add_host(Some(1));
+            net.connect(s[0], s[1], 40.0);
+            net.connect(h0, s[0], 10.0);
+            net.connect(h1, s[h1_switch], 10.0);
+            net
+        };
+        let (a, b) = (wire(1), wire(0));
+        let table = RouteTable::all_shortest_paths(&a);
+        assert_eq!(
+            FlatRoutes::try_new(&table, &b),
+            Err(RouteError::NotAdjacent {
+                at: NodeId(3),
+                next: NodeId(1),
+            })
+        );
+        assert_eq!(
+            FlatRoutes::try_new(&table, &prototype_quartz().net),
+            Err(RouteError::NodeCount {
+                table: 4,
+                network: 12,
+            })
+        );
+        assert!(FlatRoutes::try_new(&table, &a).is_ok());
+    }
+
+    #[test]
+    fn route_memory_scales_with_switches_not_hosts() {
+        // Tripling the hosts per ToR leaves the R×R tables as they are;
+        // only the per-node columns grow.
+        let small = three_tier(2, 2, 2, 2, 10.0, 40.0).net;
+        let large = three_tier(2, 2, 6, 2, 10.0, 40.0).net;
+        let bytes = |net: &Network| {
+            let t = RouteTable::all_shortest_paths(net);
+            let f = FlatRoutes::new(&t, net);
+            (t.heap_bytes(), f.heap_bytes())
+        };
+        let (ts, fs) = bytes(&small);
+        let (tl, fl) = bytes(&large);
+        let extra = large.node_count() - small.node_count();
+        assert!(tl - ts <= extra * 16, "table grew {} bytes", tl - ts);
+        assert!(fl - fs <= extra * 32, "flat grew {} bytes", fl - fs);
     }
 
     #[test]

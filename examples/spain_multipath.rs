@@ -35,7 +35,9 @@ fn main() {
                 ..SimConfig::default()
             },
         );
-        let t = sim.add_route_table(spain.table(vlan).clone());
+        let t = sim
+            .add_route_table(spain.table(vlan).clone())
+            .expect("VLAN trees span the prototype");
         let f = sim.add_flow(
             src,
             dst,

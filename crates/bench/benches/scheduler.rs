@@ -1,14 +1,17 @@
-//! A/B wall time of the two event engines — the timing wheel against
-//! the reference binary heap — on the Figure 17 workload, the busiest
-//! simulation in the harness (64-host composite topologies, Poisson
-//! scatter/gather load). Both engines drain events in the same order
-//! (asserted below before timing), so any delta is pure engine cost.
+//! Wall time of the timing-wheel event engine: raw churn, and the
+//! Figure 17 cell — the busiest simulation in the harness (64-host
+//! composite topologies, Poisson scatter/gather load) — with its
+//! events/sec. The wheel's pop order is pinned against the reference
+//! binary heap by `crates/netsim/tests/scheduler_differential.rs`, not
+//! here: this bench only times.
 
-use quartz_bench::experiments::fig17::{simulate_with_scheduler, Arch, Workload};
+use quartz_bench::experiments::fig17::{self, add_task, Arch, Workload, PARTNERS};
 use quartz_bench::timing::{measure, note_event_rate};
-use quartz_core::rng::StdRng;
-use quartz_netsim::sched::{BinaryHeapScheduler, Scheduler, SchedulerKind, TimingWheel};
+use quartz_core::rng::{SliceRandom, StdRng};
+use quartz_netsim::sched::TimingWheel;
+use quartz_netsim::sim::{SimConfig, Simulator};
 use quartz_netsim::time::SimTime;
+use quartz_topology::graph::NodeId;
 use std::hint::black_box;
 
 /// Pops drained per iteration of the synthetic churn workload.
@@ -19,8 +22,9 @@ const CHURN_EVENTS: u64 = 100_000;
 /// a slice ~10 µs out (generator gaps), and a far tail (retransmission
 /// timers), every pop respawning until exactly [`CHURN_EVENTS`] pops
 /// have drained. Returns a checksum of the pop order so the work can't
-/// be optimized away (and so both engines can be asserted identical).
-fn churn<S: Scheduler<u32>>(mut s: S, seed: u64) -> u64 {
+/// be optimized away.
+fn churn(seed: u64) -> u64 {
+    let mut s = TimingWheel::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let next_time = |now: SimTime, rng: &mut StdRng| {
         now + match rng.random_range(0..10) {
@@ -48,74 +52,58 @@ fn churn<S: Scheduler<u32>>(mut s: S, seed: u64) -> u64 {
     checksum
 }
 
-/// One fig17 cell: 2 gather tasks on the paper's best architecture,
-/// 1 ms of simulated time.
-fn cell(kind: SchedulerKind) -> f64 {
-    simulate_with_scheduler(
-        Arch::QuartzInEdgeAndCore,
-        Workload::Gather,
-        black_box(2),
-        1,
-        42,
-        kind,
-    )
-}
-
-/// The same cell on the architecture with the deepest paths (three-tier
-/// tree through CCS cores), scatter/gather for two-way traffic.
-fn cell_tree(kind: SchedulerKind) -> f64 {
-    simulate_with_scheduler(
-        Arch::ThreeTier,
-        Workload::ScatterGather,
-        black_box(2),
-        1,
-        42,
-        kind,
-    )
+/// One fig17 cell — 2 tasks, 1 ms of simulated time, seed 42 — built
+/// exactly as [`fig17::simulate`] builds it, so the run can also report
+/// its event count. Returns the mean latency (µs) and events processed.
+fn cell(arch: Arch, workload: Workload) -> (f64, u64) {
+    let (tasks, seed) = (black_box(2), 42u64);
+    let (net, hosts) = arch.build();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cfg = SimConfig {
+        seed: seed ^ 0xABCD,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(net, cfg);
+    let stop = SimTime::from_ms(1);
+    let mut roots = hosts.clone();
+    roots.shuffle(&mut rng);
+    for &root in &roots[..tasks] {
+        let mut pool: Vec<NodeId> = hosts.iter().copied().filter(|h| *h != root).collect();
+        pool.shuffle(&mut rng);
+        add_task(&mut sim, workload, root, &pool[..PARTNERS], 0, stop);
+    }
+    sim.run(stop + 2_000_000);
+    (sim.stats().summary(0).mean_us(), sim.events_processed())
 }
 
 fn main() {
-    // The ordering contract first: identical results, bit for bit.
-    assert_eq!(
-        cell(SchedulerKind::TimingWheel).to_bits(),
-        cell(SchedulerKind::BinaryHeap).to_bits(),
-        "engines must produce bit-identical fig17 latencies"
-    );
-    assert_eq!(
-        cell_tree(SchedulerKind::TimingWheel).to_bits(),
-        cell_tree(SchedulerKind::BinaryHeap).to_bits(),
-        "engines must produce bit-identical fig17 latencies"
-    );
-
-    assert_eq!(
-        churn(TimingWheel::new(), 7),
-        churn(BinaryHeapScheduler::new(), 7),
-        "engines must drain the synthetic churn in the same order"
-    );
-
-    // Raw engine throughput, free of simulator bookkeeping: how many
-    // events per second each engine pushes + pops on its own.
-    let rec = measure("scheduler", "wheel_churn_100k", || {
-        churn(TimingWheel::new(), black_box(7))
-    });
+    // Raw engine throughput, free of simulator bookkeeping.
+    let rec = measure("scheduler", "wheel_churn_100k", || churn(black_box(7)));
     note_event_rate("wheel_churn_100k", CHURN_EVENTS, &rec);
-    let rec = measure("scheduler", "heap_churn_100k", || {
-        churn(BinaryHeapScheduler::new(), black_box(7))
-    });
-    note_event_rate("heap_churn_100k", CHURN_EVENTS, &rec);
 
-    measure("scheduler", "wheel_fig17_gather", || {
-        cell(SchedulerKind::TimingWheel)
-    });
-    measure("scheduler", "heap_fig17_gather", || {
-        cell(SchedulerKind::BinaryHeap)
-    });
-    measure("scheduler", "wheel_fig17_scatter_gather_tree", || {
-        cell_tree(SchedulerKind::TimingWheel)
-    });
-    measure("scheduler", "heap_fig17_scatter_gather_tree", || {
-        cell_tree(SchedulerKind::BinaryHeap)
-    });
+    // Gather on the paper's best architecture; scatter/gather on the
+    // one with the deepest paths (three-tier tree through CCS cores).
+    for (name, arch, workload) in [
+        (
+            "wheel_fig17_gather",
+            Arch::QuartzInEdgeAndCore,
+            Workload::Gather,
+        ),
+        (
+            "wheel_fig17_scatter_gather_tree",
+            Arch::ThreeTier,
+            Workload::ScatterGather,
+        ),
+    ] {
+        let (mean_us, events) = cell(arch, workload);
+        assert_eq!(
+            mean_us.to_bits(),
+            fig17::simulate(arch, workload, 2, 1, 42).to_bits(),
+            "the bench cell must be the fig17 cell"
+        );
+        let rec = measure("scheduler", name, || cell(arch, workload));
+        note_event_rate(name, events, &rec);
+    }
 
     quartz_bench::timing::write_json("scheduler", None);
 }

@@ -10,7 +10,6 @@ use crate::table::print_table;
 use crate::Scale;
 use quartz_core::pool::ThreadPool;
 use quartz_core::rng::{SliceRandom, StdRng};
-use quartz_netsim::sched::SchedulerKind;
 use quartz_netsim::sim::{FlowKind, SimConfig, Simulator};
 use quartz_netsim::time::SimTime;
 use quartz_topology::builders::{
@@ -144,28 +143,6 @@ pub fn add_task(
 /// Task roots are distinct (two scatter roots sharing a NIC would just
 /// measure self-inflicted host overload, not the network).
 pub fn simulate(arch: Arch, workload: Workload, tasks: usize, sim_ms: u64, seed: u64) -> f64 {
-    simulate_with_scheduler(
-        arch,
-        workload,
-        tasks,
-        sim_ms,
-        seed,
-        SchedulerKind::default(),
-    )
-}
-
-/// [`simulate`] with an explicit event-engine choice — the A/B knob of
-/// the `scheduler` bench. The engines drain events identically, so for
-/// any fixed inputs both kinds return the same latency; only wall time
-/// differs.
-pub fn simulate_with_scheduler(
-    arch: Arch,
-    workload: Workload,
-    tasks: usize,
-    sim_ms: u64,
-    seed: u64,
-    scheduler: SchedulerKind,
-) -> f64 {
     let (net, hosts) = arch.build();
     assert!(tasks <= hosts.len() / 2, "too many tasks for {arch:?}");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -173,7 +150,6 @@ pub fn simulate_with_scheduler(
         net,
         SimConfig {
             seed: seed ^ 0xABCD,
-            scheduler,
             ..SimConfig::default()
         },
     );

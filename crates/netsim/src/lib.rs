@@ -26,25 +26,28 @@
 //!
 //! Module map: [`time`] (nanosecond clock), [`switch`] (device models,
 //! Tables 2 and 16), [`stats`] (latency aggregation with confidence
-//! intervals), [`sim`] (the engine and the flow kinds: Poisson streams,
-//! request/response, ping-pong RPC, bursty on/off sources, paced file
-//! transfers, Reno/DCTCP transport), [`workload`] (the §7 scatter/gather
-//! task drivers), [`transport`] (the congestion-control state machines),
+//! intervals), [`sim`] (the serial engine and the flow kinds: Poisson
+//! streams, request/response, ping-pong RPC, bursty on/off sources,
+//! paced file transfers, Reno/DCTCP transport), [`shard`] (the sharded
+//! single-simulation engine: spatial domains advancing under
+//! conservative lookahead with bit-identical output at any domain
+//! count), the crate-private `core` (the one per-packet core both
+//! engines run: forwarding, delivery, emission, transport actions,
+//! drops, faults and reroute), [`workload`] (the §7 scatter/gather task
+//! drivers), [`transport`] (the congestion-control state machines),
 //! [`faults`] (seeded fault plans, live fiber cuts and switch deaths,
 //! and the canonical mid-run ring-cut experiment), [`rwa`] (the online
 //! wavelength-reassignment control plane driving lightpath dark/relight
-//! windows under churn), [`sched`] (the timing-wheel event engine and
-//! its reference binary-heap twin), [`arena`] (the struct-of-arrays
-//! in-flight packet store the hot path indexes instead of cloning),
-//! [`shard`] (the sharded single-simulation engine: spatial domains
-//! advancing under conservative lookahead with bit-identical output at
-//! any domain count).
+//! windows under churn), [`sched`] (the timing-wheel event queue),
+//! [`arena`] (the struct-of-arrays in-flight packet store the hot path
+//! indexes instead of cloning).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod arena;
+mod core;
 pub mod faults;
 pub mod latency;
 pub mod rwa;
@@ -66,9 +69,9 @@ pub use rwa::{
     churn_scenario, churn_units, ChurnEvent, ChurnScenarioConfig, ChurnScenarioReport,
     CompiledChurn,
 };
-pub use sched::{BinaryHeapScheduler, Scheduler, SchedulerKind, TimingWheel};
+pub use sched::TimingWheel;
 pub use shard::ShardedSim;
-pub use sim::{DrainMode, FaultRecord, FlowCompletion, FlowKind, SimConfig, Simulator, VlbConfig};
+pub use sim::{FaultRecord, FlowCompletion, FlowKind, SimConfig, Simulator, VlbConfig};
 pub use stats::{LatencySummary, Series, Stats};
 pub use switch::{LatencyModel, SwitchSpec, ARISTA_7150S, CISCO_NEXUS_7000};
 pub use time::SimTime;

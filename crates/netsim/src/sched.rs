@@ -1,4 +1,4 @@
-//! Event schedulers: the timing-wheel engine and its reference heap.
+//! The event scheduler: a timing wheel.
 //!
 //! The discrete-event loop in [`crate::sim`] is bounded by how fast it
 //! can push and pop timestamped events. A `BinaryHeap` gives `O(log n)`
@@ -29,14 +29,14 @@
 //!
 //! ## Ordering contract
 //!
-//! Both schedulers implement [`Scheduler`] and drain events in exactly
-//! `(time, seq)` order, where `seq` is a monotone sequence number
-//! assigned at push. This is the tie-break rule the simulator's
-//! determinism contract (DESIGN.md §6) is built on: two schedulers fed
-//! the same pushes pop the same events in the same order, bit for bit.
-//! [`BinaryHeapScheduler`] is kept as the executable reference for
-//! differential tests (`tests/scheduler_differential.rs`); the wheel
-//! achieves the same order because
+//! The wheel drains events in exactly `(time, seq)` order, where `seq`
+//! is a monotone sequence number assigned at push. This is the
+//! tie-break rule the simulator's determinism contract (DESIGN.md §6)
+//! is built on, and exactly the order a binary min-heap keyed by
+//! `(time, seq)` pops in — the reference kept as a test oracle in
+//! `tests/support/` and drained against the wheel by
+//! `tests/scheduler_differential.rs`. The wheel achieves that order
+//! because
 //!
 //! * every bucket within the horizon maps to exactly one absolute slot,
 //!   so the first non-empty bucket at the cursor holds the globally
@@ -66,143 +66,6 @@ pub const GRANULARITY_LOG2: u32 = 6;
 /// Nanoseconds per bucket.
 pub const GRANULARITY: u64 = 1 << GRANULARITY_LOG2;
 const BUCKET_MASK: u64 = (NUM_BUCKETS as u64) - 1;
-
-/// Which event engine a simulator runs on (see
-/// [`crate::sim::SimConfig::scheduler`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The timing wheel ([`TimingWheel`]) — the default engine.
-    #[default]
-    TimingWheel,
-    /// The reference binary heap ([`BinaryHeapScheduler`]), retained
-    /// for differential testing and A/B benches.
-    BinaryHeap,
-}
-
-/// A deterministic future-event set: timestamped items drain in
-/// `(time, push order)` order.
-///
-/// The `seq` half of the ordering key is normally assigned implicitly
-/// by [`Scheduler::push`], but the batched link drain
-/// (DESIGN.md §10) needs to *decouple* sequence allocation from event
-/// insertion: each packet appended to a link batch reserves a sequence
-/// number (so tie-breaks match the unbatched schedule bit for bit), yet
-/// only one sentinel event — carrying the *first* entry's key — sits in
-/// the queue. [`Scheduler::reserve_seq`] and [`Scheduler::push_at_seq`]
-/// expose that split; [`Scheduler::peek_key`] lets the drain loop ask
-/// "is anything queued ahead of my next batch entry?" without popping.
-pub trait Scheduler<T> {
-    /// Queues `item` at `time`, assigning it the next sequence number.
-    fn push(&mut self, time: SimTime, item: T) {
-        let seq = self.reserve_seq();
-        self.push_at_seq(time, seq, item);
-    }
-    /// Draws the next sequence number without queueing anything.
-    fn reserve_seq(&mut self) -> u64;
-    /// Queues `item` at `(time, seq)` where `seq` came from
-    /// [`Scheduler::reserve_seq`]. Keys must be unique; reusing a
-    /// reserved seq for a second queued event is a logic error.
-    fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T);
-    /// Removes and returns the earliest `(time, seq)` event.
-    fn pop(&mut self) -> Option<(SimTime, T)>;
-    /// [`Scheduler::pop`], but only if the earliest event's time is
-    /// `<= bound`; otherwise the queue is untouched.
-    fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, T)>;
-    /// The earliest queued `(time, seq)` key, if any. Takes `&mut self`
-    /// because the wheel may advance its cursor (not observable).
-    fn peek_key(&mut self) -> Option<(SimTime, u64)>;
-    /// The earliest queued time, if any. Takes `&mut self` because the
-    /// wheel may advance its cursor to find it (not observable).
-    fn next_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
-    }
-    /// Queued event count.
-    fn len(&self) -> usize;
-    /// Whether nothing is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The reference scheduler: a binary min-heap ordered by `(time, seq)`.
-/// Exactly the engine the simulator used before the timing wheel; kept
-/// as the executable specification of the ordering contract.
-#[derive(Debug)]
-pub struct BinaryHeapScheduler<T> {
-    heap: BinaryHeap<Reverse<HeapEv<T>>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct HeapEv<T> {
-    time: SimTime,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for HeapEv<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEv<T> {}
-impl<T> PartialOrd for HeapEv<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEv<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl<T> Default for BinaryHeapScheduler<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> BinaryHeapScheduler<T> {
-    /// An empty heap scheduler.
-    pub fn new() -> Self {
-        BinaryHeapScheduler {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<T> Scheduler<T> for BinaryHeapScheduler<T> {
-    fn reserve_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T) {
-        self.heap.push(Reverse(HeapEv { time, seq, item }));
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.item))
-    }
-
-    fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, T)> {
-        if self.heap.peek().is_some_and(|Reverse(e)| e.time <= bound) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|Reverse(e)| (e.time, e.seq))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
 
 /// The timing-wheel scheduler (see the module docs for geometry and the
 /// ordering argument).
@@ -326,13 +189,30 @@ impl<T> TimingWheel<T> {
     }
 }
 
-impl<T> Scheduler<T> for TimingWheel<T> {
-    fn reserve_seq(&mut self) -> u64 {
+/// The split between sequence allocation and insertion serves the
+/// batched link drain (DESIGN.md §10): each packet appended to a link
+/// batch reserves its sequence number (so tie-breaks match the
+/// unbatched schedule bit for bit), yet only one sentinel event —
+/// carrying the *first* entry's key — sits in the wheel.
+/// [`TimingWheel::peek_key`] lets the drain loop ask "is anything
+/// queued ahead of my next batch entry?" without popping.
+impl<T> TimingWheel<T> {
+    /// Queues `item` at `time`, assigning it the next sequence number.
+    pub fn push(&mut self, time: SimTime, item: T) {
+        let seq = self.reserve_seq();
+        self.push_at_seq(time, seq, item);
+    }
+
+    /// Draws the next sequence number without queueing anything.
+    pub fn reserve_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
     }
 
-    fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T) {
+    /// Queues `item` at `(time, seq)` where `seq` came from
+    /// [`TimingWheel::reserve_seq`] (or is a caller-defined key: keys
+    /// must be unique).
+    pub fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T) {
         let slot = time.wheel_slot(GRANULARITY_LOG2);
         if slot <= self.cursor {
             // Into (or before — allowed, rare) the cursor bucket:
@@ -362,8 +242,9 @@ impl<T> Scheduler<T> for TimingWheel<T> {
         self.len += 1;
     }
 
+    /// Removes and returns the earliest `(time, seq)` event.
     // lint:hot
-    fn pop(&mut self) -> Option<(SimTime, T)> {
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
         if !self.seek() {
             return None;
         }
@@ -374,8 +255,10 @@ impl<T> Scheduler<T> for TimingWheel<T> {
         Some((time, item))
     }
 
+    /// [`TimingWheel::pop`], but only if the earliest event's time is
+    /// `<= bound`; otherwise the wheel is untouched.
     // lint:hot
-    fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, T)> {
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, T)> {
         if !self.seek() {
             return None;
         }
@@ -388,8 +271,10 @@ impl<T> Scheduler<T> for TimingWheel<T> {
         Some((time, item))
     }
 
+    /// The earliest queued `(time, seq)` key, if any. Takes `&mut self`
+    /// because the wheel may advance its cursor (not observable).
     // lint:hot
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         if !self.seek() {
             return None;
         }
@@ -397,76 +282,25 @@ impl<T> Scheduler<T> for TimingWheel<T> {
         Some((e.0, e.1))
     }
 
-    fn len(&self) -> usize {
+    /// The earliest queued time, if any.
+    pub fn next_time(&mut self) -> Option<SimTime> {
+        self.peek_key().map(|(t, _)| t)
+    }
+
+    /// Queued event count.
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quartz_core::rng::StdRng;
-
-    /// Drains both schedulers fed the same pushes and asserts identical
-    /// pop streams. Interleaves pushes mid-drain the way the simulator
-    /// does: some popped events re-push at `now + delta`.
-    fn differential(seed: u64, initial: usize, respawn_num: u64, respawn_den: u64) {
-        let mut wheel = TimingWheel::new();
-        let mut heap = BinaryHeapScheduler::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pushes: Vec<(SimTime, u32)> = Vec::new();
-        for i in 0..initial {
-            // Mix near (same-bucket bursts), mid, and far-horizon times.
-            let t = match rng.random_range(0..4) {
-                0 => rng.random_range(0..64) as u64,
-                1 => rng.random_range(0..10_000) as u64,
-                2 => 5_000 + rng.random_range(0..8) as u64, // equal-time bursts
-                _ => rng.random_range(0..5_000_000) as u64, // beyond horizon
-            };
-            pushes.push((SimTime::from_ns(t), i as u32));
-        }
-        for &(t, v) in &pushes {
-            wheel.push(t, v);
-            heap.push(t, v);
-        }
-        let mut next_tag = initial as u32;
-        let mut popped = 0u64;
-        loop {
-            let w = wheel.pop();
-            let h = heap.pop();
-            assert_eq!(w, h, "divergence after {popped} pops (seed {seed})");
-            let Some((t, _)) = w else {
-                break;
-            };
-            popped += 1;
-            // Deterministic respawn: mid-drain pushes, often landing in
-            // the bucket being drained (delta 0) or exactly on another
-            // queued timestamp.
-            if popped % respawn_den < respawn_num && next_tag < initial as u32 + 400 {
-                let delta = match rng.random_range(0..3) {
-                    0 => 0,
-                    1 => rng.random_range(0..100) as u64,
-                    _ => 300_000 + rng.random_range(0..300_000) as u64,
-                };
-                wheel.push(t + delta, next_tag);
-                heap.push(t + delta, next_tag);
-                next_tag += 1;
-            }
-        }
-        assert!(wheel.is_empty() && heap.is_empty());
-    }
-
-    #[test]
-    fn wheel_matches_heap_on_seeded_streams() {
-        for seed in 0..8 {
-            differential(seed, 300, 1, 3);
-        }
-    }
-
-    #[test]
-    fn wheel_matches_heap_under_heavy_respawn() {
-        differential(0xFEED, 50, 1, 1);
-    }
 
     #[test]
     fn equal_timestamps_drain_in_push_order() {
@@ -515,23 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn past_pushes_pop_immediately() {
-        // The heap would pop an earlier-than-now push first; the wheel
-        // clamps it into the cursor bucket and must do the same.
-        let mut w = TimingWheel::new();
-        let mut h = BinaryHeapScheduler::new();
-        for s in [&mut w as &mut dyn Scheduler<u32>, &mut h] {
-            s.push(SimTime::from_us(50), 0);
-            s.push(SimTime::from_us(60), 1);
-            assert_eq!(s.pop(), Some((SimTime::from_us(50), 0)));
-            // Now push "into the past" relative to the cursor.
-            s.push(SimTime::from_us(1), 2);
-            assert_eq!(s.pop(), Some((SimTime::from_us(1), 2)));
-            assert_eq!(s.pop(), Some((SimTime::from_us(60), 1)));
-        }
-    }
-
-    #[test]
     fn far_arena_recycles_slots() {
         let mut w = TimingWheel::new();
         for round in 0..10u64 {
@@ -551,32 +368,6 @@ mod tests {
             w.far_slots.len()
         );
         assert_eq!(w.far_free.len(), w.far_slots.len());
-    }
-
-    #[test]
-    fn reserved_seq_orders_like_plain_push_on_both_engines() {
-        // Reserving seqs up front and pushing out of order must drain
-        // identically to plain pushes in reservation order — this is
-        // the primitive the batched link drain stands on.
-        let mut w = TimingWheel::new();
-        let mut h = BinaryHeapScheduler::new();
-        for s in [&mut w as &mut dyn Scheduler<u32>, &mut h] {
-            let t = SimTime::from_ns(100);
-            let s0 = s.reserve_seq();
-            let s1 = s.reserve_seq();
-            let s2 = s.reserve_seq();
-            assert!(s0 < s1 && s1 < s2);
-            // Insert in scrambled order, same timestamp.
-            s.push_at_seq(t, s2, 2);
-            s.push_at_seq(t, s0, 0);
-            s.push_at_seq(t, s1, 1);
-            assert_eq!(s.peek_key(), Some((t, s0)));
-            assert_eq!(s.pop(), Some((t, 0)));
-            assert_eq!(s.peek_key(), Some((t, s1)));
-            assert_eq!(s.pop(), Some((t, 1)));
-            assert_eq!(s.pop(), Some((t, 2)));
-            assert_eq!(s.peek_key(), None);
-        }
     }
 
     #[test]

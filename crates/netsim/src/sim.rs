@@ -14,6 +14,9 @@
 //!   byte-capacity bound;
 //! * propagation delay is constant per link (datacenter cables are short).
 //!
+//! The per-packet logic itself lives in `core`, shared with the
+//! sharded engine; this module is the serial event loop around it.
+//!
 //! ## Workloads
 //!
 //! [`FlowKind`] covers every traffic shape in the paper: open-loop
@@ -28,20 +31,20 @@
 //! One seeded RNG; event ties break on a monotone sequence number; ECMP
 //! picks by flow hash. Two runs with the same seed are bit-identical.
 
-use crate::arena::{
-    PacketArena, PacketCold, PacketId, FLAG_ECN, FLAG_LAST, FLAG_RESPONSE, FLAG_VLB_DECIDED,
-};
+use crate::arena::{PacketArena, PacketId};
+use crate::core::{Arrival, Control, Core, Engine, Fabric};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::sched::{BinaryHeapScheduler, Scheduler, SchedulerKind, TimingWheel};
+use crate::sched::TimingWheel;
 use crate::stats::Stats;
-use crate::switch::{ForwardMode, LatencyModel};
+use crate::switch::LatencyModel;
 use crate::time::SimTime;
-use crate::transport::{ReceiverState, SendAction, SenderState, TcpVariant, TransportInfo};
+use crate::transport::TcpVariant;
 use quartz_core::rng::StdRng;
-use quartz_obs::{DropReason, Event, MetricsRegistry, Recorder};
-use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
-use quartz_topology::route::{FlatRoutes, RouteChange, RouteError, RouteTable};
+use quartz_obs::{Event, MetricsRegistry, Recorder};
+use quartz_topology::graph::{LinkId, Network, NodeId};
+use quartz_topology::route::{FlatRoutes, RouteError, RouteTable};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Valiant load balancing configuration (§3.4).
 #[derive(Clone, Debug)]
@@ -76,33 +79,6 @@ pub struct SimConfig {
     /// ns later. `None` (the default) models a static control plane —
     /// call [`Simulator::reroute`] by hand.
     pub reconvergence_ns: Option<u64>,
-    /// Which event engine drives the run. The default
-    /// [`SchedulerKind::TimingWheel`] and the reference
-    /// [`SchedulerKind::BinaryHeap`] drain events in an identical
-    /// order, so this knob changes wall time only — never output.
-    pub scheduler: SchedulerKind,
-    /// How back-to-back arrivals on one link are scheduled. Both modes
-    /// process every arrival at exactly the same `(time, seq)` position
-    /// (DESIGN.md §10), so this knob changes wall time only — never
-    /// output.
-    pub drain: DrainMode,
-}
-
-/// How arrivals queued back-to-back on one directed link are scheduled
-/// (see [`SimConfig::drain`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DrainMode {
-    /// One scheduler visit transmits a whole back-to-back run: packets
-    /// that queue behind an in-progress transmission join a per-link
-    /// batch, and a single sentinel event drains the run in-line,
-    /// yielding back to the scheduler whenever any other event (a
-    /// fault, an RTO, an arrival on another link) is due first. The
-    /// default.
-    #[default]
-    Batched,
-    /// One scheduler event per packet arrival — the reference schedule,
-    /// kept for differential testing and A/B benches.
-    PerPacket,
 }
 
 impl Default for SimConfig {
@@ -116,8 +92,6 @@ impl Default for SimConfig {
             ecn_threshold_bytes: None,
             rto_ns: 250_000,
             reconvergence_ns: None,
-            scheduler: SchedulerKind::TimingWheel,
-            drain: DrainMode::Batched,
         }
     }
 }
@@ -171,37 +145,6 @@ pub enum FlowKind {
     },
 }
 
-/// Per-flow metadata, fixed at [`Simulator::add_flow`]. `Copy`, so the
-/// per-event handlers read it by value without cloning and stay free to
-/// mutate the parallel [`FlowState`] table.
-#[derive(Clone, Copy, Debug)]
-struct FlowMeta {
-    src: NodeId,
-    dst: NodeId,
-    size: u32,
-    kind: FlowKind,
-    tag: u32,
-    hash: u64,
-    /// Index into the dense connection table (`u32::MAX` for flows with
-    /// no transport state) — interned at `add_flow` so the per-delivery
-    /// lookup is one indexed load, not an `Option` walk.
-    conn: u32,
-}
-
-/// Sentinel: this flow has no transport connection.
-const NO_CONN: u32 = u32::MAX;
-
-/// Per-flow mutable progress, parallel to the [`FlowMeta`] table.
-#[derive(Clone, Debug)]
-struct FlowState {
-    sent: u32,
-    /// First emission time (file transfers measure completion from it).
-    t0: SimTime,
-    /// Index into the simulator's extra route tables (SPAIN-style VLAN
-    /// selection, §6); `None` = the default ECMP table.
-    table: Option<usize>,
-}
-
 #[derive(Clone, Copy, Debug)]
 enum EvKind {
     /// Emit the flow's next packet (or burst).
@@ -217,14 +160,8 @@ enum EvKind {
     /// key of the batch's first pending arrival, so it pops exactly
     /// where that arrival's own `Head` event would have.
     LinkDrain { slot: u32 },
-    /// Both directions of a link fail (a fiber cut).
-    FailLink { link: LinkId },
-    /// A previously cut link carries traffic again.
-    RecoverLink { link: LinkId },
-    /// A switch dies: every frame arriving at it is lost.
-    FailSwitch { node: NodeId },
-    /// A dead switch comes back.
-    RecoverSwitch { node: NodeId },
+    /// A fault (or recovery) hits the data plane.
+    Fault(FaultKind),
     /// Control-plane reconvergence completes: recompute routes over the
     /// surviving elements and close open [`FaultRecord`]s.
     Reroute,
@@ -263,106 +200,6 @@ pub struct FlowCompletion {
     pub fct_ns: u64,
 }
 
-/// The simulator's event engine: static dispatch over the two
-/// [`Scheduler`] implementations (a `dyn` scheduler would cost a
-/// virtual call per push/pop on the hottest loop in the workspace; the
-/// enum costs one predictable branch).
-enum EventQueue {
-    Wheel(TimingWheel<EvKind>),
-    Heap(BinaryHeapScheduler<EvKind>),
-}
-
-impl EventQueue {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::TimingWheel => EventQueue::Wheel(TimingWheel::new()),
-            SchedulerKind::BinaryHeap => EventQueue::Heap(BinaryHeapScheduler::new()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, time: SimTime, kind: EvKind) {
-        match self {
-            EventQueue::Wheel(w) => w.push(time, kind),
-            EventQueue::Heap(h) => h.push(time, kind),
-        }
-    }
-
-    #[inline]
-    fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, EvKind)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_before(bound),
-            EventQueue::Heap(h) => h.pop_before(bound),
-        }
-    }
-
-    #[inline]
-    fn reserve_seq(&mut self) -> u64 {
-        match self {
-            EventQueue::Wheel(w) => w.reserve_seq(),
-            EventQueue::Heap(h) => h.reserve_seq(),
-        }
-    }
-
-    #[inline]
-    fn push_at_seq(&mut self, time: SimTime, seq: u64, kind: EvKind) {
-        match self {
-            EventQueue::Wheel(w) => w.push_at_seq(time, seq, kind),
-            EventQueue::Heap(h) => h.push_at_seq(time, seq, kind),
-        }
-    }
-
-    #[inline]
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_key(),
-            EventQueue::Heap(h) => h.peek_key(),
-        }
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Wheel(w) => w.is_empty(),
-            EventQueue::Heap(h) => h.is_empty(),
-        }
-    }
-}
-
-/// Per-direction link state. `pub(crate)` because the sharded engine
-/// ([`crate::shard`]) reuses the exact same per-slot bookkeeping (and
-/// must, for bit-identical serialization arithmetic).
-#[derive(Clone, Debug)]
-pub(crate) struct DirLink {
-    pub(crate) rate_gbps: f64, // == bits per ns
-    pub(crate) free_at: SimTime,
-    /// Nanoseconds spent transmitting (for utilization reports).
-    pub(crate) busy_ns: u64,
-    /// Bytes transmitted.
-    pub(crate) bytes: u64,
-    /// A failed link silently drops everything queued onto it.
-    pub(crate) failed: bool,
-    /// Memoized serialization time for the last frame size sent (the
-    /// rate is fixed per link and traffic is dominated by one or two
-    /// sizes, so the `ceil(bits / rate)` float round-trip rarely
-    /// recomputes). `ser_size == 0` means empty.
-    pub(crate) ser_size: u32,
-    pub(crate) ser_ns: u64,
-}
-
-impl DirLink {
-    /// Serialization time for `size` bytes — the cached value when the
-    /// size repeats, the identical f64 computation when it doesn't.
-    #[inline]
-    pub(crate) fn ser_ns(&mut self, size: u32) -> u64 {
-        if self.ser_size != size {
-            self.ser_size = size;
-            self.ser_ns = ((size as f64 * 8.0) / self.rate_gbps).ceil() as u64;
-        }
-        self.ser_ns
-    }
-}
-
 /// Per-direction transmission statistics for one link.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkLoad {
@@ -383,6 +220,126 @@ impl LinkLoad {
             0.0
         } else {
             self.ab_busy_ns.max(self.ba_busy_ns) as f64 / elapsed_ns as f64
+        }
+    }
+}
+
+/// The serial engine's [`Engine`] hooks: one `(time, seq)` timing
+/// wheel with batched link drain, one RNG drawn lazily in execution
+/// order, the recorder itself as trace sink, and the SPAIN-style extra
+/// route tables.
+struct Serial {
+    events: TimingWheel<EvKind>,
+    rng: StdRng,
+    /// Per-directed-link batch of pending arrivals: arena ids whose
+    /// `(arr_head, arr_seq)` keys are strictly increasing per queue.
+    /// Non-empty exactly while one [`EvKind::LinkDrain`] sentinel for
+    /// the slot is queued (or being dispatched).
+    link_q: Vec<VecDeque<PacketId>>,
+    /// Optional event sink. `None` (the default) keeps every emission
+    /// site down to one branch.
+    recorder: Option<Box<dyn Recorder>>,
+    /// Completion log for managed flows, in completion order — one
+    /// push per *flow*, not per packet.
+    completions: Vec<FlowCompletion>,
+    /// Extra routing tables (per-VLAN spanning trees, §6's SPAIN
+    /// technique), stored flattened.
+    extra_flat: Vec<FlatRoutes>,
+    /// The extra table each flow is pinned to, if any.
+    flow_table: Vec<Option<usize>>,
+    /// Test-only reference schedule: one `Head` event per arrival, no
+    /// batching (DESIGN.md §10).
+    #[cfg(test)]
+    per_packet: bool,
+}
+
+impl Engine for Serial {
+    fn schedule_gen(&mut self, flow: usize, at: SimTime) {
+        self.events.push(at, EvKind::Gen { flow });
+    }
+
+    fn schedule_rto(&mut self, flow: usize, epoch: u32, at: SimTime) {
+        debug_assert!(flow <= u32::MAX as usize, "flow ids fit u32");
+        let flow = flow as u32;
+        self.events.push(at, EvKind::Rto { flow, epoch });
+    }
+
+    // lint:hot
+    fn schedule_arrival(&mut self, arena: &mut PacketArena, a: Arrival) {
+        // Either way the arrival takes the `(time, seq)` key a plain
+        // push would have.
+        let seq = self.events.reserve_seq();
+        let q = &mut self.link_q[a.slot as usize];
+        // An idle link's lone arrival gets a plain event, so short
+        // queues pay no batch bookkeeping; the test-only reference
+        // schedule never batches.
+        #[cfg(not(test))]
+        let batch = !q.is_empty() || !a.idle;
+        #[cfg(test)]
+        let batch = (!q.is_empty() || !a.idle) && !self.per_packet;
+        if !batch {
+            let head = EvKind::Head {
+                pkt: a.pkt,
+                at: a.at,
+                ser: a.ser,
+            };
+            self.events.push_at_seq(a.head, seq, head);
+            return;
+        }
+        // Queued behind an in-progress transmission (or an
+        // already-pending batch): append. Keys are strictly increasing
+        // per slot because each start time is at least the
+        // predecessor's done time.
+        let i = a.pkt as usize;
+        arena.arr_head[i] = a.head;
+        arena.arr_tail[i] = a.tail;
+        arena.arr_seq[i] = seq;
+        q.push_back(a.pkt);
+        if q.len() == 1 {
+            let drain = EvKind::LinkDrain { slot: a.slot };
+            self.events.push_at_seq(a.head, seq, drain);
+        }
+    }
+
+    fn on_emit(&mut self, _: &PacketArena, _: PacketId, _: u32, _: bool) {}
+
+    fn uniform(&mut self, _flow: usize) -> f64 {
+        self.rng.random::<f64>()
+    }
+
+    fn vlb_coin(&mut self, _pkt: PacketId) -> f64 {
+        self.rng.random::<f64>()
+    }
+
+    fn vlb_pick(&mut self, _pkt: PacketId, n: usize) -> usize {
+        self.rng.random_range(0..n)
+    }
+
+    fn vlb_spray(&mut self, _pkt: PacketId) -> u64 {
+        self.rng.random::<u64>()
+    }
+
+    #[inline]
+    fn record(&mut self, ev: Event) {
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.record(&ev);
+        }
+    }
+
+    fn complete(&mut self, c: FlowCompletion) {
+        self.completions.push(c);
+    }
+
+    #[inline]
+    fn routes<'a>(&'a self, default: &'a FlatRoutes, flow: u32) -> &'a FlatRoutes {
+        // With no extra tables installed (the common case) every flow
+        // routes by the default table — skip the per-flow indirection.
+        if self.extra_flat.is_empty() {
+            return default;
+        }
+        match self.flow_table[flow as usize] {
+            Some(t) => &self.extra_flat[t],
+            None => default,
         }
     }
 }
@@ -410,218 +367,29 @@ impl LinkLoad {
 /// assert_eq!(sim.stats().summary(0).count, 100);
 /// ```
 pub struct Simulator {
-    net: Network,
-    table: RouteTable,
-    cfg: SimConfig,
-    flows: Vec<FlowMeta>,
-    /// Mutable per-flow progress, parallel to `flows`.
-    flow_state: Vec<FlowState>,
-    links: Vec<DirLink>, // 2 per undirected link: [2l] = a→b, [2l+1] = b→a
-    events: EventQueue,
-    rng: StdRng,
-    stats: Stats,
-    now: SimTime,
-    /// VLB domain index per node (`u32::MAX` = not in any domain).
-    /// Dense so the per-packet membership test is one indexed load.
-    vlb_domain: Vec<u32>,
-    /// Whether any VLB domain exists at all; `false` short-circuits the
-    /// per-hop membership load in non-VLB runs.
-    vlb_enabled: bool,
-    /// Scratch buffer for VLB intermediate candidates; reused across
-    /// packets so the steady-state hot path allocates nothing.
-    vlb_scratch: Vec<NodeId>,
-    /// Scratch buffer for transport actions; reused (via `mem::take`)
-    /// across transport events so the hot path allocates nothing.
-    action_scratch: Vec<SendAction>,
-    /// Dense transport connection table; `FlowMeta::conn` indexes it.
-    conns: Vec<Conn>,
-    /// In-flight packet store (struct-of-arrays; events carry ids).
-    arena: PacketArena,
-    /// Per-directed-link batch of pending arrivals ([`DrainMode::Batched`]):
-    /// arena ids whose `(arr_head, arr_seq)` keys are strictly
-    /// increasing per queue. Non-empty exactly while one
-    /// [`EvKind::LinkDrain`] sentinel for the slot is queued (or being
-    /// dispatched).
-    link_q: Vec<VecDeque<PacketId>>,
-    /// Arrival node of each directed link slot (`[2l]` = `a→b` arrives
-    /// at `b`), precomputed so a drained batch entry needs no lookup.
-    slot_dst: Vec<NodeId>,
-    /// Events processed so far (queue pops + batched arrivals): the
-    /// denominator-free half of the events/sec headline metric.
-    events_processed: u64,
-    /// CSR-flattened view of `table` — the per-hop lookup the forward
-    /// path actually uses (no map walks, no adjacency scans).
-    flat: FlatRoutes,
-    /// Extra routing tables (per-VLAN spanning trees, §6's SPAIN
-    /// technique); flows may pin themselves to one. Stored flattened.
-    extra_flat: Vec<FlatRoutes>,
-    /// Per-node failure state (only switches ever fail).
-    failed_nodes: Vec<bool>,
-    /// Dense per-node kind column ([`Network::node`] rows carry rack
-    /// metadata the per-hop path never reads; this keeps the whole
-    /// fleet's kinds in a cache line or two).
-    node_kind: Vec<NodeKind>,
-    /// Link/node failure state *as the routing table last saw it*.
-    /// `complete_reroute` replays pending deltas against these so each
-    /// incremental patch observes exactly the state the previous patch
-    /// produced (faults and recoveries may interleave between reroutes).
-    routed_link_failed: Vec<bool>,
-    routed_node_failed: Vec<bool>,
-    /// Fault deltas that have fired but are not yet reflected in
-    /// `table`; drained by `complete_reroute`.
-    pending_route_changes: Vec<FaultKind>,
-    /// Every fault event that has fired, with reconvergence outcomes.
-    fault_log: Vec<FaultRecord>,
-    /// Completion log for end-to-end managed flows ([`FlowKind::Transport`]
-    /// and [`FlowKind::FileTransfer`]), in completion order. `Stats`
-    /// aggregates by tag; workload drivers need the per-flow completion
-    /// times back (FCT, slowdown), so each is also logged here — one
-    /// push per *flow*, not per packet, so it stays off the hot path.
-    completions: Vec<FlowCompletion>,
-    /// Observability: optional event sink. `None` (the default) keeps
-    /// every emission site down to one branch.
-    recorder: Option<Box<dyn Recorder>>,
-    /// Observability: optional metrics registry.
-    metrics: Option<MetricsRegistry>,
-    /// Pre-rendered per-switch / per-slot metric label strings, grown
-    /// off the hot path so forwarding never formats (see
-    /// [`MetricLabels`]).
-    labels: MetricLabels,
-    /// `recorder.is_some() || metrics.is_some()`, maintained by the
-    /// attach/detach methods.
-    obs: bool,
-}
-
-/// Per-switch and per-directed-slot metric label caches. The labels
-/// (`switch.NNN.forwarded`, `queue.linkNNNN.ab`, …) are deterministic
-/// functions of the node/slot index, so they are rendered once, on
-/// first use, and the forwarding path borrows the cached `&str` —
-/// `format!` never runs per packet.
-#[derive(Debug, Default)]
-pub(crate) struct MetricLabels {
-    /// `switch.{:03}.forwarded`, indexed by node id.
-    switch_fwd: Vec<String>,
-    /// `queue.link{:04}.{ab|ba}`, indexed by directed slot.
-    queue: Vec<String>,
-    /// `util.link{:04}.{ab|ba}`, indexed by directed slot.
-    util: Vec<String>,
-}
-
-impl MetricLabels {
-    pub(crate) fn switch_fwd(&mut self, node: u32) -> &str {
-        while self.switch_fwd.len() <= node as usize {
-            let n = self.switch_fwd.len();
-            self.switch_fwd.push(format!("switch.{n:03}.forwarded"));
-        }
-        &self.switch_fwd[node as usize]
-    }
-
-    pub(crate) fn queue(&mut self, slot: u32) -> &str {
-        Self::slot_label(&mut self.queue, "queue", slot)
-    }
-
-    pub(crate) fn util(&mut self, slot: u32) -> &str {
-        Self::slot_label(&mut self.util, "util", slot)
-    }
-
-    /// Slot layout mirrors [`Simulator::links`]: `[2l]` = a→b (`ab`),
-    /// `[2l+1]` = b→a (`ba`).
-    fn slot_label<'a>(cache: &'a mut Vec<String>, prefix: &str, slot: u32) -> &'a str {
-        while cache.len() <= slot as usize {
-            let s = cache.len();
-            let link_idx = s >> 1;
-            let dir_tag = if s & 1 == 0 { "ab" } else { "ba" };
-            cache.push(format!("{prefix}.link{link_idx:04}.{dir_tag}"));
-        }
-        &cache[slot as usize]
-    }
-}
-
-/// One reliable connection's two endpoints plus its start time.
-struct Conn {
-    sender: SenderState,
-    receiver: ReceiverState,
-    t0: SimTime,
+    core: Core<Serial>,
+    ctl: Control,
 }
 
 impl Simulator {
     /// Builds a simulator over `net` (routing tables are computed here).
     pub fn new(net: Network, cfg: SimConfig) -> Self {
-        let table = RouteTable::all_shortest_paths(&net);
-        let links = net
-            .links()
-            .flat_map(|l| {
-                let d = DirLink {
-                    rate_gbps: l.bandwidth_gbps,
-                    free_at: SimTime::ZERO,
-                    busy_ns: 0,
-                    bytes: 0,
-                    failed: false,
-                    ser_size: 0,
-                    ser_ns: 0,
-                };
-                [d.clone(), d]
-            })
-            .collect();
-        let mut vlb_domain = vec![u32::MAX; net.node_count()];
-        if let Some(v) = &cfg.vlb {
-            assert!(
-                (0.0..=1.0).contains(&v.fraction),
-                "VLB fraction must be in 0..=1"
-            );
-            for (i, dom) in v.domains.iter().enumerate() {
-                for &sw in dom {
-                    vlb_domain[sw.0 as usize] = i as u32;
-                }
-            }
-        }
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        let failed_nodes = vec![false; net.node_count()];
-        let node_kind: Vec<NodeKind> = net.nodes().map(|n| n.kind).collect();
-        let routed_link_failed = vec![false; net.link_count()];
-        let routed_node_failed = vec![false; net.node_count()];
-        let flat = FlatRoutes::new(&table, &net);
-        let events = EventQueue::new(cfg.scheduler);
-        // Directed slot layout: [2l] = a→b (arrives at b), [2l+1] = b→a.
-        let mut slot_dst = Vec::with_capacity(2 * net.link_count());
-        for l in net.links() {
-            slot_dst.push(l.b);
-            slot_dst.push(l.a);
-        }
-        let link_q = vec![VecDeque::new(); 2 * net.link_count()];
-        Simulator {
-            net,
-            table,
-            cfg,
-            flows: Vec::new(),
-            flow_state: Vec::new(),
-            links,
-            events,
-            rng,
-            stats: Stats::default(),
-            now: SimTime::ZERO,
-            vlb_enabled: vlb_domain.iter().any(|&d| d != u32::MAX),
-            vlb_domain,
-            vlb_scratch: Vec::new(),
-            action_scratch: Vec::new(),
-            conns: Vec::new(),
-            arena: PacketArena::new(),
-            link_q,
-            slot_dst,
-            events_processed: 0,
-            flat,
-            extra_flat: Vec::new(),
-            failed_nodes,
-            node_kind,
-            routed_link_failed,
-            routed_node_failed,
-            pending_route_changes: Vec::new(),
-            fault_log: Vec::new(),
-            completions: Vec::new(),
+        let fabric = Fabric::new(net, &cfg);
+        let (ctl, flat) = Control::new(Arc::clone(&fabric.net));
+        let serial = Serial {
+            events: TimingWheel::new(),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            link_q: vec![VecDeque::new(); 2 * fabric.net.link_count()],
             recorder: None,
-            metrics: None,
-            labels: MetricLabels::default(),
-            obs: false,
+            completions: Vec::new(),
+            extra_flat: Vec::new(),
+            flow_table: Vec::new(),
+            #[cfg(test)]
+            per_packet: false,
+        };
+        Simulator {
+            core: Core::new(&fabric, cfg, Arc::new(flat), serial),
+            ctl,
         }
     }
 
@@ -630,65 +398,31 @@ impl Simulator {
     /// run with any recorder produces the same [`Stats`] as a run with
     /// none (asserted by `faults::tests`).
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder = Some(recorder);
-        self.obs = true;
+        self.core.eng.recorder = Some(recorder);
+        self.core.obs = true;
     }
 
     /// Detaches the recorder; drain or flush it via `Recorder::finish`.
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        let r = self.recorder.take();
-        self.obs = self.metrics.is_some();
+        let r = self.core.eng.recorder.take();
+        self.core.obs = self.core.metrics.is_some();
         r
     }
 
     /// Enables metric collection (per-link queue/utilization series,
     /// per-switch forwarded/dropped counters, lifecycle totals).
     pub fn enable_metrics(&mut self) {
-        if self.metrics.is_none() {
-            self.metrics = Some(MetricsRegistry::new());
+        if self.core.metrics.is_none() {
+            self.core.metrics = Some(MetricsRegistry::new());
         }
-        self.obs = true;
+        self.core.obs = true;
     }
 
     /// Detaches and returns the metrics registry.
     pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
-        let m = self.metrics.take();
-        self.obs = self.recorder.is_some();
+        let m = self.core.metrics.take();
+        self.core.obs = self.core.eng.recorder.is_some();
         m
-    }
-
-    /// Whether any observability sink is attached (cached in a flag the
-    /// per-hop path can test with one load — the `Option`s themselves
-    /// live with the cold fields).
-    #[inline]
-    fn observing(&self) -> bool {
-        self.obs
-    }
-
-    /// Feeds one event to the attached recorder, if any.
-    #[inline]
-    fn record(&mut self, ev: Event) {
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(&ev);
-        }
-    }
-
-    /// Shared bookkeeping for every discard site in [`Simulator::forward`].
-    /// Only called when observing.
-    fn drop_hook(&mut self, flow: u32, at: NodeId, t: SimTime, reason: DropReason) {
-        self.record(Event::Drop {
-            t_ns: t.ns(),
-            node: at.0,
-            flow,
-            reason,
-        });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("sim.packets.dropped", 1);
-            m.inc(&format!("sim.drop.{}", reason.as_str()), 1);
-            if self.net.node(at).kind.is_switch() {
-                m.inc(&format!("switch.{:03}.dropped", at.0), 1);
-            }
-        }
     }
 
     /// Registers an additional routing table (e.g. a per-VLAN spanning
@@ -700,9 +434,9 @@ impl Simulator {
     /// next hop with no link in this network — is rejected with the
     /// [`RouteError`] that says which.
     pub fn add_route_table(&mut self, table: RouteTable) -> Result<usize, RouteError> {
-        self.extra_flat
-            .push(FlatRoutes::try_new(&table, &self.net)?);
-        Ok(self.extra_flat.len() - 1)
+        let flat = FlatRoutes::try_new(&table, &self.core.net)?;
+        self.core.eng.extra_flat.push(flat);
+        Ok(self.core.eng.extra_flat.len() - 1)
     }
 
     /// Pins a flow's packets to a previously registered table — the §6
@@ -710,8 +444,9 @@ impl Simulator {
     /// specific indirect three-hop path by sending data on the
     /// corresponding virtual interface".
     pub fn pin_flow_to_table(&mut self, flow: usize, table: usize) {
-        assert!(table < self.extra_flat.len(), "unknown table {table}");
-        self.flow_state[flow].table = Some(table);
+        let eng = &mut self.core.eng;
+        assert!(table < eng.extra_flat.len(), "unknown table {table}");
+        eng.flow_table[flow] = Some(table);
     }
 
     /// Registers a flow starting at `start`; returns its index.
@@ -727,59 +462,19 @@ impl Simulator {
         tag: u32,
         start: SimTime,
     ) -> usize {
-        assert_ne!(src, dst, "flow endpoints must differ");
-        assert!(
-            self.net.node(src).kind == NodeKind::Host && self.net.node(dst).kind == NodeKind::Host,
-            "flows run between hosts"
-        );
-        let idx = self.flows.len();
-        let hash = self.rng.random::<u64>();
-        let conn = match &kind {
-            FlowKind::Transport {
-                total_bytes,
-                variant,
-            } => {
-                let pkts = total_bytes.div_ceil(u64::from(size_bytes)).max(1);
-                self.conns.push(Conn {
-                    sender: SenderState::new(*variant, pkts),
-                    receiver: ReceiverState::default(),
-                    t0: start,
-                });
-                debug_assert!(self.conns.len() <= u32::MAX as usize, "conn ids fit u32");
-                (self.conns.len() - 1) as u32
-            }
-            _ => NO_CONN,
-        };
-        self.flows.push(FlowMeta {
-            src,
-            dst,
-            size: size_bytes,
-            kind,
-            tag,
-            hash,
-            conn,
-        });
-        self.flow_state.push(FlowState {
-            sent: 0,
-            t0: start,
-            table: None,
-        });
-        self.schedule(start, EvKind::Gen { flow: idx });
+        let hash = self.core.eng.rng.random::<u64>();
+        let idx = self
+            .core
+            .add_flow(src, dst, size_bytes, kind, tag, start, hash);
+        self.core.eng.flow_table.push(None);
+        self.core.eng.schedule_gen(idx, start);
         idx
-    }
-
-    /// Enqueues a future simulator event. (Named `schedule` rather than
-    /// `push` so hot-annotated callers read as scheduling, not as
-    /// container growth.)
-    #[inline]
-    fn schedule(&mut self, time: SimTime, kind: EvKind) {
-        self.events.push(time, kind);
     }
 
     /// Runs the simulation until `until` (events after it stay queued).
     /// Returns the accumulated statistics.
     pub fn run(&mut self, until: SimTime) -> &Stats {
-        while let Some((time, kind)) = self.events.pop_before(until) {
+        while let Some((time, kind)) = self.core.eng.events.pop_before(until) {
             self.dispatch(time, kind, until, false);
         }
         // Leak check: at quiescence every arena slot must have been
@@ -789,24 +484,24 @@ impl Simulator {
         // from here. The batch invariant makes the two equivalent: a
         // non-empty batch always keeps its sentinel queued.
         #[cfg(debug_assertions)]
-        if self.events.is_empty() {
-            let batched: usize = self.link_q.iter().map(|q| q.len()).sum();
+        if self.core.eng.events.is_empty() {
+            let batched: usize = self.core.eng.link_q.iter().map(|q| q.len()).sum();
             debug_assert_eq!(batched, 0, "batch entries without a drain sentinel");
             debug_assert_eq!(
-                self.arena.live(),
+                self.core.arena.live(),
                 0,
                 "packet arena leak: live slots at quiescence"
             );
         }
-        &self.stats
+        &self.core.stats
     }
 
     /// Total simulated events processed so far: one per scheduler pop
-    /// plus one per batched arrival (so the count is comparable across
-    /// [`DrainMode`]s). The events/sec headline metric divides this by
-    /// wall time.
+    /// plus one per batched arrival (so the count equals the per-packet
+    /// schedule's). The events/sec headline metric divides this by wall
+    /// time.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.core.events_processed
     }
 
     /// Dispatches one popped event. `bound` is the caller's time bound
@@ -814,39 +509,24 @@ impl Simulator {
     /// drain processes exactly one arrival before yielding, so callers
     /// that inspect state between events (e.g.
     /// [`Simulator::run_until_samples`]) observe the same boundaries as
-    /// [`DrainMode::PerPacket`].
+    /// the per-packet schedule.
     // lint:hot
     fn dispatch(&mut self, time: SimTime, kind: EvKind, bound: SimTime, step: bool) {
-        self.now = time;
+        self.core.now = time;
         match kind {
             EvKind::LinkDrain { slot } => {
                 self.drain_link(slot, bound, step);
                 return;
             }
-            _ => self.events_processed += 1,
+            _ => self.core.events_processed += 1,
         }
         match kind {
-            EvKind::Gen { flow } => self.generate(flow, time),
-            EvKind::Head { pkt, at, ser } => self.arrive(pkt, at, time, time + u64::from(ser)),
+            EvKind::Gen { flow } => self.core.generate(flow, time),
+            EvKind::Head { pkt, at, ser } => self.core.arrive(pkt, at, time, time + u64::from(ser)),
             EvKind::LinkDrain { .. } => unreachable!("handled above"),
-            EvKind::FailLink { link } => self.on_fault(FaultKind::LinkDown(link)),
-            EvKind::RecoverLink { link } => self.on_fault(FaultKind::LinkUp(link)),
-            EvKind::FailSwitch { node } => self.on_fault(FaultKind::SwitchDown(node)),
-            EvKind::RecoverSwitch { node } => self.on_fault(FaultKind::SwitchUp(node)),
-            EvKind::Reroute => self.complete_reroute(),
-            EvKind::Rto { flow, epoch } => {
-                let flow = flow as usize;
-                let conn = self.flows[flow].conn;
-                if conn != NO_CONN {
-                    let mut actions = std::mem::take(&mut self.action_scratch);
-                    actions.clear();
-                    self.conns[conn as usize]
-                        .sender
-                        .on_rto_into(u64::from(epoch), &mut actions);
-                    self.apply_transport_actions(flow, time, &actions);
-                    self.action_scratch = actions;
-                }
-            }
+            EvKind::Fault(kind) => self.on_fault(kind),
+            EvKind::Reroute => self.reroute(),
+            EvKind::Rto { flow, epoch } => self.core.on_rto(flow as usize, epoch, time),
         }
     }
 
@@ -855,732 +535,51 @@ impl Simulator {
     /// `(time, seq)` key precedes everything else in the event queue.
     /// Any earlier queued event (a fault, an RTO, an arrival on another
     /// link, a generation) re-arms the sentinel at the next entry's key
-    /// and yields, so the global event order is exactly the
-    /// [`DrainMode::PerPacket`] order — batch "termination" at ECN,
-    /// fault, or dark-window boundaries falls out of the key merge
-    /// rather than needing special cases.
+    /// and yields, so the global event order is exactly the per-packet
+    /// order — batch "termination" at ECN, fault, or dark-window
+    /// boundaries falls out of the key merge rather than needing
+    /// special cases.
     // lint:hot
     fn drain_link(&mut self, slot: u32, bound: SimTime, step: bool) {
-        let at = self.slot_dst[slot as usize];
+        let at = self.core.slot_dst[slot as usize];
         loop {
-            let Some(&id) = self.link_q[slot as usize].front() else {
+            let Some(&id) = self.core.eng.link_q[slot as usize].front() else {
                 return;
             };
             let i = id as usize;
-            let (head, seq) = (self.arena.arr_head[i], self.arena.arr_seq[i]);
+            let arena = &self.core.arena;
+            let (head, seq) = (arena.arr_head[i], arena.arr_seq[i]);
             // Yield to the queue if anything there is due first, and to
             // the caller if the entry lies past its time bound; either
             // way the batch keeps exactly one sentinel, keyed like its
             // first pending arrival.
-            let defer = head > bound || self.events.peek_key().is_some_and(|k| k < (head, seq));
+            let events = &mut self.core.eng.events;
+            let defer = head > bound || events.peek_key().is_some_and(|k| k < (head, seq));
             if defer {
-                self.events
-                    .push_at_seq(head, seq, EvKind::LinkDrain { slot });
+                events.push_at_seq(head, seq, EvKind::LinkDrain { slot });
                 return;
             }
-            self.link_q[slot as usize].pop_front();
-            let tail = self.arena.arr_tail[i];
-            self.now = head;
-            self.events_processed += 1;
-            self.arrive(id, at, head, tail);
+            self.core.eng.link_q[slot as usize].pop_front();
+            let tail = self.core.arena.arr_tail[i];
+            self.core.now = head;
+            self.core.events_processed += 1;
+            self.core.arrive(id, at, head, tail);
             if step {
                 // One arrival per dispatch: re-arm for the rest.
-                if let Some(&next) = self.link_q[slot as usize].front() {
+                if let Some(&next) = self.core.eng.link_q[slot as usize].front() {
                     let j = next as usize;
-                    self.events.push_at_seq(
-                        self.arena.arr_head[j],
-                        self.arena.arr_seq[j],
-                        EvKind::LinkDrain { slot },
-                    );
+                    let (head, seq) = (self.core.arena.arr_head[j], self.core.arena.arr_seq[j]);
+                    let drain = EvKind::LinkDrain { slot };
+                    self.core.eng.events.push_at_seq(head, seq, drain);
                 }
                 return;
-            }
-        }
-    }
-
-    fn generate(&mut self, flow_idx: usize, now: SimTime) {
-        // Metadata is `Copy`; mutable progress lives in `flow_state`, so
-        // no per-event clone is needed to satisfy the borrow checker.
-        let flow = self.flows[flow_idx];
-        match flow.kind {
-            FlowKind::Poisson {
-                mean_gap_ns, stop, ..
-            } => {
-                if now >= stop {
-                    return;
-                }
-                self.emit(flow_idx, now, false, None);
-                let u: f64 = self.rng.random::<f64>().max(1e-12);
-                let gap = (-mean_gap_ns * u.ln()).max(1.0) as u64;
-                let next = now + gap;
-                if next < stop {
-                    self.schedule(next, EvKind::Gen { flow: flow_idx });
-                }
-            }
-            FlowKind::Rpc { count } => {
-                if self.flow_state[flow_idx].sent >= count {
-                    return;
-                }
-                self.flow_state[flow_idx].sent += 1;
-                self.emit(flow_idx, now, false, None);
-            }
-            FlowKind::Burst {
-                burst_pkts,
-                period_ns,
-                stop,
-            } => {
-                if now >= stop {
-                    return;
-                }
-                for _ in 0..burst_pkts {
-                    self.emit(flow_idx, now, false, None);
-                }
-                let next = now + period_ns;
-                if next < stop {
-                    self.schedule(next, EvKind::Gen { flow: flow_idx });
-                }
-            }
-            FlowKind::Transport { total_bytes, .. } => {
-                // Connection start: open the window.
-                let t0 = self.flow_state[flow_idx].t0;
-                if t0 == SimTime::ZERO || now >= t0 {
-                    let conn = flow.conn;
-                    debug_assert_ne!(conn, NO_CONN, "transport flow has a connection");
-                    if self.observing() {
-                        debug_assert!(flow_idx <= u32::MAX as usize, "flow ids fit u32");
-                        self.record(Event::FlowStart {
-                            t_ns: now.ns(),
-                            flow: flow_idx as u32,
-                            src: flow.src.0,
-                            dst: flow.dst.0,
-                            bytes: total_bytes,
-                        });
-                    }
-                    let mut actions = std::mem::take(&mut self.action_scratch);
-                    actions.clear();
-                    self.conns[conn as usize].sender.pump_into(&mut actions);
-                    self.apply_transport_actions(flow_idx, now, &actions);
-                    self.action_scratch = actions;
-                }
-            }
-            FlowKind::FileTransfer { total_bytes } => {
-                // Ideally paced transport: one packet per serialization
-                // slot of the source's access link, so the transfer
-                // never overflows its own output queue.
-                let pkts64 = total_bytes.div_ceil(u64::from(flow.size)).max(1);
-                debug_assert!(pkts64 <= u64::from(u32::MAX), "packet count fits u32");
-                let pkts = pkts64 as u32;
-                let sent = self.flow_state[flow_idx].sent;
-                if sent >= pkts {
-                    return;
-                }
-                if sent == 0 {
-                    self.flow_state[flow_idx].t0 = now;
-                    if self.observing() {
-                        debug_assert!(flow_idx <= u32::MAX as usize, "flow ids fit u32");
-                        self.record(Event::FlowStart {
-                            t_ns: now.ns(),
-                            flow: flow_idx as u32,
-                            src: flow.src.0,
-                            dst: flow.dst.0,
-                            bytes: total_bytes,
-                        });
-                    }
-                }
-                self.flow_state[flow_idx].sent += 1;
-                let is_last = sent + 1 == pkts;
-                // The final packet carries the flow's start time so its
-                // delivery latency *is* the flow completion time.
-                let created = is_last.then(|| self.flow_state[flow_idx].t0);
-                self.emit_inner(flow_idx, now, false, created, is_last);
-                if !is_last {
-                    let (_, link_id) = self.net.neighbors(flow.src)[0];
-                    let rate = self.net.link(link_id).bandwidth_gbps;
-                    let pace = ((flow.size as f64 * 8.0) / rate).ceil() as u64;
-                    self.schedule(now + pace, EvKind::Gen { flow: flow_idx });
-                }
-            }
-        }
-    }
-
-    /// Creates a packet for `flow` and starts it from its origin host.
-    /// `created_override` preserves the original request timestamp on
-    /// responses so the recorded latency is the full round trip.
-    fn emit(
-        &mut self,
-        flow_idx: usize,
-        now: SimTime,
-        is_response: bool,
-        created_override: Option<SimTime>,
-    ) {
-        self.emit_inner(flow_idx, now, is_response, created_override, false);
-    }
-
-    fn emit_inner(
-        &mut self,
-        flow_idx: usize,
-        now: SimTime,
-        is_response: bool,
-        created_override: Option<SimTime>,
-        is_last: bool,
-    ) {
-        let (f_src, f_dst, f_size, f_hash) = {
-            let flow = &self.flows[flow_idx];
-            (flow.src, flow.dst, flow.size, flow.hash)
-        };
-        let (origin, dst) = if is_response {
-            (f_dst, f_src)
-        } else {
-            (f_src, f_dst)
-        };
-        let hash = if is_response {
-            f_hash.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15
-        } else {
-            f_hash
-        };
-        let flags =
-            if is_response { FLAG_RESPONSE } else { 0 } | if is_last { FLAG_LAST } else { 0 };
-        debug_assert!(flow_idx <= u32::MAX as usize, "flow ids fit u32");
-        let flow_id = flow_idx as u32;
-        let id = self.arena.alloc(
-            created_override.unwrap_or(now),
-            dst,
-            flow_id,
-            f_size,
-            hash,
-            PacketCold {
-                transport: TransportInfo::None,
-                intermediate: None,
-                flags,
-                hops: 0,
-            },
-        );
-        self.stats.generated += 1;
-        if self.observing() {
-            self.record(Event::Gen {
-                t_ns: now.ns(),
-                flow: flow_id,
-                size_bytes: f_size,
-                response: is_response,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("sim.packets.generated", 1);
-            }
-        }
-        let t = now + self.cfg.latency.host_send_ns;
-        self.arrive(id, origin, t, t);
-    }
-
-    /// Executes the transport state machine's requested actions.
-    fn apply_transport_actions(&mut self, flow_idx: usize, now: SimTime, actions: &[SendAction]) {
-        for &a in actions {
-            match a {
-                SendAction::SendData { seq } => {
-                    let (src, size) = {
-                        let f = &self.flows[flow_idx];
-                        (f.src, f.size)
-                    };
-                    self.send_transport_packet(flow_idx, src, size, TransportInfo::Data(seq), now);
-                }
-                SendAction::ArmRto { epoch } => {
-                    let at = now + self.cfg.rto_ns;
-                    debug_assert!(epoch <= u64::from(u32::MAX));
-                    self.schedule(
-                        at,
-                        EvKind::Rto {
-                            flow: flow_idx as u32,
-                            epoch: epoch as u32,
-                        },
-                    );
-                }
-                SendAction::Complete => {
-                    let (tag, t0, total_bytes) = {
-                        let f = &self.flows[flow_idx];
-                        let total = match f.kind {
-                            FlowKind::Transport { total_bytes, .. } => total_bytes,
-                            _ => 0,
-                        };
-                        (f.tag, self.conns[f.conn as usize].t0, total)
-                    };
-                    let fct_ns = now.saturating_sub(t0);
-                    self.stats.record(tag, fct_ns);
-                    debug_assert!(flow_idx <= u32::MAX as usize, "flow ids fit u32");
-                    let flow = flow_idx as u32;
-                    self.completions.push(FlowCompletion { flow, fct_ns });
-                    if self.observing() {
-                        self.record(Event::FlowComplete {
-                            t_ns: now.ns(),
-                            flow,
-                            fct_ns,
-                            bytes: total_bytes,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Injects one transport packet (data toward the flow's destination,
-    /// ACKs back toward the source).
-    fn send_transport_packet(
-        &mut self,
-        flow_idx: usize,
-        origin: NodeId,
-        size: u32,
-        transport: TransportInfo,
-        now: SimTime,
-    ) {
-        let flow = &self.flows[flow_idx];
-        let (dst, hash) = match transport {
-            TransportInfo::Ack { .. } => {
-                (flow.src, flow.hash.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15)
-            }
-            _ => (flow.dst, flow.hash),
-        };
-        debug_assert!(flow_idx <= u32::MAX as usize, "flow ids fit u32");
-        let flow_id = flow_idx as u32;
-        let id = self.arena.alloc(
-            now,
-            dst,
-            flow_id,
-            size,
-            hash,
-            PacketCold {
-                transport,
-                intermediate: None,
-                flags: 0,
-                hops: 0,
-            },
-        );
-        self.stats.generated += 1;
-        if self.observing() {
-            self.record(Event::Gen {
-                t_ns: now.ns(),
-                flow: flow_id,
-                size_bytes: size,
-                response: false,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("sim.packets.generated", 1);
-            }
-        }
-        let t = now + self.cfg.latency.host_send_ns;
-        self.arrive(id, origin, t, t);
-    }
-
-    /// Logs a file transfer's completion: appends to the FCT log and,
-    /// when observing, records the `FlowComplete` event. Cold: runs
-    /// once per flow, not per packet, so it may grow the log.
-    fn log_file_completion(
-        &mut self,
-        flow_id: u32,
-        delivered_at: SimTime,
-        fct_ns: u64,
-        bytes: u64,
-    ) {
-        self.completions.push(FlowCompletion {
-            flow: flow_id,
-            fct_ns,
-        });
-        if self.observing() {
-            self.record(Event::FlowComplete {
-                t_ns: delivered_at.ns(),
-                flow: flow_id,
-                fct_ns,
-                bytes,
-            });
-        }
-    }
-
-    /// Handles a packet (arena slot `id`) whose head reached `at` at
-    /// `head` (tail at `tail`): deliver or queue on the next output
-    /// port. Every exit path either frees the slot (delivery, drops) or
-    /// schedules its next arrival.
-    // lint:hot
-    fn arrive(&mut self, id: PacketId, at: NodeId, head: SimTime, tail: SimTime) {
-        let i = id as usize;
-        let flow_id = self.arena.flow[i];
-        // A dead switch loses every frame that reaches it.
-        if self.failed_nodes[at.0 as usize] {
-            self.stats.dropped += 1;
-            if self.observing() {
-                self.drop_hook(flow_id, at, head, DropReason::DeadSwitch);
-            }
-            self.arena.free(id);
-            return;
-        }
-        let node_kind = self.node_kind[at.0 as usize];
-        let dst = self.arena.dst[i];
-
-        // Delivery: copy what the handlers below need, then free the
-        // slot up front — the LIFO free list hands the still-warm row
-        // straight to the ACK or response this delivery may emit.
-        if at == dst {
-            debug_assert!(node_kind.is_host());
-            let delivered_at = tail + self.cfg.latency.host_recv_ns;
-            let size = self.arena.size[i];
-            let created = self.arena.created[i];
-            let cold = self.arena.cold[i];
-            self.arena.free(id);
-            self.stats.delivered += 1;
-            let flow_idx = flow_id as usize;
-            let (tag, kind) = {
-                let f = &self.flows[flow_idx];
-                (f.tag, f.kind)
-            };
-            // One stats-row lookup per delivery: decide up front whether
-            // this delivery contributes a latency sample (responses and
-            // one-way streams do; request legs awaiting a response,
-            // transport segments, and non-final file packets don't).
-            let is_response = cold.flags & FLAG_RESPONSE != 0;
-            let latency_sample = match cold.transport {
-                TransportInfo::None => {
-                    if is_response {
-                        Some(delivered_at.saturating_sub(created))
-                    } else {
-                        let completes = match kind {
-                            FlowKind::Poisson { respond, .. } => !respond,
-                            FlowKind::Rpc { .. } => false,
-                            FlowKind::FileTransfer { .. } => cold.flags & FLAG_LAST != 0,
-                            _ => true,
-                        };
-                        completes.then(|| delivered_at.saturating_sub(created))
-                    }
-                }
-                _ => None,
-            };
-            self.stats
-                .record_delivery(tag, u64::from(size), cold.hops, latency_sample);
-            if self.observing() {
-                self.record(Event::Deliver {
-                    t_ns: delivered_at.ns(),
-                    node: at.0,
-                    flow: flow_id,
-                    latency_ns: delivered_at.saturating_sub(created),
-                    hops: cold.hops,
-                });
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("sim.packets.delivered", 1);
-                }
-            }
-            // A file transfer's last packet closes the whole flow: log
-            // its completion (transport flows log theirs at
-            // `SendAction::Complete` instead).
-            if let FlowKind::FileTransfer { total_bytes } = kind {
-                if cold.flags & FLAG_LAST != 0 {
-                    let fct_ns = delivered_at.saturating_sub(created);
-                    self.log_file_completion(flow_id, delivered_at, fct_ns, total_bytes);
-                }
-            }
-            match cold.transport {
-                TransportInfo::Data(seq) => {
-                    // Receiver: reassemble and send a cumulative ACK
-                    // echoing this packet's ECN mark.
-                    let conn = self.flows[flow_idx].conn;
-                    debug_assert_ne!(conn, NO_CONN, "data packet without connection");
-                    let ack = self.conns[conn as usize].receiver.on_data(seq);
-                    self.send_transport_packet(
-                        flow_idx,
-                        dst,
-                        64,
-                        TransportInfo::Ack {
-                            ack,
-                            ecn_echo: cold.flags & FLAG_ECN != 0,
-                        },
-                        delivered_at,
-                    );
-                    return;
-                }
-                TransportInfo::Ack { ack, ecn_echo } => {
-                    let conn = self.flows[flow_idx].conn;
-                    debug_assert_ne!(conn, NO_CONN, "ack without connection");
-                    let mut actions = std::mem::take(&mut self.action_scratch);
-                    actions.clear();
-                    self.conns[conn as usize]
-                        .sender
-                        .on_ack_into(ack, ecn_echo, &mut actions);
-                    self.apply_transport_actions(flow_idx, delivered_at, &actions);
-                    self.action_scratch = actions;
-                    return;
-                }
-                TransportInfo::None => {}
-            }
-            if is_response {
-                if let FlowKind::Rpc { count } = kind {
-                    if self.flow_state[flow_idx].sent < count {
-                        self.schedule(delivered_at, EvKind::Gen { flow: flow_idx });
-                    }
-                }
-            } else {
-                let responds = matches!(
-                    kind,
-                    FlowKind::Poisson { respond: true, .. } | FlowKind::Rpc { .. }
-                );
-                if responds {
-                    self.emit(flow_idx, delivered_at, true, Some(created));
-                }
-            }
-            return;
-        }
-
-        // Forwarding: the mutable fields (detour, flags, hash, hops)
-        // work on copies and write back once, right before scheduling.
-        let mut cold = self.arena.cold[i];
-        let mut hash = self.arena.hash[i];
-        let size = self.arena.size[i];
-
-        // Routing target: detour intermediate first, then the real dst.
-        if cold.intermediate == Some(at) {
-            cold.intermediate = None;
-        }
-
-        // VLB decision at the mesh ingress switch. (`vlb_enabled` keeps
-        // non-VLB runs — the common case — off the domain table
-        // entirely; with no domains configured every lookup would miss
-        // anyway.)
-        let mut vlb_detour: Option<NodeId> = None;
-        if self.vlb_enabled && cold.flags & FLAG_VLB_DECIDED == 0 && node_kind.is_switch() {
-            let dom_idx = self.vlb_domain[at.0 as usize];
-            if dom_idx != u32::MAX {
-                cold.flags |= FLAG_VLB_DECIDED;
-                if let Some((nh, _)) = self.flat.ecmp_next(at, dst, hash) {
-                    if self.vlb_domain[nh.0 as usize] == dom_idx {
-                        let vlb = self.cfg.vlb.as_ref().expect("domains imply config");
-                        if self.rng.random::<f64>() < vlb.fraction {
-                            let dom = &vlb.domains[dom_idx as usize];
-                            self.vlb_scratch.clear();
-                            self.vlb_scratch
-                                .extend(dom.iter().copied().filter(|&w| w != at && w != nh));
-                            if !self.vlb_scratch.is_empty() {
-                                let w = self.vlb_scratch
-                                    [self.rng.random_range(0..self.vlb_scratch.len())];
-                                cold.intermediate = Some(w);
-                                vlb_detour = Some(w);
-                                // Per-packet spraying: differentiate the
-                                // hash so detour packets of one flow use
-                                // their own ECMP choices.
-                                hash = self.rng.random::<u64>();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if self.observing() {
-            if let Some(w) = vlb_detour {
-                self.record(Event::Vlb {
-                    t_ns: head.ns(),
-                    node: at.0,
-                    flow: flow_id,
-                    via: w.0,
-                });
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("sim.vlb.detours", 1);
-                }
-            }
-        }
-
-        let target = cold.intermediate.unwrap_or(dst);
-        // With no extra tables installed (the common case) every flow
-        // routes by the default table — skip the per-flow indirection.
-        let routing = if self.extra_flat.is_empty() {
-            &self.flat
-        } else {
-            match self.flow_state[flow_id as usize].table {
-                Some(t) => &self.extra_flat[t],
-                None => &self.flat,
-            }
-        };
-        // The flat table resolves the next hop *and* its directed link
-        // slot in one indexed lookup — no adjacency scan per hop.
-        let Some((next, slot)) = routing.ecmp_next(at, target, hash) else {
-            self.stats.dropped += 1;
-            if self.observing() {
-                self.drop_hook(flow_id, at, head, DropReason::NoRoute);
-            }
-            self.arena.free(id);
-            return;
-        };
-        let (failed, rate, free_at, ser_ns) = {
-            let dl = &mut self.links[slot as usize];
-            (dl.failed, dl.rate_gbps, dl.free_at, dl.ser_ns(size))
-        };
-        if failed {
-            // A cut fiber: everything forwarded onto it is lost until
-            // routes are recomputed (see [`Simulator::reroute`]).
-            self.stats.dropped += 1;
-            if self.observing() {
-                self.drop_hook(flow_id, at, head, DropReason::DeadLink);
-            }
-            self.arena.free(id);
-            return;
-        }
-        let inbound_ns = tail - head; // 0 at the origin host
-        let mut forward_decision: Option<(ForwardMode, u64)> = None;
-        let earliest = match node_kind {
-            NodeKind::Host => {
-                if inbound_ns == 0 {
-                    // Origin host (head == tail only at emission; every
-                    // real link adds ≥ 1 ns of serialization): send-side
-                    // latency was applied in `emit`.
-                    head
-                } else {
-                    // Relay host (server-centric designs): full stack.
-                    tail + self.cfg.latency.host_recv_ns + self.cfg.latency.host_send_ns
-                }
-            }
-            NodeKind::Switch(role) => {
-                let spec = self.cfg.latency.spec_for(role);
-                let mode = spec.forward_mode(inbound_ns, ser_ns);
-                if self.observing() {
-                    forward_decision = Some((mode, spec.latency_ns));
-                }
-                match mode {
-                    ForwardMode::CutThrough => head + spec.latency_ns,
-                    ForwardMode::StoreForward => tail + spec.latency_ns,
-                }
-            }
-        };
-        if let Some((mode, latency_ns)) = forward_decision {
-            let cut_through = mode == ForwardMode::CutThrough;
-            self.record(Event::Forward {
-                t_ns: head.ns(),
-                node: at.0,
-                flow: flow_id,
-                cut_through,
-                latency_ns,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc(
-                    if cut_through {
-                        "sim.forward.cut_through"
-                    } else {
-                        "sim.forward.store_forward"
-                    },
-                    1,
-                );
-            }
-        }
-
-        // Drop-tail check on the output port (skip the float math on
-        // the common idle-port case — the backlog is exactly zero).
-        let backlog_ns = free_at.saturating_sub(earliest);
-        let backlog_bytes = if backlog_ns == 0 {
-            0
-        } else {
-            (backlog_ns as f64 * rate / 8.0) as u64
-        };
-        if backlog_bytes > self.cfg.queue_cap_bytes {
-            self.stats.dropped += 1;
-            if self.observing() {
-                self.drop_hook(flow_id, at, earliest, DropReason::QueueFull);
-            }
-            self.arena.free(id);
-            return;
-        }
-        // DCTCP-style ECN: mark packets that queue behind more than K
-        // bytes (instantaneous queue-length marking, as DCTCP specifies).
-        if let Some(k) = self.cfg.ecn_threshold_bytes {
-            if backlog_bytes > k {
-                cold.flags |= FLAG_ECN;
-            }
-        }
-
-        let start = if free_at > earliest {
-            free_at
-        } else {
-            earliest
-        };
-        let done = start + ser_ns;
-        let dl = &mut self.links[slot as usize];
-        dl.free_at = done;
-        dl.busy_ns += ser_ns;
-        dl.bytes += u64::from(size);
-        if self.observing() {
-            let queue_bytes = backlog_bytes + u64::from(size);
-            // Slot layout: [2l] = a→b, [2l+1] = b→a.
-            let link_idx = slot >> 1;
-            let to_b = slot & 1 == 0;
-            self.record(Event::Enqueue {
-                t_ns: earliest.ns(),
-                node: at.0,
-                link: link_idx,
-                to_b,
-                flow: flow_id,
-                queue_bytes,
-            });
-            self.record(Event::Transmit {
-                t_ns: start.ns(),
-                link: link_idx,
-                to_b,
-                flow: flow_id,
-                serialize_ns: ser_ns,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("sim.packets.forwarded", 1);
-                if node_kind.is_switch() {
-                    m.inc(self.labels.switch_fwd(at.0), 1);
-                }
-                m.observe(self.labels.queue(slot), earliest.ns(), queue_bytes);
-                m.observe(self.labels.util(slot), start.ns(), ser_ns);
-            }
-        }
-        let prop = self.cfg.prop_delay_ns;
-        cold.hops += 1;
-        self.arena.cold[i] = cold;
-        self.arena.hash[i] = hash;
-        let arr_head = start + prop;
-        let arr_tail = done + prop;
-        debug_assert_eq!(next, self.slot_dst[slot as usize]);
-        debug_assert!(ser_ns <= u64::from(u32::MAX));
-        let ser = ser_ns as u32;
-        match self.cfg.drain {
-            DrainMode::PerPacket => self.schedule(
-                arr_head,
-                EvKind::Head {
-                    pkt: id,
-                    at: next,
-                    ser,
-                },
-            ),
-            DrainMode::Batched => {
-                let q_was_empty = self.link_q[slot as usize].is_empty();
-                if q_was_empty && free_at <= earliest {
-                    // Idle link: a lone arrival gets a plain event, so
-                    // short queues pay no batch bookkeeping.
-                    self.schedule(
-                        arr_head,
-                        EvKind::Head {
-                            pkt: id,
-                            at: next,
-                            ser,
-                        },
-                    );
-                } else {
-                    // Queued behind an in-progress transmission (or an
-                    // already-pending batch): reserve this arrival's
-                    // `(time, seq)` key — identical to the key a plain
-                    // push would have taken — and append. Keys are
-                    // strictly increasing per slot because each start
-                    // time is at least the predecessor's done time.
-                    let seq = self.events.reserve_seq();
-                    self.arena.arr_head[i] = arr_head;
-                    self.arena.arr_tail[i] = arr_tail;
-                    self.arena.arr_seq[i] = seq;
-                    self.link_q[slot as usize].push_back(id);
-                    if q_was_empty {
-                        self.events
-                            .push_at_seq(arr_head, seq, EvKind::LinkDrain { slot });
-                    }
-                }
             }
         }
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Completion log for managed flows ([`FlowKind::Transport`],
@@ -1589,28 +588,31 @@ impl Simulator {
     /// compute per-flow FCT and slowdown; unmanaged kinds (Poisson,
     /// RPC, bursts) never appear.
     pub fn flow_completions(&self) -> &[FlowCompletion] {
-        &self.completions
+        &self.core.eng.completions
     }
 
     /// Number of flows registered so far.
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.core.flows.len()
     }
 
     /// Total payload bytes of a managed flow ([`FlowKind::Transport`] /
     /// [`FlowKind::FileTransfer`]); `None` for packet-stream kinds or an
     /// unknown index.
     pub fn flow_total_bytes(&self, flow: u32) -> Option<u64> {
-        self.flows.get(flow as usize).and_then(|f| match f.kind {
-            FlowKind::Transport { total_bytes, .. } => Some(total_bytes),
-            FlowKind::FileTransfer { total_bytes } => Some(total_bytes),
-            _ => None,
-        })
+        self.core
+            .flows
+            .get(flow as usize)
+            .and_then(|f| match f.kind {
+                FlowKind::Transport { total_bytes, .. } => Some(total_bytes),
+                FlowKind::FileTransfer { total_bytes } => Some(total_bytes),
+                _ => None,
+            })
     }
 
     /// A flow's `(src, dst)` hosts, or `None` for an unknown index.
     pub fn flow_endpoints(&self, flow: u32) -> Option<(NodeId, NodeId)> {
-        self.flows.get(flow as usize).map(|f| (f.src, f.dst))
+        self.core.flows.get(flow as usize).map(|f| (f.src, f.dst))
     }
 
     /// Feeds a caller-constructed event (e.g. a collective step
@@ -1618,12 +620,12 @@ impl Simulator {
     /// work *around* the simulator use this to keep their milestones in
     /// the same ordered stream as the packet-level events.
     pub fn record_event(&mut self, ev: Event) {
-        self.record(ev);
+        self.core.eng.record(ev);
     }
 
     /// The time of the most recently processed event.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// Runs until `count` samples exist under `tag` (e.g. that many RPCs
@@ -1631,8 +633,8 @@ impl Simulator {
     /// was reached. Enables staged, dependency-driven workloads: start a
     /// fan-out, wait for it, start the next stage at [`Simulator::now`].
     pub fn run_until_samples(&mut self, tag: u32, count: usize, deadline: SimTime) -> bool {
-        while self.stats.count(tag) < count {
-            let Some((time, kind)) = self.events.pop_before(deadline) else {
+        while self.core.stats.count(tag) < count {
+            let Some((time, kind)) = self.core.eng.events.pop_before(deadline) else {
                 return false;
             };
             // step = true: a batched drain yields after each arrival so
@@ -1646,14 +648,13 @@ impl Simulator {
     /// Whether any events remain queued (packets in flight or future
     /// generations).
     pub fn has_pending_events(&self) -> bool {
-        !self.events.is_empty()
+        !self.core.eng.events.is_empty()
     }
 
     /// Schedules a fiber cut: at `at`, both directions of `link` start
     /// dropping everything queued onto them (§3.5's failure model, live).
     pub fn fail_link_at(&mut self, link: LinkId, at: SimTime) {
-        assert!((link.0 as usize) < self.net.link_count(), "unknown link");
-        self.schedule(at, EvKind::FailLink { link });
+        self.schedule_fault(FaultKind::LinkDown(link), at);
     }
 
     /// Schedules the death of switch `node` at `at`: from then on, every
@@ -1662,11 +663,7 @@ impl Simulator {
     /// # Panics
     /// Panics if `node` is not a switch.
     pub fn fail_switch_at(&mut self, node: NodeId, at: SimTime) {
-        assert!(
-            self.net.node(node).kind.is_switch(),
-            "only switches fail; {node:?} is a host"
-        );
-        self.schedule(at, EvKind::FailSwitch { node });
+        self.schedule_fault(FaultKind::SwitchDown(node), at);
     }
 
     /// Schedules every event of a [`FaultPlan`]. With
@@ -1678,74 +675,28 @@ impl Simulator {
     /// Panics if the plan names an unknown link or a non-switch node.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
-            match ev.kind {
-                FaultKind::LinkDown(link) => {
-                    assert!((link.0 as usize) < self.net.link_count(), "unknown link");
-                    self.schedule(ev.at, EvKind::FailLink { link });
-                }
-                FaultKind::LinkUp(link) => {
-                    assert!((link.0 as usize) < self.net.link_count(), "unknown link");
-                    self.schedule(ev.at, EvKind::RecoverLink { link });
-                }
-                FaultKind::SwitchDown(node) => {
-                    assert!(
-                        self.net.node(node).kind.is_switch(),
-                        "only switches fail; {node:?} is a host"
-                    );
-                    self.schedule(ev.at, EvKind::FailSwitch { node });
-                }
-                FaultKind::SwitchUp(node) => {
-                    assert!(
-                        self.net.node(node).kind.is_switch(),
-                        "only switches fail; {node:?} is a host"
-                    );
-                    self.schedule(ev.at, EvKind::RecoverSwitch { node });
-                }
-            }
+            self.schedule_fault(ev.kind, ev.at);
         }
+    }
+
+    fn schedule_fault(&mut self, kind: FaultKind, at: SimTime) {
+        self.ctl.check(kind);
+        self.core.eng.events.push(at, EvKind::Fault(kind));
     }
 
     /// Applies one fault to the data plane and opens a log record. With
     /// auto-reconvergence configured, schedules the route recomputation.
     fn on_fault(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::LinkDown(l) => {
-                self.links[2 * l.0 as usize].failed = true;
-                self.links[2 * l.0 as usize + 1].failed = true;
-            }
-            FaultKind::LinkUp(l) => {
-                self.links[2 * l.0 as usize].failed = false;
-                self.links[2 * l.0 as usize + 1].failed = false;
-            }
-            FaultKind::SwitchDown(n) => self.failed_nodes[n.0 as usize] = true,
-            FaultKind::SwitchUp(n) => self.failed_nodes[n.0 as usize] = false,
+        let core = &mut self.core;
+        core.set_fault_state(kind);
+        let ev = self
+            .ctl
+            .open(core.now, kind, core.stats.dropped, core.metrics.as_mut());
+        if core.obs {
+            core.eng.record(ev);
         }
-        self.pending_route_changes.push(kind);
-        self.fault_log.push(FaultRecord {
-            at: self.now,
-            kind,
-            reconverged_at: None,
-            drops_during_outage: 0,
-            baseline_drops: self.stats.dropped,
-        });
-        if self.observing() {
-            let (kind_str, element) = match kind {
-                FaultKind::LinkDown(l) => ("link_down", l.0),
-                FaultKind::LinkUp(l) => ("link_up", l.0),
-                FaultKind::SwitchDown(n) => ("switch_down", n.0),
-                FaultKind::SwitchUp(n) => ("switch_up", n.0),
-            };
-            self.record(Event::Fault {
-                t_ns: self.now.ns(),
-                kind: kind_str,
-                element,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc(&format!("sim.fault.{kind_str}"), 1);
-            }
-        }
-        if let Some(delay) = self.cfg.reconvergence_ns {
-            self.schedule(self.now + delay, EvKind::Reroute);
+        if let Some(delay) = core.cfg.reconvergence_ns {
+            core.eng.events.push(core.now + delay, EvKind::Reroute);
         }
     }
 
@@ -1754,100 +705,31 @@ impl Simulator {
     /// reconvergence (or set [`SimConfig::reconvergence_ns`] to have it
     /// happen automatically); in-flight packets are unaffected.
     pub fn reroute(&mut self) {
-        self.complete_reroute();
-    }
-
-    fn complete_reroute(&mut self) {
-        // Incremental reconvergence: replay each pending fault delta as
-        // a patch that recomputes only the destinations whose shortest
-        // paths the delta can change. Each patch must observe the
-        // failure state the *previous* patch produced (several deltas
-        // may queue between reroutes, including a fault and its own
-        // recovery), so the `routed_*` vectors advance delta by delta
-        // rather than reading the live data plane.
-        for kind in std::mem::take(&mut self.pending_route_changes) {
-            let change = match kind {
-                FaultKind::LinkDown(l) => {
-                    self.routed_link_failed[l.0 as usize] = true;
-                    RouteChange::LinkDown(l)
-                }
-                FaultKind::LinkUp(l) => {
-                    self.routed_link_failed[l.0 as usize] = false;
-                    RouteChange::LinkUp(l)
-                }
-                FaultKind::SwitchDown(n) => {
-                    self.routed_node_failed[n.0 as usize] = true;
-                    RouteChange::NodeDown(n)
-                }
-                FaultKind::SwitchUp(n) => {
-                    self.routed_node_failed[n.0 as usize] = false;
-                    RouteChange::NodeUp(n)
-                }
-            };
-            let (rl, rn) = (&self.routed_link_failed, &self.routed_node_failed);
-            self.table.patch(
-                &self.net,
-                change,
-                |l| rl[l.0 as usize],
-                |n| rn[n.0 as usize],
-            );
-        }
-        #[cfg(debug_assertions)]
-        {
-            // Every delta has been replayed, so the patched table must
-            // equal a from-scratch rebuild over the live failure state.
-            let links = &self.links;
-            let failed_nodes = &self.failed_nodes;
-            let scratch = RouteTable::degraded(
-                &self.net,
-                |l| links[2 * l.0 as usize].failed,
-                |n| failed_nodes[n.0 as usize],
-            );
-            debug_assert_eq!(
-                self.table, scratch,
-                "incremental route patch diverged from scratch rebuild"
-            );
-        }
-        self.flat = FlatRoutes::new(&self.table, &self.net);
-        let now = self.now;
-        let dropped = self.stats.dropped;
-        let mut resolved = 0u32;
-        for r in self
-            .fault_log
-            .iter_mut()
-            .filter(|r| r.reconverged_at.is_none())
-        {
-            r.reconverged_at = Some(now);
-            r.drops_during_outage = dropped - r.baseline_drops;
-            resolved += 1;
-        }
-        if self.observing() {
-            self.record(Event::Reroute {
-                t_ns: now.ns(),
-                resolved,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("sim.reroutes", 1);
-            }
+        let core = &mut self.core;
+        let (flat, ev) = self.ctl.reroute(
+            core.now,
+            core.stats.dropped,
+            &core.links,
+            &core.failed_nodes,
+            core.metrics.as_mut(),
+        );
+        core.flat = Arc::new(flat);
+        if core.obs {
+            core.eng.record(ev);
         }
     }
 
     /// Every fault event that has fired so far, in firing order, with
     /// its measured reconvergence time and outage cost.
     pub fn fault_log(&self) -> &[FaultRecord] {
-        &self.fault_log
+        &self.ctl.fault_log
     }
 
     /// Transmission statistics per link, in the network's link order.
     pub fn link_loads(&self) -> Vec<LinkLoad> {
-        (0..self.net.link_count())
-            .map(|i| LinkLoad {
-                ab_busy_ns: self.links[2 * i].busy_ns,
-                ab_bytes: self.links[2 * i].bytes,
-                ba_busy_ns: self.links[2 * i + 1].busy_ns,
-                ba_bytes: self.links[2 * i + 1].bytes,
-            })
-            .collect()
+        let mut out = vec![LinkLoad::default(); self.core.net.link_count()];
+        self.core.add_link_loads(&mut out);
+        out
     }
 }
 
@@ -2719,7 +1601,7 @@ mod tests {
     /// reconvergence, the incrementally patched routing table must equal
     /// a [`RouteTable::degraded`] rebuild from scratch over the live
     /// failure state. (The same comparison runs as a `debug_assert`
-    /// inside `complete_reroute` on every reroute of every debug run;
+    /// inside `Control::reroute` on every reroute of every debug run;
     /// this test makes it an explicit release-mode guarantee too.)
     #[test]
     fn incremental_patch_matches_scratch_rebuild_on_the_ring_cut_mesh() {
@@ -2771,15 +1653,14 @@ mod tests {
         checkpoints.sort();
         for (i, t) in checkpoints.into_iter().enumerate() {
             sim.run(t);
-            let links = &sim.links;
-            let failed_nodes = &sim.failed_nodes;
+            let (links, failed_nodes) = (&sim.core.links, &sim.core.failed_nodes);
             let scratch = RouteTable::degraded(
-                &sim.net,
+                &sim.core.net,
                 |l| links[2 * l.0 as usize].failed,
                 |n| failed_nodes[n.0 as usize],
             );
             assert_eq!(
-                sim.table, scratch,
+                sim.ctl.table, scratch,
                 "patched table diverged from scratch rebuild at {t:?}"
             );
             // Each fault's own reroute fired 50 µs after it, so by the
@@ -2795,6 +1676,224 @@ mod tests {
         assert_eq!(sim.fault_log().len(), plan.len());
         // Every fault healed: the final table equals the pristine one.
         sim.run(SimTime::from_ms(9));
-        assert_eq!(sim.table, RouteTable::all_shortest_paths(&sim.net));
+        assert_eq!(sim.ctl.table, RouteTable::all_shortest_paths(&sim.core.net));
+    }
+}
+
+/// Differential test for the batched link drain: the batched schedule
+/// and the per-packet reference (one scheduler event per arrival, kept
+/// only under `cfg(test)`) must produce identical runs — same stats,
+/// same recorded event stream, same ndjson bytes — on a loaded VLB mesh
+/// with bursty traffic, a congestion-controlled transfer under ECN, and
+/// a mid-run fiber cut plus repair. The pair is re-run across 1, 2, and
+/// 8 worker threads to pin that no hidden shared state leaks between
+/// concurrent simulations.
+#[cfg(test)]
+mod batch_differential {
+    use super::*;
+    use quartz_obs::{MemoryRecorder, NdjsonRecorder};
+    use quartz_topology::builders::quartz_mesh;
+
+    /// Everything observable about one run, in comparable form.
+    #[derive(Debug, PartialEq)]
+    struct Digest {
+        generated: u64,
+        delivered: u64,
+        dropped: u64,
+        /// Per tag: count, mean bits, ci95 bits, p50, p99, max, bytes,
+        /// mean-hops bits, hop distribution.
+        per_tag: Vec<(u32, TagDigest)>,
+        faults: usize,
+        events: Vec<Event>,
+        ndjson: Vec<u8>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct TagDigest {
+        count: usize,
+        mean_bits: u64,
+        ci95_bits: u64,
+        p50_ns: u64,
+        p99_ns: u64,
+        max_ns: u64,
+        bytes: u64,
+        mean_hops_bits: u64,
+        hop_dist: Vec<(u32, usize)>,
+    }
+
+    /// One full scenario run, batched or on the per-packet reference
+    /// schedule: VLB detours, Poisson echo +
+    /// burst cross-traffic, a DCTCP transfer with ECN marking, and a ring
+    /// fiber cut at 0.5 ms repaired at 1.2 ms (control plane reconverges
+    /// 50 µs after each).
+    fn run(per_packet: bool) -> Digest {
+        let q = quartz_mesh(4, 4, 10.0, 10.0);
+        // First switch-switch link: cutting it forces reroutes (and VLB
+        // detours around the gap) while packets are in flight.
+        let ring_link = q
+            .net
+            .links()
+            .find(|l| q.switches.contains(&l.a) && q.switches.contains(&l.b))
+            .expect("mesh has ring links")
+            .id;
+        let mut sim = Simulator::new(
+            q.net.clone(),
+            SimConfig {
+                seed: 0xD1FF,
+                vlb: Some(VlbConfig {
+                    fraction: 0.3,
+                    domains: vec![q.switches.clone()],
+                }),
+                ecn_threshold_bytes: Some(30_000),
+                reconvergence_ns: Some(50_000),
+                ..SimConfig::default()
+            },
+        );
+        sim.core.eng.per_packet = per_packet;
+        let stop = SimTime::from_ms(2);
+        let n = q.hosts.len();
+        for (i, &src) in q.hosts.iter().enumerate() {
+            let dst = q.hosts[(i + 5) % n];
+            match i % 3 {
+                // Open-loop echo streams (round trips stress both link
+                // directions and the response emission path).
+                0 => sim.add_flow(
+                    src,
+                    dst,
+                    400,
+                    FlowKind::Poisson {
+                        mean_gap_ns: 1_000.0,
+                        stop,
+                        respond: true,
+                    },
+                    0,
+                    SimTime::ZERO,
+                ),
+                // Bursts: back-to-back runs are exactly what the batched
+                // drain coalesces, so they must still land on the same
+                // (time, seq) keys.
+                1 => sim.add_flow(
+                    src,
+                    dst,
+                    400,
+                    FlowKind::Burst {
+                        burst_pkts: 24,
+                        period_ns: 40_000,
+                        stop,
+                    },
+                    1,
+                    SimTime::ZERO,
+                ),
+                // One-way Poisson fill.
+                _ => sim.add_flow(
+                    src,
+                    dst,
+                    400,
+                    FlowKind::Poisson {
+                        mean_gap_ns: 900.0,
+                        stop,
+                        respond: false,
+                    },
+                    2,
+                    SimTime::ZERO,
+                ),
+            };
+        }
+        // A congestion-controlled transfer through the loaded mesh: ECN
+        // marks feed DCTCP, ACKs ride the reverse path, RTO timers arm.
+        sim.add_flow(
+            q.hosts[0],
+            q.hosts[n - 1],
+            1_000,
+            FlowKind::Transport {
+                total_bytes: 300_000,
+                variant: TcpVariant::Dctcp,
+            },
+            3,
+            SimTime::ZERO,
+        );
+        let mut plan = FaultPlan::new();
+        plan.link_down(ring_link, SimTime::from_ns(500_000))
+            .link_up(ring_link, SimTime::from_ns(1_200_000));
+        sim.apply_fault_plan(&plan);
+        sim.set_recorder(Box::new(MemoryRecorder::new()));
+        sim.run(SimTime::from_ms(3));
+
+        let events = sim.take_recorder().expect("recorder attached").finish();
+        // Re-encode through the streaming backend: the ndjson bytes are
+        // what the trace-determinism contract is stated over.
+        let mut nd = NdjsonRecorder::new(Vec::new());
+        for ev in &events {
+            nd.record(ev);
+        }
+        let ndjson = nd.into_inner();
+
+        let stats = sim.stats();
+        let per_tag = stats
+            .tags()
+            .into_iter()
+            .map(|tag| {
+                let s = stats.summary(tag);
+                (
+                    tag,
+                    TagDigest {
+                        count: s.count,
+                        mean_bits: s.mean_ns.to_bits(),
+                        ci95_bits: s.ci95_ns.to_bits(),
+                        p50_ns: s.p50_ns,
+                        p99_ns: s.p99_ns,
+                        max_ns: s.max_ns,
+                        bytes: stats.delivered_bytes(tag),
+                        mean_hops_bits: stats.mean_hops(tag).to_bits(),
+                        hop_dist: stats.hop_distribution(tag),
+                    },
+                )
+            })
+            .collect();
+        Digest {
+            generated: stats.generated,
+            delivered: stats.delivered,
+            dropped: stats.dropped,
+            per_tag,
+            faults: sim.fault_log().len(),
+            events,
+            ndjson,
+        }
+    }
+
+    #[test]
+    fn batched_drain_matches_per_packet_schedule() {
+        let batched = run(false);
+        let per_packet = run(true);
+        assert!(batched.delivered > 0, "scenario must carry traffic");
+        assert!(batched.dropped > 0, "fault window must cost packets");
+        assert!(!batched.events.is_empty(), "recorder must observe the run");
+        assert_eq!(
+            batched, per_packet,
+            "batched drain diverged from the per-packet schedule"
+        );
+    }
+
+    #[test]
+    fn schedules_agree_across_worker_counts() {
+        let reference = run(false);
+        for workers in [1usize, 2, 8] {
+            let digests: Vec<(Digest, Digest)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| s.spawn(|| (run(false), run(true))))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (batched, per_packet) in &digests {
+                assert_eq!(
+                    batched, &reference,
+                    "batched run diverged at {workers} workers"
+                );
+                assert_eq!(
+                    per_packet, &reference,
+                    "per-packet run diverged at {workers} workers"
+                );
+            }
+        }
     }
 }

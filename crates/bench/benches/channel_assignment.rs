@@ -11,7 +11,7 @@ use std::hint::black_box;
 fn main() {
     for m in [9usize, 17, 33, 35] {
         measure("greedy_assignment", &format!("best_of_starts_m{m}"), || {
-            greedy::assign_best(black_box(m))
+            greedy::assign_best(black_box(m), 0)
         });
     }
 
@@ -28,7 +28,7 @@ fn main() {
         ("shortest_first", Ordering::ShortestFirst),
     ] {
         measure("greedy_ordering_ablation", &format!("{name}_m33"), || {
-            assign_with_order(black_box(33), 0, ord)
+            assign_with_order(black_box(33), 0, 0, ord)
         });
     }
 

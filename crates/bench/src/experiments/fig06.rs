@@ -13,10 +13,9 @@ use crate::table::{pct, print_table};
 use crate::Scale;
 use quartz_core::fault::{FailureModel, FaultReport};
 use quartz_core::pool::ThreadPool;
-use quartz_flowsim::degraded::DegradedQuartzFabric;
 use quartz_flowsim::fabric::{MeshRouting, QuartzFabric};
 use quartz_flowsim::matrix::random_permutation;
-use quartz_flowsim::throughput::{normalized_throughput, normalized_throughput_metered};
+use quartz_flowsim::throughput::normalized_throughput_metered;
 use quartz_netsim::faults::{
     ring_cut_scenario, ring_cut_scenario_traced, CutScenarioConfig, CutScenarioReport,
 };
@@ -25,41 +24,17 @@ use quartz_obs::{Event, MetricsRegistry};
 /// The full grid: `reports[rings-1][failures-1]` (computed over one
 /// worker per hardware thread).
 pub fn run(scale: Scale) -> Vec<Vec<FaultReport>> {
-    run_with(scale, &ThreadPool::default())
+    run_with(scale, &ThreadPool::default()).0
 }
 
-/// The full grid over `pool`: one unit per `(rings, failures)` cell.
-/// Each cell's Monte-Carlo stream depends only on its own seed, so the
-/// grid is bit-identical at any worker count. The cells themselves run
-/// monte_carlo sequentially — parallelism at the grid level already
-/// saturates the pool without nesting.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Vec<FaultReport>> {
-    let (m, trials) = match scale {
-        Scale::Paper => (33, 20_000),
-        Scale::Quick => (17, 1_000),
-    };
-    let cells = pool.par_map(16, |i| {
-        let (rings, failures) = (i / 4 + 1, i % 4 + 1);
-        FailureModel::new(m, rings).monte_carlo(failures, trials, 0xF16 + failures as u64)
-    });
-    let mut cells = cells.into_iter();
-    (1..=4usize)
-        .map(|_| {
-            (1..=4usize)
-                .map(|_| cells.next().expect("16 cells"))
-                .collect()
-        })
-        .collect()
-}
-
-/// [`run_with`] with per-cell observability: the same grid, plus a
-/// registry of `fig06.loss.r<rings>.f<failures>` /
+/// The full grid over `pool`: one unit per `(rings, failures)` cell,
+/// plus a registry of `fig06.loss.r<rings>.f<failures>` /
 /// `fig06.partition.r<rings>.f<failures>` gauges aggregated in
-/// unit-index order (bit-identical at any worker count).
-pub fn run_observed_with(
-    scale: Scale,
-    pool: &ThreadPool,
-) -> (Vec<Vec<FaultReport>>, MetricsRegistry) {
+/// unit-index order. Each cell's Monte-Carlo stream depends only on its
+/// own seed, so grid and registry are bit-identical at any worker count.
+/// The cells themselves run monte_carlo sequentially — parallelism at
+/// the grid level already saturates the pool without nesting.
+pub fn run_with(scale: Scale, pool: &ThreadPool) -> (Vec<Vec<FaultReport>>, MetricsRegistry) {
     let (m, trials) = match scale {
         Scale::Paper => (33, 20_000),
         Scale::Quick => (17, 1_000),
@@ -104,68 +79,24 @@ pub struct DynamicReport {
 /// Runs the dynamic panel: one fiber cut at t = T during steady Poisson
 /// traffic on the mesh, plus the waterfill before/after comparison.
 pub fn run_dynamic(scale: Scale) -> DynamicReport {
-    run_dynamic_with(scale, &ThreadPool::default())
+    run_dynamic_with(scale, &ThreadPool::default(), false).0
 }
 
 /// Runs the dynamic panel over `pool`. The packet-level cut scenario
 /// and the flow-level waterfill comparison share no state, so they run
-/// as two parallel units; each is internally sequential and seeded, so
-/// the report is bit-identical at any worker count.
-pub fn run_dynamic_with(scale: Scale, pool: &ThreadPool) -> DynamicReport {
-    let cfg = match scale {
-        Scale::Paper => CutScenarioConfig::paper(0xD16),
-        Scale::Quick => CutScenarioConfig::quick(0xD16),
-    };
-    let racks = cfg.switches;
-
-    enum Half {
-        Scenario(CutScenarioReport),
-        Waterfill { intact: f64, degraded: f64 },
-    }
-    let mut halves = pool
-        .par_map(2, |i| {
-            if i == 0 {
-                Half::Scenario(ring_cut_scenario(&cfg))
-            } else {
-                let intact = QuartzFabric {
-                    racks,
-                    hosts_per_rack: 4,
-                    channel_cap: 1.0,
-                    policy: MeshRouting::VlbUniform(0.5),
-                };
-                let demands = random_permutation(racks * 4, 0xD16);
-                let intact_throughput = normalized_throughput(&intact, &demands).normalized;
-                // Sever the same channel the scenario cuts: switches 0 ↔ 1.
-                let degraded = DegradedQuartzFabric::new(intact, &[(0, 1)]);
-                Half::Waterfill {
-                    intact: intact_throughput,
-                    degraded: normalized_throughput(&degraded, &demands).normalized,
-                }
-            }
-        })
-        .into_iter();
-
-    let (Some(Half::Scenario(scenario)), Some(Half::Waterfill { intact, degraded })) =
-        (halves.next(), halves.next())
-    else {
-        unreachable!("par_map returns both halves in index order");
-    };
-    DynamicReport {
-        scenario,
-        intact_throughput: intact,
-        degraded_throughput: degraded,
-    }
-}
-
-/// [`run_dynamic_with`] with full observability: the packet-level
-/// scenario records every event through a `MemoryRecorder` and its sim
-/// metrics, while the waterfill half meters its solver iterations; the
-/// two units' registries fold in unit-index order. The report is
-/// bit-identical to [`run_dynamic_with`]'s (tracing is observe-only),
-/// and the events and metrics are bit-identical at any worker count.
-pub fn run_dynamic_traced_with(
+/// as two parallel units; each is internally sequential and seeded.
+///
+/// With `traced`, the scenario records every event through a
+/// `MemoryRecorder` and collects its sim metrics; without, no recorder
+/// is attached and the event list comes back empty. The waterfill half
+/// meters its solver iterations either way, and the two units'
+/// registries fold in unit-index order. The report is the same with or
+/// without tracing (tracing is observe-only), and report, events and
+/// metrics are bit-identical at any worker count.
+pub fn run_dynamic_with(
     scale: Scale,
     pool: &ThreadPool,
+    traced: bool,
 ) -> (DynamicReport, Vec<Event>, MetricsRegistry) {
     let cfg = match scale {
         Scale::Paper => CutScenarioConfig::paper(0xD16),
@@ -179,21 +110,29 @@ pub fn run_dynamic_traced_with(
     }
     let (halves, metrics) = pool.par_map_observed(2, |i, reg| {
         if i == 0 {
-            let (scenario, events, sim_metrics) = ring_cut_scenario_traced(&cfg);
-            reg.merge(&sim_metrics);
-            Half::Scenario(Box::new((scenario, events)))
+            if traced {
+                let (scenario, events, sim_metrics) = ring_cut_scenario_traced(&cfg);
+                reg.merge(&sim_metrics);
+                Half::Scenario(Box::new((scenario, events)))
+            } else {
+                Half::Scenario(Box::new((ring_cut_scenario(&cfg), Vec::new())))
+            }
         } else {
             let intact = QuartzFabric {
                 racks,
                 hosts_per_rack: 4,
                 channel_cap: 1.0,
                 policy: MeshRouting::VlbUniform(0.5),
+                severed: Vec::new(),
             };
             let demands = random_permutation(racks * 4, 0xD16);
             let intact_throughput =
                 normalized_throughput_metered(&intact, &demands, reg).normalized;
             // Sever the same channel the scenario cuts: switches 0 ↔ 1.
-            let degraded = DegradedQuartzFabric::new(intact, &[(0, 1)]);
+            let degraded = QuartzFabric {
+                severed: vec![(0, 1)],
+                ..intact
+            };
             Half::Waterfill {
                 intact: intact_throughput,
                 degraded: normalized_throughput_metered(&degraded, &demands, reg).normalized,
@@ -224,10 +163,16 @@ pub fn run_dynamic_traced_with(
 /// (grid gauges, sim counters/histograms, waterfill meters). Byte-
 /// identical at any worker count.
 pub fn trace_ndjson_with(scale: Scale, pool: &ThreadPool) -> String {
-    let (_, grid_metrics) = run_observed_with(scale, pool);
-    let (_, events, mut metrics) = run_dynamic_traced_with(scale, pool);
-    metrics.merge(&grid_metrics);
-    let mut out = quartz_obs::event::to_ndjson(&events);
+    let (_, grid_metrics) = run_with(scale, pool);
+    let (_, events, dyn_metrics) = run_dynamic_with(scale, pool, true);
+    trace_body(&events, dyn_metrics, &grid_metrics)
+}
+
+/// Serializes the events, then the dynamic panel's metrics with the
+/// grid's merged in.
+fn trace_body(events: &[Event], mut metrics: MetricsRegistry, grid: &MetricsRegistry) -> String {
+    metrics.merge(grid);
+    let mut out = quartz_obs::event::to_ndjson(events);
     out.push_str(&metrics.to_ndjson());
     out
 }
@@ -243,19 +188,20 @@ pub fn print_with(scale: Scale, pool: &ThreadPool) {
 }
 
 /// [`print_with`] plus the shared `--trace-out` hook. Without a trace
-/// path this is exactly the untraced run (no recorder anywhere near the
-/// simulator); with one, both panels rerun in observed mode — reports
-/// are bit-identical either way — and the packet events + merged
-/// metrics land at `trace`. Both stages are phase-timed, so
-/// `BENCH_fig06_fault_tolerance.json` carries a `phase` breakdown.
+/// path no recorder goes anywhere near the simulator; with one, the
+/// dynamic panel runs traced — the printed reports are bit-identical
+/// either way — and the packet events + merged metrics land at `trace`.
+/// Both panels are phase-timed, so `BENCH_fig06_fault_tolerance.json`
+/// carries a `phase` breakdown.
 pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let grid = crate::timing::phase_timed("fig06.grid", || run_with(scale, pool));
+    let (grid, grid_metrics) = crate::timing::phase_timed("fig06.grid", || run_with(scale, pool));
     render_grid(&grid);
-    let dyn_report = crate::timing::phase_timed("fig06.dynamic", || run_dynamic_with(scale, pool));
+    let (dyn_report, events, dyn_metrics) = crate::timing::phase_timed("fig06.dynamic", || {
+        run_dynamic_with(scale, pool, trace.is_some())
+    });
     render_dynamic(&dyn_report);
     if let Some(path) = trace {
-        let body = crate::timing::phase_timed("fig06.trace", || trace_ndjson_with(scale, pool));
-        crate::trace::write(path, &body);
+        crate::trace::write(path, &trace_body(&events, dyn_metrics, &grid_metrics));
     }
 }
 

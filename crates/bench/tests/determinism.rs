@@ -16,16 +16,17 @@ fn fig10_rows_are_identical_at_one_and_four_workers() {
 
 #[test]
 fn fig06_grid_is_identical_at_one_and_four_workers() {
-    let seq = fig06::run_with(Scale::Quick, &ThreadPool::new(1));
-    let par = fig06::run_with(Scale::Quick, &ThreadPool::new(4));
+    let (seq, seq_metrics) = fig06::run_with(Scale::Quick, &ThreadPool::new(1));
+    let (par, par_metrics) = fig06::run_with(Scale::Quick, &ThreadPool::new(4));
     assert_eq!(seq, par, "fig6 grid must not depend on --jobs");
+    assert_eq!(seq_metrics.to_ndjson(), par_metrics.to_ndjson());
 }
 
 #[test]
 fn fig06_dynamic_ring_cut_is_identical_across_worker_counts() {
-    let seq = fig06::run_dynamic_with(Scale::Quick, &ThreadPool::new(1));
+    let seq = fig06::run_dynamic_with(Scale::Quick, &ThreadPool::new(1), false).0;
     for workers in [2, 4, 8] {
-        let par = fig06::run_dynamic_with(Scale::Quick, &ThreadPool::new(workers));
+        let par = fig06::run_dynamic_with(Scale::Quick, &ThreadPool::new(workers), false).0;
         assert_eq!(
             seq, par,
             "fig6 dynamic ring-cut scenario must not depend on --jobs (workers={workers})"

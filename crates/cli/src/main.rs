@@ -161,7 +161,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         );
         r.assignment
     } else {
-        let a = greedy::assign_best(m);
+        let a = greedy::assign_best(m, 0);
         println!(
             "greedy plan: {} wavelengths (lower bound {})",
             a.channels_used(),
@@ -169,7 +169,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         );
         a
     };
-    assignment.validate().map_err(|e| e.to_string())?;
+    assignment.validate(0).map_err(|e| e.to_string())?;
 
     for (shown, (pair, dir, ch)) in assignment.entries().iter().enumerate() {
         if shown >= show {
@@ -452,12 +452,7 @@ fn cmd_rwa(args: &Args) -> Result<(), String> {
     show("cut fiber 0", &cut);
     let repair = rwa.apply(RingDelta::FiberRepair(0));
     show("repair fiber 0", &repair);
-    rwa.plan()
-        .clone()
-        .into_assignment()
-        .expect("healed ring")
-        .validate()
-        .map_err(|e| e.to_string())?;
+    rwa.plan().validate(0).map_err(|e| e.to_string())?;
     println!(
         "  healed plan valid: {} wavelengths",
         rwa.plan().channels_used()
@@ -628,6 +623,7 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         hosts_per_rack: hosts,
         channel_cap: 1.0,
         policy,
+        severed: Vec::new(),
     };
     let t = normalized_throughput(&fabric, &demands);
     println!(

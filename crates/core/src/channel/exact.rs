@@ -19,7 +19,7 @@
 //! the best known assignment with `status = BudgetExhausted`.
 
 use super::bounds::load_lower_bound;
-use super::{all_pairs, greedy, Arc, Assignment, Direction, Pair};
+use super::{all_pairs, arc_mask, arcs_shorter_first, greedy, Assignment, Direction, Pair};
 
 /// Outcome quality of [`solve`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,14 +47,6 @@ struct Candidate {
     pair: Pair,
     /// `(direction, mask)`, shorter arc first.
     arcs: [(Direction, u64); 2],
-}
-
-fn arc_mask(arc: &Arc) -> u64 {
-    let mut m = 0u64;
-    for l in arc.links() {
-        m |= 1 << l;
-    }
-    m
 }
 
 struct Search {
@@ -147,21 +139,9 @@ fn search_with(m: usize, channels: usize, budget: u64) -> Result<Option<Assignme
 
     let candidates: Vec<Candidate> = pairs
         .into_iter()
-        .map(|pair| {
-            let cw = Arc::of(pair, Direction::Cw, m);
-            let ccw = Arc::of(pair, Direction::Ccw, m);
-            let arcs = if cw.len <= ccw.len {
-                [
-                    (Direction::Cw, arc_mask(&cw)),
-                    (Direction::Ccw, arc_mask(&ccw)),
-                ]
-            } else {
-                [
-                    (Direction::Ccw, arc_mask(&ccw)),
-                    (Direction::Cw, arc_mask(&cw)),
-                ]
-            };
-            Candidate { pair, arcs }
+        .map(|pair| Candidate {
+            pair,
+            arcs: arcs_shorter_first(pair, m).map(|(dir, arc)| (dir, arc_mask(&arc))),
         })
         .collect();
 
@@ -200,7 +180,7 @@ pub fn solve(m: usize, node_budget: u64) -> ExactResult {
         "exact solver supports 2..=64 switches"
     );
     let lb = load_lower_bound(m);
-    let greedy_best = greedy::assign_best(m);
+    let greedy_best = greedy::assign_best(m, 0);
     let ub = greedy_best.channels_used();
 
     if ub == lb {
@@ -219,7 +199,7 @@ pub fn solve(m: usize, node_budget: u64) -> ExactResult {
     for c in lb..ub {
         match search_with(m, c, node_budget) {
             Ok(Some(a)) => {
-                debug_assert!(a.validate().is_ok());
+                debug_assert!(a.validate(0).is_ok());
                 return ExactResult {
                     channels: a.channels_used(),
                     assignment: a,
@@ -271,7 +251,7 @@ mod tests {
         for m in 2..=13 {
             let r = solve(m, 2_000_000);
             assert!(r.channels >= load_lower_bound(m));
-            r.assignment.validate().unwrap();
+            r.assignment.validate(0).unwrap();
             assert_eq!(r.channels, r.assignment.channels_used());
         }
     }
@@ -319,7 +299,7 @@ mod tests {
                 let r = solve(m, 1);
                 assert_eq!(r.status, ExactStatus::BudgetExhausted);
                 assert_eq!(r.channels, g);
-                r.assignment.validate().unwrap();
+                r.assignment.validate(0).unwrap();
                 return;
             }
         }

@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn greedy_solutions_are_ilp_feasible() {
         for m in 2..=14 {
-            let a = greedy::assign_best(m);
+            let a = greedy::assign_best(m, 0);
             let model = IlpModel::new(m, a.channels_used());
             assert!(model.is_feasible(&a), "m={m}: {:?}", model.check(&a));
         }
@@ -245,9 +245,9 @@ mod tests {
         // paper's exact program.
         for m in 3..=10 {
             for start in 0..m {
-                let a = greedy::assign(m, start);
+                let a = greedy::assign(m, 0, start);
                 let model = IlpModel::new(m, a.channels_used());
-                assert_eq!(model.is_feasible(&a), a.validate().is_ok(), "m={m}");
+                assert_eq!(model.is_feasible(&a), a.validate(0).is_ok(), "m={m}");
             }
         }
     }

@@ -19,9 +19,16 @@
 //! ring fibers are cut and repaired, warm-starting each re-solve from
 //! the incumbent and falling back to the greedy under a node budget.
 //!
+//! An intact ring is the case with no dead fibers (§3.5 treats a cut as
+//! the same ring with links missing): one [`Assignment`] type, one
+//! validator and one greedy serve both. On a cut ring a pair whose two
+//! arcs both cross dead fibers is *unroutable* and listed as such.
+//!
 //! Conventions: the ring has `m` switches `0..m`. Fiber link `i` connects
 //! switch `i` to switch `(i+1) % m`. The clockwise arc from `a` covers
-//! links `a, a+1, …`; pairs are stored normalized with `a < b`.
+//! links `a, a+1, …`; pairs are stored normalized with `a < b`. Dead
+//! fibers are a `u64` bitmask (bit `i` = fiber `i`), so only rings of at
+//! most 64 switches can have any; larger rings plan intact.
 
 pub mod bounds;
 pub mod exact;
@@ -30,6 +37,7 @@ pub mod ilp;
 pub mod online;
 
 use quartz_optics::wavelength::{ChannelId, Grid};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// An unordered switch pair, normalized so `a < b`.
@@ -140,6 +148,40 @@ impl Arc {
     }
 }
 
+/// Bitmask of the fiber links `arc` crosses (rings of at most 64
+/// switches).
+pub(crate) fn arc_mask(arc: &Arc) -> u64 {
+    let mut mask = 0u64;
+    for l in arc.links() {
+        mask |= 1 << l;
+    }
+    mask
+}
+
+/// Both arcs of `pair`, shorter first (clockwise on ties): the order
+/// every solver tries them in.
+pub(crate) fn arcs_shorter_first(pair: Pair, m: usize) -> [(Direction, Arc); 2] {
+    let cw = Arc::of(pair, Direction::Cw, m);
+    let ccw = Arc::of(pair, Direction::Ccw, m);
+    if cw.len <= ccw.len {
+        [(Direction::Cw, cw), (Direction::Ccw, ccw)]
+    } else {
+        [(Direction::Ccw, ccw), (Direction::Cw, cw)]
+    }
+}
+
+/// The first fiber of `arc` (in arc order) that is in the `dead` mask.
+pub(crate) fn dead_fiber(arc: &Arc, dead: u64) -> Option<usize> {
+    arc.links().find(|&l| l < 64 && dead >> l & 1 == 1)
+}
+
+/// Whether `pair` has at least one arc avoiding the `dead` fibers.
+pub fn routable(pair: Pair, m: usize, dead: u64) -> bool {
+    arcs_shorter_first(pair, m)
+        .iter()
+        .any(|(_, arc)| dead_fiber(arc, dead).is_none())
+}
+
 /// Why an [`Assignment`] fails validation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AssignmentError {
@@ -152,10 +194,20 @@ pub enum AssignmentError {
         /// The two offending pairs.
         pairs: (Pair, Pair),
     },
-    /// A switch pair has no channel assigned.
+    /// A switch pair is neither assigned nor listed unroutable.
     MissingPair(Pair),
-    /// A pair appears more than once.
+    /// A pair appears more than once across entries and unroutable
+    /// pairs.
     DuplicatePair(Pair),
+    /// An entry's arc crosses a dead fiber.
+    DeadFiber {
+        /// The offending pair.
+        pair: Pair,
+        /// The dead fiber its arc crosses.
+        link: usize,
+    },
+    /// A pair is listed unroutable but has a surviving arc.
+    SpuriousUnroutable(Pair),
 }
 
 impl fmt::Display for AssignmentError {
@@ -172,25 +224,39 @@ impl fmt::Display for AssignmentError {
             ),
             AssignmentError::MissingPair(p) => write!(f, "pair {p} has no channel"),
             AssignmentError::DuplicatePair(p) => write!(f, "pair {p} assigned twice"),
+            AssignmentError::DeadFiber { pair, link } => {
+                write!(f, "pair {pair} routed over dead fiber {link}")
+            }
+            AssignmentError::SpuriousUnroutable(p) => {
+                write!(f, "pair {p} marked unroutable but has a live arc")
+            }
         }
     }
 }
 
 impl std::error::Error for AssignmentError {}
 
-/// A complete channel assignment for a ring of `m` switches.
+/// A channel assignment for a ring of `m` switches: every pair is either
+/// routed (an entry with direction and channel) or unroutable (both arcs
+/// cross dead fibers). On an intact ring nothing is unroutable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Assignment {
     m: usize,
-    /// `(pair, direction, channel)` triples, one per unordered pair.
+    /// `(pair, direction, channel)` triples, one per routed pair.
     entries: Vec<(Pair, Direction, u16)>,
+    /// Pairs with no surviving arc, sorted.
+    unroutable: Vec<Pair>,
 }
 
 impl Assignment {
-    /// Builds an assignment from raw entries (validated lazily via
-    /// [`Assignment::validate`]).
+    /// Builds an intact-ring assignment from raw entries (validated
+    /// lazily via [`Assignment::validate`]).
     pub fn from_entries(m: usize, entries: Vec<(Pair, Direction, u16)>) -> Self {
-        Assignment { m, entries }
+        Assignment {
+            m,
+            entries,
+            unroutable: Vec::new(),
+        }
     }
 
     /// Ring size.
@@ -198,21 +264,26 @@ impl Assignment {
         self.m
     }
 
-    /// The raw `(pair, direction, channel)` triples.
+    /// The routed `(pair, direction, channel)` triples.
     pub fn entries(&self) -> &[(Pair, Direction, u16)] {
         &self.entries
     }
 
-    /// Number of distinct channels used.
+    /// Pairs with no surviving arc, sorted (empty on an intact ring).
+    pub fn unroutable(&self) -> &[Pair] {
+        &self.unroutable
+    }
+
+    /// Number of distinct channels used by the routed pairs.
     pub fn channels_used(&self) -> usize {
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         for (_, _, c) in &self.entries {
             seen.insert(*c);
         }
         seen.len()
     }
 
-    /// The entry for a given pair, if assigned.
+    /// The entry for a given pair, if routed.
     pub fn lookup(&self, pair: Pair) -> Option<(Direction, u16)> {
         self.entries
             .iter()
@@ -231,12 +302,14 @@ impl Assignment {
         loads
     }
 
-    /// Checks the two §3.1 invariants: every pair has exactly one channel,
-    /// and no channel repeats on any link.
-    pub fn validate(&self) -> Result<(), AssignmentError> {
-        // Completeness and uniqueness.
-        let mut seen = std::collections::BTreeSet::new();
-        for (pair, _, _) in &self.entries {
+    /// Checks the §3.1 invariants on a ring whose `dead` fibers are cut
+    /// (0 for an intact ring): every pair accounted for exactly once, no
+    /// routed arc over a dead fiber, the unroutable list honest, and no
+    /// channel repeated on any link.
+    pub fn validate(&self, dead: u64) -> Result<(), AssignmentError> {
+        let mut seen = BTreeSet::new();
+        let listed = self.entries.iter().map(|(p, _, _)| p);
+        for pair in listed.chain(&self.unroutable) {
             if !seen.insert(*pair) {
                 return Err(AssignmentError::DuplicatePair(*pair));
             }
@@ -246,11 +319,17 @@ impl Assignment {
                 return Err(AssignmentError::MissingPair(pair));
             }
         }
+        if let Some(&p) = self.unroutable.iter().find(|&&p| routable(p, self.m, dead)) {
+            return Err(AssignmentError::SpuriousUnroutable(p));
+        }
         // Conflict-freedom: per (link, channel) at most one occupant.
-        let mut occupant: std::collections::BTreeMap<(usize, u16), Pair> =
-            std::collections::BTreeMap::new();
+        let mut occupant: BTreeMap<(usize, u16), Pair> = BTreeMap::new();
         for (pair, dir, ch) in &self.entries {
-            for link in Arc::of(*pair, *dir, self.m).links() {
+            let arc = Arc::of(*pair, *dir, self.m);
+            if let Some(link) = dead_fiber(&arc, dead) {
+                return Err(AssignmentError::DeadFiber { pair: *pair, link });
+            }
+            for link in arc.links() {
                 if let Some(prev) = occupant.insert((link, *ch), *pair) {
                     return Err(AssignmentError::Conflict {
                         link,
@@ -358,7 +437,7 @@ impl ChannelPlan {
 
     /// Validates the assignment and that it fits within the grid capacity.
     pub fn validate(&self) -> Result<(), PlanError> {
-        self.assignment.validate().map_err(PlanError::Assignment)?;
+        self.assignment.validate(0).map_err(PlanError::Assignment)?;
         let used = self.wavelengths_used();
         let cap = usize::from(self.grid.channel_count());
         if used > cap {
@@ -465,7 +544,7 @@ mod tests {
             entries.push((pair, Direction::Cw, 0u16)); // everyone on ch0
         }
         let a = Assignment::from_entries(m, entries);
-        match a.validate() {
+        match a.validate(0) {
             Err(AssignmentError::Conflict { channel: 0, .. }) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
@@ -475,7 +554,10 @@ mod tests {
     fn validate_catches_missing_and_duplicate() {
         let m = 4;
         let a = Assignment::from_entries(m, vec![(Pair::new(0, 1), Direction::Cw, 0)]);
-        assert!(matches!(a.validate(), Err(AssignmentError::MissingPair(_))));
+        assert!(matches!(
+            a.validate(0),
+            Err(AssignmentError::MissingPair(_))
+        ));
         let mut entries: Vec<_> = all_pairs(m)
             .into_iter()
             .enumerate()
@@ -484,9 +566,35 @@ mod tests {
         entries.push((Pair::new(0, 1), Direction::Ccw, 99));
         let a = Assignment::from_entries(m, entries);
         assert!(matches!(
-            a.validate(),
+            a.validate(0),
             Err(AssignmentError::DuplicatePair(_))
         ));
+    }
+
+    #[test]
+    fn validate_catches_dead_fiber_use() {
+        let m = 6;
+        let dead = 1u64 << 2;
+        let entries: Vec<_> = all_pairs(m)
+            .into_iter()
+            .enumerate()
+            .map(|(i, pair)| (pair, Direction::Cw, i as u16))
+            .collect();
+        let a = Assignment::from_entries(m, entries);
+        assert!(a.validate(0).is_ok());
+        assert!(matches!(
+            a.validate(dead),
+            Err(AssignmentError::DeadFiber { link: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn validate_catches_spurious_unroutable() {
+        let m = 5;
+        let mut a = greedy::assign_best(m, 0);
+        let (p, _, _) = a.entries.pop().unwrap();
+        a.unroutable.push(p);
+        assert_eq!(a.validate(0), Err(AssignmentError::SpuriousUnroutable(p)));
     }
 
     #[test]
@@ -499,7 +607,7 @@ mod tests {
             .map(|(i, p)| (p, Direction::Cw, i as u16))
             .collect();
         let a = Assignment::from_entries(m, entries);
-        assert!(a.validate().is_ok());
+        assert!(a.validate(0).is_ok());
         assert_eq!(a.channels_used(), 10);
     }
 

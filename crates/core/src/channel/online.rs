@@ -1,290 +1,39 @@
 //! Online (incremental) routing-and-wavelength assignment under churn.
 //!
-//! The offline solvers in [`greedy`](super::greedy) and
-//! [`exact`](super::exact) assume an intact ring. This module keeps a
-//! wavelength plan *live* while ring fibers are cut and repaired:
-//!
-//! * [`assign_degraded`] / [`assign_best_degraded`] — the paper's greedy
-//!   heuristic generalized to a ring with dead fibers. A pair whose two
-//!   arcs both cross dead fibers is *unroutable* and reported as such
-//!   rather than failing the solve.
-//! * [`OnlineRwa`] — the incremental controller. On each
-//!   [`RingDelta`] it warm-starts from the incumbent plan: entries whose
-//!   arcs survive are kept verbatim, only displaced or newly routable
-//!   pairs are re-placed, and a budgeted branch-and-bound repack (fixed
-//!   incumbent occupancy, bounded to the affected pairs) closes the gap
-//!   to the from-scratch greedy count when first-fit overshoots. If the
-//!   node budget runs out anywhere, the controller *falls back* to the
-//!   fresh greedy plan — the plan degrades (a retune storm), never the
-//!   solve.
+//! The offline solvers plan a ring once. This module keeps a wavelength
+//! plan *live* while ring fibers are cut and repaired: [`OnlineRwa`]
+//! holds the incumbent [`Assignment`] and the dead-fiber mask. On each
+//! [`RingDelta`] it warm-starts from the incumbent plan: entries whose
+//! arcs survive are kept verbatim, only displaced or newly routable
+//! pairs are re-placed, and a budgeted branch-and-bound repack (fixed
+//! incumbent occupancy, bounded to the affected pairs) closes the gap
+//! to the from-scratch greedy count when first-fit overshoots. If the
+//! node budget runs out anywhere, the controller *falls back* to the
+//! fresh greedy plan — the plan degrades (a retune storm), never the
+//! solve.
 //!
 //! Invariant, enforced by construction and pinned by the differential
-//! tests: after every delta the adopted plan is valid on the degraded
-//! ring and uses **no more channels than a from-scratch greedy solve**
-//! of the same degraded ring.
+//! tests: after every delta the adopted plan passes
+//! [`Assignment::validate`] against the dead fibers and uses **no more
+//! channels than [`greedy::assign_best`]** on the same cut ring — the
+//! same greedy that plans the intact ring, given the dead mask.
 //!
 //! Fiber `i` is the physical ring segment between switches `i` and
 //! `(i+1) % m`; dead fibers are a `u64` bitmask (hence `m ≤ 64`, same
 //! ceiling as the exact solver).
 
-use super::{all_pairs, greedy, Arc, Assignment, Direction, Pair};
+use super::{arc_mask, arcs_shorter_first, greedy, routable, Arc, Assignment, Direction, Pair};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-
-/// Bitmask of the fiber links an arc crosses.
-fn arc_mask(arc: &Arc) -> u64 {
-    let mut m = 0u64;
-    for l in arc.links() {
-        m |= 1 << l;
-    }
-    m
-}
 
 /// The candidate arcs of `pair` that avoid every dead fiber, shorter
 /// arc first (clockwise on ties) — the same preference order as the
-/// offline greedy.
+/// greedy.
 fn allowed_arcs(pair: Pair, m: usize, dead: u64) -> Vec<(Direction, u64, usize)> {
-    let cw = Arc::of(pair, Direction::Cw, m);
-    let ccw = Arc::of(pair, Direction::Ccw, m);
-    let ordered: [(Direction, Arc); 2] = if cw.len <= ccw.len {
-        [(Direction::Cw, cw), (Direction::Ccw, ccw)]
-    } else {
-        [(Direction::Ccw, ccw), (Direction::Cw, cw)]
-    };
-    ordered
+    arcs_shorter_first(pair, m)
         .into_iter()
         .map(|(d, a)| (d, arc_mask(&a), a.len))
         .filter(|(_, mask, _)| mask & dead == 0)
         .collect()
-}
-
-/// Whether `pair` has at least one arc avoiding the dead fibers.
-pub fn routable(pair: Pair, m: usize, dead: u64) -> bool {
-    !allowed_arcs(pair, m, dead).is_empty()
-}
-
-/// Why a [`DegradedAssignment`] fails validation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DegradedError {
-    /// A pair appears in neither the entries nor the unroutable list.
-    MissingPair(Pair),
-    /// A pair appears more than once across the two lists.
-    DuplicatePair(Pair),
-    /// An entry's arc crosses a dead fiber.
-    DeadFiber {
-        /// The offending pair.
-        pair: Pair,
-        /// The dead fiber its arc crosses.
-        link: usize,
-    },
-    /// A pair is listed unroutable but has a surviving arc.
-    SpuriousUnroutable(Pair),
-    /// Two lightpaths share a channel on a fiber link.
-    Conflict {
-        /// The fiber link where the clash occurs.
-        link: usize,
-        /// The clashing channel index.
-        channel: u16,
-        /// The two offending pairs.
-        pairs: (Pair, Pair),
-    },
-}
-
-impl fmt::Display for DegradedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DegradedError::MissingPair(p) => write!(f, "pair {p} is unaccounted for"),
-            DegradedError::DuplicatePair(p) => write!(f, "pair {p} appears twice"),
-            DegradedError::DeadFiber { pair, link } => {
-                write!(f, "pair {pair} routed over dead fiber {link}")
-            }
-            DegradedError::SpuriousUnroutable(p) => {
-                write!(f, "pair {p} marked unroutable but has a live arc")
-            }
-            DegradedError::Conflict {
-                link,
-                channel,
-                pairs,
-            } => write!(
-                f,
-                "channel {channel} used twice on link {link} by {} and {}",
-                pairs.0, pairs.1
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DegradedError {}
-
-/// A channel assignment for a ring with dead fibers: every pair is
-/// either routed (entry with direction + channel) or explicitly
-/// unroutable (both arcs cross dead fibers).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DegradedAssignment {
-    m: usize,
-    entries: Vec<(Pair, Direction, u16)>,
-    unroutable: Vec<Pair>,
-}
-
-impl DegradedAssignment {
-    /// Ring size.
-    pub fn ring_size(&self) -> usize {
-        self.m
-    }
-
-    /// The routed `(pair, direction, channel)` triples.
-    pub fn entries(&self) -> &[(Pair, Direction, u16)] {
-        &self.entries
-    }
-
-    /// Pairs with no surviving arc, sorted.
-    pub fn unroutable(&self) -> &[Pair] {
-        &self.unroutable
-    }
-
-    /// Number of distinct channels used by the routed pairs.
-    pub fn channels_used(&self) -> usize {
-        let mut seen = BTreeSet::new();
-        for (_, _, c) in &self.entries {
-            seen.insert(*c);
-        }
-        seen.len()
-    }
-
-    /// The entry for a given pair, if routed.
-    pub fn lookup(&self, pair: Pair) -> Option<(Direction, u16)> {
-        self.entries
-            .iter()
-            .find(|(p, _, _)| *p == pair)
-            .map(|(_, d, c)| (*d, *c))
-    }
-
-    /// Converts into a complete [`Assignment`] — only possible when no
-    /// pair is unroutable (i.e. the ring has healed).
-    pub fn into_assignment(self) -> Option<Assignment> {
-        if self.unroutable.is_empty() {
-            Some(Assignment::from_entries(self.m, self.entries))
-        } else {
-            None
-        }
-    }
-
-    /// Checks the degraded-ring invariants against `dead`: every pair
-    /// accounted for exactly once, no routed arc over a dead fiber, the
-    /// unroutable list honest, and no channel reused on any link.
-    pub fn validate(&self, dead: u64) -> Result<(), DegradedError> {
-        let mut seen = BTreeSet::new();
-        for (pair, _, _) in &self.entries {
-            if !seen.insert(*pair) {
-                return Err(DegradedError::DuplicatePair(*pair));
-            }
-        }
-        for pair in &self.unroutable {
-            if !seen.insert(*pair) {
-                return Err(DegradedError::DuplicatePair(*pair));
-            }
-        }
-        for pair in all_pairs(self.m) {
-            if !seen.contains(&pair) {
-                return Err(DegradedError::MissingPair(pair));
-            }
-        }
-        for pair in &self.unroutable {
-            if routable(*pair, self.m, dead) {
-                return Err(DegradedError::SpuriousUnroutable(*pair));
-            }
-        }
-        let mut occupant: BTreeMap<(usize, u16), Pair> = BTreeMap::new();
-        for (pair, dir, ch) in &self.entries {
-            let arc = Arc::of(*pair, *dir, self.m);
-            for link in arc.links() {
-                if dead & (1 << link) != 0 {
-                    return Err(DegradedError::DeadFiber { pair: *pair, link });
-                }
-                if let Some(prev) = occupant.insert((link, *ch), *pair) {
-                    return Err(DegradedError::Conflict {
-                        link,
-                        channel: *ch,
-                        pairs: (prev, *pair),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The paper's greedy heuristic on a ring with dead fibers, fixed scan
-/// offset. Longest paths first; each routable pair takes its lowest
-/// free channel over the surviving arcs (shorter arc preferred, the
-/// other direction only when it admits a strictly lower channel); pairs
-/// with no surviving arc land in the unroutable list.
-///
-/// # Panics
-/// Panics unless `2 ≤ m ≤ 64` (dead fibers are a 64-bit mask).
-pub fn assign_degraded(m: usize, dead: u64, start: usize) -> DegradedAssignment {
-    assert!(
-        (2..=64).contains(&m),
-        "degraded assignment supports 2..=64 switches"
-    );
-    // `used[c]` = bitmask of links occupied on channel `c`.
-    let mut used: Vec<u64> = Vec::new();
-    let mut entries = Vec::with_capacity(m * (m - 1) / 2);
-    let mut unroutable = Vec::new();
-
-    let max_d = m / 2;
-    for d in (1..=max_d).rev() {
-        let count = if m.is_multiple_of(2) && d == m / 2 {
-            m / 2
-        } else {
-            m
-        };
-        for idx in 0..count {
-            let i = (start + idx) % m;
-            let pair = Pair::new(i, (i + d) % m);
-            let candidates = allowed_arcs(pair, m, dead);
-            if candidates.is_empty() {
-                unroutable.push(pair);
-                continue;
-            }
-            let mut best: Option<(Direction, u64, usize)> = None;
-            for (dir, mask, _) in candidates {
-                let ch = (0..)
-                    .find(|&c| used.get(c).is_none_or(|links| links & mask == 0))
-                    .expect("an unopened channel is always free");
-                let better = match &best {
-                    None => true,
-                    Some((_, _, best_ch)) => ch < *best_ch,
-                };
-                if better {
-                    best = Some((dir, mask, ch));
-                }
-            }
-            let (dir, mask, ch) = best.expect("at least one candidate");
-            debug_assert!(ch <= u16::MAX as usize, "channel ids fit u16");
-            while used.len() <= ch {
-                used.push(0);
-            }
-            used[ch] |= mask;
-            entries.push((pair, dir, ch as u16));
-        }
-    }
-    unroutable.sort_unstable();
-    DegradedAssignment {
-        m,
-        entries,
-        unroutable,
-    }
-}
-
-/// [`assign_degraded`] over every scan offset, keeping the result with
-/// the fewest channels (ties: lowest offset) — the from-scratch
-/// baseline the online controller must never exceed.
-pub fn assign_best_degraded(m: usize, dead: u64) -> DegradedAssignment {
-    (0..m)
-        .map(|s| assign_degraded(m, dead, s))
-        .min_by_key(|a| a.channels_used())
-        .expect("m >= 2 yields at least one offset")
 }
 
 /// One topology transition the control plane reacts to.
@@ -422,7 +171,7 @@ pub struct OnlineRwa {
     m: usize,
     dead: u64,
     node_budget: u64,
-    plan: DegradedAssignment,
+    plan: Assignment,
     /// Last tuning of every currently-unroutable pair, so a later
     /// restoration knows where its lasers are parked.
     parked: BTreeMap<Pair, (Direction, u16)>,
@@ -437,16 +186,11 @@ impl OnlineRwa {
     /// Panics unless `2 ≤ m ≤ 64`.
     pub fn new(m: usize, node_budget: u64) -> Self {
         assert!((2..=64).contains(&m), "online RWA supports 2..=64 switches");
-        let seed_plan = greedy::assign_best(m);
         OnlineRwa {
             m,
             dead: 0,
             node_budget,
-            plan: DegradedAssignment {
-                m,
-                entries: seed_plan.entries().to_vec(),
-                unroutable: Vec::new(),
-            },
+            plan: greedy::assign_best(m, 0),
             parked: BTreeMap::new(),
         }
     }
@@ -462,7 +206,7 @@ impl OnlineRwa {
     }
 
     /// The incumbent (currently adopted) plan.
-    pub fn plan(&self) -> &DegradedAssignment {
+    pub fn plan(&self) -> &Assignment {
         &self.plan
     }
 
@@ -498,7 +242,7 @@ impl OnlineRwa {
 
         // The from-scratch baseline: bound, fallback plan, and the
         // differential-test oracle, all in one solve.
-        let fresh = assign_best_degraded(self.m, dead);
+        let fresh = greedy::assign_best(self.m, dead);
         let fresh_channels = fresh.channels_used();
 
         // Partition the incumbent: entries whose arcs survive are kept
@@ -610,7 +354,7 @@ impl OnlineRwa {
             "parked set must mirror the unroutable set"
         );
 
-        self.plan = DegradedAssignment {
+        self.plan = Assignment {
             m: self.m,
             entries: new_entries,
             unroutable: still_dark.clone(),
@@ -843,79 +587,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn degraded_with_no_dead_fibers_matches_plain_greedy() {
-        for m in [4usize, 7, 9, 12] {
-            let degraded = assign_best_degraded(m, 0);
-            assert!(degraded.unroutable().is_empty());
-            assert_eq!(
-                degraded.channels_used(),
-                greedy::assign_best(m).channels_used(),
-                "m={m}"
-            );
-            degraded.validate(0).unwrap();
-        }
-    }
-
-    #[test]
-    fn single_cut_keeps_every_pair_routable() {
-        // One dead fiber leaves the ring a path: every pair still has
-        // the all-the-way-around arc.
-        for m in [5usize, 8, 11] {
-            for fiber in 0..m {
-                let dead = 1u64 << fiber;
-                let a = assign_best_degraded(m, dead);
-                assert!(a.unroutable().is_empty(), "m={m} fiber={fiber}");
-                a.validate(dead).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn two_cuts_partition_exactly_the_cross_pairs() {
-        // Cutting fibers 0 and 3 on a ring of 8 splits switches
-        // {1,2,3} from {4,...,0}; pairs straddling the split are
-        // unroutable.
-        let m = 8;
-        let dead = (1u64 << 0) | (1u64 << 3);
-        let a = assign_best_degraded(m, dead);
-        a.validate(dead).unwrap();
-        for p in a.unroutable() {
-            let side = |s: usize| (1..=3).contains(&s);
-            assert_ne!(side(p.a), side(p.b), "pair {p} should straddle the cut");
-        }
-        assert_eq!(a.unroutable().len(), 3 * 5);
-    }
-
-    #[test]
-    fn validate_catches_dead_fiber_use() {
-        let m = 6;
-        let dead = 1u64 << 2;
-        let entries: Vec<_> = all_pairs(m)
-            .into_iter()
-            .enumerate()
-            .map(|(i, pair)| (pair, Direction::Cw, i as u16))
-            .collect();
-        let a = DegradedAssignment {
-            m,
-            entries,
-            unroutable: vec![],
-        };
-        assert!(matches!(
-            a.validate(dead),
-            Err(DegradedError::DeadFiber { link: 2, .. })
-        ));
-    }
-
-    #[test]
-    fn validate_catches_spurious_unroutable() {
-        let m = 5;
-        let mut a = assign_best_degraded(m, 0);
-        let (p, _, _) = a.entries.pop().unwrap();
-        a.unroutable.push(p);
-        assert_eq!(a.validate(0), Err(DegradedError::SpuriousUnroutable(p)));
-    }
-
-    #[test]
     fn cut_then_repair_round_trips_to_a_complete_valid_plan() {
         for m in [6usize, 9, 13] {
             let mut rwa = OnlineRwa::new(m, DEFAULT_NODE_BUDGET);
@@ -926,8 +597,9 @@ mod tests {
             let r2 = rwa.apply(RingDelta::FiberRepair(1));
             assert!(r2.channels <= r2.fresh_channels);
             assert_eq!(rwa.dead_mask(), 0);
-            let plan = rwa.plan().clone().into_assignment().expect("ring healed");
-            plan.validate().unwrap();
+            let plan = rwa.plan();
+            assert!(plan.unroutable().is_empty(), "ring healed");
+            plan.validate(0).unwrap();
             assert!(
                 plan.channels_used() <= baseline,
                 "m={m}: healed plan {} > baseline {baseline}",
@@ -1007,7 +679,7 @@ mod tests {
         for delta in deltas {
             let r = rwa.apply(delta);
             rwa.plan().validate(rwa.dead_mask()).unwrap();
-            let scratch = assign_best_degraded(m, rwa.dead_mask());
+            let scratch = greedy::assign_best(m, rwa.dead_mask());
             assert_eq!(r.fresh_channels, scratch.channels_used());
             assert!(
                 r.channels <= scratch.channels_used(),

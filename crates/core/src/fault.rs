@@ -145,7 +145,7 @@ impl FailureModel {
     pub fn new(m: usize, rings: usize) -> Self {
         assert!(m >= 3, "fault analysis needs ≥ 3 switches");
         assert!(rings >= 1, "at least one physical ring");
-        let assignment = greedy::assign_best(m);
+        let assignment = greedy::assign_best(m, 0);
         let paths = assignment
             .entries()
             .iter()

@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn paper_33_ring_needs_two_wdm_devices() {
-        let a = greedy::assign_best(33);
+        let a = greedy::assign_best(33, 0);
         assert_eq!(MultiRingPlan::min_rings(&a, 80), 2);
         // One ring cannot carry it…
         assert!(MultiRingPlan::new(&a, 1, 80).is_err());
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn small_rings_fit_one_device() {
-        let a = greedy::assign_best(9);
+        let a = greedy::assign_best(9, 0);
         let plan = MultiRingPlan::new(&a, 1, 80).unwrap();
         assert_eq!(plan.rings(), 1);
         assert_eq!(plan.channels_on(0), a.channels_used());
@@ -150,7 +150,7 @@ mod tests {
     fn extra_rings_add_headroom_for_fault_tolerance() {
         // §3.5's resilience configuration: four rings for a 33-switch
         // network leaves each WDM mostly empty.
-        let a = greedy::assign_best(33);
+        let a = greedy::assign_best(33, 0);
         let plan = MultiRingPlan::new(&a, 4, 80).unwrap();
         assert!(plan.is_balanced());
         assert!(plan.headroom() >= 80 - 36);
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn ring_of_is_round_robin() {
-        let a = greedy::assign_best(7);
+        let a = greedy::assign_best(7, 0);
         let plan = MultiRingPlan::new(&a, 3, 80).unwrap();
         for ch in 0..a.channels_used() as u16 {
             assert_eq!(plan.ring_of(ch), usize::from(ch) % 3);
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn error_reports_the_overload() {
-        let a = greedy::assign_best(20);
+        let a = greedy::assign_best(20, 0);
         match MultiRingPlan::new(&a, 1, 10) {
             Err(MultiRingError::CapacityExceeded {
                 ring: 0,

@@ -188,7 +188,7 @@ impl QuartzRing {
     /// Runs the greedy wavelength planner and returns the channel plan on
     /// the DWDM grid sized for this design.
     pub fn assign_channels(&self) -> ChannelPlan {
-        let assignment = greedy::assign_best(self.switches);
+        let assignment = greedy::assign_best(self.switches, 0);
         let grid = if assignment.channels_used() > WDM_MUX_CHANNELS {
             Grid::dwdm_50ghz_160ch()
         } else {

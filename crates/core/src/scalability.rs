@@ -94,8 +94,8 @@ pub fn expansion_step(m: usize) -> ExpansionStep {
 /// the bare re-lock window when only the arc direction flips).
 pub fn expansion_step_with(m: usize, model: &RetuneModel) -> ExpansionStep {
     assert!(m >= 2);
-    let before = greedy::assign_best(m);
-    let after = greedy::assign_best(m + 1);
+    let before = greedy::assign_best(m, 0);
+    let after = greedy::assign_best(m + 1, 0);
     let mut retuned = 0;
     let mut added = 0;
     let mut retune_total_ns = 0u64;

@@ -14,28 +14,25 @@
 //!   **max-min fair** rate allocation for flows over capacitated links
 //!   (the steady state TCP-like transport converges toward);
 //! * [`fabric`] — abstract capacity models: the Quartz mesh with
-//!   ECMP-direct or VLB split routing (§3.4), the ideal full-bisection
-//!   fabric, and oversubscribed (1/2, 1/4 bisection) fabrics;
+//!   ECMP-direct or VLB split routing (§3.4), intact or after fiber cuts
+//!   (severed channels carry nothing and their traffic detours over
+//!   surviving paths), the ideal full-bisection fabric, and
+//!   oversubscribed (1/2, 1/4 bisection) fabrics;
 //! * [`matrix`] — the three §5.1 traffic patterns: random permutation,
 //!   incast (10:1), and rack-level shuffle;
 //! * [`throughput`] — normalized-throughput computation ("equals 1 if
 //!   every server can send traffic at its full rate"), reproducing
-//!   Figure 10;
-//! * [`degraded`] — the same capacity model after fiber cuts: severed
-//!   channels carry nothing and their traffic detours over surviving
-//!   paths, quantifying how gracefully the mesh loses throughput.
+//!   Figure 10, and how gracefully a cut mesh loses throughput.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-pub mod degraded;
 pub mod fabric;
 pub mod matrix;
 pub mod throughput;
 pub mod waterfill;
 
-pub use degraded::DegradedQuartzFabric;
 pub use fabric::{Fabric, OversubscribedFabric, QuartzFabric};
 pub use matrix::{incast, rack_shuffle, random_permutation, Demand};
 pub use throughput::{normalized_throughput, NormalizedThroughput};

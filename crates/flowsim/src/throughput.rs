@@ -66,6 +66,7 @@ pub fn adaptive_quartz_throughput(
             hosts_per_rack,
             channel_cap,
             policy,
+            severed: Vec::new(),
         };
         let t = normalized_throughput(&f, demands);
         // total_cmp: total over NaN and identical to `>` for the
@@ -151,6 +152,7 @@ mod tests {
             hosts_per_rack: HPR,
             channel_cap: 1.0,
             policy: policy.into(),
+            severed: Vec::new(),
         }
     }
 

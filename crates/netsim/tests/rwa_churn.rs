@@ -7,8 +7,8 @@
 //!   interleavings, after every delta the warm-started incremental plan
 //!   is valid on the degraded ring and uses no more channels than a
 //!   from-scratch greedy solve of the same ring; once every fiber is
-//!   repaired the plan converts to a complete [`Assignment`] that
-//!   passes [`Assignment::validate`]. Debug asserts inside
+//!   repaired the plan has no unroutable pair and passes
+//!   `Assignment::validate` on the intact ring. Debug asserts inside
 //!   `OnlineRwa::apply` (active here) cross-check the warm and fresh
 //!   solvers' unroutable sets on every delta.
 //! * **Budget**: a zero-budget controller completes every delta via the
@@ -20,9 +20,8 @@
 //!   path (its own debug_assert cross-checks against the from-scratch
 //!   build in these runs).
 
-use quartz_core::channel::online::{
-    assign_best_degraded, OnlineRwa, ResolveOutcome, RingDelta, DEFAULT_NODE_BUDGET,
-};
+use quartz_core::channel::greedy;
+use quartz_core::channel::online::{OnlineRwa, ResolveOutcome, RingDelta, DEFAULT_NODE_BUDGET};
 use quartz_core::pool::{unit_seed, ThreadPool};
 use quartz_core::rng::StdRng;
 use quartz_netsim::faults::FaultKind;
@@ -70,7 +69,7 @@ fn incremental_plan_is_valid_and_no_worse_than_scratch_under_churn() {
                 rwa.plan()
                     .validate(dead)
                     .unwrap_or_else(|e| panic!("m={m} seed={seed:#x} {delta:?}: {e}"));
-                let scratch = assign_best_degraded(m, dead);
+                let scratch = greedy::assign_best(m, dead);
                 assert_eq!(r.fresh_channels, scratch.channels_used());
                 assert!(
                     r.channels <= scratch.channels_used(),
@@ -80,15 +79,15 @@ fn incremental_plan_is_valid_and_no_worse_than_scratch_under_churn() {
                 );
                 assert_eq!(rwa.plan().unroutable(), scratch.unroutable());
             }
-            // Fully healed: the degraded plan is a complete assignment.
+            // Fully healed: the plan is a complete intact-ring assignment.
             assert_eq!(rwa.dead_mask(), 0);
-            let plan = rwa
-                .plan()
-                .clone()
-                .into_assignment()
-                .expect("healed ring has no unroutable pairs");
-            plan.validate().expect("healed plan is a valid assignment");
-            assert!(plan.channels_used() <= assign_best_degraded(m, 0).channels_used());
+            let plan = rwa.plan();
+            assert!(
+                plan.unroutable().is_empty(),
+                "healed ring has unroutable pairs"
+            );
+            plan.validate(0).expect("healed plan is a valid assignment");
+            assert!(plan.channels_used() <= greedy::assign_best(m, 0).channels_used());
         }
     }
 }
@@ -109,12 +108,8 @@ fn zero_budget_churn_degrades_but_never_aborts() {
             rwa.plan().validate(rwa.dead_mask()).unwrap();
         }
         assert!(fallbacks > 0, "a zero budget must trip the fallback");
-        rwa.plan()
-            .clone()
-            .into_assignment()
-            .expect("healed")
-            .validate()
-            .unwrap();
+        assert!(rwa.plan().unroutable().is_empty(), "healed");
+        rwa.plan().validate(0).unwrap();
     }
 }
 

@@ -45,7 +45,7 @@
 //! [`FlatRoutes`] resolves the same table to `(next hop, directed link
 //! slot)` entries for the simulator's per-hop path.
 
-use crate::graph::{LinkId, Network, NodeId, NodeKind};
+use crate::graph::{LinkId, Network, NodeId};
 use std::collections::VecDeque;
 use std::fmt;
 use std::mem::size_of;
@@ -80,6 +80,10 @@ pub struct RouteTable {
     offsets: Vec<u32>,
     /// Concatenated ECMP sets, each in the at-node's adjacency order.
     hops: Vec<NodeId>,
+    /// The dead links of the failure state the table routes around,
+    /// ascending (empty on an intact fabric). [`FlatRoutes`] resolves a
+    /// next hop behind parallel links to the first one not listed here.
+    dead_links: Vec<LinkId>,
 }
 
 /// Where a node sits in a [`RouteTable`].
@@ -145,45 +149,36 @@ impl RouteTable {
             dist,
             offsets,
             hops,
+            dead_links: net
+                .links()
+                .map(|l| l.id)
+                .filter(|&l| dead_link(l))
+                .collect(),
         }
     }
 
     /// Builds a single-path table routed along the BFS spanning tree
     /// rooted at `root` — the behaviour of classic L2 Ethernet, where
     /// "Ethernet creates a single spanning tree … it can only utilize a
-    /// small fraction of the links in the network" (§3.4).
+    /// small fraction of the links in the network" (§3.4). The table is
+    /// the fabric's own with every link off the tree dead, so it
+    /// forwards on the fabric's tree links.
     pub fn spanning_tree(net: &Network, root: NodeId) -> Self {
-        let n = net.node_count();
-        // Parent pointers of the BFS tree.
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
-        let mut seen = vec![false; n];
+        let mut seen = vec![false; net.node_count()];
+        let mut tree = vec![false; net.link_count()];
         let mut q = VecDeque::new();
         seen[root.0 as usize] = true;
         q.push_back(root);
         while let Some(u) = q.pop_front() {
-            for &(v, _) in net.neighbors(u) {
+            for &(v, l) in net.neighbors(u) {
                 if !seen[v.0 as usize] {
                     seen[v.0 as usize] = true;
-                    parent[v.0 as usize] = Some(u);
+                    tree[l.0 as usize] = true;
                     q.push_back(v);
                 }
             }
         }
-        // Tree adjacency.
-        let mut tree = Network::new();
-        for node in net.nodes() {
-            match node.kind {
-                NodeKind::Host => tree.add_host(node.rack),
-                NodeKind::Switch(r) => tree.add_switch(r, node.rack),
-            };
-        }
-        debug_assert!(parent.len() <= u32::MAX as usize, "node ids fit u32");
-        for (v, p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                tree.connect(NodeId(v as u32), *p, 1.0);
-            }
-        }
-        Self::all_shortest_paths(&tree)
+        Self::degraded(net, |l| !tree[l.0 as usize], |_| false)
     }
 
     /// Number of routing nodes, R.
@@ -282,6 +277,7 @@ impl RouteTable {
             + self.dist.capacity() * size_of::<u32>()
             + self.offsets.capacity() * size_of::<u32>()
             + self.hops.capacity() * size_of::<NodeId>()
+            + self.dead_links.capacity() * size_of::<LinkId>()
     }
 
     /// Incrementally updates the table for one topology `change`,
@@ -320,6 +316,14 @@ impl RouteTable {
     ) {
         match change {
             RouteChange::LinkDown(l) | RouteChange::LinkUp(l) => {
+                let at = self.dead_links.partition_point(|&d| d < l);
+                match (dead_link(l), self.dead_links.get(at) == Some(&l)) {
+                    (true, false) => self.dead_links.insert(at, l),
+                    (false, true) => {
+                        self.dead_links.remove(at);
+                    }
+                    _ => {}
+                }
                 let link = net.link(l);
                 for end in [link.a, link.b] {
                     if let Place::Leaf(leaf) = &mut self.place[end.0 as usize] {
@@ -637,13 +641,17 @@ impl FlatRoutes {
         let slot = |at: NodeId, l: LinkId| 2 * l.0 + u32::from(net.link(l).a != at);
 
         // Routing-node sets: same entries, same order as the table's;
-        // resolved per forwarding node through its first link to each
-        // neighbor (the link `Network::link_between` would pick).
+        // resolved per forwarding node through its first live link to
+        // each neighbor — the link `Network::link_between` picks on an
+        // intact fabric, and never a dead parallel link.
+        let dead = |l: LinkId| table.dead_links.binary_search(&l).is_ok();
         let mut hops = vec![(NodeId(0), 0); table.hops.len()];
         let mut first_slot = vec![u32::MAX; n];
         for (a, &at) in table.routers.iter().enumerate() {
             for &(v, l) in net.neighbors(at).iter().rev() {
-                first_slot[v.0 as usize] = slot(at, l);
+                if !dead(l) {
+                    first_slot[v.0 as usize] = slot(at, l);
+                }
             }
             for d in 0..r {
                 let i = d * r + a;

@@ -5,21 +5,23 @@
 //! onto their switch at lookup time; for every `(at, dst)` pair it must
 //! answer exactly what the oracle answers — same path length, same next
 //! hops in the same order, same ECMP pick — and [`FlatRoutes`] must add
-//! the same directed link slot a dense flattening would.
+//! the directed slot of the first link the oracle found toward that hop:
+//! the first live one of a set of parallel links, never a dead one.
 
 use quartz_core::rng::StdRng;
 use quartz_topology::builders::{
     bcube, camcube, dcell_1, dual_tor_mesh, fat_tree, jellyfish, leaf_spine, prototype_quartz,
     prototype_two_tier, quartz_in_core, quartz_in_edge, quartz_mesh, three_tier,
 };
-use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
+use quartz_topology::graph::{LinkId, Network, NodeId};
 use quartz_topology::route::{FlatRoutes, RouteChange, RouteTable};
 use std::collections::VecDeque;
 
-/// The dense all-pairs table: `dist[dst][at]`, `next[dst][at]`.
+/// The dense all-pairs table: `dist[dst][at]`, `next[dst][at]` as
+/// `(next hop, link)` entries.
 struct Oracle {
     dist: Vec<Vec<u32>>,
-    next: Vec<Vec<Vec<NodeId>>>,
+    next: Vec<Vec<Vec<(NodeId, LinkId)>>>,
 }
 
 impl Oracle {
@@ -45,35 +47,25 @@ impl Oracle {
         Oracle { dist, next }
     }
 
+    /// The BFS spanning tree rooted at `root`: the fabric with every
+    /// link off the tree dead.
     fn spanning_tree(net: &Network, root: NodeId) -> Self {
         let n = net.node_count();
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut seen = vec![false; n];
+        let mut tree = vec![false; net.link_count()];
         let mut q = VecDeque::new();
         seen[root.0 as usize] = true;
         q.push_back(root);
         while let Some(u) = q.pop_front() {
-            for &(v, _) in net.neighbors(u) {
+            for &(v, l) in net.neighbors(u) {
                 if !seen[v.0 as usize] {
                     seen[v.0 as usize] = true;
-                    parent[v.0 as usize] = Some(u);
+                    tree[l.0 as usize] = true;
                     q.push_back(v);
                 }
             }
         }
-        let mut tree = Network::new();
-        for node in net.nodes() {
-            match node.kind {
-                NodeKind::Host => tree.add_host(node.rack),
-                NodeKind::Switch(r) => tree.add_switch(r, node.rack),
-            };
-        }
-        for (v, p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                tree.connect(NodeId(v as u32), *p, 1.0);
-            }
-        }
-        Self::degraded(&tree, |_| false, |_| false)
+        Self::degraded(net, |l| !tree[l.0 as usize], |_| false)
     }
 }
 
@@ -82,7 +74,7 @@ fn bfs_to(
     dst: NodeId,
     dead_link: &impl Fn(LinkId) -> bool,
     dead_node: &impl Fn(NodeId) -> bool,
-) -> (Vec<u32>, Vec<Vec<NodeId>>) {
+) -> (Vec<u32>, Vec<Vec<(NodeId, LinkId)>>) {
     let n = net.node_count();
     let mut dist = vec![u32::MAX; n];
     let mut q = VecDeque::new();
@@ -109,7 +101,7 @@ fn bfs_to(
                 continue;
             }
             if dist[v.0 as usize] + 1 == dist[u] {
-                next[u].push(v);
+                next[u].push((v, l));
             }
         }
     }
@@ -135,7 +127,8 @@ fn assert_matches(label: &str, net: &Network, table: &RouteTable, oracle: &Oracl
                 want_len,
                 "{label}: path_len {at}->{dst}"
             );
-            let want = &oracle.next[d][a];
+            let want_links = &oracle.next[d][a];
+            let want: Vec<NodeId> = want_links.iter().map(|&(v, _)| v).collect();
             assert_eq!(
                 table.next_hops(at, dst),
                 &want[..],
@@ -147,9 +140,10 @@ fn assert_matches(label: &str, net: &Network, table: &RouteTable, oracle: &Oracl
                 want.len(),
                 "{label}: flat width {at}->{dst}"
             );
-            for (&(hop, slot), &w) in flat_hops.iter().zip(want) {
-                let l = net.link_between(at, w).expect("oracle hops are adjacent");
-                let dir = u32::from(net.link(l).a != at);
+            for (&(hop, slot), &(w, _)) in flat_hops.iter().zip(want_links) {
+                // Parallel links to `w` share the first live one.
+                let (_, l) = want_links.iter().find(|&&(v, _)| v == w).unwrap();
+                let dir = u32::from(net.link(*l).a != at);
                 assert_eq!(
                     (hop, slot),
                     (w, 2 * l.0 + dir),
@@ -322,4 +316,32 @@ fn patch_scripts_match_scratch_and_oracle() {
             }
         }
     }
+}
+
+/// A dead parallel link is never forwarded on: after reconvergence the
+/// flat entry resolves through the surviving twin, not the first link
+/// between the two switches (`Network::link_between`).
+#[test]
+fn flat_routes_skip_a_dead_parallel_link() {
+    let net = leaf_spine(4, 2, 3, 2, 10.0).net;
+    let dead = LinkId(0);
+    let (a, b) = (net.link(dead).a, net.link(dead).b);
+    let twins = net.neighbors(a).iter().filter(|&&(v, _)| v == b).count();
+    assert!(twins > 1, "link 0 must have a parallel twin");
+    let table = RouteTable::degraded(&net, |l| l == dead, |_| false);
+    let flat = FlatRoutes::new(&table, &net);
+    let n = net.node_count() as u32;
+    let mut through_twin = 0;
+    for at in (0..n).map(NodeId) {
+        for dst in (0..n).map(NodeId) {
+            for &(hop, slot) in flat.next_hops(at, dst) {
+                assert_ne!(slot / 2, dead.0, "{at}->{dst} forwards on the dead link");
+                through_twin += usize::from((at, hop) == (a, b) || (at, hop) == (b, a));
+            }
+        }
+    }
+    assert!(
+        through_twin > 0,
+        "traffic still crosses between the two switches"
+    );
 }

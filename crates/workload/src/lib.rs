@@ -26,10 +26,6 @@
 //! bucket ([`report`]), runs bit-identically at any worker count
 //! ([`run::run_units`]), and emits flow/collective events through the
 //! observability layer.
-//!
-//! The original closed-loop latency scenarios predating this crate
-//! live on in `quartz_netsim::workload`, re-exported here as
-//! [`classic`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,10 +37,6 @@ pub mod report;
 pub mod run;
 pub mod spec;
 pub mod trace;
-
-/// The pre-existing closed-loop latency scenarios (ping-pong,
-/// permutation, …) from the simulator crate.
-pub use quartz_netsim::workload as classic;
 
 pub use collective::{run_allreduce, CollectiveAlgo, CollectiveReport, CollectiveStep};
 pub use dist::{SizeDist, HADOOP, WEBSEARCH};

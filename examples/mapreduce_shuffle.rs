@@ -26,6 +26,7 @@ fn main() {
             hosts_per_rack: hpr,
             channel_cap: 1.0,
             policy: policy.into(),
+            severed: Vec::new(),
         };
         let t = normalized_throughput(&f, &d);
         println!("  {policy:<18} normalized throughput {:.3}", t.normalized);
@@ -42,6 +43,7 @@ fn main() {
                     hosts_per_rack: hpr,
                     channel_cap: 1.0,
                     policy: RoutingPolicy::EcmpDirect.into(),
+                    severed: Vec::new(),
                 },
                 &d,
             ),
@@ -54,6 +56,7 @@ fn main() {
                     hosts_per_rack: hpr,
                     channel_cap: 1.0,
                     policy: RoutingPolicy::vlb(0.75).into(),
+                    severed: Vec::new(),
                 },
                 &d,
             ),

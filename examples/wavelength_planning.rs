@@ -16,7 +16,7 @@ fn main() {
         m * (m - 1) / 2
     );
 
-    let g = greedy::assign_best(m);
+    let g = greedy::assign_best(m, 0);
     let e = solve(m, 50_000_000);
     println!(
         "greedy: {} wavelengths; exact: {} ({}); load bound: {}",

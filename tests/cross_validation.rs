@@ -65,6 +65,7 @@ fn flowsim_rates(demands: &[(usize, usize)]) -> Vec<f64> {
         hosts_per_rack: 2,
         channel_cap: 1.0,
         policy: RoutingPolicy::EcmpDirect.into(),
+        severed: Vec::new(),
     };
     max_min_rates(&fabric.problem(demands))
 }

@@ -20,8 +20,8 @@ use quartz::topology::route::RouteTable;
 fn greedy_assignment_always_valid() {
     for m in 2usize..24 {
         for start in 0..m {
-            let a = greedy::assign(m, start);
-            assert!(a.validate().is_ok(), "m={m} start={start}");
+            let a = greedy::assign(m, 0, start);
+            assert!(a.validate(0).is_ok(), "m={m} start={start}");
             assert_eq!(a.entries().len(), m * (m - 1) / 2);
             assert!(a.channels_used() >= load_lower_bound(m));
         }
@@ -54,7 +54,7 @@ fn arcs_tile_the_ring() {
 #[test]
 fn link_loads_conserve_hops() {
     for m in 3usize..16 {
-        let a = greedy::assign_best(m);
+        let a = greedy::assign_best(m, 0);
         let total: usize = a.link_loads().iter().sum();
         let arcs: usize = a
             .entries()

@@ -306,6 +306,9 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     if m < 3 {
         return Err("--switches must be ≥ 3".into());
     }
+    if trials == 0 {
+        return Err("--trials must be ≥ 1".into());
+    }
     let model = FailureModel::new(m, rings);
     let r = model.monte_carlo_with(failures, trials, seed, &ThreadPool::new(jobs));
     println!(
@@ -612,9 +615,10 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         "ecmp" => MeshRouting::EcmpDirect,
         "adaptive" => MeshRouting::VlbAdaptive,
         s => match s.strip_prefix("vlb:") {
-            Some(k) => {
-                MeshRouting::VlbUniform(k.parse().map_err(|_| format!("bad VLB fraction '{k}'"))?)
-            }
+            Some(k) => match k.parse::<f64>() {
+                Ok(f) if (0.0..=1.0).contains(&f) => MeshRouting::VlbUniform(f),
+                _ => return Err(format!("bad VLB fraction '{k}': must be in [0, 1]")),
+            },
             None => return Err(format!("unknown policy '{policy_s}'")),
         },
     };
@@ -1095,6 +1099,9 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
 fn cmd_power(args: &Args) -> Result<(), String> {
     args.expect_only(&["servers"])?;
     let servers: usize = args.num("servers", 10_000)?;
+    if servers == 0 {
+        return Err("--servers must be ≥ 1".into());
+    }
     use quartz_cost::bom::Design;
     use quartz_cost::power::PowerCatalog;
     let p = PowerCatalog::default();

@@ -89,3 +89,38 @@ fn faults_reports_both_metrics() {
     assert!(stdout.contains("bandwidth loss"));
     assert!(stdout.contains("partition probability"));
 }
+
+/// Runs `quartz args`, expecting a clean failure: non-zero exit, an
+/// `error:` line naming `what`, and no panic.
+fn rejects(args: &[&str], what: &str) {
+    let (ok, stdout, stderr) = quartz(args);
+    assert!(!ok, "{args:?} succeeded: {stdout}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(stderr.contains(what), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn power_rejects_zero_servers() {
+    rejects(&["power", "--servers", "0"], "--servers");
+}
+
+#[test]
+fn faults_rejects_zero_trials() {
+    rejects(&["faults", "--trials", "0"], "--trials");
+}
+
+#[test]
+fn throughput_rejects_vlb_fraction_above_one() {
+    rejects(&["throughput", "--policy", "vlb:2"], "VLB fraction");
+}
+
+#[test]
+fn throughput_rejects_negative_vlb_fraction() {
+    rejects(&["throughput", "--policy", "vlb:-1"], "VLB fraction");
+}
+
+#[test]
+fn throughput_rejects_nan_vlb_fraction() {
+    rejects(&["throughput", "--policy", "vlb:nan"], "VLB fraction");
+}

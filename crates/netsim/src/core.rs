@@ -17,7 +17,9 @@
 //!
 //! * **scheduling** of the next arrival, generation and retransmission
 //!   timer — a `(time, seq)` wheel with batched link drain, or a
-//!   content-keyed wheel plus the cross-domain boundary outbox;
+//!   content-keyed wheel plus the cross-domain boundary outbox. Which
+//!   timer is live is decided here, once: a connection keeps at most one
+//!   timer event queued (see [`Core::on_rto`]);
 //! * **randomness** — lazy draws from one shared RNG in execution
 //!   order, or per-flow streams drawn at emission;
 //! * the **trace sink** — the recorder directly, or a merge-keyed stash;
@@ -47,8 +49,13 @@ const NO_CONN: u32 = u32::MAX;
 pub(crate) trait Engine {
     /// Queues the next generation event of `flow` at `at`.
     fn schedule_gen(&mut self, flow: usize, at: SimTime);
-    /// Arms a retransmission timer for `flow` at `at`.
-    fn schedule_rto(&mut self, flow: usize, epoch: u32, at: SimTime);
+    /// Reserves the scheduler key of a newly armed retransmission timer
+    /// of `flow` — the key its own event would have taken, so the timer
+    /// pops where a per-arm schedule would pop it. Called on every arm.
+    fn reserve_rto_key(&mut self, flow: usize) -> u64;
+    /// Queues `flow`'s one timer event at `(at, key)`, a key from
+    /// [`Engine::reserve_rto_key`].
+    fn push_rto(&mut self, flow: usize, at: SimTime, key: u64);
     /// Queues a forwarded packet's arrival at the next node. The
     /// packet's arena row is final; an impl that hands the packet
     /// elsewhere frees the slot.
@@ -113,11 +120,26 @@ struct FlowState {
     t0: SimTime,
 }
 
-/// One reliable connection's two endpoints plus its start time.
+/// One reliable connection's two endpoints, its start time and its
+/// retransmission timer.
 struct Conn {
     sender: SenderState,
     receiver: ReceiverState,
     t0: SimTime,
+    rto: Timer,
+}
+
+/// A connection's latest armed retransmission timer. Arming only
+/// overwrites it; at most one event per connection sits in the
+/// scheduler, and [`Core::on_rto`] moves it forward to this record.
+#[derive(Clone, Copy, Debug, Default)]
+struct Timer {
+    deadline: SimTime,
+    key: u64,
+    /// The sender epoch the timer was armed for.
+    epoch: u64,
+    /// Whether an event for this connection is queued.
+    queued: bool,
 }
 
 /// Per-direction link state.
@@ -382,6 +404,7 @@ impl<E: Engine> Core<E> {
                     sender: SenderState::new(variant, pkts),
                     receiver: ReceiverState::default(),
                     t0: start,
+                    rto: Timer::default(),
                 });
                 debug_assert!(self.conns.len() <= u32::MAX as usize, "conn ids fit u32");
                 (self.conns.len() - 1) as u32
@@ -445,11 +468,22 @@ impl<E: Engine> Core<E> {
         self.action_scratch = actions;
     }
 
-    /// A retransmission timer of `flow` fired; stale epochs are no-ops.
-    pub(crate) fn on_rto(&mut self, flow: usize, epoch: u32, now: SimTime) {
-        if self.flows[flow].conn != NO_CONN {
-            self.drive_sender(flow, now, |s, a| s.on_rto_into(u64::from(epoch), a));
+    /// `flow`'s timer event popped at `(now, key)`. If the connection
+    /// re-armed since the event was queued, the event moves to the
+    /// latest armed `(deadline, key)`; otherwise the timer fires (a
+    /// stale epoch is still a no-op in the sender).
+    pub(crate) fn on_rto(&mut self, flow: usize, key: u64, now: SimTime) {
+        let conn = self.flows[flow].conn;
+        debug_assert_ne!(conn, NO_CONN, "timer event without a connection");
+        let rto = &mut self.conns[conn as usize].rto;
+        debug_assert!(rto.queued && (now, key) <= (rto.deadline, rto.key));
+        if (now, key) != (rto.deadline, rto.key) {
+            self.eng.push_rto(flow, rto.deadline, rto.key);
+            return;
         }
+        rto.queued = false;
+        let epoch = rto.epoch;
+        self.drive_sender(flow, now, |s, a| s.on_rto_into(epoch, a));
     }
 
     /// Emits the flow's next packet (or burst, or window pump).
@@ -634,9 +668,23 @@ impl<E: Engine> Core<E> {
                     self.emit(flow_idx, now, false, f.size, data, 0, now);
                 }
                 SendAction::ArmRto { epoch } => {
-                    debug_assert!(epoch <= u64::from(u32::MAX));
-                    let at = now + self.cfg.rto_ns;
-                    self.eng.schedule_rto(flow_idx, epoch as u32, at);
+                    let deadline = now + self.cfg.rto_ns;
+                    let key = self.eng.reserve_rto_key(flow_idx);
+                    let conn = self.flows[flow_idx].conn as usize;
+                    let rto = &mut self.conns[conn].rto;
+                    // Deadlines never move back, so the queued event
+                    // (at or before the old deadline) still pops first.
+                    debug_assert!(!rto.queued || deadline >= rto.deadline);
+                    let queued = rto.queued;
+                    *rto = Timer {
+                        deadline,
+                        key,
+                        epoch,
+                        queued: true,
+                    };
+                    if !queued {
+                        self.eng.push_rto(flow_idx, deadline, key);
+                    }
                 }
                 SendAction::Complete => {
                     let f = self.flows[flow_idx];

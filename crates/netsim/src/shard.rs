@@ -122,10 +122,10 @@ enum DEv {
     /// Packet head arrives at `at`; tail follows `ser` ns later. The
     /// packet's canonical key lives in the arena sidecar (`pkey`).
     Head { pkt: PacketId, at: NodeId, ser: u32 },
-    /// Retransmission timer for `flow`; ignored if `epoch` is stale.
-    /// `seq` is the flow's timer-arm counter — the key component —
-    /// because one epoch may be re-armed and keys must stay unique.
-    Rto { flow: u32, epoch: u32, seq: u32 },
+    /// The one queued retransmission-timer event of `flow`. `seq` is
+    /// the flow's arm counter when its timer was armed — the key
+    /// component, advanced on every arm so keys stay unique.
+    Rto { flow: u32, seq: u32 },
 }
 
 /// A packet crossing a domain boundary: everything the receiving shard
@@ -166,7 +166,8 @@ struct Domain {
     wheel: TimingWheel<DEv>,
     /// Next generation-event ordinal (key component).
     gen_n: Vec<u32>,
-    /// Next retransmission-timer ordinal (key component).
+    /// Per-flow retransmission-timer arm counter (key component),
+    /// advanced on every arm.
     rto_emit: Vec<u32>,
     /// Per-flow emission counters, source / destination side (canonical
     /// packet-key components).
@@ -274,14 +275,22 @@ impl Engine for Domain {
     }
 
     #[inline]
-    fn schedule_rto(&mut self, flow_idx: usize, epoch: u32, at: SimTime) {
+    fn reserve_rto_key(&mut self, flow_idx: usize) -> u64 {
         debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
-        let flow = flow_idx as u32;
         let seq = self.rto_emit[flow_idx];
         debug_assert!(seq < u32::MAX, "timer counter fits u32");
         self.rto_emit[flow_idx] = seq + 1;
-        let ev = DEv::Rto { flow, epoch, seq };
-        self.wheel.push_at_seq(at, rto_key(flow, seq), ev);
+        rto_key(flow_idx as u32, seq)
+    }
+
+    #[inline]
+    fn push_rto(&mut self, flow_idx: usize, at: SimTime, key: u64) {
+        debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
+        let flow = flow_idx as u32;
+        debug_assert_eq!(key >> 32, rto_key(flow, 0) >> 32, "one of flow's keys");
+        // The key's low word is the arm counter.
+        let seq = key as u32;
+        self.wheel.push_at_seq(at, key, DEv::Rto { flow, seq });
     }
 
     /// Queues the arrival on this domain's wheel, or hands the packet
@@ -432,9 +441,10 @@ impl Core<Domain> {
                 self.eng.cur_key = HEAD_RANK | self.eng.pkey[pkt as usize];
                 self.arrive(pkt, at, t, t + u64::from(ser));
             }
-            DEv::Rto { flow, epoch, seq } => {
-                self.eng.cur_key = rto_key(flow, seq);
-                self.on_rto(flow as usize, epoch, t);
+            DEv::Rto { flow, seq } => {
+                let key = rto_key(flow, seq);
+                self.eng.cur_key = key;
+                self.on_rto(flow as usize, key, t);
             }
         }
     }

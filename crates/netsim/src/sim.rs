@@ -165,10 +165,11 @@ enum EvKind {
     /// Control-plane reconvergence completes: recompute routes over the
     /// surviving elements and close open [`FaultRecord`]s.
     Reroute,
-    /// Transport retransmission timer for `flow`; ignored if `epoch` is
-    /// stale. Both fields are narrowed to keep the event at 16 bytes;
-    /// neither plausibly exceeds 32 bits in a simulation's lifetime.
-    Rto { flow: u32, epoch: u32 },
+    /// The one queued retransmission-timer event of `flow`, at the
+    /// wheel sequence number `seq` reserved when its timer was armed.
+    /// The core fires it, or moves it to the connection's latest armed
+    /// timer (DESIGN.md §10).
+    Rto { flow: u32, seq: u64 },
 }
 
 /// One entry of the simulator's fault log: what failed (or recovered),
@@ -258,10 +259,14 @@ impl Engine for Serial {
         self.events.push(at, EvKind::Gen { flow });
     }
 
-    fn schedule_rto(&mut self, flow: usize, epoch: u32, at: SimTime) {
+    fn reserve_rto_key(&mut self, _flow: usize) -> u64 {
+        self.events.reserve_seq()
+    }
+
+    fn push_rto(&mut self, flow: usize, at: SimTime, seq: u64) {
         debug_assert!(flow <= u32::MAX as usize, "flow ids fit u32");
         let flow = flow as u32;
-        self.events.push(at, EvKind::Rto { flow, epoch });
+        self.events.push_at_seq(at, seq, EvKind::Rto { flow, seq });
     }
 
     // lint:hot
@@ -526,7 +531,7 @@ impl Simulator {
             EvKind::LinkDrain { .. } => unreachable!("handled above"),
             EvKind::Fault(kind) => self.on_fault(kind),
             EvKind::Reroute => self.reroute(),
-            EvKind::Rto { flow, epoch } => self.core.on_rto(flow as usize, epoch, time),
+            EvKind::Rto { flow, seq } => self.core.on_rto(flow as usize, seq, time),
         }
     }
 

@@ -21,7 +21,18 @@
 //!   `g = 1/16`, and `cwnd ← cwnd·(1 − α/2)` once per marked window.
 //!
 //! They are pure (no simulator types), so every transition is unit-tested
-//! here; `sim.rs` only schedules their actions.
+//! here; the simulator's per-packet core (`core.rs`, shared by both
+//! engines) only executes their actions.
+//!
+//! Timers: a sender asks to re-arm its retransmission timer
+//! ([`SendAction::ArmRto`]) on nearly every ACK, bumping
+//! [`SenderState::rto_epoch`] each time. The simulator does not queue one
+//! event per arm. Each connection keeps its latest armed
+//! `(deadline, epoch)` and at most one queued timer event, which moves
+//! forward to the latest deadline when it pops early, so only the timer
+//! still armed when its deadline passes reaches
+//! [`SenderState::on_rto_into`]. The epoch check there still drops a
+//! timer that completion (or any later bump) made stale.
 
 /// Congestion-control variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,9 +68,10 @@ pub enum SendAction {
         /// Segment sequence number (0-based packet index).
         seq: u64,
     },
-    /// (Re-)arm the retransmission timer for this epoch.
+    /// (Re-)arm the retransmission timer for this epoch, replacing any
+    /// earlier arm.
     ArmRto {
-        /// Epoch to carry in the timer event; stale epochs are ignored.
+        /// Epoch the timer fires with; stale epochs are ignored.
         epoch: u64,
     },
     /// All data acknowledged — record the completion.

@@ -6,11 +6,12 @@
 //! together and no differential notices. This file pins the absolute
 //! output instead: FNV-1a digests of the per-tag statistics bits, the
 //! recorder's ndjson bytes, the metrics ndjson, the completion and fault
-//! logs, plus the raw `events_processed` count, on three scenarios that
+//! logs, plus the raw `events_processed` count, on four scenarios that
 //! together reach every flow kind, transport variant, VLB detour,
-//! SPAIN-pinned table, fault kind and reroute path. A mismatch means
-//! simulator output changed; the constants may only be re-recorded by a
-//! change that explains why each number moved.
+//! SPAIN-pinned table, fault kind and reroute path, and retransmission
+//! timers that fire and go back N. A mismatch means simulator output
+//! changed; the constants may only be re-recorded by a change that
+//! explains why each number moved.
 
 use quartz_core::pool::ThreadPool;
 use quartz_netsim::shard::ShardedSim;
@@ -20,7 +21,8 @@ use quartz_netsim::time::SimTime;
 use quartz_netsim::transport::TcpVariant;
 use quartz_netsim::{FaultPlan, FaultRecord, FlowCompletion};
 use quartz_obs::{MemoryRecorder, MetricsRegistry, NdjsonRecorder, Recorder};
-use quartz_topology::builders::{quartz_in_core, quartz_mesh};
+use quartz_topology::builders::{quartz_in_core, quartz_mesh, QuartzMesh};
+use quartz_topology::graph::NodeId;
 use quartz_topology::spain::SpainFabric;
 
 /// 64-bit FNV-1a, fed field by field in little-endian byte order.
@@ -375,13 +377,93 @@ fn sharded(domains: usize) -> Golden {
     )
 }
 
+/// A loss-heavy Reno incast: twelve senders on three switches converge
+/// on one host behind 6 kB drop-tail queues, so fast retransmit is not
+/// enough and retransmission timers fire and go back N. A channel into
+/// the receiver's switch is cut at 100 µs and repaired at 400 µs.
+fn incast() -> (QuartzMesh, SimConfig, FaultPlan) {
+    let q = quartz_mesh(4, 4, 10.0, 10.0);
+    let cfg = SimConfig {
+        seed: 0x1CA5,
+        queue_cap_bytes: 6_000,
+        reconvergence_ns: Some(50_000),
+        ..SimConfig::default()
+    };
+    let cut = q
+        .net
+        .link_between(q.switches[0], q.switches[1])
+        .expect("mesh channel");
+    let mut plan = FaultPlan::new();
+    plan.link_down(cut, SimTime::from_us(100))
+        .link_up(cut, SimTime::from_us(400));
+    (q, cfg, plan)
+}
+
+/// The incast's flows: `(src, dst, kind, tag, start)`.
+fn incast_flows(q: &QuartzMesh) -> Vec<(NodeId, NodeId, FlowKind, u32, SimTime)> {
+    (4..16)
+        .map(|i| {
+            let kind = FlowKind::Transport {
+                total_bytes: 40_000,
+                variant: TcpVariant::Reno,
+            };
+            let start = SimTime::from_ns(100 * i as u64);
+            (q.hosts[i], q.hosts[0], kind, (i % 3) as u32, start)
+        })
+        .collect()
+}
+
+/// The incast on `Simulator`.
+fn simulator_incast() -> Golden {
+    let (q, cfg, plan) = incast();
+    let mut sim = Simulator::new(q.net.clone(), cfg);
+    for (src, dst, kind, tag, start) in incast_flows(&q) {
+        sim.add_flow(src, dst, 1_000, kind, tag, start);
+    }
+    sim.apply_fault_plan(&plan);
+    sim.set_recorder(Box::new(MemoryRecorder::new()));
+    sim.enable_metrics();
+    sim.run(SimTime::from_ms(40));
+    let (recorder, metrics) = (sim.take_recorder(), sim.take_metrics());
+    golden(
+        sim.stats(),
+        recorder,
+        metrics,
+        sim.flow_completions(),
+        sim.fault_log(),
+        sim.events_processed(),
+    )
+}
+
+/// The incast on `ShardedSim` at `domains` domains.
+fn sharded_incast(domains: usize) -> Golden {
+    let (q, cfg, plan) = incast();
+    let mut sim = ShardedSim::new(q.net.clone(), cfg, domains);
+    for (src, dst, kind, tag, start) in incast_flows(&q) {
+        sim.add_flow(src, dst, 1_000, kind, tag, start);
+    }
+    sim.apply_fault_plan(&plan);
+    sim.set_recorder(Box::new(MemoryRecorder::new()));
+    sim.enable_metrics();
+    sim.run(SimTime::from_ms(40), &ThreadPool::sequential());
+    let (recorder, metrics) = (sim.take_recorder(), sim.take_metrics());
+    golden(
+        sim.stats(),
+        recorder,
+        metrics,
+        sim.flow_completions(),
+        sim.fault_log(),
+        sim.events_processed(),
+    )
+}
+
 const SIMULATOR_AUTO: Golden = Golden {
     stats: 0x5a4e46692dc5682d,
     trace: 0xe449b61d1513c8f1,
     metrics: 0x288782992b1c7a31,
     completions: 0x139790a177792872,
     faults: 0x47b179000d853c18,
-    events: 68_432,
+    events: 67_773,
 };
 
 const SIMULATOR_MANUAL: Golden = Golden {
@@ -390,7 +472,7 @@ const SIMULATOR_MANUAL: Golden = Golden {
     metrics: 0x114584b85f425ecc,
     completions: 0x5eff01e49aaf1810,
     faults: 0xe311c80f591377d3,
-    events: 17_004,
+    events: 16_806,
 };
 
 const SHARDED: Golden = Golden {
@@ -399,7 +481,25 @@ const SHARDED: Golden = Golden {
     metrics: 0x22ef61723a94f5af,
     completions: 0x8157a3486a3b6fad,
     faults: 0xc29bcf3cf12207a3,
-    events: 59_774,
+    events: 59_510,
+};
+
+const SIMULATOR_INCAST: Golden = Golden {
+    stats: 0xae3d77f445e726a0,
+    trace: 0xecb07553ef4cf77e,
+    metrics: 0x3a2addc3234d2d66,
+    completions: 0x44c4f3c614f941fb,
+    faults: 0xe6484fbe3e32a5cd,
+    events: 3_214,
+};
+
+const SHARDED_INCAST: Golden = Golden {
+    stats: 0xca7305031990aa1e,
+    trace: 0x65e3d1c73aa371e4,
+    metrics: 0x98da0a52f33254f9,
+    completions: 0x904685686eef69aa,
+    faults: 0xe6484fbe3e32a5cd,
+    events: 3_132,
 };
 
 #[test]
@@ -420,4 +520,19 @@ fn sharded_output_is_pinned_at_one_domain() {
 #[test]
 fn sharded_output_is_pinned_at_four_domains() {
     assert_eq!(sharded(4), SHARDED);
+}
+
+#[test]
+fn simulator_incast_output_is_pinned() {
+    assert_eq!(simulator_incast(), SIMULATOR_INCAST);
+}
+
+#[test]
+fn sharded_incast_output_is_pinned_at_one_domain() {
+    assert_eq!(sharded_incast(1), SHARDED_INCAST);
+}
+
+#[test]
+fn sharded_incast_output_is_pinned_at_four_domains() {
+    assert_eq!(sharded_incast(4), SHARDED_INCAST);
 }

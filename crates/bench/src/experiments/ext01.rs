@@ -76,7 +76,9 @@ fn run_one(quartz: bool, variant: TcpVariant, ecn: Option<u64>, rpc_count: u32) 
             ..SimConfig::default()
         },
     );
-    let horizon = SimTime::from_ms(4_000);
+    // The 400 MB transfers take ~9.6 s at a third of 1 Gb/s each, so
+    // they outlast every probe that fits this horizon.
+    let horizon = SimTime::from_ms(8_000);
     sim.add_flow(
         rpc.0,
         rpc.1,
@@ -121,7 +123,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
 /// Runs the four configurations as independent units over `pool`.
 pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     // Counts sized so even the slowest configuration (tree + Reno, whose
-    // probe RTT averages ~1.7 ms under the bulk transfers) finishes
+    // probe RTT averages ~2.2 ms under the bulk transfers) finishes
     // within the horizon.
     let rpc_count = match scale {
         Scale::Paper => 2_000,

@@ -1,6 +1,6 @@
 //! Struct-of-arrays packet arena: the simulator's in-flight packet store.
 //!
-//! Before this module, every [`crate::sim`] `Head` event carried a full
+//! Before this module, every `Head` event carried a full
 //! ~80-byte `Packet` by value through the timing wheel — cloned on VLB
 //! detour re-enqueues, moved on every bucket migration. The arena
 //! inverts the layout: packets live in **slots** identified by a `u32`
@@ -15,7 +15,7 @@
 //!   flow:     [u32     u32     u32     …]   stats / transport lookup
 //!   size:     [u32     u32     u32     …]   serialization time
 //!   hash:     [u64     u64     u64     …]   ECMP pick
-//!   arr_head/arr_tail/arr_seq  …            pending batched arrival
+//!   arr_head/arr_tail/arr_next …            pending batched arrival
 //!   cold (read at delivery / detour only)
 //!   cold:     [PacketCold …]               transport, intermediate,
 //!                                          flags, hops
@@ -30,8 +30,8 @@
 //!
 //! Debug builds additionally track per-slot liveness so a recycled slot
 //! can never alias a live packet (double-free and double-alloc both
-//! panic), and [`crate::sim::Simulator::run`] asserts at quiescence that
-//! the live count matches the in-flight count — a leak check.
+//! panic), and [`crate::shard::ShardedSim::run`] asserts at quiescence
+//! that the live count matches the in-flight count — a leak check.
 
 // lint:panic-free — the arena sits under every packet event; slot
 // indexing is covered by the debug-build liveness asserts.
@@ -90,9 +90,9 @@ pub struct PacketArena {
     pub(crate) arr_head: Vec<SimTime>,
     /// Pending batched arrival: tail time at the next node.
     pub(crate) arr_tail: Vec<SimTime>,
-    /// Pending batched arrival: the reserved scheduler sequence number
-    /// (the tie-break half of the event key).
-    pub(crate) arr_seq: Vec<u64>,
+    /// Pending batched arrival: the next entry of the same link batch
+    /// (`PacketId::MAX` at its end).
+    pub(crate) arr_next: Vec<PacketId>,
     /// Cold row per slot.
     pub(crate) cold: Vec<PacketCold>,
     /// Freed slot ids, reused LIFO.
@@ -166,7 +166,7 @@ impl PacketArena {
         self.hash.push(hash);
         self.arr_head.push(SimTime::ZERO);
         self.arr_tail.push(SimTime::ZERO);
-        self.arr_seq.push(0);
+        self.arr_next.push(PacketId::MAX);
         self.cold.push(cold);
         #[cfg(debug_assertions)]
         self.live_bits.push(true);

@@ -1,35 +1,30 @@
-//! The per-packet core both simulation engines run on.
+//! The per-packet core every spatial domain of the engine runs.
 //!
 //! [`Core`] owns the state every packet touches — configuration,
-//! directed link slots, failed nodes, node kinds, flat routes, VLB
-//! domains, the packet arena, per-flow progress and transport state,
-//! statistics, metrics and their label caches — and implements the
-//! per-packet logic exactly once: forwarding and delivery
-//! ([`Core::arrive`]), generation, emission, transport actions, drop
-//! accounting and data-plane fault state. [`Control`] holds the route
-//! table and the fault log: opening a fault record and the incremental
-//! reroute patch loop (with its debug scratch-rebuild check and the
-//! fault-log close) live there, also once.
+//! directed link slots, failed nodes, node kinds, flat routes (plus the
+//! SPAIN-style extra tables and per-flow pins), VLB domains, the packet
+//! arena, per-flow progress and transport state, statistics, metrics
+//! and their label caches — and implements the per-packet logic exactly
+//! once: forwarding and delivery ([`Core::arrive`]), generation,
+//! emission, transport actions, drop accounting and data-plane fault
+//! state. [`Control`] holds the route table and the fault log: opening
+//! a fault record and the incremental reroute patch loop (with its
+//! debug scratch-rebuild check and the fault-log close) live there,
+//! also once.
 //!
-//! What differs between [`crate::sim::Simulator`] and
-//! [`crate::shard::ShardedSim`] goes behind the [`Engine`] hooks,
-//! statically dispatched (one impl per engine, no `dyn`):
-//!
-//! * **scheduling** of the next arrival, generation and retransmission
-//!   timer — a `(time, seq)` wheel with batched link drain, or a
-//!   content-keyed wheel plus the cross-domain boundary outbox. Which
-//!   timer is live is decided here, once: a connection keeps at most one
-//!   timer event queued (see [`Core::on_rto`]);
-//! * **randomness** — lazy draws from one shared RNG in execution
-//!   order, or per-flow streams drawn at emission;
-//! * the **trace sink** — the recorder directly, or a merge-keyed stash;
-//! * the **route table per flow** — only the serial engine installs
-//!   SPAIN-style extra tables.
+//! Scheduling, randomness and the trace sink belong to the domain the
+//! core runs in ([`crate::shard::Domain`], the core's `eng`): a
+//! content-keyed wheel with per-link batch drain plus the cross-domain
+//! boundary outbox, per-flow RNG streams drawn at emission, and the
+//! recorder or merge-keyed stash. Which retransmission timer is live is
+//! decided here, once: a connection keeps at most one timer event
+//! queued (see [`Core::on_rto`]).
 
 use crate::arena::{
     PacketArena, PacketCold, PacketId, FLAG_ECN, FLAG_LAST, FLAG_RESPONSE, FLAG_VLB_DECIDED,
 };
 use crate::faults::FaultKind;
+use crate::shard::Domain;
 use crate::sim::{FaultRecord, FlowCompletion, FlowKind, LinkLoad, SimConfig};
 use crate::stats::Stats;
 use crate::switch::ForwardMode;
@@ -43,44 +38,8 @@ use std::sync::Arc;
 /// Sentinel: this flow has no transport connection.
 const NO_CONN: u32 = u32::MAX;
 
-/// The engine-specific half of the per-packet path (see the module
-/// docs). Every method is called from [`Core`] with the core's own
-/// state already updated, so an impl only schedules, draws, or sinks.
-pub(crate) trait Engine {
-    /// Queues the next generation event of `flow` at `at`.
-    fn schedule_gen(&mut self, flow: usize, at: SimTime);
-    /// Reserves the scheduler key of a newly armed retransmission timer
-    /// of `flow` — the key its own event would have taken, so the timer
-    /// pops where a per-arm schedule would pop it. Called on every arm.
-    fn reserve_rto_key(&mut self, flow: usize) -> u64;
-    /// Queues `flow`'s one timer event at `(at, key)`, a key from
-    /// [`Engine::reserve_rto_key`].
-    fn push_rto(&mut self, flow: usize, at: SimTime, key: u64);
-    /// Queues a forwarded packet's arrival at the next node. The
-    /// packet's arena row is final; an impl that hands the packet
-    /// elsewhere frees the slot.
-    fn schedule_arrival(&mut self, arena: &mut PacketArena, a: Arrival);
-    /// Notes a freshly allocated packet of `flow`, emitted from its
-    /// destination side when `reverse`.
-    fn on_emit(&mut self, arena: &PacketArena, pkt: PacketId, flow: u32, reverse: bool);
-    /// A uniform `[0, 1)` draw for `flow`'s source (Poisson gaps).
-    fn uniform(&mut self, flow: usize) -> f64;
-    /// The VLB coin for `pkt`, uniform in `[0, 1)`.
-    fn vlb_coin(&mut self, pkt: PacketId) -> f64;
-    /// The VLB intermediate pick for `pkt`, uniform in `0..n`.
-    fn vlb_pick(&mut self, pkt: PacketId, n: usize) -> usize;
-    /// The re-sprayed ECMP hash of a detoured `pkt`.
-    fn vlb_spray(&mut self, pkt: PacketId) -> u64;
-    /// Feeds one trace event to the sink.
-    fn record(&mut self, ev: Event);
-    /// Logs a managed flow's completion.
-    fn complete(&mut self, c: FlowCompletion);
-    /// The table `flow`'s packets route by.
-    fn routes<'a>(&'a self, default: &'a FlatRoutes, flow: u32) -> &'a FlatRoutes;
-}
-
 /// A forwarded packet's next arrival, as handed to
-/// [`Engine::schedule_arrival`].
+/// [`Domain::schedule_arrival`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Arrival {
     pub(crate) pkt: PacketId,
@@ -302,8 +261,8 @@ impl Fabric {
     }
 }
 
-/// The shared per-packet state machine; `E` supplies the engine hooks.
-pub(crate) struct Core<E> {
+/// The per-packet state machine of one domain.
+pub(crate) struct Core {
     pub(crate) cfg: SimConfig,
     pub(crate) net: Arc<Network>,
     /// Dense per-node kind column (the [`Network`] rows carry rack
@@ -317,6 +276,12 @@ pub(crate) struct Core<E> {
     /// The per-hop lookup: next hop *and* its directed slot in one
     /// indexed load.
     pub(crate) flat: Arc<FlatRoutes>,
+    /// Extra routing tables (per-VLAN spanning trees, §6's SPAIN
+    /// technique), stored flattened.
+    pub(crate) extra_flat: Vec<Arc<FlatRoutes>>,
+    /// The extra table each flow is pinned to, by flow id (flows past
+    /// the end are unpinned).
+    pub(crate) flow_table: Vec<Option<usize>>,
     /// 2 per undirected link: `[2l]` = a→b, `[2l+1]` = b→a.
     pub(crate) links: Vec<DirLink>,
     /// Per-node failure state (only switches ever fail).
@@ -341,11 +306,12 @@ pub(crate) struct Core<E> {
     vlb_scratch: Vec<NodeId>,
     /// Scratch for transport actions, reused via `mem::take`.
     action_scratch: Vec<SendAction>,
-    pub(crate) eng: E,
+    /// The domain's scheduling, randomness and sinks.
+    pub(crate) eng: Domain,
 }
 
-impl<E: Engine> Core<E> {
-    pub(crate) fn new(fabric: &Fabric, cfg: SimConfig, flat: Arc<FlatRoutes>, eng: E) -> Self {
+impl Core {
+    pub(crate) fn new(fabric: &Fabric, cfg: SimConfig, flat: Arc<FlatRoutes>, eng: Domain) -> Self {
         Core {
             cfg,
             net: Arc::clone(&fabric.net),
@@ -354,6 +320,8 @@ impl<E: Engine> Core<E> {
             vlb_enabled: fabric.vlb_enabled,
             vlb_domain: Arc::clone(&fabric.vlb_domain),
             flat,
+            extra_flat: Vec::new(),
+            flow_table: Vec::new(),
             links: fabric.links.clone(),
             failed_nodes: vec![false; fabric.net.node_count()],
             flows: Vec::new(),
@@ -374,7 +342,7 @@ impl<E: Engine> Core<E> {
 
     /// Appends a flow row (and its connection, for transport flows);
     /// returns its index. Scheduling the first generation is the
-    /// engine's call.
+    /// caller's.
     ///
     /// # Panics
     /// Panics if `src` or `dst` is not a host, or they coincide.
@@ -718,7 +686,7 @@ impl<E: Engine> Core<E> {
     /// Handles a packet (arena slot `id`) whose head reached `at` at
     /// `head` (tail at `tail`): deliver, or queue on the next output
     /// port. Every exit path either frees the slot (delivery, drops) or
-    /// hands it to [`Engine::schedule_arrival`].
+    /// hands it to [`Domain::schedule_arrival`].
     // lint:hot
     pub(crate) fn arrive(&mut self, id: PacketId, at: NodeId, head: SimTime, tail: SimTime) {
         let i = id as usize;
@@ -795,7 +763,12 @@ impl<E: Engine> Core<E> {
         }
 
         let target = cold.intermediate.unwrap_or(dst);
-        let routing = self.eng.routes(&self.flat, flow_id);
+        // Unpinned flows (every flow, unless SPAIN tables are in use)
+        // route by the default table.
+        let routing = match self.flow_table.get(flow_id as usize) {
+            Some(&Some(t)) => &self.extra_flat[t],
+            _ => &self.flat,
+        };
         let Some((next, slot)) = routing.ecmp_next(at, target, hash) else {
             self.drop_packet(id, at, head, DropReason::NoRoute);
             return;

@@ -50,9 +50,11 @@ pub struct PlannedFault {
 ///
 /// Build one explicitly (`link_down` / `switch_down` / …) or generate a
 /// random-but-seeded plan with [`FaultPlan::random_link_faults`]; then
-/// hand it to [`Simulator::apply_fault_plan`]. The plan itself is plain
-/// data — the same plan applied to same-seed simulators produces
-/// bit-identical runs.
+/// hand it to [`ShardedSim::apply_fault_plan`] (or a `Simulator`'s).
+/// The plan itself is plain data — the same plan applied to same-seed
+/// simulators produces bit-identical runs.
+///
+/// [`ShardedSim::apply_fault_plan`]: crate::shard::ShardedSim::apply_fault_plan
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<PlannedFault>,

@@ -100,7 +100,7 @@ pub fn random_churn(
 #[derive(Clone, Debug)]
 pub struct CompiledChurn {
     /// Lightpath dark/relight transitions, ready for
-    /// [`Simulator::apply_fault_plan`].
+    /// [`ShardedSim::apply_fault_plan`](crate::shard::ShardedSim::apply_fault_plan).
     pub plan: FaultPlan,
     /// `RwaResolve` and `Retune` events, time-sorted, for merging into
     /// the simulator's trace.

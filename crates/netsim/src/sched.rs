@@ -30,7 +30,8 @@
 //! ## Ordering contract
 //!
 //! The wheel drains events in exactly `(time, seq)` order, where `seq`
-//! is a monotone sequence number assigned at push. This is the
+//! is the caller's key — the simulator's content-derived event key
+//! (DESIGN.md §13) — or a monotone number assigned at push. This is the
 //! tie-break rule the simulator's determinism contract (DESIGN.md §6)
 //! is built on, and exactly the order a binary min-heap keyed by
 //! `(time, seq)` pops in — the reference kept as a test oracle in
@@ -189,13 +190,11 @@ impl<T> TimingWheel<T> {
     }
 }
 
-/// The split between sequence allocation and insertion serves the
-/// batched link drain (DESIGN.md §10): each packet appended to a link
-/// batch reserves its sequence number (so tie-breaks match the
-/// unbatched schedule bit for bit), yet only one sentinel event —
-/// carrying the *first* entry's key — sits in the wheel.
-/// [`TimingWheel::peek_key`] lets the drain loop ask "is anything
-/// queued ahead of my next batch entry?" without popping.
+/// The simulator queues every event under its own key
+/// ([`TimingWheel::push_at_seq`]); [`TimingWheel::push`] numbers events
+/// in push order for callers without one. [`TimingWheel::peek_key`]
+/// lets the batched link drain (DESIGN.md §10) ask "is anything queued
+/// ahead of my next batch entry?" without popping.
 impl<T> TimingWheel<T> {
     /// Queues `item` at `time`, assigning it the next sequence number.
     pub fn push(&mut self, time: SimTime, item: T) {

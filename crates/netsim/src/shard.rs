@@ -1,15 +1,15 @@
-//! The sharded single-simulation engine: spatial domains under
-//! conservative lookahead (DESIGN.md §13).
+//! The simulation engine: spatial domains under conservative lookahead
+//! (DESIGN.md §13).
 //!
 //! [`ShardedSim`] runs **one** simulation across `k` spatial domains
 //! produced by [`quartz_topology::partition::spatial_domains`]. Each
 //! domain owns a contiguous region of the network — its switches, its
 //! hosts, and every directed link slot whose *source* node it owns —
 //! plus a private [`TimingWheel`] and [`PacketArena`] shard, around its
-//! own copy of the per-packet core (`core`) that the serial
-//! engine runs too. Domains advance independently inside a window
-//! `[W0, B]` whose upper bound is derived from the slowest-safe lower
-//! bound
+//! own copy of the per-packet core (`core`). [`crate::sim::Simulator`]
+//! is this engine at `k = 1`. Domains advance independently inside a
+//! window `[W0, B]` whose upper bound is derived from the slowest-safe
+//! lower bound
 //!
 //! ```text
 //! L = min over cross-domain directed slots (from → to) of
@@ -23,20 +23,20 @@
 //! arrives no earlier than `W0 + L > B`, so boundary exchange at the
 //! window edge can never deliver an event into a domain's past — the
 //! classic conservative-lookahead argument, with the bound realized by
-//! the fabric's own switch latency and propagation delay.
+//! the fabric's own switch latency and propagation delay. With one
+//! domain nothing crosses (`L = ∞`), so a run is one window per
+//! control event.
 //!
 //! ## Determinism
 //!
 //! The engine is **bit-identical at any domain count** (and any worker
 //! count). Three mechanisms make that hold:
 //!
-//! 1. **Content-derived event keys.** Where the legacy
-//!    [`crate::sim::Simulator`]
-//!    breaks same-time ties with an execution-order sequence number
-//!    (meaningless across shards), every event here carries a canonical
-//!    key computed from its content: generation events sort before
-//!    packet arrivals before retransmission timers, and within each
-//!    class by flow id and a per-flow emission counter. The global
+//! 1. **Content-derived event keys.** Every event carries a canonical
+//!    key computed from its content (an execution-order sequence number
+//!    would be meaningless across shards): generation events sort
+//!    before packet arrivals before retransmission timers, and within
+//!    each class by flow id and a per-flow emission counter. The global
 //!    `(time, key)` order is therefore a property of the *simulation*,
 //!    not of the schedule that produced it.
 //! 2. **Order-independent randomness.** Each flow owns two private RNG
@@ -49,30 +49,29 @@
 //!    flow completions keyed by the `(time, key)` of the event that
 //!    produced them; the coordinator k-way-merges the stashes at every
 //!    window edge, so the recorder byte stream and the completion log
-//!    are identical at `k = 1, 2, …, N`.
+//!    are identical at `k = 1, 2, …, N`. A single domain records
+//!    straight to the recorder: its dispatch order already is the
+//!    global order, and its window can span the whole run.
 //!
 //! ## Scope
 //!
-//! The sharded engine supports the workloads the scale experiments use:
-//! all five [`FlowKind`]s, ECN marking, Reno/DCTCP transport, VLB
-//! detours, live faults with automatic reconvergence, and the full
-//! observability surface. Every domain runs a per-packet timing wheel —
-//! batching across a window boundary would leak schedule order into
-//! output — and the SPAIN-style extra route tables of the §6 prototype
-//! are not available. Fabrics whose routes forward *through* hosts
-//! (e.g. BCube) are rejected at construction when a host link would
-//! cross a domain boundary.
+//! The engine supports all five [`FlowKind`]s, ECN marking, Reno/DCTCP
+//! transport, VLB detours, the SPAIN-style extra route tables of the §6
+//! prototype, live faults with automatic or manual reconvergence, and
+//! the full observability surface. Each domain batches back-to-back
+//! arrivals on its own links (DESIGN.md §10); arrivals crossing into
+//! another domain stay plain events. Fabrics whose routes forward
+//! *through* hosts (e.g. BCube) are rejected at construction when a
+//! host link would cross a domain boundary.
 //!
-//! Control-plane events deviate from the legacy engine in exactly one
-//! documented way: a fault (or reroute) at time `t` applies before all
-//! packet events at `t`, whereas the legacy engine interleaves them in
-//! schedule order. The deviation is the same at every domain count.
+//! A control-plane event (fault or reroute) at time `t` applies before
+//! every packet event at `t`, at every domain count.
 
 use crate::arena::{PacketArena, PacketCold, PacketId};
-use crate::core::{Arrival, Control, Core, Engine, Fabric};
+use crate::core::{Arrival, Control, Core, Fabric};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::sched::TimingWheel;
-use crate::sim::{FaultRecord, FlowCompletion, FlowKind, LinkLoad, SimConfig};
+use crate::sim::{FaultRecord, FlowCompletion, FlowKind, LinkLoad, PinError, SimConfig};
 use crate::stats::Stats;
 use crate::time::SimTime;
 use quartz_core::pool::{unit_seed, DomainCells, ThreadPool};
@@ -80,7 +79,7 @@ use quartz_core::rng::StdRng;
 use quartz_obs::{Event, MetricsRegistry, Recorder};
 use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
 use quartz_topology::partition::spatial_domains;
-use quartz_topology::route::FlatRoutes;
+use quartz_topology::route::{FlatRoutes, RouteError, RouteTable};
 use std::sync::Arc;
 
 /// Rank bit of packet-arrival (`Head`) keys: arrivals sort after
@@ -89,6 +88,8 @@ const HEAD_RANK: u64 = 1 << 62;
 /// Rank bit of retransmission-timer (`Rto`) keys: timers sort last
 /// among same-time events.
 const RTO_RANK: u64 = 1 << 63;
+/// No packet: an empty link batch, or the end of one.
+const NO_PKT: PacketId = PacketId::MAX;
 
 /// Canonical key of the `n`-th generation event of `flow` (rank 0).
 #[inline]
@@ -109,11 +110,10 @@ fn zero_clock() -> u64 {
     0
 }
 
-/// A domain-local event. Unlike the legacy engine's `EvKind`, every
-/// variant carries enough content to reconstruct its canonical
-/// `(time, key)` position at dispatch (the scheduler returns only the
-/// time), so sinks can stamp everything they stash with a
-/// partition-independent merge key.
+/// A domain-local event. Every variant carries enough content to
+/// reconstruct its canonical `(time, key)` position at dispatch (the
+/// scheduler returns only the time), so sinks can stamp everything they
+/// stash with a partition-independent merge key.
 #[derive(Clone, Copy, Debug)]
 enum DEv {
     /// Emit the `n`-th generation of `flow` (packet, burst, or window
@@ -122,6 +122,11 @@ enum DEv {
     /// Packet head arrives at `at`; tail follows `ser` ns later. The
     /// packet's canonical key lives in the arena sidecar (`pkey`).
     Head { pkt: PacketId, at: NodeId, ser: u32 },
+    /// Drain the batch of back-to-back arrivals queued on directed link
+    /// `slot`, starting with its first pending arrival `pkt`. Queued at
+    /// that arrival's own `(time, key)`, so it pops exactly where the
+    /// arrival's `Head` event would have.
+    LinkDrain { slot: u32, pkt: PacketId },
     /// The one queued retransmission-timer event of `flow`. `seq` is
     /// the flow's arm counter when its timer was armed — the key
     /// component, advanced on every arm so keys stay unique.
@@ -153,17 +158,33 @@ struct BoundaryMsg {
     vspray: u64,
 }
 
-/// One spatial domain's [`Engine`] hooks: a content-keyed timing wheel
-/// plus the boundary outbox, per-flow RNG streams drawn at emission,
-/// and merge-keyed trace/completion stashes. Per-flow rows are
+/// Where a domain's trace events go.
+enum Trace {
+    /// No recorder attached.
+    Off,
+    /// Stashed under merge keys for the coordinator (`k > 1`).
+    Stash,
+    /// Straight to the recorder (`k = 1`).
+    Direct(Box<dyn Recorder>),
+}
+
+/// One spatial domain's half of the per-packet path — what the shared
+/// core calls out to: a content-keyed timing wheel with per-link batch
+/// drain plus the boundary outbox, per-flow RNG streams drawn at
+/// emission, and the trace and completion sinks. Per-flow rows are
 /// full-size in every domain (only the owning side's domain advances
 /// them), trading memory for branch-free indexing by flow id.
-struct Domain {
+pub(crate) struct Domain {
     id: u32,
     dom_of: Arc<[u32]>,
     /// Whether packets pre-draw VLB randomness at emission.
     vlb: bool,
     wheel: TimingWheel<DEv>,
+    /// Per directed link slot: the last arrival of its pending batch
+    /// (`NO_PKT` when none is pending). Entries chain through the
+    /// arena's `arr_next`; a non-empty batch keeps exactly one
+    /// [`DEv::LinkDrain`] queued, keyed like its first entry.
+    batch_tail: Vec<PacketId>,
     /// Next generation-event ordinal (key component).
     gen_n: Vec<u32>,
     /// Per-flow retransmission-timer arm counter (key component),
@@ -185,13 +206,13 @@ struct Domain {
     /// Boundary packets bound for each peer domain, drained by the
     /// coordinator at every window edge.
     outbox: Vec<Vec<BoundaryMsg>>,
+    trace: Trace,
     /// Trace events keyed by the `(time, key, sub)` of the event that
     /// produced them; non-decreasing by construction (events dispatch
     /// in key order, `sub` counts records within one dispatch).
     trace_stash: Vec<(u64, u64, u32, Event)>,
     /// Flow completions, keyed like the trace stash.
     comp_stash: Vec<(u64, u64, FlowCompletion)>,
-    trace_on: bool,
     /// Merge key of the event being dispatched.
     cur_t: u64,
     cur_key: u64,
@@ -199,18 +220,20 @@ struct Domain {
     /// Wall time spent inside `step_to`, by the injected clock.
     busy_ns: u64,
     clock: fn() -> u64,
+    /// Test-only reference schedule: one `Head` event per arrival, no
+    /// batching (DESIGN.md §10).
+    #[cfg(test)]
+    per_packet: bool,
 }
 
-/// One domain's complete simulation state.
-type DomainSim = Core<Domain>;
-
 impl Domain {
-    fn new(id: u32, dom_of: Arc<[u32]>, vlb: bool, k: usize) -> Domain {
+    fn new(id: u32, dom_of: Arc<[u32]>, vlb: bool, k: usize, slots: usize) -> Domain {
         Domain {
             id,
             dom_of,
             vlb,
             wheel: TimingWheel::new(),
+            batch_tail: vec![NO_PKT; slots],
             gen_n: Vec::new(),
             rto_emit: Vec::new(),
             src_emit: Vec::new(),
@@ -222,14 +245,16 @@ impl Domain {
             vpick: Vec::new(),
             vspray: Vec::new(),
             outbox: (0..k).map(|_| Vec::new()).collect(),
+            trace: Trace::Off,
             trace_stash: Vec::new(),
             comp_stash: Vec::new(),
-            trace_on: false,
             cur_t: 0,
             cur_key: 0,
             cur_sub: 0,
             busy_ns: 0,
             clock: zero_clock,
+            #[cfg(test)]
+            per_packet: false,
         }
     }
 
@@ -259,12 +284,10 @@ impl Domain {
     fn stash_boundary(&mut self, dom: u32, m: BoundaryMsg) {
         self.outbox[dom as usize].push(m);
     }
-}
 
-impl Engine for Domain {
     /// Schedules the flow's next generation event at its canonical key.
     #[inline]
-    fn schedule_gen(&mut self, flow_idx: usize, at: SimTime) {
+    pub(crate) fn schedule_gen(&mut self, flow_idx: usize, at: SimTime) {
         let n = self.gen_n[flow_idx];
         debug_assert!(n < u32::MAX, "generation counter fits u32");
         self.gen_n[flow_idx] = n + 1;
@@ -274,8 +297,11 @@ impl Engine for Domain {
             .push_at_seq(at, gen_key(flow, n), DEv::Gen { flow, n });
     }
 
+    /// Reserves the key of a newly armed retransmission timer of
+    /// `flow`: its next `arm#`. Called on every arm, so the timer pops
+    /// where a per-arm schedule would pop it.
     #[inline]
-    fn reserve_rto_key(&mut self, flow_idx: usize) -> u64 {
+    pub(crate) fn reserve_rto_key(&mut self, flow_idx: usize) -> u64 {
         debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
         let seq = self.rto_emit[flow_idx];
         debug_assert!(seq < u32::MAX, "timer counter fits u32");
@@ -283,8 +309,10 @@ impl Engine for Domain {
         rto_key(flow_idx as u32, seq)
     }
 
+    /// Queues `flow`'s one timer event at `(at, key)`, a key from
+    /// [`Domain::reserve_rto_key`].
     #[inline]
-    fn push_rto(&mut self, flow_idx: usize, at: SimTime, key: u64) {
+    pub(crate) fn push_rto(&mut self, flow_idx: usize, at: SimTime, key: u64) {
         debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
         let flow = flow_idx as u32;
         debug_assert_eq!(key >> 32, rto_key(flow, 0) >> 32, "one of flow's keys");
@@ -293,11 +321,12 @@ impl Engine for Domain {
         self.wheel.push_at_seq(at, key, DEv::Rto { flow, seq });
     }
 
-    /// Queues the arrival on this domain's wheel, or hands the packet
-    /// to the next hop's domain.
+    /// Queues a forwarded packet's arrival: hands it to the next hop's
+    /// domain, appends it to its link's batch, or queues a plain event.
+    /// The packet's arena row is final.
     // lint:hot
     #[inline]
-    fn schedule_arrival(&mut self, arena: &mut PacketArena, a: Arrival) {
+    pub(crate) fn schedule_arrival(&mut self, arena: &mut PacketArena, a: Arrival) {
         let i = a.pkt as usize;
         let next_dom = self.dom_of[a.at.0 as usize];
         if next_dom != self.id {
@@ -320,19 +349,48 @@ impl Engine for Domain {
             arena.free(a.pkt);
             return;
         }
-        let ev = DEv::Head {
-            pkt: a.pkt,
-            at: a.at,
-            ser: a.ser,
-        };
-        self.wheel.push_at_seq(a.head, HEAD_RANK | self.pkey[i], ev);
+        let key = HEAD_RANK | self.pkey[i];
+        let tail = &mut self.batch_tail[a.slot as usize];
+        // An idle link's lone arrival gets a plain event, so short
+        // queues pay no batch bookkeeping; the test-only reference
+        // schedule never batches.
+        let batch = *tail != NO_PKT || !a.idle;
+        #[cfg(test)]
+        let batch = batch && !self.per_packet;
+        if !batch {
+            let ev = DEv::Head {
+                pkt: a.pkt,
+                at: a.at,
+                ser: a.ser,
+            };
+            self.wheel.push_at_seq(a.head, key, ev);
+            return;
+        }
+        // Queued behind a transmission in progress (or a pending
+        // batch): append. Arrivals on one slot are strictly increasing
+        // in time, since each starts transmitting no earlier than its
+        // predecessor finished.
+        arena.arr_head[i] = a.head;
+        arena.arr_tail[i] = a.tail;
+        arena.arr_next[i] = NO_PKT;
+        if *tail == NO_PKT {
+            let drain = DEv::LinkDrain {
+                slot: a.slot,
+                pkt: a.pkt,
+            };
+            self.wheel.push_at_seq(a.head, key, drain);
+        } else {
+            arena.arr_next[*tail as usize] = a.pkt;
+        }
+        *tail = a.pkt;
     }
 
-    /// Assigns a freshly allocated packet its canonical key and (when
-    /// VLB is on) pre-draws its detour randomness from the emitting
-    /// side's private stream.
+    /// Assigns a freshly allocated packet of `flow` its canonical key
+    /// and (when VLB is on) pre-draws its detour randomness from the
+    /// emitting side's private stream — the destination side's when
+    /// `dst_side`.
     #[inline]
-    fn on_emit(&mut self, arena: &PacketArena, id: PacketId, flow: u32, dst_side: bool) {
+    pub(crate) fn on_emit(&mut self, arena: &PacketArena, id: PacketId, flow: u32, dst_side: bool) {
         self.ensure_side_cols(arena.capacity());
         let i = id as usize;
         let fi = flow as usize;
@@ -357,60 +415,69 @@ impl Engine for Domain {
         }
     }
 
+    /// A uniform `[0, 1)` draw for `flow`'s source (Poisson gaps).
     #[inline]
-    fn uniform(&mut self, flow: usize) -> f64 {
+    pub(crate) fn uniform(&mut self, flow: usize) -> f64 {
         self.src_rng[flow].random::<f64>()
     }
 
+    /// The VLB coin for `pkt`, uniform in `[0, 1)`.
     #[inline]
-    fn vlb_coin(&mut self, pkt: PacketId) -> f64 {
+    pub(crate) fn vlb_coin(&self, pkt: PacketId) -> f64 {
         f64::from_bits(self.vcoin[pkt as usize])
     }
 
+    /// The VLB intermediate pick for `pkt`, uniform in `0..n`.
     #[inline]
-    fn vlb_pick(&mut self, pkt: PacketId, n: usize) -> usize {
+    pub(crate) fn vlb_pick(&self, pkt: PacketId, n: usize) -> usize {
         (self.vpick[pkt as usize] % n as u64) as usize
     }
 
+    /// The re-sprayed ECMP hash of a detoured `pkt`.
     #[inline]
-    fn vlb_spray(&mut self, pkt: PacketId) -> u64 {
+    pub(crate) fn vlb_spray(&self, pkt: PacketId) -> u64 {
         self.vspray[pkt as usize]
     }
 
-    /// Stashes a trace event under the current dispatch's merge key.
+    /// Feeds one trace event to the sink: straight to the recorder, or
+    /// into the stash under the current dispatch's merge key.
     #[inline]
-    fn record(&mut self, ev: Event) {
-        if self.trace_on {
-            let sub = self.cur_sub;
-            self.cur_sub = sub + 1;
-            self.trace_stash.push((self.cur_t, self.cur_key, sub, ev));
+    pub(crate) fn record(&mut self, ev: Event) {
+        match &mut self.trace {
+            Trace::Off => {}
+            Trace::Stash => {
+                let sub = self.cur_sub;
+                self.cur_sub = sub + 1;
+                self.trace_stash.push((self.cur_t, self.cur_key, sub, ev));
+            }
+            Trace::Direct(r) => r.record(&ev),
         }
     }
 
+    /// Logs a managed flow's completion under the current merge key.
     #[inline]
-    fn complete(&mut self, c: FlowCompletion) {
+    pub(crate) fn complete(&mut self, c: FlowCompletion) {
         self.comp_stash.push((self.cur_t, self.cur_key, c));
-    }
-
-    #[inline]
-    fn routes<'a>(&'a self, default: &'a FlatRoutes, _flow: u32) -> &'a FlatRoutes {
-        default
     }
 }
 
-impl Core<Domain> {
+impl Core {
     /// Earliest pending event time in this domain, if any.
     fn next_event_time(&mut self) -> Option<SimTime> {
         self.eng.wheel.next_time()
     }
 
-    /// Drains every event with `time <= bound` in `(time, key)` order.
+    /// Drains every event with `time <= bound` in `(time, key)` order,
+    /// stopping early — right after an event — once `stop` holds.
     // lint:hot
-    fn step_to(&mut self, bound: SimTime) {
+    fn step_to(&mut self, bound: SimTime, stop: &impl Fn(&Core) -> bool) {
         let t_in = (self.eng.clock)();
-        while let Some((t, ev)) = self.eng.wheel.pop_before(bound) {
+        while !stop(self) {
+            let Some((t, ev)) = self.eng.wheel.pop_before(bound) else {
+                break;
+            };
             self.events_processed += 1;
-            self.dispatch(t, ev);
+            self.dispatch(t, ev, bound, stop);
         }
         self.eng.busy_ns = self
             .eng
@@ -421,31 +488,86 @@ impl Core<Domain> {
     /// Dispatches one event, reconstructing its canonical merge key
     /// from its content.
     // lint:hot
-    fn dispatch(&mut self, t: SimTime, ev: DEv) {
-        self.now = t;
-        self.eng.cur_t = t.ns();
-        self.eng.cur_sub = 0;
+    fn dispatch(&mut self, t: SimTime, ev: DEv, bound: SimTime, stop: &impl Fn(&Core) -> bool) {
         match ev {
             DEv::Gen { flow, n } => {
                 debug_assert_eq!(
                     self.eng.dom_of[self.flows[flow as usize].src.0 as usize], self.eng.id,
                     "generation runs in the source domain"
                 );
-                self.eng.cur_key = gen_key(flow, n);
+                self.begin(t, gen_key(flow, n));
                 self.generate(flow as usize, t);
             }
-            DEv::Head { pkt, at, ser } => {
-                // Delivery, receiver state and forwarding all happen in
-                // the domain owning the node.
-                debug_assert_eq!(self.eng.dom_of[at.0 as usize], self.eng.id);
-                self.eng.cur_key = HEAD_RANK | self.eng.pkey[pkt as usize];
-                self.arrive(pkt, at, t, t + u64::from(ser));
-            }
+            DEv::Head { pkt, at, ser } => self.head(pkt, at, t, t + u64::from(ser)),
+            DEv::LinkDrain { slot, pkt } => self.drain_link(slot, pkt, bound, stop),
             DEv::Rto { flow, seq } => {
                 let key = rto_key(flow, seq);
-                self.eng.cur_key = key;
+                self.begin(t, key);
                 self.on_rto(flow as usize, key, t);
             }
+        }
+    }
+
+    /// Sets the clock and the merge key for the event about to run.
+    #[inline]
+    fn begin(&mut self, t: SimTime, key: u64) {
+        self.now = t;
+        self.eng.cur_t = t.ns();
+        self.eng.cur_key = key;
+        self.eng.cur_sub = 0;
+    }
+
+    /// Packet `pkt`'s head reaches `at` at `head` (tail at `tail`).
+    /// Delivery, receiver state and forwarding all happen in the domain
+    /// owning the node.
+    // lint:hot
+    #[inline]
+    fn head(&mut self, pkt: PacketId, at: NodeId, head: SimTime, tail: SimTime) {
+        debug_assert_eq!(self.eng.dom_of[at.0 as usize], self.eng.id);
+        self.begin(head, HEAD_RANK | self.eng.pkey[pkt as usize]);
+        self.arrive(pkt, at, head, tail);
+    }
+
+    /// Processes the batch queued on directed link `slot` from `pkt`
+    /// on, in line while — and only while — each arrival's `(time, key)`
+    /// precedes everything else queued, lies within `bound` and `stop`
+    /// does not hold. Otherwise the drain re-queues itself at the next
+    /// arrival's key and yields, so the global order is exactly the
+    /// per-packet schedule's (DESIGN.md §10).
+    // lint:hot
+    fn drain_link(
+        &mut self,
+        slot: u32,
+        mut pkt: PacketId,
+        bound: SimTime,
+        stop: &impl Fn(&Core) -> bool,
+    ) {
+        let at = self.slot_dst[slot as usize];
+        loop {
+            // Read the entry before `arrive` frees or re-batches its
+            // slot; the last entry closes the batch first.
+            let i = pkt as usize;
+            let next = self.arena.arr_next[i];
+            if next == NO_PKT {
+                self.eng.batch_tail[slot as usize] = NO_PKT;
+            }
+            let (head, tail) = (self.arena.arr_head[i], self.arena.arr_tail[i]);
+            self.head(pkt, at, head, tail);
+            if next == NO_PKT {
+                return;
+            }
+            pkt = next;
+            let j = pkt as usize;
+            let (head, key) = (self.arena.arr_head[j], HEAD_RANK | self.eng.pkey[j]);
+            if head > bound
+                || stop(self)
+                || self.eng.wheel.peek_key().is_some_and(|k| k < (head, key))
+            {
+                let drain = DEv::LinkDrain { slot, pkt };
+                self.eng.wheel.push_at_seq(head, key, drain);
+                return;
+            }
+            self.events_processed += 1;
         }
     }
 
@@ -508,8 +630,8 @@ impl CtlPlane {
     }
 
     /// Inserts a control event keeping the timeline sorted (upper
-    /// bound: same-time events apply in insertion order, matching the
-    /// legacy scheduler's behavior for a fault and its reconvergence).
+    /// bound: same-time events apply in insertion order, so a fault
+    /// applies before the reconvergence it schedules).
     fn insert(&mut self, at: SimTime, kind: CtlKind) {
         let lo = self.cursor;
         let pos = lo + self.events[lo..].partition_point(|e| e.0 <= at);
@@ -517,9 +639,20 @@ impl CtlPlane {
     }
 
     /// Applies the control event at the cursor.
-    fn apply_next(&mut self, sinks: &mut Sinks, cells: &DomainCells<'_, DomainSim>) {
+    fn apply_next(&mut self, sinks: &mut Sinks, cells: &DomainCells<'_, Core>) {
         let (at, kind) = self.events[self.cursor];
         self.cursor += 1;
+        self.apply(at, kind, sinks, cells);
+    }
+
+    /// Applies one control event at `at` to every domain.
+    fn apply(
+        &mut self,
+        at: SimTime,
+        kind: CtlKind,
+        sinks: &mut Sinks,
+        cells: &DomainCells<'_, Core>,
+    ) {
         let dropped: u64 = (0..cells.len()).map(|i| cells.lock(i).stats.dropped).sum();
         let ev = match kind {
             CtlKind::Fault(k) => {
@@ -548,7 +681,7 @@ impl CtlPlane {
                 ev
             }
         };
-        sinks.record_ctl(ev);
+        sinks.record_ctl(ev, cells);
     }
 }
 
@@ -556,6 +689,8 @@ impl CtlPlane {
 /// log, and the reusable buffers the window merge ping-pongs with the
 /// domains (so the steady-state merge allocates nothing).
 struct Sinks {
+    /// The recorder with more than one domain; a single domain holds
+    /// its own ([`Trace::Direct`]).
     recorder: Option<Box<dyn Recorder>>,
     completions: Vec<FlowCompletion>,
     msg_scratch: Vec<BoundaryMsg>,
@@ -565,17 +700,19 @@ struct Sinks {
 }
 
 impl Sinks {
-    /// Records a coordinator-originated (control-plane) event.
-    fn record_ctl(&mut self, ev: Event) {
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(&ev);
+    /// Records a control-plane event after everything recorded so far:
+    /// through the recorder, or with one domain through its own.
+    fn record_ctl(&mut self, ev: Event, cells: &DomainCells<'_, Core>) {
+        match self.recorder.as_deref_mut() {
+            Some(r) => r.record(&ev),
+            None => cells.lock(0).eng.record(ev),
         }
     }
 
     /// Merges one window's outputs: boundary packets into their target
     /// wheels, then traces and completions into the global sinks in
     /// `(time, key)` order.
-    fn merge_window(&mut self, cells: &DomainCells<'_, DomainSim>) {
+    fn merge_window(&mut self, cells: &DomainCells<'_, Core>) {
         self.merge_boundary(cells);
         self.merge_traces(cells);
         self.merge_completions(cells);
@@ -585,7 +722,7 @@ impl Sinks {
     /// Delivery order is irrelevant to simulation output (events are
     /// keyed), but is fixed anyway: by receiving domain, then sender.
     // lint:hot
-    fn merge_boundary(&mut self, cells: &DomainCells<'_, DomainSim>) {
+    fn merge_boundary(&mut self, cells: &DomainCells<'_, Core>) {
         let k = cells.len();
         for dd in 0..k {
             for sd in 0..k {
@@ -615,7 +752,7 @@ impl Sinks {
     /// `(time, key, sub)`, ties to the lowest domain (only same-domain
     /// entries can tie, so any deterministic rule gives one order).
     // lint:hot
-    fn merge_traces(&mut self, cells: &DomainCells<'_, DomainSim>) {
+    fn merge_traces(&mut self, cells: &DomainCells<'_, Core>) {
         let k = cells.len();
         for d in 0..k {
             let mut dom = cells.lock(d);
@@ -647,7 +784,7 @@ impl Sinks {
 
     /// K-way merges the domains' completion stashes into the global
     /// completion log (which grows once per flow — off the hot path).
-    fn merge_completions(&mut self, cells: &DomainCells<'_, DomainSim>) {
+    fn merge_completions(&mut self, cells: &DomainCells<'_, Core>) {
         let k = cells.len();
         for d in 0..k {
             let mut dom = cells.lock(d);
@@ -676,11 +813,11 @@ impl Sinks {
     }
 }
 
-/// The sharded simulation: `k` spatial domains advancing one simulation
-/// under conservative lookahead. See the module docs for the windowing
-/// and determinism arguments; [`ShardedSim::run`] drives the domains on
-/// a [`ThreadPool`] (bit-identical output at any thread count,
-/// including 1).
+/// The simulation: `k` spatial domains advancing one simulation under
+/// conservative lookahead. See the module docs for the windowing and
+/// determinism arguments; [`ShardedSim::run`] drives the domains on a
+/// [`ThreadPool`] (bit-identical output at any thread count, including
+/// 1). [`crate::sim::Simulator`] is this engine at one domain.
 ///
 /// # Examples
 ///
@@ -705,16 +842,16 @@ impl Sinks {
 /// assert_eq!(sim.stats().summary(0).count, 50);
 /// ```
 pub struct ShardedSim {
-    domains: Vec<DomainSim>,
+    domains: Vec<Core>,
     dom_of: Arc<[u32]>,
     net: Arc<Network>,
     lookahead: u64,
     ctl: CtlPlane,
     sinks: Sinks,
+    /// Statistics merged over the domains by the last run (unused with
+    /// one domain, whose own statistics are the result).
     merged: Stats,
-    /// Construction-order RNG: one ECMP hash per `add_flow`, exactly
-    /// like the legacy engine's add-time draws (so flow hashes match
-    /// the legacy simulator under the same seed and add order).
+    /// Construction-order RNG: one ECMP hash per `add_flow`.
     cons_rng: StdRng,
     seed: u64,
     clock: fn() -> u64,
@@ -723,8 +860,8 @@ pub struct ShardedSim {
 }
 
 impl ShardedSim {
-    /// Builds a sharded simulator over `net`, partitioned into (at
-    /// most) `domains` spatial domains.
+    /// Builds a simulator over `net` (routing tables are computed
+    /// here), partitioned into (at most) `domains` spatial domains.
     ///
     /// # Panics
     /// Panics if any cross-domain link touches a host (relay-host
@@ -733,37 +870,41 @@ impl ShardedSim {
     /// latency model with zero propagation delay cannot shard — run
     /// with `domains = 1`).
     pub fn new(net: Network, cfg: SimConfig, domains: usize) -> Self {
-        let part = spatial_domains(&net, domains.max(1));
-        let k = part.domains();
         let mut lookahead = u64::MAX;
-        for (_slot, from, to) in part.cross_slots(&net) {
-            let from_kind = net.node(from).kind;
-            assert!(
-                from_kind.is_switch() && net.node(to).kind.is_switch(),
-                "cross-domain links must join switches; {from:?} -> {to:?} touches a host \
-                 (relay-host fabrics are not shardable — use domains = 1)"
-            );
-            let NodeKind::Switch(role) = from_kind else {
-                unreachable!("asserted switch above")
-            };
-            let hop = cfg.latency.spec_for(role).latency_ns + cfg.prop_delay_ns;
-            lookahead = lookahead.min(hop);
-        }
-        if k > 1 {
+        // One domain needs no partition (and so admits switchless
+        // fabrics such as CamCube).
+        let (dom_of, k): (Arc<[u32]>, usize) = if domains <= 1 {
+            (vec![0; net.node_count()].into(), 1)
+        } else {
+            let part = spatial_domains(&net, domains);
+            for (_slot, from, to) in part.cross_slots(&net) {
+                let from_kind = net.node(from).kind;
+                assert!(
+                    from_kind.is_switch() && net.node(to).kind.is_switch(),
+                    "cross-domain links must join switches; {from:?} -> {to:?} touches a host \
+                     (relay-host fabrics are not shardable — use domains = 1)"
+                );
+                let NodeKind::Switch(role) = from_kind else {
+                    unreachable!("asserted switch above")
+                };
+                let hop = cfg.latency.spec_for(role).latency_ns + cfg.prop_delay_ns;
+                lookahead = lookahead.min(hop);
+            }
             assert!(
                 lookahead >= 1,
                 "conservative lookahead needs >= 1 ns per cross-domain hop; this latency \
                  model has zero switch latency and zero propagation delay — run with domains = 1"
             );
-        }
-        let dom_of: Arc<[u32]> = part.domain_of().into();
+            (part.domain_of().into(), part.domains())
+        };
         let fabric = Fabric::new(net, &cfg);
         let (ctl, flat) = Control::new(Arc::clone(&fabric.net));
         let flat = Arc::new(flat);
+        let slots = 2 * fabric.net.link_count();
         debug_assert!(k <= u32::MAX as usize, "domain count fits u32");
-        let doms: Vec<DomainSim> = (0..k)
+        let doms: Vec<Core> = (0..k)
             .map(|id| {
-                let d = Domain::new(id as u32, Arc::clone(&dom_of), fabric.vlb_enabled, k);
+                let d = Domain::new(id as u32, Arc::clone(&dom_of), fabric.vlb_enabled, k, slots);
                 Core::new(&fabric, cfg.clone(), Arc::clone(&flat), d)
             })
             .collect();
@@ -797,9 +938,8 @@ impl ShardedSim {
     }
 
     /// Registers a flow starting at `start`; returns its index. Flow
-    /// hashes are drawn from a construction-order RNG seeded like the
-    /// legacy engine's, so the same add order yields the same ECMP
-    /// paths.
+    /// hashes are drawn from a construction-order RNG, so the same add
+    /// order yields the same ECMP paths.
     ///
     /// # Panics
     /// Panics if `src` or `dst` is not a host, they coincide, or more
@@ -814,7 +954,7 @@ impl ShardedSim {
         start: SimTime,
     ) -> usize {
         let idx = self.flow_count;
-        assert!(idx < (1 << 29), "the sharded engine keys flows in 29 bits");
+        assert!(idx < (1 << 29), "the engine keys flows in 29 bits");
         self.flow_count += 1;
         let hash = self.cons_rng.random::<u64>();
         for d in &mut self.domains {
@@ -826,13 +966,54 @@ impl ShardedSim {
         idx
     }
 
-    /// Schedules a fiber cut at `at` (both directions of `link` drop
-    /// everything until recovery + reconvergence).
+    /// Registers an additional routing table (e.g. a per-VLAN spanning
+    /// tree from [`quartz_topology::spain::SpainFabric`]); returns its
+    /// index for [`ShardedSim::pin_flow_to_table`].
+    ///
+    /// # Errors
+    /// A table built over another fabric — a different node count, or a
+    /// next hop with no link in this network — is rejected with the
+    /// [`RouteError`] that says which.
+    pub fn add_route_table(&mut self, table: RouteTable) -> Result<usize, RouteError> {
+        let flat = Arc::new(FlatRoutes::try_new(&table, &self.net)?);
+        for d in &mut self.domains {
+            d.extra_flat.push(Arc::clone(&flat));
+        }
+        Ok(self.domains[0].extra_flat.len() - 1)
+    }
+
+    /// Pins a flow's packets to a previously registered table — the §6
+    /// prototype's "an application can select a direct two-hop path or a
+    /// specific indirect three-hop path by sending data on the
+    /// corresponding virtual interface".
+    ///
+    /// # Errors
+    /// [`PinError`] names an unknown flow or table.
+    pub fn pin_flow_to_table(&mut self, flow: usize, table: usize) -> Result<(), PinError> {
+        if flow >= self.flow_count {
+            return Err(PinError::UnknownFlow(flow));
+        }
+        if table >= self.domains[0].extra_flat.len() {
+            return Err(PinError::UnknownTable(table));
+        }
+        for d in &mut self.domains {
+            if d.flow_table.len() <= flow {
+                d.flow_table.resize(flow + 1, None);
+            }
+            d.flow_table[flow] = Some(table);
+        }
+        Ok(())
+    }
+
+    /// Schedules a fiber cut: at `at`, both directions of `link` start
+    /// dropping everything queued onto them (§3.5's failure model,
+    /// live) until recovery and reconvergence.
     pub fn fail_link_at(&mut self, link: LinkId, at: SimTime) {
         self.schedule_fault(FaultKind::LinkDown(link), at);
     }
 
-    /// Schedules the death of switch `node` at `at`.
+    /// Schedules the death of switch `node` at `at`: from then on, every
+    /// frame arriving at (or queued through) it is lost.
     ///
     /// # Panics
     /// Panics if `node` is not a switch.
@@ -840,10 +1021,10 @@ impl ShardedSim {
         self.schedule_fault(FaultKind::SwitchDown(node), at);
     }
 
-    /// Schedules every event of a [`FaultPlan`]. The sharded engine
-    /// requires [`SimConfig::reconvergence_ns`] for routes to recover —
-    /// there is no manual reroute call (reroutes are control events on
-    /// the coordinator's timeline).
+    /// Schedules every event of a [`FaultPlan`]. With
+    /// [`SimConfig::reconvergence_ns`] set, each fault (and recovery)
+    /// triggers an automatic route recomputation that much later;
+    /// otherwise call [`ShardedSim::reroute`].
     ///
     /// # Panics
     /// Panics if the plan names an unknown link or a non-switch node.
@@ -858,27 +1039,69 @@ impl ShardedSim {
         self.ctl.insert(at, CtlKind::Fault(kind));
     }
 
-    /// Attaches an event recorder. The merged stream is identical at
-    /// any domain count (the determinism contract).
+    /// Recomputes the routes over the surviving links and switches at
+    /// [`ShardedSim::now`]: manual control-plane reconvergence, for runs
+    /// without [`SimConfig::reconvergence_ns`]. In-flight packets are
+    /// unaffected.
+    pub fn reroute(&mut self) {
+        let at = self.now();
+        let (ctl, sinks) = (&mut self.ctl, &mut self.sinks);
+        let doms = std::mem::take(&mut self.domains);
+        self.domains = ThreadPool::sequential().step_domains(
+            doms,
+            |_, _| {},
+            |cells| {
+                ctl.apply(at, CtlKind::Reroute, sinks, cells);
+                None
+            },
+        );
+    }
+
+    /// Attaches an event recorder. Recording is observe-only: it never
+    /// draws randomness and never reorders events, so a run with any
+    /// recorder produces the same [`Stats`] as a run with none, and the
+    /// recorded stream is identical at any domain count.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
+        if let [d] = self.domains.as_mut_slice() {
+            d.eng.trace = Trace::Direct(recorder);
+            d.obs = true;
+            return;
+        }
         self.sinks.recorder = Some(recorder);
         for d in &mut self.domains {
-            d.eng.trace_on = true;
+            d.eng.trace = Trace::Stash;
             d.obs = true;
         }
     }
 
     /// Detaches the recorder; drain or flush it via `Recorder::finish`.
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
+        let mut out = self.sinks.recorder.take();
         for d in &mut self.domains {
-            d.eng.trace_on = false;
+            if let Trace::Direct(r) = std::mem::replace(&mut d.eng.trace, Trace::Off) {
+                out = Some(r);
+            }
             d.obs = d.metrics.is_some();
         }
-        self.sinks.recorder.take()
+        out
     }
 
-    /// Enables metric collection in every domain plus the control
-    /// plane; [`ShardedSim::take_metrics`] merges them.
+    /// Feeds a caller-constructed event (e.g. a collective step
+    /// boundary) to the attached recorder, if any, after everything
+    /// recorded so far. Drivers that stage work *around* the simulator
+    /// use this to keep their milestones in the same ordered stream as
+    /// the packet-level events.
+    pub fn record_event(&mut self, ev: Event) {
+        match self.sinks.recorder.as_deref_mut() {
+            Some(r) => r.record(&ev),
+            None => self.domains[0].eng.record(ev),
+        }
+    }
+
+    /// Enables metric collection (per-link queue/utilization series,
+    /// per-switch forwarded/dropped counters, lifecycle totals) in every
+    /// domain plus the control plane; [`ShardedSim::take_metrics`]
+    /// merges them.
     pub fn enable_metrics(&mut self) {
         if self.ctl.metrics.is_none() {
             self.ctl.metrics = Some(MetricsRegistry::new());
@@ -891,19 +1114,27 @@ impl ShardedSim {
         }
     }
 
-    /// Detaches and merges every registry (control plane first, then
-    /// domains in index order). Counter and histogram merges are
-    /// commutative, so the result is domain-count-independent.
+    /// Detaches and merges every registry: the domains' in index order,
+    /// then the control plane's, folded into the first domain's (the
+    /// per-link histograms dominate, so they are not copied). Counter
+    /// and histogram merges are commutative, so the result is
+    /// domain-count-independent.
     pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
-        let mut out = self.ctl.metrics.take();
+        let mut out: Option<MetricsRegistry> = None;
+        let ctl = self.ctl.metrics.take();
         for d in &mut self.domains {
-            if let Some(m) = d.metrics.take() {
-                match &mut out {
-                    Some(o) => o.merge(&m),
-                    None => out = Some(m),
-                }
+            d.obs = !matches!(d.eng.trace, Trace::Off);
+        }
+        for m in self
+            .domains
+            .iter_mut()
+            .filter_map(|d| d.metrics.take())
+            .chain(ctl)
+        {
+            match &mut out {
+                Some(o) => o.merge(&m),
+                None => out = Some(m),
             }
-            d.obs = d.eng.trace_on;
         }
         out
     }
@@ -920,9 +1151,37 @@ impl ShardedSim {
     }
 
     /// Runs the simulation until `until` (events after it stay queued)
-    /// on `pool`'s workers. Returns the merged statistics. Output is
+    /// on `pool`'s workers. Returns the statistics. Output is
     /// bit-identical for every `(domains, threads)` combination.
     pub fn run(&mut self, until: SimTime, pool: &ThreadPool) -> &Stats {
+        self.run_while(until, pool, &|_: &Core| false);
+        self.stats()
+    }
+
+    /// Runs until `count` samples exist under `tag` (e.g. that many RPCs
+    /// have completed) or `deadline` passes; returns whether the target
+    /// was reached. Stops right after the event that reaches the count,
+    /// so staged, dependency-driven workloads can start the next stage
+    /// at [`ShardedSim::now`].
+    ///
+    /// # Panics
+    /// Panics with more than one domain: only a single domain's
+    /// dispatch order is the global one.
+    pub fn run_until_samples(&mut self, tag: u32, count: usize, deadline: SimTime) -> bool {
+        assert_eq!(self.domains.len(), 1, "run_until_samples needs one domain");
+        let reached = move |d: &Core| d.stats.count(tag) >= count;
+        self.run_while(deadline, &ThreadPool::sequential(), &reached);
+        self.stats().count(tag) >= count
+    }
+
+    /// [`ShardedSim::run`], ending right after the event at which `stop`
+    /// first holds (honoured with one domain only).
+    fn run_while(
+        &mut self,
+        until: SimTime,
+        pool: &ThreadPool,
+        stop: &(impl Fn(&Core) -> bool + Sync),
+    ) {
         let clock = self.clock;
         let lookahead = self.lookahead;
         let ctl = &mut self.ctl;
@@ -932,10 +1191,19 @@ impl ShardedSim {
         let doms = std::mem::take(&mut self.domains);
         let doms = pool.step_domains(
             doms,
-            |d, b| d.step_to(SimTime::from_ns(b)),
+            |d, b| d.step_to(SimTime::from_ns(b), stop),
             |cells| {
                 let t_in = clock();
-                let r = Self::coordinate(ctl, sinks, cells, until, lookahead, &mut first);
+                if !std::mem::take(&mut first) {
+                    sinks.merge_window(cells);
+                }
+                // Only a one-domain run stops early (`run_until_samples`).
+                let stopped = cells.len() == 1 && stop(&cells.lock(0));
+                let r = if stopped {
+                    None
+                } else {
+                    Self::coordinate(ctl, sinks, cells, until, lookahead)
+                };
                 *coord_ns = coord_ns.saturating_add(clock().saturating_sub(t_in));
                 r
             },
@@ -945,10 +1213,12 @@ impl ShardedSim {
         {
             let quiescent = self
                 .domains
-                .iter_mut()
-                .all(|d| d.next_event_time().is_none() && d.eng.outbox.iter().all(Vec::is_empty));
+                .iter()
+                .all(|d| d.eng.wheel.is_empty() && d.eng.outbox.iter().all(Vec::is_empty));
             if quiescent {
                 for d in &self.domains {
+                    // A non-empty batch always keeps its drain queued.
+                    debug_assert!(d.eng.batch_tail.iter().all(|&t| t == NO_PKT));
                     debug_assert_eq!(
                         d.arena.live(),
                         0,
@@ -958,29 +1228,24 @@ impl ShardedSim {
                 }
             }
         }
-        self.merged = Stats::default();
-        for d in &self.domains {
-            self.merged.merge(&d.stats);
+        if self.domains.len() > 1 {
+            self.merged = Stats::default();
+            for d in &self.domains {
+                self.merged.merge(&d.stats);
+            }
         }
-        &self.merged
     }
 
-    /// One coordinator round: merge the finished window's outputs, then
-    /// apply every control event due before the next packet event, then
-    /// pick the next window bound (or end the run).
+    /// One coordinator round after the finished window's outputs are
+    /// merged: apply every control event due before the next packet
+    /// event, then pick the next window bound (or end the run).
     fn coordinate(
         ctl: &mut CtlPlane,
         sinks: &mut Sinks,
-        cells: &DomainCells<'_, DomainSim>,
+        cells: &DomainCells<'_, Core>,
         until: SimTime,
         lookahead: u64,
-        first: &mut bool,
     ) -> Option<u64> {
-        if *first {
-            *first = false;
-        } else {
-            sinks.merge_window(cells);
-        }
         loop {
             let mut next_ev: Option<u64> = None;
             for d in 0..cells.len() {
@@ -994,8 +1259,8 @@ impl ShardedSim {
             let tc = ctl.next_time();
             if let Some(tc) = tc {
                 // A control event due at or before the earliest packet
-                // event applies now (fault-before-packet at equal
-                // times — the engine's one documented deviation).
+                // event applies now (control before packet at equal
+                // times).
                 if tc <= until && next_ev.is_none_or(|w| tc.ns() <= w) {
                     ctl.apply_next(sinks, cells);
                     continue;
@@ -1017,23 +1282,34 @@ impl ShardedSim {
         }
     }
 
-    /// Merged statistics from the last [`ShardedSim::run`].
+    /// Statistics as of the last run (merged over the domains).
     pub fn stats(&self) -> &Stats {
-        &self.merged
+        match self.domains.as_slice() {
+            [d] => &d.stats,
+            _ => &self.merged,
+        }
     }
 
-    /// Completion log for managed flows, in global `(time, key)` order
-    /// (identical at any domain count).
+    /// Completion log for managed flows ([`FlowKind::Transport`],
+    /// [`FlowKind::FileTransfer`]), in global `(time, key)` order
+    /// (identical at any domain count). Workload drivers join these
+    /// against their own flow-index bookkeeping to compute per-flow FCT
+    /// and slowdown; unmanaged kinds (Poisson, RPC, bursts) never
+    /// appear.
     pub fn flow_completions(&self) -> &[FlowCompletion] {
         &self.sinks.completions
     }
 
-    /// Every fault event that has fired, with reconvergence outcomes.
+    /// Every fault event that has fired so far, in firing order, with
+    /// its measured reconvergence time and outage cost.
     pub fn fault_log(&self) -> &[FaultRecord] {
         &self.ctl.ctl.fault_log
     }
 
-    /// Total events processed across all domains.
+    /// Total simulated events processed so far across all domains: one
+    /// per scheduler pop plus one per batched arrival (so the count
+    /// equals the per-packet schedule's). The events/sec headline
+    /// metric divides this by wall time.
     pub fn events_processed(&self) -> u64 {
         self.domains.iter().map(|d| d.events_processed).sum()
     }
@@ -1071,7 +1347,26 @@ impl ShardedSim {
         self.flow_count
     }
 
-    /// The time of the most recently processed event in any domain.
+    /// Total payload bytes of a managed flow ([`FlowKind::Transport`] /
+    /// [`FlowKind::FileTransfer`]); `None` for packet-stream kinds or an
+    /// unknown index.
+    pub fn flow_total_bytes(&self, flow: u32) -> Option<u64> {
+        match self.domains[0].flows.get(flow as usize)?.kind {
+            FlowKind::Transport { total_bytes, .. } | FlowKind::FileTransfer { total_bytes } => {
+                Some(total_bytes)
+            }
+            _ => None,
+        }
+    }
+
+    /// A flow's `(src, dst)` hosts, or `None` for an unknown index.
+    pub fn flow_endpoints(&self, flow: u32) -> Option<(NodeId, NodeId)> {
+        let f = self.domains[0].flows.get(flow as usize)?;
+        Some((f.src, f.dst))
+    }
+
+    /// The time of the most recently processed packet-level event in
+    /// any domain.
     pub fn now(&self) -> SimTime {
         self.domains
             .iter()
@@ -1080,15 +1375,15 @@ impl ShardedSim {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Whether any events remain queued in any domain.
-    pub fn has_pending_events(&mut self) -> bool {
-        self.domains
-            .iter_mut()
-            .any(|d| d.next_event_time().is_some())
+    /// Whether any events remain queued (packets in flight or future
+    /// generations) in any domain.
+    pub fn has_pending_events(&self) -> bool {
+        self.domains.iter().any(|d| !d.eng.wheel.is_empty())
     }
 
-    /// Transmission statistics per link, summed across domains (each
-    /// directed slot is only ever driven by its owning domain).
+    /// Transmission statistics per link, in the network's link order,
+    /// summed across domains (each directed slot is only ever driven by
+    /// its owning domain).
     pub fn link_loads(&self) -> Vec<LinkLoad> {
         let mut out = vec![LinkLoad::default(); self.net.link_count()];
         for d in &self.domains {
@@ -1102,15 +1397,20 @@ impl ShardedSim {
 #[doc(hidden)]
 pub fn _assert_send() {
     fn is_send<T: Send>() {}
-    is_send::<DomainSim>();
+    is_send::<Core>();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::Simulator;
-    use quartz_obs::MemoryRecorder;
-    use quartz_topology::builders::{quartz_in_core, quartz_mesh};
+    use crate::switch::{LatencyModel, SwitchSpec, ARISTA_7150S};
+    use quartz_obs::{MemoryRecorder, NullRecorder};
+    use quartz_topology::builders::{
+        bcube, camcube, dcell_1, dual_tor_mesh, fat_tree, jellyfish, leaf_spine, prototype_quartz,
+        prototype_two_tier, quartz_in_core, quartz_in_edge, quartz_in_edge_and_core,
+        quartz_in_jellyfish, quartz_mesh, three_tier, two_tier,
+    };
 
     fn mesh_flows(sim_add: &mut dyn FnMut(NodeId, NodeId, u32, FlowKind, u32, SimTime)) {
         let m = quartz_mesh(4, 3, 10.0, 10.0);
@@ -1209,66 +1509,144 @@ mod tests {
         }
     }
 
+    /// `net` rebuilt with every link at 10 Gb/s (same node and link
+    /// ids), so one serialization time holds on every hop.
+    fn uniform(net: &Network) -> Network {
+        let mut u = Network::new();
+        for n in net.nodes() {
+            match n.kind {
+                NodeKind::Host => u.add_host(n.rack),
+                NodeKind::Switch(role) => u.add_switch(role, n.rack),
+            };
+        }
+        for l in net.links() {
+            u.connect(l.a, l.b, 10.0);
+        }
+        u
+    }
+
+    /// Links on a shortest path from `src` to every node (BFS).
+    fn hops_from(net: &Network, src: NodeId) -> Vec<u64> {
+        let mut dist = vec![u64::MAX; net.node_count()];
+        let mut queue = std::collections::VecDeque::from([src]);
+        dist[src.0 as usize] = 0;
+        while let Some(n) = queue.pop_front() {
+            for &(m, _) in net.neighbors(n) {
+                if dist[m.0 as usize] == u64::MAX {
+                    dist[m.0 as usize] = dist[n.0 as usize] + 1;
+                    queue.push_back(m);
+                }
+            }
+        }
+        dist
+    }
+
+    /// Sends one 400 B packet per ordered host pair of `net`, each alone
+    /// on the fabric, and checks every latency against the closed form:
+    /// host send latency, plus propagation per link and `interior_ns`
+    /// per node between the hosts, plus one serialization (cut-through)
+    /// or one per link (store-and-forward), plus host receive latency.
+    fn check_zero_load(name: &str, net: &Network, latency: LatencyModel, k: usize) {
+        const GAP_NS: u64 = 100_000;
+        const SER_NS: u64 = 320; // 400 B at 10 Gb/s
+        let spec = latency.edge;
+        let (send, recv) = (latency.host_send_ns, latency.host_recv_ns);
+        let cfg = SimConfig {
+            latency,
+            ..SimConfig::default()
+        };
+        let prop = cfg.prop_delay_ns;
+        let mut sim = ShardedSim::new(net.clone(), cfg, k);
+        let mut expect = Vec::new();
+        let hosts = net.hosts();
+        for &src in &hosts {
+            let hops = hops_from(net, src);
+            for &dst in hosts.iter().filter(|&&d| d != src) {
+                let tag = expect.len() as u32;
+                let start = SimTime::from_ns(GAP_NS * u64::from(tag));
+                let kind = FlowKind::Poisson {
+                    mean_gap_ns: 1e12,
+                    stop: start + 1,
+                    respond: false,
+                };
+                sim.add_flow(src, dst, 400, kind, tag, start);
+                let m = hops[dst.0 as usize];
+                let ser = if spec.cut_through { SER_NS } else { m * SER_NS };
+                expect.push(send + m * prop + (m - 1) * spec.latency_ns + ser + recv);
+            }
+        }
+        let until = SimTime::from_ns(GAP_NS * expect.len() as u64);
+        sim.run(until, &ThreadPool::sequential());
+        assert_eq!(sim.stats().delivered, expect.len() as u64, "{name}");
+        for (tag, &want) in expect.iter().enumerate() {
+            let s = sim.stats().summary(tag as u32);
+            assert_eq!(
+                (s.count, s.max_ns),
+                (1, want),
+                "{name}, k = {k}, pair {tag}"
+            );
+        }
+    }
+
     #[test]
-    fn single_domain_matches_legacy_on_rng_free_workloads() {
-        // RPC + FileTransfer + Transport draw no mid-run randomness, and
-        // flow hashes come from the same construction-order RNG, so the
-        // sharded engine at k = 1 must agree with the legacy engine
-        // sample for sample.
-        let m = quartz_mesh(4, 2, 10.0, 10.0);
-        let mut legacy = Simulator::new(m.net.clone(), SimConfig::default());
-        let mut sharded = ShardedSim::new(m.net.clone(), SimConfig::default(), 1);
-        for (src, dst, size, kind, tag) in [
+    fn zero_load_latency_matches_the_closed_form() {
+        let (send, recv) = (1_000, 700);
+        let cut_through = LatencyModel {
+            edge: ARISTA_7150S,
+            core: ARISTA_7150S,
+            host_send_ns: send,
+            host_recv_ns: recv,
+        };
+        // A relaying host waits for the tail and adds its receive and
+        // send latency: store-and-forward at exactly this switch latency.
+        let sf = SwitchSpec {
+            name: "store-and-forward",
+            latency_ns: send + recv,
+            cut_through: false,
+            ports_10g: u32::MAX,
+            ports_40g: u32::MAX,
+        };
+        let store_forward = LatencyModel {
+            edge: sf,
+            core: sf,
+            ..cut_through
+        };
+        let fabrics = [
+            ("quartz_mesh", quartz_mesh(4, 2, 10.0, 10.0).net),
+            ("dual_tor_mesh", dual_tor_mesh(3, 2, 10.0, 10.0).net),
+            ("two_tier", two_tier(3, 2, 2, 10.0, 10.0).net),
+            ("three_tier", three_tier(2, 2, 2, 2, 10.0, 10.0).net),
+            ("prototype_quartz", prototype_quartz().net),
+            ("prototype_two_tier", prototype_two_tier().net),
+            ("fat_tree", fat_tree(4, 10.0).net),
+            ("leaf_spine", leaf_spine(3, 2, 2, 1, 10.0).net),
+            ("jellyfish", jellyfish(6, 3, 2, 10.0, 10.0, 7).net),
+            ("bcube", bcube(2, 1, 10.0).net),
+            ("dcell_1", dcell_1(2, 10.0).net),
+            ("camcube", camcube(3, 10.0).net),
+            ("quartz_in_core", quartz_in_core(2, 2, 2, 4).net),
+            ("quartz_in_edge", quartz_in_edge(2, 3, 2, 2).net),
             (
-                m.hosts[0],
-                m.hosts[5],
-                400,
-                FlowKind::Rpc { count: 30 },
-                0u32,
+                "quartz_in_edge_and_core",
+                quartz_in_edge_and_core(2, 4, 1, 4).net,
             ),
             (
-                m.hosts[1],
-                m.hosts[6],
-                1_000,
-                FlowKind::FileTransfer {
-                    total_bytes: 25_000,
-                },
-                1,
+                "quartz_in_jellyfish",
+                quartz_in_jellyfish(2, 4, 1, 2, 7).net,
             ),
-            (
-                m.hosts[2],
-                m.hosts[7],
-                1_000,
-                FlowKind::Transport {
-                    total_bytes: 50_000,
-                    variant: crate::transport::TcpVariant::Reno,
-                },
-                2,
-            ),
-        ] {
-            legacy.add_flow(src, dst, size, kind, tag, SimTime::ZERO);
-            sharded.add_flow(src, dst, size, kind, tag, SimTime::ZERO);
-        }
-        legacy.run(SimTime::from_ms(5));
-        sharded.run(SimTime::from_ms(5), &ThreadPool::sequential());
-        for tag in [0u32, 1, 2] {
-            let a = legacy.stats().summary(tag);
-            let b = sharded.stats().summary(tag);
-            assert_eq!(a.count, b.count, "tag {tag} count");
-            assert_eq!(a.mean_ns.to_bits(), b.mean_ns.to_bits(), "tag {tag} mean");
-        }
-        assert_eq!(legacy.stats().generated, sharded.stats().generated);
-        assert_eq!(legacy.stats().delivered, sharded.stats().delivered);
-        assert_eq!(
-            legacy.flow_completions().len(),
-            sharded.flow_completions().len()
-        );
-        for (a, b) in legacy
-            .flow_completions()
-            .iter()
-            .zip(sharded.flow_completions())
-        {
-            assert_eq!(a, b, "completion logs diverge");
+        ];
+        for (name, net) in fabrics {
+            let net = uniform(&net);
+            // Hosts that are leaves never relay, and never straddle a
+            // domain cut.
+            let leaves = net.hosts().iter().all(|&h| net.degree(h) == 1);
+            let ks: &[usize] = if leaves { &[1, 4] } else { &[1] };
+            for &k in ks {
+                check_zero_load(name, &net, store_forward, k);
+                if leaves {
+                    check_zero_load(name, &net, cut_through, k);
+                }
+            }
         }
     }
 
@@ -1386,6 +1764,116 @@ mod tests {
     }
 
     #[test]
+    fn one_domain_streams_its_trace() {
+        // With one domain a run is a single window, so a stashing sink
+        // would hold the whole trace until the run ends.
+        let m = quartz_mesh(4, 2, 10.0, 10.0);
+        let mut sim = ShardedSim::new(m.net.clone(), SimConfig::default(), 1);
+        sim.set_recorder(Box::new(NullRecorder));
+        for i in 0..8 {
+            let kind = FlowKind::Poisson {
+                mean_gap_ns: 2_000.0,
+                stop: SimTime::from_ms(10),
+                respond: true,
+            };
+            sim.add_flow(
+                m.hosts[i],
+                m.hosts[(i + 3) % 8],
+                400,
+                kind,
+                0,
+                SimTime::ZERO,
+            );
+        }
+        sim.run(SimTime::from_ms(11), &ThreadPool::sequential());
+        assert!(sim.events_processed() > 50_000, "a long run");
+        let stashed =
+            sim.domains[0].eng.trace_stash.capacity() + sim.sinks.trace_bufs[0].capacity();
+        assert!(stashed <= 16, "{stashed} trace events stashed at once");
+    }
+
+    /// The incremental-reroute invariant, pinned on the paper's
+    /// 33-switch ring-cut mesh: after every scripted fault's
+    /// reconvergence, the incrementally patched routing table must equal
+    /// a [`RouteTable::degraded`] rebuild from scratch over the live
+    /// failure state. (The same comparison runs as a `debug_assert`
+    /// inside `Control::reroute` on every reroute of every debug run;
+    /// this test makes it an explicit release-mode guarantee too.)
+    #[test]
+    fn incremental_patch_matches_scratch_rebuild_on_the_ring_cut_mesh() {
+        let q = quartz_mesh(33, 1, 10.0, 10.0);
+        let mut sim = Simulator::new(
+            q.net.clone(),
+            SimConfig {
+                reconvergence_ns: Some(50_000),
+                ..SimConfig::default()
+            },
+        );
+        // Background traffic keeps packets in flight across every fault.
+        for i in 0..8 {
+            sim.add_flow(
+                q.hosts[i],
+                q.hosts[(i + 11) % q.hosts.len()],
+                400,
+                FlowKind::Poisson {
+                    mean_gap_ns: 8_000.0,
+                    stop: SimTime::from_ms(8),
+                    respond: false,
+                },
+                0,
+                SimTime::ZERO,
+            );
+        }
+        // The paper's cut (switch 0 ↔ 1 at 1 ms) plus a scripted mix of
+        // repairs, a switch death and recovery, and seeded extra cuts —
+        // including overlapping outages, so patches apply on top of an
+        // already-degraded table.
+        let cut = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
+        let mut plan = FaultPlan::random_link_faults(
+            &q.net,
+            4,
+            (SimTime::from_ms(2), SimTime::from_ms(5)),
+            Some(1_500_000),
+            0xC07,
+        );
+        plan.link_down(cut, SimTime::from_ms(1))
+            .link_up(cut, SimTime::from_ms(4))
+            .switch_down(q.switches[7], SimTime::from_ms(3))
+            .switch_up(q.switches[7], SimTime::from_ms(6));
+        sim.apply_fault_plan(&plan);
+
+        // Checkpoint just past each fault's reconvergence.
+        let mut checkpoints: Vec<SimTime> = plan.events().iter().map(|f| f.at + 50_001).collect();
+        checkpoints.sort();
+        for (i, t) in checkpoints.into_iter().enumerate() {
+            sim.run(t);
+            let (links, failed_nodes) = (&sim.domains[0].links, &sim.domains[0].failed_nodes);
+            let scratch = RouteTable::degraded(
+                &sim.net,
+                |l| links[2 * l.0 as usize].failed,
+                |n| failed_nodes[n.0 as usize],
+            );
+            assert_eq!(
+                sim.ctl.ctl.table, scratch,
+                "patched table diverged from scratch rebuild at {t:?}"
+            );
+            // Each fault's own reroute fired 50 µs after it, so by the
+            // i-th checkpoint at least i + 1 faults have reconverged (a
+            // reroute also resolves any other still-open records).
+            let resolved = sim
+                .fault_log()
+                .iter()
+                .filter(|r| r.reconverged_at.is_some())
+                .count();
+            assert!(resolved > i, "missing reroutes by {t:?}");
+        }
+        assert_eq!(sim.fault_log().len(), plan.len());
+        // Every fault healed: the final table equals the pristine one.
+        sim.run(SimTime::from_ms(9));
+        assert_eq!(sim.ctl.ctl.table, RouteTable::all_shortest_paths(&sim.net));
+    }
+
+    #[test]
     #[should_panic(expected = "lookahead")]
     fn zero_lookahead_is_rejected() {
         let m = quartz_mesh(4, 2, 10.0, 10.0);
@@ -1395,5 +1883,221 @@ mod tests {
             ..SimConfig::default()
         };
         let _ = ShardedSim::new(m.net.clone(), cfg, 2);
+    }
+}
+
+/// Differential test for the batched link drain: the batched schedule
+/// and the per-packet reference (one `Head` event per arrival, kept
+/// only under `cfg(test)`) must produce identical runs — same stats,
+/// same completions and event count, same recorded event stream, same
+/// ndjson bytes — at one domain and at four, on a loaded VLB mesh with
+/// bursty traffic, a congestion-controlled transfer under ECN, and a
+/// mid-run fiber cut plus repair. The pair is also re-run on 1, 2, and 8
+/// concurrent threads to pin that no hidden shared state leaks between
+/// simulations.
+#[cfg(test)]
+mod batch_differential {
+    use super::*;
+    use crate::sim::VlbConfig;
+    use crate::transport::TcpVariant;
+    use quartz_obs::{MemoryRecorder, NdjsonRecorder};
+    use quartz_topology::builders::quartz_mesh;
+
+    /// Everything observable about one run, in comparable form.
+    #[derive(Debug, PartialEq)]
+    struct Digest {
+        generated: u64,
+        delivered: u64,
+        dropped: u64,
+        /// Per tag: count, mean bits, ci95 bits, p50, p99, max, bytes,
+        /// mean-hops bits, hop distribution.
+        per_tag: Vec<(u32, TagDigest)>,
+        completions: Vec<FlowCompletion>,
+        faults: usize,
+        events_processed: u64,
+        events: Vec<Event>,
+        ndjson: Vec<u8>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct TagDigest {
+        count: usize,
+        mean_bits: u64,
+        ci95_bits: u64,
+        p50_ns: u64,
+        p99_ns: u64,
+        max_ns: u64,
+        bytes: u64,
+        mean_hops_bits: u64,
+        hop_dist: Vec<(u32, usize)>,
+    }
+
+    /// One full scenario run at `domains` domains, batched or on the
+    /// per-packet reference schedule: VLB detours, Poisson echo + burst
+    /// cross-traffic, a DCTCP transfer with ECN marking, and a ring
+    /// fiber cut at 0.5 ms repaired at 1.2 ms (control plane reconverges
+    /// 50 µs after each).
+    fn run(per_packet: bool, domains: usize) -> Digest {
+        let q = quartz_mesh(4, 4, 10.0, 10.0);
+        // First switch-switch link: cutting it forces reroutes (and VLB
+        // detours around the gap) while packets are in flight.
+        let ring_link = q
+            .net
+            .links()
+            .find(|l| q.switches.contains(&l.a) && q.switches.contains(&l.b))
+            .expect("mesh has ring links")
+            .id;
+        let cfg = SimConfig {
+            seed: 0xD1FF,
+            vlb: Some(VlbConfig {
+                fraction: 0.3,
+                domains: vec![q.switches.clone()],
+            }),
+            ecn_threshold_bytes: Some(30_000),
+            reconvergence_ns: Some(50_000),
+            ..SimConfig::default()
+        };
+        let mut sim = ShardedSim::new(q.net.clone(), cfg, domains);
+        assert_eq!(sim.domain_count(), domains);
+        for d in &mut sim.domains {
+            d.eng.per_packet = per_packet;
+        }
+        let stop = SimTime::from_ms(2);
+        let n = q.hosts.len();
+        for (i, &src) in q.hosts.iter().enumerate() {
+            let dst = q.hosts[(i + 5) % n];
+            let (kind, tag) = match i % 3 {
+                // Open-loop echo streams (round trips stress both link
+                // directions and the response emission path).
+                0 => (
+                    FlowKind::Poisson {
+                        mean_gap_ns: 1_000.0,
+                        stop,
+                        respond: true,
+                    },
+                    0,
+                ),
+                // Bursts: back-to-back runs are exactly what the batched
+                // drain coalesces, so they must still land on the same
+                // (time, key) positions.
+                1 => (
+                    FlowKind::Burst {
+                        burst_pkts: 24,
+                        period_ns: 40_000,
+                        stop,
+                    },
+                    1,
+                ),
+                // One-way Poisson fill.
+                _ => (
+                    FlowKind::Poisson {
+                        mean_gap_ns: 900.0,
+                        stop,
+                        respond: false,
+                    },
+                    2,
+                ),
+            };
+            sim.add_flow(src, dst, 400, kind, tag, SimTime::ZERO);
+        }
+        // A congestion-controlled transfer through the loaded mesh: ECN
+        // marks feed DCTCP, ACKs ride the reverse path, timers arm.
+        let transfer = FlowKind::Transport {
+            total_bytes: 300_000,
+            variant: TcpVariant::Dctcp,
+        };
+        sim.add_flow(
+            q.hosts[0],
+            q.hosts[n - 1],
+            1_000,
+            transfer,
+            3,
+            SimTime::ZERO,
+        );
+        let mut plan = FaultPlan::new();
+        plan.link_down(ring_link, SimTime::from_ns(500_000))
+            .link_up(ring_link, SimTime::from_ns(1_200_000));
+        sim.apply_fault_plan(&plan);
+        sim.set_recorder(Box::new(MemoryRecorder::new()));
+        sim.run(SimTime::from_ms(3), &ThreadPool::sequential());
+
+        let events = sim.take_recorder().expect("recorder attached").finish();
+        // Re-encode through the streaming backend: the ndjson bytes are
+        // what the trace-determinism contract is stated over.
+        let mut nd = NdjsonRecorder::new(Vec::new());
+        for ev in &events {
+            nd.record(ev);
+        }
+        let stats = sim.stats();
+        let per_tag = stats
+            .tags()
+            .into_iter()
+            .map(|tag| {
+                let s = stats.summary(tag);
+                let row = TagDigest {
+                    count: s.count,
+                    mean_bits: s.mean_ns.to_bits(),
+                    ci95_bits: s.ci95_ns.to_bits(),
+                    p50_ns: s.p50_ns,
+                    p99_ns: s.p99_ns,
+                    max_ns: s.max_ns,
+                    bytes: stats.delivered_bytes(tag),
+                    mean_hops_bits: stats.mean_hops(tag).to_bits(),
+                    hop_dist: stats.hop_distribution(tag),
+                };
+                (tag, row)
+            })
+            .collect();
+        Digest {
+            generated: stats.generated,
+            delivered: stats.delivered,
+            dropped: stats.dropped,
+            per_tag,
+            completions: sim.flow_completions().to_vec(),
+            faults: sim.fault_log().len(),
+            events_processed: sim.events_processed(),
+            events,
+            ndjson: nd.into_inner(),
+        }
+    }
+
+    #[test]
+    fn batched_drain_matches_per_packet_schedule() {
+        let one = run(false, 1);
+        assert!(one.delivered > 0, "scenario must carry traffic");
+        assert!(one.dropped > 0, "fault window must cost packets");
+        assert!(!one.completions.is_empty(), "the transfer completes");
+        assert!(!one.events.is_empty(), "recorder must observe the run");
+        assert_eq!(
+            one,
+            run(true, 1),
+            "batched drain diverged from the per-packet schedule"
+        );
+        let four = run(false, 4);
+        assert_eq!(four, run(true, 4), "batched drain diverged at 4 domains");
+        assert_eq!(four, one, "domain count changed the output");
+    }
+
+    #[test]
+    fn schedules_agree_across_worker_counts() {
+        let reference = run(false, 1);
+        for workers in [1usize, 2, 8] {
+            let digests: Vec<(Digest, Digest)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| s.spawn(|| (run(false, 1), run(true, 1))))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (batched, per_packet) in &digests {
+                assert_eq!(
+                    batched, &reference,
+                    "batched run diverged at {workers} workers"
+                );
+                assert_eq!(
+                    per_packet, &reference,
+                    "per-packet run diverged at {workers} workers"
+                );
+            }
+        }
     }
 }

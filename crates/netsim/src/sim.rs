@@ -1,4 +1,5 @@
-//! The discrete-event engine and its workload drivers.
+//! Simulator configuration, flow kinds, and [`Simulator`]: the engine at
+//! one spatial domain.
 //!
 //! ## Timing model
 //!
@@ -14,8 +15,9 @@
 //!   byte-capacity bound;
 //! * propagation delay is constant per link (datacenter cables are short).
 //!
-//! The per-packet logic itself lives in `core`, shared with the
-//! sharded engine; this module is the serial event loop around it.
+//! The per-packet logic lives in `core`, inside the engine of
+//! [`crate::shard`]; [`Simulator`] is that engine at one spatial domain,
+//! run on the calling thread.
 //!
 //! ## Workloads
 //!
@@ -28,23 +30,20 @@
 //!
 //! ## Determinism
 //!
-//! One seeded RNG; event ties break on a monotone sequence number; ECMP
-//! picks by flow hash. Two runs with the same seed are bit-identical.
+//! Seeded per-flow RNG streams; event ties break on content-derived
+//! keys; ECMP picks by flow hash. Two runs with the same seed are
+//! bit-identical.
 
-use crate::arena::{PacketArena, PacketId};
-use crate::core::{Arrival, Control, Core, Engine, Fabric};
-use crate::faults::{FaultKind, FaultPlan};
-use crate::sched::TimingWheel;
+use crate::faults::FaultKind;
+use crate::shard::ShardedSim;
 use crate::stats::Stats;
 use crate::switch::LatencyModel;
 use crate::time::SimTime;
 use crate::transport::TcpVariant;
-use quartz_core::rng::StdRng;
-use quartz_obs::{Event, MetricsRegistry, Recorder};
-use quartz_topology::graph::{LinkId, Network, NodeId};
-use quartz_topology::route::{FlatRoutes, RouteError, RouteTable};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use quartz_core::pool::ThreadPool;
+use quartz_topology::graph::{Network, NodeId};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// Valiant load balancing configuration (§3.4).
 #[derive(Clone, Debug)]
@@ -77,7 +76,7 @@ pub struct SimConfig {
     /// Control-plane reconvergence delay: when a fault (or recovery)
     /// fires, routes are recomputed over the degraded network this many
     /// ns later. `None` (the default) models a static control plane —
-    /// call [`Simulator::reroute`] by hand.
+    /// call [`ShardedSim::reroute`] by hand.
     pub reconvergence_ns: Option<u64>,
 }
 
@@ -145,33 +144,6 @@ pub enum FlowKind {
     },
 }
 
-#[derive(Clone, Copy, Debug)]
-enum EvKind {
-    /// Emit the flow's next packet (or burst).
-    Gen { flow: usize },
-    /// Packet head arrives at a node; the tail follows `ser` ns later
-    /// (the serialization time, which always fits 32 bits — reconstructed
-    /// as `time + ser` at dispatch to keep the event at one word). The
-    /// packet's fields live in the [`PacketArena`]; the event carries
-    /// only its id.
-    Head { pkt: PacketId, at: NodeId, ser: u32 },
-    /// Sentinel for a non-empty per-link batch: drain the back-to-back
-    /// run queued on directed link `slot`. Carries the `(time, seq)`
-    /// key of the batch's first pending arrival, so it pops exactly
-    /// where that arrival's own `Head` event would have.
-    LinkDrain { slot: u32 },
-    /// A fault (or recovery) hits the data plane.
-    Fault(FaultKind),
-    /// Control-plane reconvergence completes: recompute routes over the
-    /// surviving elements and close open [`FaultRecord`]s.
-    Reroute,
-    /// The one queued retransmission-timer event of `flow`, at the
-    /// wheel sequence number `seq` reserved when its timer was armed.
-    /// The core fires it, or moves it to the connection's latest armed
-    /// timer (DESIGN.md §10).
-    Rto { flow: u32, seq: u64 },
-}
-
 /// One entry of the simulator's fault log: what failed (or recovered),
 /// when, and what the outage cost before routes reconverged.
 #[derive(Clone, Copy, Debug)]
@@ -192,10 +164,10 @@ pub struct FaultRecord {
 
 /// One entry of the simulator's flow-completion log: a managed flow
 /// ([`FlowKind::Transport`] or [`FlowKind::FileTransfer`]) delivered its
-/// last byte. See [`Simulator::flow_completions`].
+/// last byte. See [`ShardedSim::flow_completions`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowCompletion {
-    /// Flow index (as returned by [`Simulator::add_flow`]).
+    /// Flow index (as returned by [`ShardedSim::add_flow`]).
     pub flow: u32,
     /// Flow completion time: open → last byte delivered, ns.
     pub fct_ns: u64,
@@ -225,131 +197,29 @@ impl LinkLoad {
     }
 }
 
-/// The serial engine's [`Engine`] hooks: one `(time, seq)` timing
-/// wheel with batched link drain, one RNG drawn lazily in execution
-/// order, the recorder itself as trace sink, and the SPAIN-style extra
-/// route tables.
-struct Serial {
-    events: TimingWheel<EvKind>,
-    rng: StdRng,
-    /// Per-directed-link batch of pending arrivals: arena ids whose
-    /// `(arr_head, arr_seq)` keys are strictly increasing per queue.
-    /// Non-empty exactly while one [`EvKind::LinkDrain`] sentinel for
-    /// the slot is queued (or being dispatched).
-    link_q: Vec<VecDeque<PacketId>>,
-    /// Optional event sink. `None` (the default) keeps every emission
-    /// site down to one branch.
-    recorder: Option<Box<dyn Recorder>>,
-    /// Completion log for managed flows, in completion order — one
-    /// push per *flow*, not per packet.
-    completions: Vec<FlowCompletion>,
-    /// Extra routing tables (per-VLAN spanning trees, §6's SPAIN
-    /// technique), stored flattened.
-    extra_flat: Vec<FlatRoutes>,
-    /// The extra table each flow is pinned to, if any.
-    flow_table: Vec<Option<usize>>,
-    /// Test-only reference schedule: one `Head` event per arrival, no
-    /// batching (DESIGN.md §10).
-    #[cfg(test)]
-    per_packet: bool,
+/// Why [`ShardedSim::pin_flow_to_table`] refused a pin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PinError {
+    /// No flow has this index.
+    UnknownFlow(usize),
+    /// No extra route table has this index.
+    UnknownTable(usize),
 }
 
-impl Engine for Serial {
-    fn schedule_gen(&mut self, flow: usize, at: SimTime) {
-        self.events.push(at, EvKind::Gen { flow });
-    }
-
-    fn reserve_rto_key(&mut self, _flow: usize) -> u64 {
-        self.events.reserve_seq()
-    }
-
-    fn push_rto(&mut self, flow: usize, at: SimTime, seq: u64) {
-        debug_assert!(flow <= u32::MAX as usize, "flow ids fit u32");
-        let flow = flow as u32;
-        self.events.push_at_seq(at, seq, EvKind::Rto { flow, seq });
-    }
-
-    // lint:hot
-    fn schedule_arrival(&mut self, arena: &mut PacketArena, a: Arrival) {
-        // Either way the arrival takes the `(time, seq)` key a plain
-        // push would have.
-        let seq = self.events.reserve_seq();
-        let q = &mut self.link_q[a.slot as usize];
-        // An idle link's lone arrival gets a plain event, so short
-        // queues pay no batch bookkeeping; the test-only reference
-        // schedule never batches.
-        #[cfg(not(test))]
-        let batch = !q.is_empty() || !a.idle;
-        #[cfg(test)]
-        let batch = (!q.is_empty() || !a.idle) && !self.per_packet;
-        if !batch {
-            let head = EvKind::Head {
-                pkt: a.pkt,
-                at: a.at,
-                ser: a.ser,
-            };
-            self.events.push_at_seq(a.head, seq, head);
-            return;
-        }
-        // Queued behind an in-progress transmission (or an
-        // already-pending batch): append. Keys are strictly increasing
-        // per slot because each start time is at least the
-        // predecessor's done time.
-        let i = a.pkt as usize;
-        arena.arr_head[i] = a.head;
-        arena.arr_tail[i] = a.tail;
-        arena.arr_seq[i] = seq;
-        q.push_back(a.pkt);
-        if q.len() == 1 {
-            let drain = EvKind::LinkDrain { slot: a.slot };
-            self.events.push_at_seq(a.head, seq, drain);
-        }
-    }
-
-    fn on_emit(&mut self, _: &PacketArena, _: PacketId, _: u32, _: bool) {}
-
-    fn uniform(&mut self, _flow: usize) -> f64 {
-        self.rng.random::<f64>()
-    }
-
-    fn vlb_coin(&mut self, _pkt: PacketId) -> f64 {
-        self.rng.random::<f64>()
-    }
-
-    fn vlb_pick(&mut self, _pkt: PacketId, n: usize) -> usize {
-        self.rng.random_range(0..n)
-    }
-
-    fn vlb_spray(&mut self, _pkt: PacketId) -> u64 {
-        self.rng.random::<u64>()
-    }
-
-    #[inline]
-    fn record(&mut self, ev: Event) {
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(&ev);
-        }
-    }
-
-    fn complete(&mut self, c: FlowCompletion) {
-        self.completions.push(c);
-    }
-
-    #[inline]
-    fn routes<'a>(&'a self, default: &'a FlatRoutes, flow: u32) -> &'a FlatRoutes {
-        // With no extra tables installed (the common case) every flow
-        // routes by the default table — skip the per-flow indirection.
-        if self.extra_flat.is_empty() {
-            return default;
-        }
-        match self.flow_table[flow as usize] {
-            Some(t) => &self.extra_flat[t],
-            None => default,
+impl fmt::Display for PinError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PinError::UnknownFlow(i) => write!(f, "unknown flow {i}"),
+            PinError::UnknownTable(i) => write!(f, "unknown table {i}"),
         }
     }
 }
 
-/// The discrete-event simulator.
+impl std::error::Error for PinError {}
+
+/// The discrete-event simulator: the engine ([`ShardedSim`]) at one
+/// spatial domain, run on the calling thread. Every [`ShardedSim`]
+/// method is available through `Deref`.
 ///
 /// # Examples
 ///
@@ -371,379 +241,43 @@ impl Engine for Serial {
 /// sim.run(SimTime::from_ms(10));
 /// assert_eq!(sim.stats().summary(0).count, 100);
 /// ```
-pub struct Simulator {
-    core: Core<Serial>,
-    ctl: Control,
-}
+pub struct Simulator(ShardedSim);
 
 impl Simulator {
     /// Builds a simulator over `net` (routing tables are computed here).
     pub fn new(net: Network, cfg: SimConfig) -> Self {
-        let fabric = Fabric::new(net, &cfg);
-        let (ctl, flat) = Control::new(Arc::clone(&fabric.net));
-        let serial = Serial {
-            events: TimingWheel::new(),
-            rng: StdRng::seed_from_u64(cfg.seed),
-            link_q: vec![VecDeque::new(); 2 * fabric.net.link_count()],
-            recorder: None,
-            completions: Vec::new(),
-            extra_flat: Vec::new(),
-            flow_table: Vec::new(),
-            #[cfg(test)]
-            per_packet: false,
-        };
-        Simulator {
-            core: Core::new(&fabric, cfg, Arc::new(flat), serial),
-            ctl,
-        }
-    }
-
-    /// Attaches an event recorder. Recording is observe-only: it never
-    /// draws from the simulation RNG and never reorders events, so a
-    /// run with any recorder produces the same [`Stats`] as a run with
-    /// none (asserted by `faults::tests`).
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.core.eng.recorder = Some(recorder);
-        self.core.obs = true;
-    }
-
-    /// Detaches the recorder; drain or flush it via `Recorder::finish`.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        let r = self.core.eng.recorder.take();
-        self.core.obs = self.core.metrics.is_some();
-        r
-    }
-
-    /// Enables metric collection (per-link queue/utilization series,
-    /// per-switch forwarded/dropped counters, lifecycle totals).
-    pub fn enable_metrics(&mut self) {
-        if self.core.metrics.is_none() {
-            self.core.metrics = Some(MetricsRegistry::new());
-        }
-        self.core.obs = true;
-    }
-
-    /// Detaches and returns the metrics registry.
-    pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
-        let m = self.core.metrics.take();
-        self.core.obs = self.core.eng.recorder.is_some();
-        m
-    }
-
-    /// Registers an additional routing table (e.g. a per-VLAN spanning
-    /// tree from [`quartz_topology::spain::SpainFabric`]); returns its
-    /// index for [`Simulator::pin_flow_to_table`].
-    ///
-    /// # Errors
-    /// A table built over another fabric — a different node count, or a
-    /// next hop with no link in this network — is rejected with the
-    /// [`RouteError`] that says which.
-    pub fn add_route_table(&mut self, table: RouteTable) -> Result<usize, RouteError> {
-        let flat = FlatRoutes::try_new(&table, &self.core.net)?;
-        self.core.eng.extra_flat.push(flat);
-        Ok(self.core.eng.extra_flat.len() - 1)
-    }
-
-    /// Pins a flow's packets to a previously registered table — the §6
-    /// prototype's "an application can select a direct two-hop path or a
-    /// specific indirect three-hop path by sending data on the
-    /// corresponding virtual interface".
-    pub fn pin_flow_to_table(&mut self, flow: usize, table: usize) {
-        let eng = &mut self.core.eng;
-        assert!(table < eng.extra_flat.len(), "unknown table {table}");
-        eng.flow_table[flow] = Some(table);
-    }
-
-    /// Registers a flow starting at `start`; returns its index.
-    ///
-    /// # Panics
-    /// Panics if `src` or `dst` is not a host, or they coincide.
-    pub fn add_flow(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        size_bytes: u32,
-        kind: FlowKind,
-        tag: u32,
-        start: SimTime,
-    ) -> usize {
-        let hash = self.core.eng.rng.random::<u64>();
-        let idx = self
-            .core
-            .add_flow(src, dst, size_bytes, kind, tag, start, hash);
-        self.core.eng.flow_table.push(None);
-        self.core.eng.schedule_gen(idx, start);
-        idx
+        Simulator(ShardedSim::new(net, cfg, 1))
     }
 
     /// Runs the simulation until `until` (events after it stay queued).
     /// Returns the accumulated statistics.
     pub fn run(&mut self, until: SimTime) -> &Stats {
-        while let Some((time, kind)) = self.core.eng.events.pop_before(until) {
-            self.dispatch(time, kind, until, false);
-        }
-        // Leak check: at quiescence every arena slot must have been
-        // freed (delivered or dropped). With events still queued past
-        // `until`, live slots are exactly the in-flight packets, which
-        // the event queue owns — only the empty-queue case is checkable
-        // from here. The batch invariant makes the two equivalent: a
-        // non-empty batch always keeps its sentinel queued.
-        #[cfg(debug_assertions)]
-        if self.core.eng.events.is_empty() {
-            let batched: usize = self.core.eng.link_q.iter().map(|q| q.len()).sum();
-            debug_assert_eq!(batched, 0, "batch entries without a drain sentinel");
-            debug_assert_eq!(
-                self.core.arena.live(),
-                0,
-                "packet arena leak: live slots at quiescence"
-            );
-        }
-        &self.core.stats
+        self.0.run(until, &ThreadPool::sequential())
     }
+}
 
-    /// Total simulated events processed so far: one per scheduler pop
-    /// plus one per batched arrival (so the count equals the per-packet
-    /// schedule's). The events/sec headline metric divides this by wall
-    /// time.
-    pub fn events_processed(&self) -> u64 {
-        self.core.events_processed
+impl Deref for Simulator {
+    type Target = ShardedSim;
+
+    fn deref(&self) -> &ShardedSim {
+        &self.0
     }
+}
 
-    /// Dispatches one popped event. `bound` is the caller's time bound
-    /// (batch draining must not run past it); with `step`, a batch
-    /// drain processes exactly one arrival before yielding, so callers
-    /// that inspect state between events (e.g.
-    /// [`Simulator::run_until_samples`]) observe the same boundaries as
-    /// the per-packet schedule.
-    // lint:hot
-    fn dispatch(&mut self, time: SimTime, kind: EvKind, bound: SimTime, step: bool) {
-        self.core.now = time;
-        match kind {
-            EvKind::LinkDrain { slot } => {
-                self.drain_link(slot, bound, step);
-                return;
-            }
-            _ => self.core.events_processed += 1,
-        }
-        match kind {
-            EvKind::Gen { flow } => self.core.generate(flow, time),
-            EvKind::Head { pkt, at, ser } => self.core.arrive(pkt, at, time, time + u64::from(ser)),
-            EvKind::LinkDrain { .. } => unreachable!("handled above"),
-            EvKind::Fault(kind) => self.on_fault(kind),
-            EvKind::Reroute => self.reroute(),
-            EvKind::Rto { flow, seq } => self.core.on_rto(flow as usize, seq, time),
-        }
-    }
-
-    /// Drains the batch queued on directed link `slot`, processing
-    /// pending arrivals in-line while — and only while — each one's
-    /// `(time, seq)` key precedes everything else in the event queue.
-    /// Any earlier queued event (a fault, an RTO, an arrival on another
-    /// link, a generation) re-arms the sentinel at the next entry's key
-    /// and yields, so the global event order is exactly the per-packet
-    /// order — batch "termination" at ECN, fault, or dark-window
-    /// boundaries falls out of the key merge rather than needing
-    /// special cases.
-    // lint:hot
-    fn drain_link(&mut self, slot: u32, bound: SimTime, step: bool) {
-        let at = self.core.slot_dst[slot as usize];
-        loop {
-            let Some(&id) = self.core.eng.link_q[slot as usize].front() else {
-                return;
-            };
-            let i = id as usize;
-            let arena = &self.core.arena;
-            let (head, seq) = (arena.arr_head[i], arena.arr_seq[i]);
-            // Yield to the queue if anything there is due first, and to
-            // the caller if the entry lies past its time bound; either
-            // way the batch keeps exactly one sentinel, keyed like its
-            // first pending arrival.
-            let events = &mut self.core.eng.events;
-            let defer = head > bound || events.peek_key().is_some_and(|k| k < (head, seq));
-            if defer {
-                events.push_at_seq(head, seq, EvKind::LinkDrain { slot });
-                return;
-            }
-            self.core.eng.link_q[slot as usize].pop_front();
-            let tail = self.core.arena.arr_tail[i];
-            self.core.now = head;
-            self.core.events_processed += 1;
-            self.core.arrive(id, at, head, tail);
-            if step {
-                // One arrival per dispatch: re-arm for the rest.
-                if let Some(&next) = self.core.eng.link_q[slot as usize].front() {
-                    let j = next as usize;
-                    let (head, seq) = (self.core.arena.arr_head[j], self.core.arena.arr_seq[j]);
-                    let drain = EvKind::LinkDrain { slot };
-                    self.core.eng.events.push_at_seq(head, seq, drain);
-                }
-                return;
-            }
-        }
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.core.stats
-    }
-
-    /// Completion log for managed flows ([`FlowKind::Transport`],
-    /// [`FlowKind::FileTransfer`]), in completion order. Workload
-    /// drivers join these against their own flow-index bookkeeping to
-    /// compute per-flow FCT and slowdown; unmanaged kinds (Poisson,
-    /// RPC, bursts) never appear.
-    pub fn flow_completions(&self) -> &[FlowCompletion] {
-        &self.core.eng.completions
-    }
-
-    /// Number of flows registered so far.
-    pub fn flow_count(&self) -> usize {
-        self.core.flows.len()
-    }
-
-    /// Total payload bytes of a managed flow ([`FlowKind::Transport`] /
-    /// [`FlowKind::FileTransfer`]); `None` for packet-stream kinds or an
-    /// unknown index.
-    pub fn flow_total_bytes(&self, flow: u32) -> Option<u64> {
-        self.core
-            .flows
-            .get(flow as usize)
-            .and_then(|f| match f.kind {
-                FlowKind::Transport { total_bytes, .. } => Some(total_bytes),
-                FlowKind::FileTransfer { total_bytes } => Some(total_bytes),
-                _ => None,
-            })
-    }
-
-    /// A flow's `(src, dst)` hosts, or `None` for an unknown index.
-    pub fn flow_endpoints(&self, flow: u32) -> Option<(NodeId, NodeId)> {
-        self.core.flows.get(flow as usize).map(|f| (f.src, f.dst))
-    }
-
-    /// Feeds a caller-constructed event (e.g. a collective step
-    /// boundary) to the attached recorder, if any. Drivers that stage
-    /// work *around* the simulator use this to keep their milestones in
-    /// the same ordered stream as the packet-level events.
-    pub fn record_event(&mut self, ev: Event) {
-        self.core.eng.record(ev);
-    }
-
-    /// The time of the most recently processed event.
-    pub fn now(&self) -> SimTime {
-        self.core.now
-    }
-
-    /// Runs until `count` samples exist under `tag` (e.g. that many RPCs
-    /// have completed) or `deadline` passes; returns whether the target
-    /// was reached. Enables staged, dependency-driven workloads: start a
-    /// fan-out, wait for it, start the next stage at [`Simulator::now`].
-    pub fn run_until_samples(&mut self, tag: u32, count: usize, deadline: SimTime) -> bool {
-        while self.core.stats.count(tag) < count {
-            let Some((time, kind)) = self.core.eng.events.pop_before(deadline) else {
-                return false;
-            };
-            // step = true: a batched drain yields after each arrival so
-            // the sample count is checked at the same boundaries as the
-            // per-packet schedule (no overshoot divergence).
-            self.dispatch(time, kind, deadline, true);
-        }
-        true
-    }
-
-    /// Whether any events remain queued (packets in flight or future
-    /// generations).
-    pub fn has_pending_events(&self) -> bool {
-        !self.core.eng.events.is_empty()
-    }
-
-    /// Schedules a fiber cut: at `at`, both directions of `link` start
-    /// dropping everything queued onto them (§3.5's failure model, live).
-    pub fn fail_link_at(&mut self, link: LinkId, at: SimTime) {
-        self.schedule_fault(FaultKind::LinkDown(link), at);
-    }
-
-    /// Schedules the death of switch `node` at `at`: from then on, every
-    /// frame arriving at (or queued through) it is lost.
-    ///
-    /// # Panics
-    /// Panics if `node` is not a switch.
-    pub fn fail_switch_at(&mut self, node: NodeId, at: SimTime) {
-        self.schedule_fault(FaultKind::SwitchDown(node), at);
-    }
-
-    /// Schedules every event of a [`FaultPlan`]. With
-    /// [`SimConfig::reconvergence_ns`] set, each fault (and recovery)
-    /// triggers an automatic route recomputation that much later;
-    /// otherwise call [`Simulator::reroute`] manually.
-    ///
-    /// # Panics
-    /// Panics if the plan names an unknown link or a non-switch node.
-    pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        for ev in plan.events() {
-            self.schedule_fault(ev.kind, ev.at);
-        }
-    }
-
-    fn schedule_fault(&mut self, kind: FaultKind, at: SimTime) {
-        self.ctl.check(kind);
-        self.core.eng.events.push(at, EvKind::Fault(kind));
-    }
-
-    /// Applies one fault to the data plane and opens a log record. With
-    /// auto-reconvergence configured, schedules the route recomputation.
-    fn on_fault(&mut self, kind: FaultKind) {
-        let core = &mut self.core;
-        core.set_fault_state(kind);
-        let ev = self
-            .ctl
-            .open(core.now, kind, core.stats.dropped, core.metrics.as_mut());
-        if core.obs {
-            core.eng.record(ev);
-        }
-        if let Some(delay) = core.cfg.reconvergence_ns {
-            core.eng.events.push(core.now + delay, EvKind::Reroute);
-        }
-    }
-
-    /// Recomputes the ECMP tables over the surviving links and switches
-    /// only. Call after a failure event has fired to model control-plane
-    /// reconvergence (or set [`SimConfig::reconvergence_ns`] to have it
-    /// happen automatically); in-flight packets are unaffected.
-    pub fn reroute(&mut self) {
-        let core = &mut self.core;
-        let (flat, ev) = self.ctl.reroute(
-            core.now,
-            core.stats.dropped,
-            &core.links,
-            &core.failed_nodes,
-            core.metrics.as_mut(),
-        );
-        core.flat = Arc::new(flat);
-        if core.obs {
-            core.eng.record(ev);
-        }
-    }
-
-    /// Every fault event that has fired so far, in firing order, with
-    /// its measured reconvergence time and outage cost.
-    pub fn fault_log(&self) -> &[FaultRecord] {
-        &self.ctl.fault_log
-    }
-
-    /// Transmission statistics per link, in the network's link order.
-    pub fn link_loads(&self) -> Vec<LinkLoad> {
-        let mut out = vec![LinkLoad::default(); self.core.net.link_count()];
-        self.core.add_link_loads(&mut out);
-        out
+impl DerefMut for Simulator {
+    fn deref_mut(&mut self) -> &mut ShardedSim {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::switch::{ARISTA_7150S, CISCO_NEXUS_7000};
     use quartz_topology::builders::{prototype_quartz, quartz_mesh, three_tier};
     use quartz_topology::graph::SwitchRole;
+    use quartz_topology::route::{RouteError, RouteTable};
 
     /// Two hosts on one switch of the given role; returns (net, h1, h2).
     fn dumbbell(role: SwitchRole, gbps: f64) -> (Network, NodeId, NodeId) {
@@ -1394,7 +928,7 @@ mod tests {
                 0,
                 SimTime::ZERO,
             );
-            sim.pin_flow_to_table(f, t);
+            sim.pin_flow_to_table(f, t).expect("flow and table exist");
             sim.run(SimTime::from_ms(50));
             let s = sim.stats().summary(0);
             assert_eq!(s.count, 50);
@@ -1412,8 +946,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown table")]
-    fn pinning_to_missing_table_panics() {
+    fn pinning_to_an_unknown_flow_or_table_is_a_typed_error() {
         let p = prototype_quartz();
         let mut sim = Simulator::new(p.net.clone(), SimConfig::default());
         let f = sim.add_flow(
@@ -1424,7 +957,16 @@ mod tests {
             0,
             SimTime::ZERO,
         );
-        sim.pin_flow_to_table(f, 3);
+        assert_eq!(sim.pin_flow_to_table(f, 3), Err(PinError::UnknownTable(3)));
+        let spain = quartz_topology::spain::SpainFabric::per_switch(&p.net);
+        let t = sim
+            .add_route_table(spain.table(0).clone())
+            .expect("VLAN trees span this fabric");
+        assert_eq!(
+            sim.pin_flow_to_table(f + 1, t),
+            Err(PinError::UnknownFlow(f + 1))
+        );
+        assert_eq!(sim.pin_flow_to_table(f, t), Ok(()));
     }
 
     #[test]
@@ -1599,306 +1141,5 @@ mod tests {
         assert_eq!(st.mean_hops(0), 3.0, "direct mesh path is 3 links");
         assert_eq!(st.mean_hops(1), 4.0, "the detour adds exactly one hop");
         assert_eq!(st.hop_distribution(0), vec![(3, st.count(0))]);
-    }
-
-    /// The incremental-reroute invariant, pinned on the paper's
-    /// 33-switch ring-cut mesh: after every scripted fault's
-    /// reconvergence, the incrementally patched routing table must equal
-    /// a [`RouteTable::degraded`] rebuild from scratch over the live
-    /// failure state. (The same comparison runs as a `debug_assert`
-    /// inside `Control::reroute` on every reroute of every debug run;
-    /// this test makes it an explicit release-mode guarantee too.)
-    #[test]
-    fn incremental_patch_matches_scratch_rebuild_on_the_ring_cut_mesh() {
-        use crate::faults::FaultPlan;
-
-        let q = quartz_mesh(33, 1, 10.0, 10.0);
-        let mut sim = Simulator::new(
-            q.net.clone(),
-            SimConfig {
-                reconvergence_ns: Some(50_000),
-                ..SimConfig::default()
-            },
-        );
-        // Background traffic keeps packets in flight across every fault.
-        for i in 0..8 {
-            sim.add_flow(
-                q.hosts[i],
-                q.hosts[(i + 11) % q.hosts.len()],
-                400,
-                FlowKind::Poisson {
-                    mean_gap_ns: 8_000.0,
-                    stop: SimTime::from_ms(8),
-                    respond: false,
-                },
-                0,
-                SimTime::ZERO,
-            );
-        }
-        // The paper's cut (switch 0 ↔ 1 at 1 ms) plus a scripted mix of
-        // repairs, a switch death and recovery, and seeded extra cuts —
-        // including overlapping outages, so patches apply on top of an
-        // already-degraded table.
-        let cut = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
-        let mut plan = FaultPlan::random_link_faults(
-            &q.net,
-            4,
-            (SimTime::from_ms(2), SimTime::from_ms(5)),
-            Some(1_500_000),
-            0xC07,
-        );
-        plan.link_down(cut, SimTime::from_ms(1))
-            .link_up(cut, SimTime::from_ms(4))
-            .switch_down(q.switches[7], SimTime::from_ms(3))
-            .switch_up(q.switches[7], SimTime::from_ms(6));
-        sim.apply_fault_plan(&plan);
-
-        // Checkpoint just past each fault's reconvergence.
-        let mut checkpoints: Vec<SimTime> = plan.events().iter().map(|f| f.at + 50_001).collect();
-        checkpoints.sort();
-        for (i, t) in checkpoints.into_iter().enumerate() {
-            sim.run(t);
-            let (links, failed_nodes) = (&sim.core.links, &sim.core.failed_nodes);
-            let scratch = RouteTable::degraded(
-                &sim.core.net,
-                |l| links[2 * l.0 as usize].failed,
-                |n| failed_nodes[n.0 as usize],
-            );
-            assert_eq!(
-                sim.ctl.table, scratch,
-                "patched table diverged from scratch rebuild at {t:?}"
-            );
-            // Each fault's own reroute fired 50 µs after it, so by the
-            // i-th checkpoint at least i + 1 faults have reconverged (a
-            // reroute also resolves any other still-open records).
-            let resolved = sim
-                .fault_log()
-                .iter()
-                .filter(|r| r.reconverged_at.is_some())
-                .count();
-            assert!(resolved > i, "missing reroutes by {t:?}");
-        }
-        assert_eq!(sim.fault_log().len(), plan.len());
-        // Every fault healed: the final table equals the pristine one.
-        sim.run(SimTime::from_ms(9));
-        assert_eq!(sim.ctl.table, RouteTable::all_shortest_paths(&sim.core.net));
-    }
-}
-
-/// Differential test for the batched link drain: the batched schedule
-/// and the per-packet reference (one scheduler event per arrival, kept
-/// only under `cfg(test)`) must produce identical runs — same stats,
-/// same recorded event stream, same ndjson bytes — on a loaded VLB mesh
-/// with bursty traffic, a congestion-controlled transfer under ECN, and
-/// a mid-run fiber cut plus repair. The pair is re-run across 1, 2, and
-/// 8 worker threads to pin that no hidden shared state leaks between
-/// concurrent simulations.
-#[cfg(test)]
-mod batch_differential {
-    use super::*;
-    use quartz_obs::{MemoryRecorder, NdjsonRecorder};
-    use quartz_topology::builders::quartz_mesh;
-
-    /// Everything observable about one run, in comparable form.
-    #[derive(Debug, PartialEq)]
-    struct Digest {
-        generated: u64,
-        delivered: u64,
-        dropped: u64,
-        /// Per tag: count, mean bits, ci95 bits, p50, p99, max, bytes,
-        /// mean-hops bits, hop distribution.
-        per_tag: Vec<(u32, TagDigest)>,
-        faults: usize,
-        events: Vec<Event>,
-        ndjson: Vec<u8>,
-    }
-
-    #[derive(Debug, PartialEq)]
-    struct TagDigest {
-        count: usize,
-        mean_bits: u64,
-        ci95_bits: u64,
-        p50_ns: u64,
-        p99_ns: u64,
-        max_ns: u64,
-        bytes: u64,
-        mean_hops_bits: u64,
-        hop_dist: Vec<(u32, usize)>,
-    }
-
-    /// One full scenario run, batched or on the per-packet reference
-    /// schedule: VLB detours, Poisson echo +
-    /// burst cross-traffic, a DCTCP transfer with ECN marking, and a ring
-    /// fiber cut at 0.5 ms repaired at 1.2 ms (control plane reconverges
-    /// 50 µs after each).
-    fn run(per_packet: bool) -> Digest {
-        let q = quartz_mesh(4, 4, 10.0, 10.0);
-        // First switch-switch link: cutting it forces reroutes (and VLB
-        // detours around the gap) while packets are in flight.
-        let ring_link = q
-            .net
-            .links()
-            .find(|l| q.switches.contains(&l.a) && q.switches.contains(&l.b))
-            .expect("mesh has ring links")
-            .id;
-        let mut sim = Simulator::new(
-            q.net.clone(),
-            SimConfig {
-                seed: 0xD1FF,
-                vlb: Some(VlbConfig {
-                    fraction: 0.3,
-                    domains: vec![q.switches.clone()],
-                }),
-                ecn_threshold_bytes: Some(30_000),
-                reconvergence_ns: Some(50_000),
-                ..SimConfig::default()
-            },
-        );
-        sim.core.eng.per_packet = per_packet;
-        let stop = SimTime::from_ms(2);
-        let n = q.hosts.len();
-        for (i, &src) in q.hosts.iter().enumerate() {
-            let dst = q.hosts[(i + 5) % n];
-            match i % 3 {
-                // Open-loop echo streams (round trips stress both link
-                // directions and the response emission path).
-                0 => sim.add_flow(
-                    src,
-                    dst,
-                    400,
-                    FlowKind::Poisson {
-                        mean_gap_ns: 1_000.0,
-                        stop,
-                        respond: true,
-                    },
-                    0,
-                    SimTime::ZERO,
-                ),
-                // Bursts: back-to-back runs are exactly what the batched
-                // drain coalesces, so they must still land on the same
-                // (time, seq) keys.
-                1 => sim.add_flow(
-                    src,
-                    dst,
-                    400,
-                    FlowKind::Burst {
-                        burst_pkts: 24,
-                        period_ns: 40_000,
-                        stop,
-                    },
-                    1,
-                    SimTime::ZERO,
-                ),
-                // One-way Poisson fill.
-                _ => sim.add_flow(
-                    src,
-                    dst,
-                    400,
-                    FlowKind::Poisson {
-                        mean_gap_ns: 900.0,
-                        stop,
-                        respond: false,
-                    },
-                    2,
-                    SimTime::ZERO,
-                ),
-            };
-        }
-        // A congestion-controlled transfer through the loaded mesh: ECN
-        // marks feed DCTCP, ACKs ride the reverse path, RTO timers arm.
-        sim.add_flow(
-            q.hosts[0],
-            q.hosts[n - 1],
-            1_000,
-            FlowKind::Transport {
-                total_bytes: 300_000,
-                variant: TcpVariant::Dctcp,
-            },
-            3,
-            SimTime::ZERO,
-        );
-        let mut plan = FaultPlan::new();
-        plan.link_down(ring_link, SimTime::from_ns(500_000))
-            .link_up(ring_link, SimTime::from_ns(1_200_000));
-        sim.apply_fault_plan(&plan);
-        sim.set_recorder(Box::new(MemoryRecorder::new()));
-        sim.run(SimTime::from_ms(3));
-
-        let events = sim.take_recorder().expect("recorder attached").finish();
-        // Re-encode through the streaming backend: the ndjson bytes are
-        // what the trace-determinism contract is stated over.
-        let mut nd = NdjsonRecorder::new(Vec::new());
-        for ev in &events {
-            nd.record(ev);
-        }
-        let ndjson = nd.into_inner();
-
-        let stats = sim.stats();
-        let per_tag = stats
-            .tags()
-            .into_iter()
-            .map(|tag| {
-                let s = stats.summary(tag);
-                (
-                    tag,
-                    TagDigest {
-                        count: s.count,
-                        mean_bits: s.mean_ns.to_bits(),
-                        ci95_bits: s.ci95_ns.to_bits(),
-                        p50_ns: s.p50_ns,
-                        p99_ns: s.p99_ns,
-                        max_ns: s.max_ns,
-                        bytes: stats.delivered_bytes(tag),
-                        mean_hops_bits: stats.mean_hops(tag).to_bits(),
-                        hop_dist: stats.hop_distribution(tag),
-                    },
-                )
-            })
-            .collect();
-        Digest {
-            generated: stats.generated,
-            delivered: stats.delivered,
-            dropped: stats.dropped,
-            per_tag,
-            faults: sim.fault_log().len(),
-            events,
-            ndjson,
-        }
-    }
-
-    #[test]
-    fn batched_drain_matches_per_packet_schedule() {
-        let batched = run(false);
-        let per_packet = run(true);
-        assert!(batched.delivered > 0, "scenario must carry traffic");
-        assert!(batched.dropped > 0, "fault window must cost packets");
-        assert!(!batched.events.is_empty(), "recorder must observe the run");
-        assert_eq!(
-            batched, per_packet,
-            "batched drain diverged from the per-packet schedule"
-        );
-    }
-
-    #[test]
-    fn schedules_agree_across_worker_counts() {
-        let reference = run(false);
-        for workers in [1usize, 2, 8] {
-            let digests: Vec<(Digest, Digest)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| s.spawn(|| (run(false), run(true))))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for (batched, per_packet) in &digests {
-                assert_eq!(
-                    batched, &reference,
-                    "batched run diverged at {workers} workers"
-                );
-                assert_eq!(
-                    per_packet, &reference,
-                    "per-packet run diverged at {workers} workers"
-                );
-            }
-        }
     }
 }

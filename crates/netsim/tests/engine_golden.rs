@@ -1,17 +1,19 @@
-//! Absolute golden digests for both simulation engines.
+//! Absolute golden digests for the simulation engine, through both
+//! of its fronts: `Simulator` (one domain, on the calling thread) and
+//! `ShardedSim` at one and four domains.
 //!
 //! The differential suites (batched vs per-packet drain, wheel vs heap,
-//! one domain vs many) compare two runs of code that shares one
-//! per-packet core, so a change *inside* that core moves both sides
-//! together and no differential notices. This file pins the absolute
-//! output instead: FNV-1a digests of the per-tag statistics bits, the
-//! recorder's ndjson bytes, the metrics ndjson, the completion and fault
-//! logs, plus the raw `events_processed` count, on four scenarios that
-//! together reach every flow kind, transport variant, VLB detour,
-//! SPAIN-pinned table, fault kind and reroute path, and retransmission
-//! timers that fire and go back N. A mismatch means simulator output
-//! changed; the constants may only be re-recorded by a change that
-//! explains why each number moved.
+//! one domain vs many) compare two runs of one per-packet core, so a
+//! change *inside* that core moves both sides together and no
+//! differential notices. This file pins the absolute output instead:
+//! FNV-1a digests of the per-tag statistics bits, the recorder's ndjson
+//! bytes, the metrics ndjson, the completion and fault logs, plus the
+//! raw `events_processed` count, on four scenarios that together reach
+//! every flow kind, transport variant, VLB detour, SPAIN-pinned table,
+//! fault kind, automatic and manual reroute, staged `run_until_samples`
+//! runs, and retransmission timers that fire and go back N. A mismatch
+//! means simulator output changed; the constants may only be
+//! re-recorded by a change that explains why each number moved.
 
 use quartz_core::pool::ThreadPool;
 use quartz_netsim::shard::ShardedSim;
@@ -192,7 +194,8 @@ fn simulator_auto() -> Golden {
         6,
         SimTime::ZERO,
     );
-    sim.pin_flow_to_table(pinned, table);
+    sim.pin_flow_to_table(pinned, table)
+        .expect("the flow and the table exist");
     let cut = q
         .net
         .link_between(q.switches[0], q.switches[1])
@@ -268,7 +271,8 @@ fn simulator_manual() -> Golden {
         .net
         .link_between(q.switches[0], q.switches[2])
         .expect("mesh channel");
-    sim.fail_link_at(cut, sim.now() + 1_000);
+    let cut_at = sim.now() + 1_000;
+    sim.fail_link_at(cut, cut_at);
     sim.run(SimTime::from_ms(1));
     sim.reroute();
     sim.run(SimTime::from_ms(8));
@@ -458,21 +462,21 @@ fn sharded_incast(domains: usize) -> Golden {
 }
 
 const SIMULATOR_AUTO: Golden = Golden {
-    stats: 0x5a4e46692dc5682d,
-    trace: 0xe449b61d1513c8f1,
-    metrics: 0x288782992b1c7a31,
-    completions: 0x139790a177792872,
-    faults: 0x47b179000d853c18,
-    events: 67_773,
+    stats: 0x18e325b4e0d23e24,
+    trace: 0xb95bdec058ff367b,
+    metrics: 0xed777632dc9d7437,
+    completions: 0x32fb94ebb387bb05,
+    faults: 0xaab43b33360becec,
+    events: 67_523,
 };
 
 const SIMULATOR_MANUAL: Golden = Golden {
-    stats: 0x4739b1ffce4ab7d7,
-    trace: 0x693665e081636420,
-    metrics: 0x114584b85f425ecc,
-    completions: 0x5eff01e49aaf1810,
-    faults: 0xe311c80f591377d3,
-    events: 16_806,
+    stats: 0xafe9d4015acf9a1f,
+    trace: 0xe613aee837a1b2c2,
+    metrics: 0xb8171da43273e228,
+    completions: 0xd6b413924ac50575,
+    faults: 0x9a7c7812f78d8e5c,
+    events: 16_798,
 };
 
 const SHARDED: Golden = Golden {
@@ -482,15 +486,6 @@ const SHARDED: Golden = Golden {
     completions: 0x8157a3486a3b6fad,
     faults: 0xc29bcf3cf12207a3,
     events: 59_510,
-};
-
-const SIMULATOR_INCAST: Golden = Golden {
-    stats: 0xae3d77f445e726a0,
-    trace: 0xecb07553ef4cf77e,
-    metrics: 0x3a2addc3234d2d66,
-    completions: 0x44c4f3c614f941fb,
-    faults: 0xe6484fbe3e32a5cd,
-    events: 3_214,
 };
 
 const SHARDED_INCAST: Golden = Golden {
@@ -524,7 +519,8 @@ fn sharded_output_is_pinned_at_four_domains() {
 
 #[test]
 fn simulator_incast_output_is_pinned() {
-    assert_eq!(simulator_incast(), SIMULATOR_INCAST);
+    // `Simulator` is the engine at one domain.
+    assert_eq!(simulator_incast(), SHARDED_INCAST);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! An all-reduce over `N` ranks is modeled as a dependency graph of
 //! chunked transfers, driven by *delivery*: each bulk-synchronous step
 //! injects its transport flows, the simulator runs until every one of
-//! them has completed (via [`Simulator::run_until_samples`]), and the
+//! them has completed (via `Simulator::run_until_samples`), and the
 //! next step starts at the simulated instant the last transfer of the
 //! previous one finished — no wall-clock anywhere.
 //!
@@ -169,9 +169,10 @@ pub fn run_allreduce(
                 plan.len()
             ));
         }
-        let elapsed_ns = sim.now().saturating_sub(start);
+        let now = sim.now();
+        let elapsed_ns = now.saturating_sub(start);
         sim.record_event(Event::CollectiveStep {
-            t_ns: sim.now().ns(),
+            t_ns: now.ns(),
             algo: algo.name(),
             step,
             of,

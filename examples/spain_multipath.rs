@@ -46,7 +46,8 @@ fn main() {
             0,
             SimTime::ZERO,
         );
-        sim.pin_flow_to_table(f, t);
+        sim.pin_flow_to_table(f, t)
+            .expect("the flow and the table exist");
         sim.run(SimTime::from_ms(100));
         let s = sim.stats().summary(0);
         println!("  VLAN {vlan}: mean RTT {:.2} µs", s.mean_us());

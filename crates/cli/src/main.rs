@@ -604,7 +604,17 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
     use quartz_flowsim::matrix;
     use quartz_flowsim::throughput::normalized_throughput;
 
+    if racks == 0 || hosts == 0 {
+        let flag = if racks == 0 { "--racks" } else { "--hosts" };
+        return Err(format!("{flag} must be at least 1"));
+    }
     let total = racks * hosts;
+    if total < 2 {
+        return Err("--racks × --hosts must be at least 2 hosts".into());
+    }
+    if pattern == "shuffle" && racks < 2 {
+        return Err("--pattern shuffle needs --racks of at least 2".into());
+    }
     let demands = match pattern {
         "permutation" => matrix::random_permutation(total, seed),
         "incast" => matrix::incast(total, 10.min(total - 1), seed),
@@ -642,6 +652,19 @@ fn cmd_rpc(args: &Args) -> Result<(), String> {
     let mbps: f64 = args.num("cross-mbps", 150.0)?;
     let count: u32 = args.num("count", 2_000)?;
     let wiring = args.get("wiring").unwrap_or("quartz");
+    if !(mbps.is_finite() && mbps >= 0.0) {
+        return Err(format!(
+            "--cross-mbps must be a finite rate of at least 0, not {mbps}"
+        ));
+    }
+    // Each source sends 20 × 1500 B bursts; the period is their bit
+    // count over the rate.
+    let period_ns = (20.0 * 1500.0 * 8.0 / (mbps / 1000.0)) as u64;
+    if mbps > 0.0 && period_ns == 0 {
+        return Err(format!(
+            "--cross-mbps {mbps}: the burst period rounds to 0 ns (rate too high)"
+        ));
+    }
 
     use quartz_netsim::sim::{FlowKind, SimConfig, Simulator};
     use quartz_netsim::time::SimTime;
@@ -670,7 +693,6 @@ fn cmd_rpc(args: &Args) -> Result<(), String> {
     let mut sim = Simulator::new(net, SimConfig::default());
     sim.add_flow(rpc.0, rpc.1, 100, FlowKind::Rpc { count }, 0, SimTime::ZERO);
     if mbps > 0.0 {
-        let period_ns = (20.0 * 1500.0 * 8.0 / (mbps / 1000.0)) as u64;
         for (s, d) in cross {
             sim.add_flow(
                 s,

@@ -90,11 +90,15 @@ fn faults_reports_both_metrics() {
     assert!(stdout.contains("partition probability"));
 }
 
-/// Runs `quartz args`, expecting a clean failure: non-zero exit, an
-/// `error:` line naming `what`, and no panic.
+/// Runs `quartz args`, expecting a clean failure: non-zero exit before
+/// any output, an `error:` line naming `what`, and no panic.
 fn rejects(args: &[&str], what: &str) {
     let (ok, stdout, stderr) = quartz(args);
     assert!(!ok, "{args:?} succeeded: {stdout}");
+    assert!(
+        stdout.is_empty(),
+        "{args:?} printed before failing: {stdout}"
+    );
     assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
     assert!(stderr.contains(what), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
@@ -123,4 +127,45 @@ fn throughput_rejects_negative_vlb_fraction() {
 #[test]
 fn throughput_rejects_nan_vlb_fraction() {
     rejects(&["throughput", "--policy", "vlb:nan"], "VLB fraction");
+}
+
+#[test]
+fn throughput_rejects_zero_racks_and_hosts() {
+    rejects(&["throughput", "--racks", "0"], "--racks");
+    rejects(&["throughput", "--hosts", "0"], "--hosts");
+}
+
+#[test]
+fn throughput_rejects_a_shuffle_over_one_rack() {
+    rejects(
+        &["throughput", "--racks", "1", "--pattern", "shuffle"],
+        "--racks",
+    );
+}
+
+#[test]
+fn throughput_rejects_a_single_host_incast() {
+    rejects(
+        &[
+            "throughput",
+            "--racks",
+            "1",
+            "--hosts",
+            "1",
+            "--pattern",
+            "incast",
+        ],
+        "2 hosts",
+    );
+}
+
+#[test]
+fn rpc_rejects_a_rate_whose_burst_period_rounds_to_zero() {
+    rejects(&["rpc", "--cross-mbps", "1e20"], "0 ns");
+}
+
+#[test]
+fn rpc_rejects_negative_and_nan_rates() {
+    rejects(&["rpc", "--cross-mbps", "-5"], "--cross-mbps");
+    rejects(&["rpc", "--cross-mbps", "NaN"], "--cross-mbps");
 }

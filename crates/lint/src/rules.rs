@@ -1193,8 +1193,8 @@ mod tests {
     #[test]
     fn hot_path_alloc_flags_format_in_hot_fn() {
         // Mirrors the forwarding path's old per-packet metric labels
-        // (`format!(\"switch.{:03}.forwarded\", ..)`), replaced by the
-        // cached `MetricLabels` strings at crates/netsim/src/sim.rs:484.
+        // (`format!(\"switch.{:03}.forwarded\", ..)`); the engine now
+        // names its metrics once, at export (crates/netsim/src/metrics.rs).
         let f = file(
             "crates/x/src/a.rs",
             "// lint:hot\nfn f(at: u32) -> String { format!(\"switch.forwarded\") }",

@@ -3,22 +3,23 @@
 //! [`Core`] owns the state every packet touches — configuration,
 //! directed link slots, failed nodes, node kinds, flat routes (plus the
 //! SPAIN-style extra tables and per-flow pins), VLB domains, the packet
-//! arena, per-flow progress and transport state, statistics, metrics
-//! and their label caches — and implements the per-packet logic exactly
-//! once: forwarding and delivery ([`Core::arrive`]), generation,
-//! emission, transport actions, drop accounting and data-plane fault
-//! state. [`Control`] holds the route table and the fault log: opening
-//! a fault record and the incremental reroute patch loop (with its
-//! debug scratch-rebuild check and the fault-log close) live there,
-//! also once.
+//! arena, per-flow progress and transport state, and statistics — and
+//! implements the per-packet logic exactly once: forwarding and
+//! delivery ([`Core::arrive`]), generation, emission, transport
+//! actions, drop accounting and data-plane fault state. It holds no
+//! metrics: it records one [`Event`] per lifecycle point. [`Control`]
+//! holds the route table and the fault log: opening a fault record and
+//! the incremental reroute patch loop (with its debug scratch-rebuild
+//! check and the fault-log close) live there, also once.
 //!
-//! Scheduling, randomness and the trace sink belong to the domain the
+//! Scheduling, randomness and the event sinks belong to the domain the
 //! core runs in ([`crate::shard::Domain`], the core's `eng`): a
 //! content-keyed wheel with per-link batch drain plus the cross-domain
 //! boundary outbox, per-flow RNG streams drawn at emission, and the
-//! recorder or merge-keyed stash. Which retransmission timer is live is
-//! decided here, once: a connection keeps at most one timer event
-//! queued (see [`Core::on_rto`]).
+//! metrics fold and recorder (or merge-keyed stash) every recorded
+//! event goes to. Which retransmission timer is live is decided here,
+//! once: a connection keeps at most one timer event queued (see
+//! [`Core::on_rto`]).
 
 use crate::arena::{
     PacketArena, PacketCold, PacketId, FLAG_ECN, FLAG_LAST, FLAG_RESPONSE, FLAG_VLB_DECIDED,
@@ -29,8 +30,8 @@ use crate::sim::{FaultRecord, FlowCompletion, FlowKind, LinkLoad, SimConfig};
 use crate::stats::Stats;
 use crate::switch::ForwardMode;
 use crate::time::SimTime;
-use crate::transport::{ReceiverState, SendAction, SenderState, TransportInfo};
-use quartz_obs::{DropReason, Event, MetricsRegistry};
+use crate::transport::{ReceiverState, SendAction, SenderState, TransportInfo, RTO_NS};
+use quartz_obs::{DropReason, Event};
 use quartz_topology::graph::{Network, NodeId, NodeKind};
 use quartz_topology::route::{FlatRoutes, RouteChange, RouteTable};
 use std::sync::Arc;
@@ -133,75 +134,6 @@ impl DirLink {
     }
 }
 
-/// Per-switch, per-slot and per-reason metric label caches. The labels
-/// (`switch.NNN.forwarded`, `queue.linkNNNN.ab`, `sim.drop.queue_full`,
-/// …) are deterministic functions of their index, so they are rendered
-/// once, on first use, and the packet path borrows the cached `&str` —
-/// `format!` never runs per packet.
-#[derive(Debug, Default)]
-struct MetricLabels {
-    /// `switch.{:03}.forwarded`, indexed by node id.
-    switch_fwd: Vec<String>,
-    /// `switch.{:03}.dropped`, indexed by node id.
-    switch_drop: Vec<String>,
-    /// `sim.drop.{reason}`, one per reason seen so far.
-    drop: Vec<(DropReason, String)>,
-    /// `queue.link{:04}.{ab|ba}`, indexed by directed slot.
-    queue: Vec<String>,
-    /// `util.link{:04}.{ab|ba}`, indexed by directed slot.
-    util: Vec<String>,
-}
-
-impl MetricLabels {
-    fn switch_fwd(&mut self, node: u32) -> &str {
-        Self::node_label(&mut self.switch_fwd, "forwarded", node)
-    }
-
-    fn switch_drop(&mut self, node: u32) -> &str {
-        Self::node_label(&mut self.switch_drop, "dropped", node)
-    }
-
-    fn drop(&mut self, reason: DropReason) -> &str {
-        let i = match self.drop.iter().position(|(r, _)| *r == reason) {
-            Some(i) => i,
-            None => {
-                let label = format!("sim.drop.{}", reason.as_str());
-                self.drop.push((reason, label));
-                self.drop.len() - 1
-            }
-        };
-        &self.drop[i].1
-    }
-
-    fn queue(&mut self, slot: u32) -> &str {
-        Self::slot_label(&mut self.queue, "queue", slot)
-    }
-
-    fn util(&mut self, slot: u32) -> &str {
-        Self::slot_label(&mut self.util, "util", slot)
-    }
-
-    fn node_label<'a>(cache: &'a mut Vec<String>, what: &str, node: u32) -> &'a str {
-        while cache.len() <= node as usize {
-            let n = cache.len();
-            cache.push(format!("switch.{n:03}.{what}"));
-        }
-        &cache[node as usize]
-    }
-
-    /// Slot layout mirrors [`Core::links`]: `[2l]` = a→b (`ab`),
-    /// `[2l+1]` = b→a (`ba`).
-    fn slot_label<'a>(cache: &'a mut Vec<String>, prefix: &str, slot: u32) -> &'a str {
-        while cache.len() <= slot as usize {
-            let s = cache.len();
-            let link_idx = s >> 1;
-            let dir_tag = if s & 1 == 0 { "ab" } else { "ba" };
-            cache.push(format!("{prefix}.link{link_idx:04}.{dir_tag}"));
-        }
-        &cache[slot as usize]
-    }
-}
-
 /// Read-only fabric state, built once per simulation and shared by
 /// every [`Core`] of it.
 pub(crate) struct Fabric {
@@ -267,7 +199,7 @@ pub(crate) struct Core {
     pub(crate) net: Arc<Network>,
     /// Dense per-node kind column (the [`Network`] rows carry rack
     /// metadata the per-hop path never reads).
-    node_kind: Arc<[NodeKind]>,
+    pub(crate) node_kind: Arc<[NodeKind]>,
     pub(crate) slot_dst: Arc<[NodeId]>,
     vlb_domain: Arc<[u32]>,
     /// Whether any VLB domain exists; `false` keeps non-VLB runs off
@@ -293,11 +225,6 @@ pub(crate) struct Core {
     /// In-flight packet store (struct-of-arrays; events carry ids).
     pub(crate) arena: PacketArena,
     pub(crate) stats: Stats,
-    pub(crate) metrics: Option<MetricsRegistry>,
-    labels: MetricLabels,
-    /// Whether a trace sink or metrics registry is attached: one load
-    /// gates every observability site.
-    pub(crate) obs: bool,
     /// The time of the event being processed.
     pub(crate) now: SimTime,
     /// Events processed so far (the events/sec numerator).
@@ -329,9 +256,6 @@ impl Core {
             conns: Vec::new(),
             arena: PacketArena::new(),
             stats: Stats::default(),
-            metrics: None,
-            labels: MetricLabels::default(),
-            obs: false,
             now: SimTime::ZERO,
             events_processed: 0,
             vlb_scratch: Vec::new(),
@@ -392,32 +316,16 @@ impl Core {
         self.flows.len() - 1
     }
 
-    /// Counts a discarded packet, reports it when observing, and frees
-    /// its slot.
+    /// Counts a discarded packet, records it, and frees its slot.
     fn drop_packet(&mut self, id: PacketId, at: NodeId, t: SimTime, reason: DropReason) {
         self.stats.dropped += 1;
-        if self.obs {
-            self.drop_hook(self.arena.flow[id as usize], at, t, reason);
-        }
-        self.arena.free(id);
-    }
-
-    /// Trace and metric bookkeeping for one drop; only called when
-    /// observing.
-    fn drop_hook(&mut self, flow: u32, at: NodeId, t: SimTime, reason: DropReason) {
-        self.eng.record(Event::Drop {
+        self.eng.record(|| Event::Drop {
             t_ns: t.ns(),
             node: at.0,
-            flow,
+            flow: self.arena.flow[id as usize],
             reason,
         });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("sim.packets.dropped", 1);
-            m.inc(self.labels.drop(reason), 1);
-            if self.node_kind[at.0 as usize].is_switch() {
-                m.inc(self.labels.switch_drop(at.0), 1);
-            }
-        }
+        self.arena.free(id);
     }
 
     /// Runs `f` on `flow`'s sender and executes the actions it asks for.
@@ -499,9 +407,7 @@ impl Core {
                 // Connection start: open the window.
                 let t0 = self.flow_state[flow_idx].t0;
                 if t0 == SimTime::ZERO || now >= t0 {
-                    if self.obs {
-                        self.record_flow_start(flow_idx, now, total_bytes);
-                    }
+                    self.record_flow_start(flow_idx, now, total_bytes);
                     self.drive_sender(flow_idx, now, |s, a| s.pump_into(a));
                 }
             }
@@ -518,9 +424,7 @@ impl Core {
                 }
                 if sent == 0 {
                     self.flow_state[flow_idx].t0 = now;
-                    if self.obs {
-                        self.record_flow_start(flow_idx, now, total_bytes);
-                    }
+                    self.record_flow_start(flow_idx, now, total_bytes);
                 }
                 self.flow_state[flow_idx].sent += 1;
                 let is_last = sent + 1 == pkts;
@@ -541,7 +445,7 @@ impl Core {
     fn record_flow_start(&mut self, flow_idx: usize, now: SimTime, bytes: u64) {
         debug_assert!(flow_idx <= u32::MAX as usize, "flow ids fit u32");
         let f = self.flows[flow_idx];
-        self.eng.record(Event::FlowStart {
+        self.eng.record(|| Event::FlowStart {
             t_ns: now.ns(),
             flow: flow_idx as u32,
             src: f.src.0,
@@ -611,17 +515,12 @@ impl Core {
         );
         self.eng.on_emit(&self.arena, id, flow_id, reverse);
         self.stats.generated += 1;
-        if self.obs {
-            self.eng.record(Event::Gen {
-                t_ns: now.ns(),
-                flow: flow_id,
-                size_bytes: size,
-                response: flags & FLAG_RESPONSE != 0,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("sim.packets.generated", 1);
-            }
-        }
+        self.eng.record(|| Event::Gen {
+            t_ns: now.ns(),
+            flow: flow_id,
+            size_bytes: size,
+            response: flags & FLAG_RESPONSE != 0,
+        });
         let t = now + self.cfg.latency.host_send_ns;
         self.arrive(id, origin, t, t);
     }
@@ -636,7 +535,7 @@ impl Core {
                     self.emit(flow_idx, now, false, f.size, data, 0, now);
                 }
                 SendAction::ArmRto { epoch } => {
-                    let deadline = now + self.cfg.rto_ns;
+                    let deadline = now + RTO_NS;
                     let key = self.eng.reserve_rto_key(flow_idx);
                     let conn = self.flows[flow_idx].conn as usize;
                     let rto = &mut self.conns[conn].rto;
@@ -669,18 +568,16 @@ impl Core {
         }
     }
 
-    /// Logs a managed flow's completion and, when observing, records
-    /// `FlowComplete`. Cold: runs once per flow, not per packet.
+    /// Logs a managed flow's completion and records `FlowComplete`.
+    /// Cold: runs once per flow, not per packet.
     fn log_completion(&mut self, flow: u32, at: SimTime, fct_ns: u64, bytes: u64) {
         self.eng.complete(FlowCompletion { flow, fct_ns });
-        if self.obs {
-            self.eng.record(Event::FlowComplete {
-                t_ns: at.ns(),
-                flow,
-                fct_ns,
-                bytes,
-            });
-        }
+        self.eng.record(|| Event::FlowComplete {
+            t_ns: at.ns(),
+            flow,
+            fct_ns,
+            bytes,
+        });
     }
 
     /// Handles a packet (arena slot `id`) whose head reached `at` at
@@ -719,7 +616,6 @@ impl Core {
         // non-VLB runs — the common case — off the domain table
         // entirely; with no domains configured every lookup would miss
         // anyway.)
-        let mut vlb_detour: Option<NodeId> = None;
         if self.vlb_enabled && cold.flags & FLAG_VLB_DECIDED == 0 && node_kind.is_switch() {
             let dom_idx = self.vlb_domain[at.0 as usize];
             if dom_idx != u32::MAX {
@@ -736,7 +632,12 @@ impl Core {
                                 let pick = self.eng.vlb_pick(id, self.vlb_scratch.len());
                                 let w = self.vlb_scratch[pick];
                                 cold.intermediate = Some(w);
-                                vlb_detour = Some(w);
+                                self.eng.record(|| Event::Vlb {
+                                    t_ns: head.ns(),
+                                    node: at.0,
+                                    flow: flow_id,
+                                    via: w.0,
+                                });
                                 // Per-packet spraying: differentiate the
                                 // hash so detour packets of one flow use
                                 // their own ECMP choices.
@@ -744,20 +645,6 @@ impl Core {
                             }
                         }
                     }
-                }
-            }
-        }
-
-        if self.obs {
-            if let Some(w) = vlb_detour {
-                self.eng.record(Event::Vlb {
-                    t_ns: head.ns(),
-                    node: at.0,
-                    flow: flow_id,
-                    via: w.0,
-                });
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("sim.vlb.detours", 1);
                 }
             }
         }
@@ -784,7 +671,6 @@ impl Core {
             return;
         }
         let inbound_ns = tail - head; // 0 at the origin host
-        let mut forward_decision: Option<(ForwardMode, u64)> = None;
         let earliest = match node_kind {
             NodeKind::Host => {
                 if inbound_ns == 0 {
@@ -800,35 +686,19 @@ impl Core {
             NodeKind::Switch(role) => {
                 let spec = self.cfg.latency.spec_for(role);
                 let mode = spec.forward_mode(inbound_ns, ser_ns);
-                if self.obs {
-                    forward_decision = Some((mode, spec.latency_ns));
-                }
+                self.eng.record(|| Event::Forward {
+                    t_ns: head.ns(),
+                    node: at.0,
+                    flow: flow_id,
+                    cut_through: mode == ForwardMode::CutThrough,
+                    latency_ns: spec.latency_ns,
+                });
                 match mode {
                     ForwardMode::CutThrough => head + spec.latency_ns,
                     ForwardMode::StoreForward => tail + spec.latency_ns,
                 }
             }
         };
-        if let Some((mode, latency_ns)) = forward_decision {
-            let cut_through = mode == ForwardMode::CutThrough;
-            self.eng.record(Event::Forward {
-                t_ns: head.ns(),
-                node: at.0,
-                flow: flow_id,
-                cut_through,
-                latency_ns,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc(
-                    if cut_through {
-                        "sim.forward.cut_through"
-                    } else {
-                        "sim.forward.store_forward"
-                    },
-                    1,
-                );
-            }
-        }
 
         // Drop-tail check on the output port (skip the float math on
         // the common idle-port case — the backlog is exactly zero).
@@ -860,35 +730,23 @@ impl Core {
         dl.free_at = done;
         dl.busy_ns += ser_ns;
         dl.bytes += u64::from(size);
-        if self.obs {
-            let queue_bytes = backlog_bytes + u64::from(size);
-            // Slot layout: [2l] = a→b, [2l+1] = b→a.
-            let link_idx = slot >> 1;
-            let to_b = slot & 1 == 0;
-            self.eng.record(Event::Enqueue {
-                t_ns: earliest.ns(),
-                node: at.0,
-                link: link_idx,
-                to_b,
-                flow: flow_id,
-                queue_bytes,
-            });
-            self.eng.record(Event::Transmit {
-                t_ns: start.ns(),
-                link: link_idx,
-                to_b,
-                flow: flow_id,
-                serialize_ns: ser_ns,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("sim.packets.forwarded", 1);
-                if node_kind.is_switch() {
-                    m.inc(self.labels.switch_fwd(at.0), 1);
-                }
-                m.observe(self.labels.queue(slot), earliest.ns(), queue_bytes);
-                m.observe(self.labels.util(slot), start.ns(), ser_ns);
-            }
-        }
+        // Slot layout: [2l] = a→b, [2l+1] = b→a.
+        let (link, to_b) = (slot >> 1, slot & 1 == 0);
+        self.eng.record(|| Event::Enqueue {
+            t_ns: earliest.ns(),
+            node: at.0,
+            link,
+            to_b,
+            flow: flow_id,
+            queue_bytes: backlog_bytes + u64::from(size),
+        });
+        self.eng.record(|| Event::Transmit {
+            t_ns: start.ns(),
+            link,
+            to_b,
+            flow: flow_id,
+            serialize_ns: ser_ns,
+        });
         cold.hops += 1;
         self.arena.cold[i] = cold;
         self.arena.hash[i] = hash;
@@ -949,18 +807,13 @@ impl Core {
         };
         self.stats
             .record_delivery(f.tag, u64::from(size), cold.hops, latency_sample);
-        if self.obs {
-            self.eng.record(Event::Deliver {
-                t_ns: delivered_at.ns(),
-                node: at.0,
-                flow: flow_id,
-                latency_ns: delivered_at.saturating_sub(created),
-                hops: cold.hops,
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("sim.packets.delivered", 1);
-            }
-        }
+        self.eng.record(|| Event::Deliver {
+            t_ns: delivered_at.ns(),
+            node: at.0,
+            flow: flow_id,
+            latency_ns: delivered_at.saturating_sub(created),
+            hops: cold.hops,
+        });
         // A file transfer's last packet closes the whole flow: log its
         // completion (transport flows log theirs at
         // `SendAction::Complete` instead).
@@ -1093,13 +946,7 @@ impl Control {
     /// Opens a log record for a fault that just hit the data plane at
     /// `at`, with `dropped` packets lost so far. Returns its trace
     /// event.
-    pub(crate) fn open(
-        &mut self,
-        at: SimTime,
-        kind: FaultKind,
-        dropped: u64,
-        metrics: Option<&mut MetricsRegistry>,
-    ) -> Event {
+    pub(crate) fn open(&mut self, at: SimTime, kind: FaultKind, dropped: u64) -> Event {
         self.pending.push(kind);
         self.fault_log.push(FaultRecord {
             at,
@@ -1114,9 +961,6 @@ impl Control {
             FaultKind::SwitchDown(n) => ("switch_down", n.0),
             FaultKind::SwitchUp(n) => ("switch_up", n.0),
         };
-        if let Some(m) = metrics {
-            m.inc(&format!("sim.fault.{kind_str}"), 1);
-        }
         Event::Fault {
             t_ns: at.ns(),
             kind: kind_str,
@@ -1135,7 +979,6 @@ impl Control {
         dropped: u64,
         links: &[DirLink],
         failed_nodes: &[bool],
-        metrics: Option<&mut MetricsRegistry>,
     ) -> (FlatRoutes, Event) {
         // Incremental reconvergence: replay each pending fault delta as
         // a patch that recomputes only the destinations whose shortest
@@ -1191,9 +1034,6 @@ impl Control {
             r.reconverged_at = Some(at);
             r.drops_during_outage = dropped - r.baseline_drops;
             resolved += 1;
-        }
-        if let Some(m) = metrics {
-            m.inc("sim.reroutes", 1);
         }
         let ev = Event::Reroute {
             t_ns: at.ns(),

@@ -47,11 +47,15 @@
 //!    order cannot depend on the partition.
 //! 3. **Merge-order-stable sinks.** Domains stash trace events and
 //!    flow completions keyed by the `(time, key)` of the event that
-//!    produced them; the coordinator k-way-merges the stashes at every
-//!    window edge, so the recorder byte stream and the completion log
-//!    are identical at `k = 1, 2, …, N`. A single domain records
-//!    straight to the recorder: its dispatch order already is the
-//!    global order, and its window can span the whole run.
+//!    produced them; at every window edge the coordinator merges the
+//!    trace stashes into the recorder and the completion stashes into
+//!    the completion log, so both are identical at `k = 1, 2, …, N`
+//!    ([`quartz_obs::Stamped`]). A single domain records straight to the
+//!    recorder: its dispatch order already is the global order, and its
+//!    window can span the whole run. Metrics are a fold of the recorded
+//!    events (`crate::metrics`), kept per domain with the control
+//!    plane's folded into domain 0's; counters add and histograms merge
+//!    bucket-wise, so the merged result is the same at every `k`.
 //!
 //! ## Scope
 //!
@@ -70,13 +74,14 @@
 use crate::arena::{PacketArena, PacketCold, PacketId};
 use crate::core::{Arrival, Control, Core, Fabric};
 use crate::faults::{FaultKind, FaultPlan};
+use crate::metrics::EngineMetrics;
 use crate::sched::TimingWheel;
 use crate::sim::{FaultRecord, FlowCompletion, FlowKind, LinkLoad, PinError, SimConfig};
 use crate::stats::Stats;
 use crate::time::SimTime;
 use quartz_core::pool::{unit_seed, DomainCells, ThreadPool};
 use quartz_core::rng::StdRng;
-use quartz_obs::{Event, MetricsRegistry, Recorder};
+use quartz_obs::{Event, MetricsRegistry, Recorder, Stamped};
 use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
 use quartz_topology::partition::spatial_domains;
 use quartz_topology::route::{FlatRoutes, RouteError, RouteTable};
@@ -158,22 +163,12 @@ struct BoundaryMsg {
     vspray: u64,
 }
 
-/// Where a domain's trace events go.
-enum Trace {
-    /// No recorder attached.
-    Off,
-    /// Stashed under merge keys for the coordinator (`k > 1`).
-    Stash,
-    /// Straight to the recorder (`k = 1`).
-    Direct(Box<dyn Recorder>),
-}
-
 /// One spatial domain's half of the per-packet path — what the shared
 /// core calls out to: a content-keyed timing wheel with per-link batch
 /// drain plus the boundary outbox, per-flow RNG streams drawn at
-/// emission, and the trace and completion sinks. Per-flow rows are
-/// full-size in every domain (only the owning side's domain advances
-/// them), trading memory for branch-free indexing by flow id.
+/// emission, and the metrics, trace and completion sinks. Per-flow
+/// rows are full-size in every domain (only the owning side's domain
+/// advances them), trading memory for branch-free indexing by flow id.
 pub(crate) struct Domain {
     id: u32,
     dom_of: Arc<[u32]>,
@@ -206,17 +201,26 @@ pub(crate) struct Domain {
     /// Boundary packets bound for each peer domain, drained by the
     /// coordinator at every window edge.
     outbox: Vec<Vec<BoundaryMsg>>,
-    trace: Trace,
-    /// Trace events keyed by the `(time, key, sub)` of the event that
-    /// produced them; non-decreasing by construction (events dispatch
-    /// in key order, `sub` counts records within one dispatch).
-    trace_stash: Vec<(u64, u64, u32, Event)>,
-    /// Flow completions, keyed like the trace stash.
-    comp_stash: Vec<(u64, u64, FlowCompletion)>,
+    /// The metrics fold every event this domain records passes through.
+    metrics: Option<EngineMetrics>,
+    /// The recorder, held by domain 0 at every domain count. With one
+    /// domain, recorded events go straight to it.
+    recorder: Option<Box<dyn Recorder>>,
+    /// Whether events are stashed for the coordinator's merge instead:
+    /// a recorder is attached and there is more than one domain.
+    stash: bool,
+    /// Whether a metrics fold or a recorder is attached: one load gates
+    /// every record site.
+    obs: bool,
+    /// Trace events stamped with the `(time, key)` of the event that
+    /// produced them, in record order; non-decreasing by construction
+    /// (events dispatch in key order).
+    trace_stash: Stamped<Event>,
+    /// Flow completions, stamped like the trace stash.
+    comp_stash: Stamped<FlowCompletion>,
     /// Merge key of the event being dispatched.
     cur_t: u64,
     cur_key: u64,
-    cur_sub: u32,
     /// Wall time spent inside `step_to`, by the injected clock.
     busy_ns: u64,
     clock: fn() -> u64,
@@ -245,12 +249,14 @@ impl Domain {
             vpick: Vec::new(),
             vspray: Vec::new(),
             outbox: (0..k).map(|_| Vec::new()).collect(),
-            trace: Trace::Off,
-            trace_stash: Vec::new(),
-            comp_stash: Vec::new(),
+            metrics: None,
+            recorder: None,
+            stash: false,
+            obs: false,
+            trace_stash: Stamped::default(),
+            comp_stash: Stamped::default(),
             cur_t: 0,
             cur_key: 0,
-            cur_sub: 0,
             busy_ns: 0,
             clock: zero_clock,
             #[cfg(test)]
@@ -439,25 +445,29 @@ impl Domain {
         self.vspray[pkt as usize]
     }
 
-    /// Feeds one trace event to the sink: straight to the recorder, or
-    /// into the stash under the current dispatch's merge key.
+    /// Records one engine event, built only when observing: folds it
+    /// into the metrics, then stashes it under the current dispatch's
+    /// merge key or hands it straight to the recorder.
     #[inline]
-    pub(crate) fn record(&mut self, ev: Event) {
-        match &mut self.trace {
-            Trace::Off => {}
-            Trace::Stash => {
-                let sub = self.cur_sub;
-                self.cur_sub = sub + 1;
-                self.trace_stash.push((self.cur_t, self.cur_key, sub, ev));
-            }
-            Trace::Direct(r) => r.record(&ev),
+    pub(crate) fn record(&mut self, ev: impl FnOnce() -> Event) {
+        if !self.obs {
+            return;
+        }
+        let ev = ev();
+        if let Some(m) = &mut self.metrics {
+            m.observe(&ev);
+        }
+        if self.stash {
+            self.trace_stash.push(self.cur_t, self.cur_key, ev);
+        } else if let Some(r) = &mut self.recorder {
+            r.record(&ev);
         }
     }
 
     /// Logs a managed flow's completion under the current merge key.
     #[inline]
     pub(crate) fn complete(&mut self, c: FlowCompletion) {
-        self.comp_stash.push((self.cur_t, self.cur_key, c));
+        self.comp_stash.push(self.cur_t, self.cur_key, c);
     }
 }
 
@@ -514,7 +524,6 @@ impl Core {
         self.now = t;
         self.eng.cur_t = t.ns();
         self.eng.cur_key = key;
-        self.eng.cur_sub = 0;
     }
 
     /// Packet `pkt`'s head reaches `at` at `head` (tail at `tail`).
@@ -620,7 +629,6 @@ struct CtlPlane {
     events: Vec<(SimTime, CtlKind)>,
     cursor: usize,
     reconvergence_ns: Option<u64>,
-    metrics: Option<MetricsRegistry>,
 }
 
 impl CtlPlane {
@@ -639,20 +647,16 @@ impl CtlPlane {
     }
 
     /// Applies the control event at the cursor.
-    fn apply_next(&mut self, sinks: &mut Sinks, cells: &DomainCells<'_, Core>) {
+    fn apply_next(&mut self, cells: &DomainCells<'_, Core>) {
         let (at, kind) = self.events[self.cursor];
         self.cursor += 1;
-        self.apply(at, kind, sinks, cells);
+        self.apply(at, kind, cells);
     }
 
-    /// Applies one control event at `at` to every domain.
-    fn apply(
-        &mut self,
-        at: SimTime,
-        kind: CtlKind,
-        sinks: &mut Sinks,
-        cells: &DomainCells<'_, Core>,
-    ) {
+    /// Applies one control event at `at` to every domain, and records
+    /// it after everything recorded so far: folded into domain 0's
+    /// metrics and, at every domain count, straight to the recorder.
+    fn apply(&mut self, at: SimTime, kind: CtlKind, cells: &DomainCells<'_, Core>) {
         let dropped: u64 = (0..cells.len()).map(|i| cells.lock(i).stats.dropped).sum();
         let ev = match kind {
             CtlKind::Fault(k) => {
@@ -663,16 +667,14 @@ impl CtlPlane {
                 if let Some(delay) = self.reconvergence_ns {
                     self.insert(at + delay, CtlKind::Reroute);
                 }
-                self.ctl.open(at, k, dropped, self.metrics.as_mut())
+                self.ctl.open(at, k, dropped)
             }
             CtlKind::Reroute => {
                 // Domain 0's live failure state checks the patch (it is
                 // identical in all domains).
                 let (flat, ev) = {
                     let d0 = cells.lock(0);
-                    let metrics = self.metrics.as_mut();
-                    self.ctl
-                        .reroute(at, dropped, &d0.links, &d0.failed_nodes, metrics)
+                    self.ctl.reroute(at, dropped, &d0.links, &d0.failed_nodes)
                 };
                 let flat = Arc::new(flat);
                 for i in 0..cells.len() {
@@ -681,41 +683,39 @@ impl CtlPlane {
                 ev
             }
         };
-        sinks.record_ctl(ev, cells);
+        let d0 = &mut cells.lock(0).eng;
+        if let Some(m) = &mut d0.metrics {
+            m.observe(&ev);
+        }
+        if let Some(r) = &mut d0.recorder {
+            r.record(&ev);
+        }
     }
 }
 
-/// The coordinator's output sinks: the recorder, the merged completion
-/// log, and the reusable buffers the window merge ping-pongs with the
-/// domains (so the steady-state merge allocates nothing).
+/// The coordinator's output sinks: the merged completion log and the
+/// window merge's reusable buffers (boundary messages ping-pong with
+/// the domains' outboxes; stashes gather in `trace_buf` and `comp_buf`).
 struct Sinks {
-    /// The recorder with more than one domain; a single domain holds
-    /// its own ([`Trace::Direct`]).
-    recorder: Option<Box<dyn Recorder>>,
     completions: Vec<FlowCompletion>,
     msg_scratch: Vec<BoundaryMsg>,
-    trace_bufs: Vec<Vec<(u64, u64, u32, Event)>>,
-    comp_bufs: Vec<Vec<(u64, u64, FlowCompletion)>>,
-    cursors: Vec<usize>,
+    trace_buf: Stamped<Event>,
+    comp_buf: Stamped<FlowCompletion>,
 }
 
 impl Sinks {
-    /// Records a control-plane event after everything recorded so far:
-    /// through the recorder, or with one domain through its own.
-    fn record_ctl(&mut self, ev: Event, cells: &DomainCells<'_, Core>) {
-        match self.recorder.as_deref_mut() {
-            Some(r) => r.record(&ev),
-            None => cells.lock(0).eng.record(ev),
-        }
-    }
-
     /// Merges one window's outputs: boundary packets into their target
-    /// wheels, then traces and completions into the global sinks in
-    /// `(time, key)` order.
+    /// wheels, then traces into the recorder and completions into the
+    /// completion log, each in `(time, key)` order.
     fn merge_window(&mut self, cells: &DomainCells<'_, Core>) {
         self.merge_boundary(cells);
         self.merge_traces(cells);
-        self.merge_completions(cells);
+        // The completion log grows once per flow — off the hot path.
+        for d in 0..cells.len() {
+            self.comp_buf.append(&mut cells.lock(d).eng.comp_stash);
+        }
+        let log = &mut self.completions;
+        self.comp_buf.drain_in_order(|&c| log.push(c));
     }
 
     /// Drains every domain's outboxes into the target domains' wheels.
@@ -725,14 +725,8 @@ impl Sinks {
     fn merge_boundary(&mut self, cells: &DomainCells<'_, Core>) {
         let k = cells.len();
         for dd in 0..k {
-            for sd in 0..k {
-                if sd == dd {
-                    continue;
-                }
-                {
-                    let mut src = cells.lock(sd);
-                    std::mem::swap(&mut self.msg_scratch, &mut src.eng.outbox[dd]);
-                }
+            for sd in (0..k).filter(|&sd| sd != dd) {
+                std::mem::swap(&mut self.msg_scratch, &mut cells.lock(sd).eng.outbox[dd]);
                 if !self.msg_scratch.is_empty() {
                     let mut dst = cells.lock(dd);
                     for m in &self.msg_scratch {
@@ -740,75 +734,22 @@ impl Sinks {
                     }
                     self.msg_scratch.clear();
                 }
-                {
-                    let mut src = cells.lock(sd);
-                    std::mem::swap(&mut self.msg_scratch, &mut src.eng.outbox[dd]);
-                }
+                std::mem::swap(&mut self.msg_scratch, &mut cells.lock(sd).eng.outbox[dd]);
             }
         }
     }
 
-    /// K-way merges the domains' trace stashes into the recorder by
-    /// `(time, key, sub)`, ties to the lowest domain (only same-domain
-    /// entries can tie, so any deterministic rule gives one order).
+    /// Merges the domains' trace stashes into domain 0's recorder in
+    /// `(time, key)` order. Each stash is in order and equal stamps only
+    /// arise within one domain, so draining their concatenation in
+    /// stamp order is the k-way merge.
     // lint:hot
     fn merge_traces(&mut self, cells: &DomainCells<'_, Core>) {
-        let k = cells.len();
-        for d in 0..k {
-            let mut dom = cells.lock(d);
-            std::mem::swap(&mut self.trace_bufs[d], &mut dom.eng.trace_stash);
-            self.cursors[d] = 0;
+        for d in 0..cells.len() {
+            self.trace_buf.append(&mut cells.lock(d).eng.trace_stash);
         }
-        if let Some(r) = self.recorder.as_deref_mut() {
-            loop {
-                let mut best: Option<(u64, u64, u32, usize)> = None;
-                for d in 0..k {
-                    if let Some(e) = self.trace_bufs[d].get(self.cursors[d]) {
-                        let key = (e.0, e.1, e.2, d);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
-                    }
-                }
-                let Some((_, _, _, d)) = best else { break };
-                r.record(&self.trace_bufs[d][self.cursors[d]].3);
-                self.cursors[d] += 1;
-            }
-        }
-        for d in 0..k {
-            self.trace_bufs[d].clear();
-            let mut dom = cells.lock(d);
-            std::mem::swap(&mut self.trace_bufs[d], &mut dom.eng.trace_stash);
-        }
-    }
-
-    /// K-way merges the domains' completion stashes into the global
-    /// completion log (which grows once per flow — off the hot path).
-    fn merge_completions(&mut self, cells: &DomainCells<'_, Core>) {
-        let k = cells.len();
-        for d in 0..k {
-            let mut dom = cells.lock(d);
-            std::mem::swap(&mut self.comp_bufs[d], &mut dom.eng.comp_stash);
-            self.cursors[d] = 0;
-        }
-        loop {
-            let mut best: Option<(u64, u64, usize)> = None;
-            for d in 0..k {
-                if let Some(e) = self.comp_bufs[d].get(self.cursors[d]) {
-                    let key = (e.0, e.1, d);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-            }
-            let Some((_, _, d)) = best else { break };
-            self.completions.push(self.comp_bufs[d][self.cursors[d]].2);
-            self.cursors[d] += 1;
-        }
-        for d in 0..k {
-            self.comp_bufs[d].clear();
-            let mut dom = cells.lock(d);
-            std::mem::swap(&mut self.comp_bufs[d], &mut dom.eng.comp_stash);
+        if let Some(r) = cells.lock(0).eng.recorder.as_deref_mut() {
+            self.trace_buf.drain_in_order(|ev| r.record(ev));
         }
     }
 }
@@ -918,15 +859,12 @@ impl ShardedSim {
                 events: Vec::new(),
                 cursor: 0,
                 reconvergence_ns: cfg.reconvergence_ns,
-                metrics: None,
             },
             sinks: Sinks {
-                recorder: None,
                 completions: Vec::new(),
                 msg_scratch: Vec::new(),
-                trace_bufs: (0..k).map(|_| Vec::new()).collect(),
-                comp_bufs: (0..k).map(|_| Vec::new()).collect(),
-                cursors: vec![0; k],
+                trace_buf: Stamped::default(),
+                comp_buf: Stamped::default(),
             },
             merged: Stats::default(),
             cons_rng: StdRng::seed_from_u64(cfg.seed),
@@ -942,8 +880,10 @@ impl ShardedSim {
     /// order yields the same ECMP paths.
     ///
     /// # Panics
-    /// Panics if `src` or `dst` is not a host, they coincide, or more
-    /// than 2²⁹ flows are registered (the canonical key layout).
+    /// Panics if `src` or `dst` is not a host, they coincide, more than
+    /// 2²⁹ flows are registered (the canonical key layout), or `kind`
+    /// is a [`FlowKind::Burst`] with `period_ns == 0` (its next burst
+    /// would start at the same instant, forever).
     pub fn add_flow(
         &mut self,
         src: NodeId,
@@ -953,6 +893,9 @@ impl ShardedSim {
         tag: u32,
         start: SimTime,
     ) -> usize {
+        if let FlowKind::Burst { period_ns, .. } = kind {
+            assert!(period_ns > 0, "a burst flow needs period_ns > 0");
+        }
         let idx = self.flow_count;
         assert!(idx < (1 << 29), "the engine keys flows in 29 bits");
         self.flow_count += 1;
@@ -1045,13 +988,13 @@ impl ShardedSim {
     /// unaffected.
     pub fn reroute(&mut self) {
         let at = self.now();
-        let (ctl, sinks) = (&mut self.ctl, &mut self.sinks);
+        let ctl = &mut self.ctl;
         let doms = std::mem::take(&mut self.domains);
         self.domains = ThreadPool::sequential().step_domains(
             doms,
             |_, _| {},
             |cells| {
-                ctl.apply(at, CtlKind::Reroute, sinks, cells);
+                ctl.apply(at, CtlKind::Reroute, cells);
                 None
             },
         );
@@ -1062,78 +1005,57 @@ impl ShardedSim {
     /// recorder produces the same [`Stats`] as a run with none, and the
     /// recorded stream is identical at any domain count.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        if let [d] = self.domains.as_mut_slice() {
-            d.eng.trace = Trace::Direct(recorder);
-            d.obs = true;
-            return;
-        }
-        self.sinks.recorder = Some(recorder);
+        let stash = self.domains.len() > 1;
         for d in &mut self.domains {
-            d.eng.trace = Trace::Stash;
-            d.obs = true;
+            d.eng.stash = stash;
+            d.eng.obs = true;
         }
+        self.domains[0].eng.recorder = Some(recorder);
     }
 
     /// Detaches the recorder; drain or flush it via `Recorder::finish`.
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        let mut out = self.sinks.recorder.take();
         for d in &mut self.domains {
-            if let Trace::Direct(r) = std::mem::replace(&mut d.eng.trace, Trace::Off) {
-                out = Some(r);
-            }
-            d.obs = d.metrics.is_some();
+            d.eng.stash = false;
+            d.eng.obs = d.eng.metrics.is_some();
         }
-        out
+        self.domains[0].eng.recorder.take()
     }
 
     /// Feeds a caller-constructed event (e.g. a collective step
     /// boundary) to the attached recorder, if any, after everything
     /// recorded so far. Drivers that stage work *around* the simulator
     /// use this to keep their milestones in the same ordered stream as
-    /// the packet-level events.
+    /// the packet-level events. The event reaches the recorder only:
+    /// engine metrics count what the engine itself recorded.
     pub fn record_event(&mut self, ev: Event) {
-        match self.sinks.recorder.as_deref_mut() {
-            Some(r) => r.record(&ev),
-            None => self.domains[0].eng.record(ev),
+        if let Some(r) = &mut self.domains[0].eng.recorder {
+            r.record(&ev);
         }
     }
 
     /// Enables metric collection (per-link queue/utilization series,
-    /// per-switch forwarded/dropped counters, lifecycle totals) in every
-    /// domain plus the control plane; [`ShardedSim::take_metrics`]
-    /// merges them.
+    /// per-switch forwarded/dropped counters, lifecycle, drop, fault
+    /// and reroute totals): from now on every domain folds the events
+    /// it records, and domain 0 also folds the control plane's.
     pub fn enable_metrics(&mut self) {
-        if self.ctl.metrics.is_none() {
-            self.ctl.metrics = Some(MetricsRegistry::new());
-        }
         for d in &mut self.domains {
-            if d.metrics.is_none() {
-                d.metrics = Some(MetricsRegistry::new());
+            if d.eng.metrics.is_none() {
+                d.eng.metrics = Some(EngineMetrics::new(Arc::clone(&d.node_kind)));
             }
-            d.obs = true;
+            d.eng.obs = true;
         }
     }
 
-    /// Detaches and merges every registry: the domains' in index order,
-    /// then the control plane's, folded into the first domain's (the
-    /// per-link histograms dominate, so they are not copied). Counter
-    /// and histogram merges are commutative, so the result is
-    /// domain-count-independent.
+    /// Detaches every domain's metrics and renders them, in domain
+    /// order, into one registry. Counters add and histograms merge
+    /// bucket-wise, so the result is domain-count-independent.
     pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
         let mut out: Option<MetricsRegistry> = None;
-        let ctl = self.ctl.metrics.take();
         for d in &mut self.domains {
-            d.obs = !matches!(d.eng.trace, Trace::Off);
-        }
-        for m in self
-            .domains
-            .iter_mut()
-            .filter_map(|d| d.metrics.take())
-            .chain(ctl)
-        {
-            match &mut out {
-                Some(o) => o.merge(&m),
-                None => out = Some(m),
+            d.eng.obs = d.eng.stash || d.eng.recorder.is_some();
+            if let Some(m) = d.eng.metrics.take() {
+                m.render_into(out.get_or_insert_with(MetricsRegistry::new));
             }
         }
         out
@@ -1202,7 +1124,7 @@ impl ShardedSim {
                 let r = if stopped {
                     None
                 } else {
-                    Self::coordinate(ctl, sinks, cells, until, lookahead)
+                    Self::coordinate(ctl, cells, until, lookahead)
                 };
                 *coord_ns = coord_ns.saturating_add(clock().saturating_sub(t_in));
                 r
@@ -1241,7 +1163,6 @@ impl ShardedSim {
     /// event, then pick the next window bound (or end the run).
     fn coordinate(
         ctl: &mut CtlPlane,
-        sinks: &mut Sinks,
         cells: &DomainCells<'_, Core>,
         until: SimTime,
         lookahead: u64,
@@ -1262,7 +1183,7 @@ impl ShardedSim {
                 // event applies now (control before packet at equal
                 // times).
                 if tc <= until && next_ev.is_none_or(|w| tc.ns() <= w) {
-                    ctl.apply_next(sinks, cells);
+                    ctl.apply_next(cells);
                     continue;
                 }
             }
@@ -1787,8 +1708,7 @@ mod tests {
         }
         sim.run(SimTime::from_ms(11), &ThreadPool::sequential());
         assert!(sim.events_processed() > 50_000, "a long run");
-        let stashed =
-            sim.domains[0].eng.trace_stash.capacity() + sim.sinks.trace_bufs[0].capacity();
+        let stashed = sim.domains[0].eng.trace_stash.capacity() + sim.sinks.trace_buf.capacity();
         assert!(stashed <= 16, "{stashed} trace events stashed at once");
     }
 
@@ -1883,6 +1803,21 @@ mod tests {
             ..SimConfig::default()
         };
         let _ = ShardedSim::new(m.net.clone(), cfg, 2);
+    }
+
+    /// A burst source with a zero period would start its next burst at
+    /// the same instant forever; `add_flow` refuses it up front.
+    #[test]
+    #[should_panic(expected = "period_ns > 0")]
+    fn zero_period_burst_is_rejected() {
+        let m = quartz_mesh(4, 2, 10.0, 10.0);
+        let mut sim = ShardedSim::new(m.net.clone(), SimConfig::default(), 1);
+        let burst = FlowKind::Burst {
+            burst_pkts: 20,
+            period_ns: 0,
+            stop: SimTime::from_ms(1),
+        };
+        sim.add_flow(m.hosts[0], m.hosts[7], 1_500, burst, 0, SimTime::ZERO);
     }
 }
 

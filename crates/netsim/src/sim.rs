@@ -71,8 +71,6 @@ pub struct SimConfig {
     /// ECN marking threshold (DCTCP's K): packets enqueued behind more
     /// than this many bytes are marked. `None` disables marking.
     pub ecn_threshold_bytes: Option<u64>,
-    /// Transport retransmission timeout, ns.
-    pub rto_ns: u64,
     /// Control-plane reconvergence delay: when a fault (or recovery)
     /// fires, routes are recomputed over the degraded network this many
     /// ns later. `None` (the default) models a static control plane —
@@ -89,7 +87,6 @@ impl Default for SimConfig {
             latency: LatencyModel::paper(),
             vlb: None,
             ecn_threshold_bytes: None,
-            rto_ns: 250_000,
             reconvergence_ns: None,
         }
     }

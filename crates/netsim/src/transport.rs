@@ -34,6 +34,10 @@
 //! [`SenderState::on_rto_into`]. The epoch check there still drops a
 //! timer that completion (or any later bump) made stale.
 
+/// Retransmission timeout, ns: a timer armed at `t` fires at
+/// `t + RTO_NS` unless re-armed first.
+pub const RTO_NS: u64 = 250_000;
+
 /// Congestion-control variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TcpVariant {
@@ -68,8 +72,8 @@ pub enum SendAction {
         /// Segment sequence number (0-based packet index).
         seq: u64,
     },
-    /// (Re-)arm the retransmission timer for this epoch, replacing any
-    /// earlier arm.
+    /// (Re-)arm the retransmission timer ([`RTO_NS`] from now) for
+    /// this epoch, replacing any earlier arm.
     ArmRto {
         /// Epoch the timer fires with; stale epochs are ignored.
         epoch: u64,

@@ -1,9 +1,9 @@
 //! Retransmission-timer events scale with simulated time, not with ACKs.
 //!
-//! Every ACK that moves a sender's window re-arms its 250 µs timer. A
-//! connection keeps one timer event queued and moves it forward to the
+//! Every ACK that moves a sender's window re-arms its [`RTO_NS`] timer.
+//! A connection keeps one timer event queued and moves it forward to the
 //! latest arm when it pops, so over a lossless run each connection pops
-//! about one timer event per `rto_ns` of simulated time, however many
+//! about one timer event per `RTO_NS` of simulated time, however many
 //! ACKs it received. The timer pops are what `events_processed` counts
 //! beyond packet arrivals (one per hop of every delivered packet) and
 //! generation events (one per transport flow).
@@ -13,7 +13,7 @@ use quartz_netsim::shard::ShardedSim;
 use quartz_netsim::sim::{FlowKind, SimConfig, Simulator};
 use quartz_netsim::stats::Stats;
 use quartz_netsim::time::SimTime;
-use quartz_netsim::transport::TcpVariant;
+use quartz_netsim::transport::{TcpVariant, RTO_NS};
 use quartz_topology::builders::{quartz_mesh, QuartzMesh};
 use quartz_topology::graph::NodeId;
 
@@ -41,8 +41,8 @@ fn scenario() -> (QuartzMesh, SimConfig, Vec<(NodeId, NodeId)>) {
 }
 
 /// Asserts the run was lossless and complete, and that its timer pops
-/// stay within one per `rto_ns` per flow (plus the first and last).
-fn check(stats: &Stats, completions: usize, events: u64, now: SimTime, rto_ns: u64) {
+/// stay within one per `RTO_NS` per flow (plus the first and last).
+fn check(stats: &Stats, completions: usize, events: u64, now: SimTime) {
     assert_eq!(stats.dropped, 0, "lossless");
     assert_eq!(completions as u64, FLOWS, "every transfer completes");
     let arrivals: u64 = stats
@@ -52,7 +52,7 @@ fn check(stats: &Stats, completions: usize, events: u64, now: SimTime, rto_ns: u
         .map(|(hops, n)| u64::from(hops) * n as u64)
         .sum();
     let timer_pops = events - arrivals - FLOWS;
-    let bound = FLOWS * (now.ns().div_ceil(rto_ns) + 2);
+    let bound = FLOWS * (now.ns().div_ceil(RTO_NS) + 2);
     assert!(
         timer_pops <= bound,
         "{timer_pops} timer events over {} ns for {FLOWS} flows (bound {bound})",
@@ -65,7 +65,6 @@ fn check(stats: &Stats, completions: usize, events: u64, now: SimTime, rto_ns: u
 #[test]
 fn simulator_timer_events_scale_with_time() {
     let (q, cfg, pairs) = scenario();
-    let rto_ns = cfg.rto_ns;
     let mut sim = Simulator::new(q.net, cfg);
     for (tag, (src, dst)) in pairs.into_iter().enumerate() {
         sim.add_flow(src, dst, 1_000, TRANSFER, tag as u32, SimTime::ZERO);
@@ -76,7 +75,6 @@ fn simulator_timer_events_scale_with_time() {
         sim.flow_completions().len(),
         sim.events_processed(),
         sim.now(),
-        rto_ns,
     );
 }
 
@@ -84,7 +82,6 @@ fn simulator_timer_events_scale_with_time() {
 fn sharded_timer_events_scale_with_time() {
     for domains in [1, 4] {
         let (q, cfg, pairs) = scenario();
-        let rto_ns = cfg.rto_ns;
         let mut sim = ShardedSim::new(q.net, cfg, domains);
         for (tag, (src, dst)) in pairs.into_iter().enumerate() {
             sim.add_flow(src, dst, 1_000, TRANSFER, tag as u32, SimTime::ZERO);
@@ -95,7 +92,6 @@ fn sharded_timer_events_scale_with_time() {
             sim.flow_completions().len(),
             sim.events_processed(),
             sim.now(),
-            rto_ns,
         );
     }
 }

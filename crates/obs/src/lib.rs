@@ -19,12 +19,18 @@
 //! - [`Recorder`] — the sink trait. [`NullRecorder`] is the inlined
 //!   no-op default; [`MemoryRecorder`] buffers events for in-process
 //!   inspection; [`NdjsonRecorder`] streams one JSON object per line to
-//!   any [`std::io::Write`].
+//!   any [`std::io::Write`]. [`Stamped`] stashes what parallel
+//!   producers record under `(time, key)` stamps and drains them in one
+//!   order, so a merged trace is identical at any producer count.
 //! - [`MetricsRegistry`] — BTreeMap-ordered counters, gauges, and
 //!   sim-time-bucketed histograms. BTreeMap (not HashMap) so every
 //!   rendering iterates in a deterministic order, and [`MetricsRegistry::merge`]
 //!   folds per-unit registries in unit-index order so parallel runs
-//!   aggregate identically at any worker count.
+//!   aggregate identically at any worker count. The simulator keeps no
+//!   registry while it runs: its metrics are a fold of the [`Event`]s
+//!   it records into dense, id-indexed [`CounterColumn`]s and
+//!   [`HistogramColumn`]s, which name their entries only when rendered
+//!   into a registry, once, at export.
 //! - [`Phases`] — a wall-clock-free *accumulator* for profiling: the
 //!   bench harness (the one sanctioned wall-clock site) measures phase
 //!   durations and deposits them here for folding into `BENCH_*.json`.
@@ -42,6 +48,6 @@ pub mod recorder;
 pub mod timeline;
 
 pub use event::{DropReason, Event};
-pub use metrics::{BucketStats, MetricsRegistry, TimeHistogram};
+pub use metrics::{BucketStats, CounterColumn, HistogramColumn, MetricsRegistry, TimeHistogram};
 pub use profile::Phases;
-pub use recorder::{MemoryRecorder, NdjsonRecorder, NullRecorder, Recorder};
+pub use recorder::{MemoryRecorder, NdjsonRecorder, NullRecorder, Recorder, Stamped};

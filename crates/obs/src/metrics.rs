@@ -10,7 +10,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default histogram bucket width: 100 µs of simulated time.
+/// Default histogram bucket width (and [`HistogramColumn`]'s): 100 µs
+/// of simulated time.
 pub const DEFAULT_BUCKET_NS: u64 = 100_000;
 
 /// Aggregate statistics of the samples that landed in one time bucket.
@@ -103,6 +104,54 @@ impl TimeHistogram {
     }
 }
 
+/// Counters indexed by a dense id (a switch, a directed link, a fixed
+/// column), grown on first touch and named only when rendered: a
+/// producer that counts per id bumps a `Vec` slot, never a name.
+#[derive(Clone, Debug, Default)]
+pub struct CounterColumn(Vec<u64>);
+
+impl CounterColumn {
+    /// Adds `by` to entry `i`.
+    #[inline]
+    pub fn add(&mut self, i: usize, by: u64) {
+        if i >= self.0.len() {
+            self.0.resize(i + 1, 0);
+        }
+        self.0[i] += by;
+    }
+
+    /// Adds every non-zero entry `i` to `out` as the counter `name(i)`.
+    pub fn render_into(&self, out: &mut MetricsRegistry, name: impl Fn(usize) -> String) {
+        for (i, &v) in self.0.iter().enumerate().filter(|&(_, &v)| v != 0) {
+            out.inc(&name(i), v);
+        }
+    }
+}
+
+/// [`TimeHistogram`]s of [`DEFAULT_BUCKET_NS`] buckets indexed by a
+/// dense id, grown on first touch and named only when rendered.
+#[derive(Clone, Debug, Default)]
+pub struct HistogramColumn(Vec<TimeHistogram>);
+
+impl HistogramColumn {
+    /// Records `value` at sim time `t_ns` into histogram `i`.
+    #[inline]
+    pub fn observe(&mut self, i: usize, t_ns: u64, value: u64) {
+        let new = || TimeHistogram::new(DEFAULT_BUCKET_NS);
+        if i >= self.0.len() {
+            self.0.resize_with(i + 1, new);
+        }
+        self.0[i].observe(t_ns, value);
+    }
+
+    /// Adds every histogram `i` holding a sample to `out` as `name(i)`.
+    pub fn render_into(&self, out: &mut MetricsRegistry, name: impl Fn(usize) -> String) {
+        for (i, h) in self.0.iter().enumerate().filter(|(_, h)| h.count() != 0) {
+            out.add_histogram(&name(i), h);
+        }
+    }
+}
+
 /// Named counters, gauges, and sim-time histograms.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
@@ -142,23 +191,14 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Creates the histogram `name` with an explicit bucket width if it
-    /// does not exist yet. Without this, the first `observe` uses
-    /// [`DEFAULT_BUCKET_NS`].
-    pub fn declare_histogram(&mut self, name: &str, bucket_ns: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| TimeHistogram::new(bucket_ns));
-    }
-
-    /// Records `value` at sim time `t_ns` into the histogram `name`.
-    pub fn observe(&mut self, name: &str, t_ns: u64, value: u64) {
+    /// Folds `h` into the histogram `name` (bucket-wise, see
+    /// [`TimeHistogram::merge`]), or stores a copy of `h` under `name`
+    /// if there is none yet.
+    pub fn add_histogram(&mut self, name: &str, h: &TimeHistogram) {
         match self.histograms.get_mut(name) {
-            Some(h) => h.observe(t_ns, value),
+            Some(mine) => mine.merge(h),
             None => {
-                let mut h = TimeHistogram::new(DEFAULT_BUCKET_NS);
-                h.observe(t_ns, value);
-                self.histograms.insert(name.to_string(), h);
+                self.histograms.insert(name.to_string(), h.clone());
             }
         }
     }
@@ -193,12 +233,7 @@ impl MetricsRegistry {
             self.set_gauge(name, v);
         }
         for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
-            }
+            self.add_histogram(name, h);
         }
     }
 
@@ -291,13 +326,18 @@ mod tests {
 
     #[test]
     fn merge_is_order_sensitive_only_for_gauges() {
+        let series = |t_ns, value| {
+            let mut h = TimeHistogram::new(DEFAULT_BUCKET_NS);
+            h.observe(t_ns, value);
+            h
+        };
         let mut a = MetricsRegistry::new();
         a.inc("n", 1);
-        a.observe("h", 50, 5);
+        a.add_histogram("h", &series(50, 5));
         a.set_gauge("g", 1.0);
         let mut b = MetricsRegistry::new();
         b.inc("n", 2);
-        b.observe("h", 60, 7);
+        b.add_histogram("h", &series(60, 7));
         b.set_gauge("g", 2.0);
 
         let mut ab = a.clone();
@@ -324,8 +364,9 @@ mod tests {
         m.inc("z.count", 1);
         m.inc("a.count", 2);
         m.set_gauge("mid", 0.5);
-        m.declare_histogram("h", 100);
-        m.observe("h", 150, 3);
+        let mut h = TimeHistogram::new(100);
+        h.observe(150, 3);
+        m.add_histogram("h", &h);
         let s = m.to_ndjson();
         let lines: Vec<_> = s.lines().collect();
         assert_eq!(
@@ -337,6 +378,21 @@ mod tests {
                 "{\"metric\":\"histogram\",\"name\":\"h\",\"bucket_ns\":100,\"buckets\":[{\"t\":100,\"count\":1,\"sum\":3,\"min\":3,\"max\":3}]}",
             ]
         );
+    }
+
+    #[test]
+    fn columns_render_only_what_they_saw() {
+        let mut counts = CounterColumn::default();
+        counts.add(3, 2);
+        counts.add(1, 0);
+        let mut hists = HistogramColumn::default();
+        hists.observe(2, 150, 7);
+        let mut m = MetricsRegistry::new();
+        counts.render_into(&mut m, |i| format!("c{i}"));
+        hists.render_into(&mut m, |i| format!("h{i}"));
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.counter("c3"), 2);
+        assert_eq!(m.histogram("h2").map(TimeHistogram::count), Some(1));
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Regenerates fig10 of the paper. Pass `--quick` for a reduced run.
 //! `--jobs N` sets the worker count (default: all hardware threads);
-//! `--trace-out PATH` writes an ndjson trace;
-//! set `QUARTZ_BENCH_JSON` to also write `BENCH_fig10_throughput.json`.
+//! `--trace-out PATH` writes an ndjson trace; any other argument exits 2.
+//! Set `QUARTZ_BENCH_JSON` to also write `BENCH_fig10_throughput.json`.
+use quartz_bench::experiments::fig10::{render, run, trace_ndjson};
+
 fn main() {
     quartz_bench::run_bin(
         "fig10_throughput",
-        quartz_bench::experiments::fig10::print_ctx,
+        |s, p, _| run(s, p),
+        |o| render(o),
+        |o| trace_ndjson(o),
     );
 }

@@ -1,10 +1,14 @@
 //! Regenerates fig17 of the paper. Pass `--quick` for a reduced run.
 //! `--jobs N` sets the worker count (default: all hardware threads);
-//! `--trace-out PATH` writes an ndjson trace;
-//! set `QUARTZ_BENCH_JSON` to also write `BENCH_fig17_global_latency.json`.
+//! `--trace-out PATH` writes an ndjson trace; any other argument exits 2.
+//! Set `QUARTZ_BENCH_JSON` to also write `BENCH_fig17_global_latency.json`.
+use quartz_bench::experiments::fig17::{render, run, trace_ndjson};
+
 fn main() {
     quartz_bench::run_bin(
         "fig17_global_latency",
-        quartz_bench::experiments::fig17::print_ctx,
+        |s, p, _| run(s, p),
+        |o| render(o),
+        |o| trace_ndjson(o),
     );
 }

@@ -114,14 +114,9 @@ fn run_one(quartz: bool, variant: TcpVariant, ecn: Option<u64>, rpc_count: u32) 
     }
 }
 
-/// Runs the three §2.1.4 configurations (plus Quartz+DCTCP for
-/// completeness), over one worker per hardware thread.
-pub fn run(scale: Scale) -> Vec<Row> {
-    run_with(scale, &ThreadPool::default())
-}
-
-/// Runs the four configurations as independent units over `pool`.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
+/// Runs the three §2.1.4 configurations, plus Quartz+DCTCP for
+/// completeness, as independent units over `pool`.
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     // Counts sized so even the slowest configuration (tree + Reno, whose
     // probe RTT averages ~2.2 ms under the bulk transfers) finishes
     // within the horizon.
@@ -144,29 +139,8 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     })
 }
 
-/// Prints the E1 table.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the E1 table, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the
-/// configurations run once; the same rows feed both the table and the
-/// metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let rows = run_with(scale, pool);
-    render(&rows);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&rows));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("ext01.rows", rows.len() as u64);
     for r in rows {
@@ -183,7 +157,7 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Renders the computed rows as the E1 table.
-fn render(rows: &[Row]) {
+pub fn render(rows: &[Row]) {
     crate::outln!("Extension E1: protocol fixes vs topology (probe RPC under bulk transfers)\n");
     let rows: Vec<Vec<String>> = rows
         .iter()

@@ -29,16 +29,10 @@ pub struct Row {
     pub latency_us: f64,
 }
 
-/// Measures the four structures at comparable small scale (over one
-/// worker per hardware thread).
-pub fn run(scale: Scale) -> Vec<Row> {
-    run_with(scale, &ThreadPool::default())
-}
-
-/// Measures the four structures as independent units over `pool` (each
-/// unit builds its topology and runs the all-pairs shortest-path
-/// analysis).
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
+/// Measures the four structures at comparable small scale as
+/// independent units over `pool` (each unit builds its topology and
+/// runs the all-pairs shortest-path analysis).
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     let paper = scale == Scale::Paper;
 
     let build_row = |name, net: &quartz_topology::Network| {
@@ -88,28 +82,8 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     })
 }
 
-/// Prints the E2 table.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the E2 table, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the structures
-/// build once; the same rows feed both the table and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let rows = run_with(scale, pool);
-    render(&rows);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&rows));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("ext02.rows", rows.len() as u64);
     for r in rows {
@@ -130,7 +104,7 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Renders the computed rows as the E2 table.
-fn render(rows: &[Row]) {
+pub fn render(rows: &[Row]) {
     crate::outln!("Extension E2: server-centric structures vs the Quartz mesh (§2.1.5)\n");
     let rows: Vec<Vec<String>> = rows
         .iter()

@@ -106,16 +106,10 @@ pub fn one_request_us(arch: Arch, cross_tasks: usize, seed: u64) -> f64 {
     sim.now().saturating_sub(t0) as f64 / 1e3
 }
 
-/// Measures all architectures at 0 and 4 cross-traffic tasks (over one
-/// worker per hardware thread).
-pub fn run(scale: Scale) -> Vec<Row> {
-    run_with(scale, &ThreadPool::default())
-}
-
 /// Measures all architectures over `pool`: one unit per `(arch, cross
 /// level, request)` simulation; per-row means fold in request order on
 /// this thread, bit-identical at any worker count.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     let (requests, cross_levels): (usize, Vec<usize>) = match scale {
         Scale::Paper => (5, vec![0, 2, 4]),
         Scale::Quick => (1, vec![0, 2]),
@@ -156,28 +150,8 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     rows
 }
 
-/// Prints the E3 table.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the E3 table, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the requests run
-/// once; the same rows feed both the table and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let rows = run_with(scale, pool);
-    render(&rows);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&rows));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("ext03.rows", rows.len() as u64);
     for r in rows {
@@ -191,7 +165,7 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Renders the computed rows as the E3 table.
-fn render(rows: &[Row]) {
+pub fn render(rows: &[Row]) {
     crate::outln!(
         "Extension E3: the §1 request — 88 cache + 35 DB + 392 backend RPCs, sequential stages\n"
     );

@@ -128,14 +128,9 @@ fn row_of(report: &WorkloadReport) -> Row {
     }
 }
 
-/// Runs E4 over one worker per hardware thread.
-pub fn run(scale: Scale) -> Vec<Row> {
-    run_with(scale, &ThreadPool::default())
-}
-
 /// Runs E4 over `pool`: one unit per `(workload, transport)` pair,
 /// re-seeded with [`unit_seed`]; rows fold in unit order.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     let hosts = fabric().1.len();
     let mut units = Vec::new();
     for (w, (spec, window)) in specs(scale, hosts).into_iter().enumerate() {
@@ -157,27 +152,8 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     })
 }
 
-/// Prints the E4 table.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the E4 table, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let rows = run_with(scale, pool);
-    render(&rows);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&rows));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("ext04.rows", rows.len() as u64);
     for r in rows {
@@ -193,7 +169,7 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Renders the computed rows as the E4 table.
-fn render(rows: &[Row]) {
+pub fn render(rows: &[Row]) {
     crate::outln!(
         "Extension E4: the workload subsystem — trace replay, heavy-tail mix, incast, all-reduce — under Reno and DCTCP\n"
     );

@@ -2,41 +2,23 @@
 
 use crate::table::print_table;
 use crate::Scale;
+use quartz_core::ThreadPool;
 use quartz_cost::trend::{dwdm_cost_index, DWDM_TREND};
 
 /// One point of the trend: `(year, generation, relative cost, fitted)`.
 pub type Row = (u32, &'static str, f64, f64);
 
-/// The digitized series with the exponential fit alongside.
-pub fn run(_scale: Scale) -> Vec<Row> {
+/// The digitized series with the exponential fit alongside (a static
+/// table: scale and pool are unused).
+pub fn run(_scale: Scale, _pool: &ThreadPool) -> Vec<Row> {
     DWDM_TREND
         .iter()
         .map(|&(year, cost, label)| (year, label, cost, dwdm_cost_index(year)))
         .collect()
 }
 
-/// Pass-through for the shared `--jobs` plumbing: the series is a
-/// static table, so the pool is unused.
-pub fn run_with(scale: Scale, _pool: &quartz_core::ThreadPool) -> Vec<Row> {
-    run(scale)
-}
-
-/// Pass-through for the shared `--jobs` plumbing (see [`run_with`]).
-pub fn print_with(scale: Scale, _pool: &quartz_core::ThreadPool) {
-    print(scale);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: also writes the
-/// printed series as a metrics trace (one gauge pair per year).
-pub fn print_ctx(scale: Scale, pool: &quartz_core::ThreadPool, trace: Option<&std::path::Path>) {
-    print_with(scale, pool);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&run(scale)));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("fig01.rows", rows.len() as u64);
     for (year, _label, cost, fit) in rows {
@@ -47,10 +29,10 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Prints the Figure 1 series.
-pub fn print(scale: Scale) {
+pub fn render(rows: &[Row]) {
     crate::outln!("Figure 1: backbone DWDM per-bit, per-km relative cost (1993 = 1.0)\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .into_iter()
+    let rows: Vec<Vec<String>> = rows
+        .iter()
         .map(|(y, label, c, f)| {
             vec![
                 y.to_string(),

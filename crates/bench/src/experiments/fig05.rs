@@ -27,15 +27,10 @@ pub struct Row {
     pub lower_bound: usize,
 }
 
-/// Sweeps ring sizes 2..=41 (over one worker per hardware thread).
-pub fn run(scale: Scale) -> Vec<Row> {
-    run_with(scale, &ThreadPool::default())
-}
-
-/// Sweeps ring sizes over `pool`: each size's greedy + exact solve is
-/// one independent unit (the even sizes' branch-and-bound infeasibility
-/// proofs dominate, so they spread across workers).
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
+/// Sweeps ring sizes 2..=41 over `pool`: each size's greedy + exact
+/// solve is one independent unit (the even sizes' branch-and-bound
+/// infeasibility proofs dominate, so they spread across workers).
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     let (max_m, exact_horizon, budget) = match scale {
         // Attempt the exact solver at every size: odd rings prove their
         // optimum quickly at any size; even rings ≥ 10 usually exhaust
@@ -77,28 +72,8 @@ pub fn max_ring_size(rows: &[Row]) -> usize {
         .unwrap_or(0)
 }
 
-/// Prints the Figure 5 series.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the Figure 5 series, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the sweep runs
-/// once; the same rows feed both the table and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let rows = run_with(scale, pool);
-    render(&rows);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&rows));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("fig05.rows", rows.len() as u64);
     m.inc(
@@ -120,7 +95,7 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Renders the computed rows as the Figure 5 table.
-fn render(rows: &[Row]) {
+pub fn render(rows: &[Row]) {
     crate::outln!("Figure 5: wavelengths required vs ring size (greedy vs optimal)\n");
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -10,6 +10,7 @@
 //! mesh.
 
 use crate::table::{pct, print_table};
+use crate::timing::phase_timed;
 use crate::Scale;
 use quartz_core::fault::{FailureModel, FaultReport};
 use quartz_core::pool::ThreadPool;
@@ -21,20 +22,15 @@ use quartz_netsim::faults::{
 };
 use quartz_obs::{Event, MetricsRegistry};
 
-/// The full grid: `reports[rings-1][failures-1]` (computed over one
-/// worker per hardware thread).
-pub fn run(scale: Scale) -> Vec<Vec<FaultReport>> {
-    run_with(scale, &ThreadPool::default()).0
-}
-
-/// The full grid over `pool`: one unit per `(rings, failures)` cell,
-/// plus a registry of `fig06.loss.r<rings>.f<failures>` /
+/// The static panels over `pool`: `grid[rings-1][failures-1]`, one
+/// unit per `(rings, failures)` cell, plus a registry of
+/// `fig06.loss.r<rings>.f<failures>` /
 /// `fig06.partition.r<rings>.f<failures>` gauges aggregated in
 /// unit-index order. Each cell's Monte-Carlo stream depends only on its
 /// own seed, so grid and registry are bit-identical at any worker count.
 /// The cells themselves run monte_carlo sequentially — parallelism at
 /// the grid level already saturates the pool without nesting.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> (Vec<Vec<FaultReport>>, MetricsRegistry) {
+fn grid(scale: Scale, pool: &ThreadPool) -> (Vec<Vec<FaultReport>>, MetricsRegistry) {
     let (m, trials) = match scale {
         Scale::Paper => (33, 20_000),
         Scale::Quick => (17, 1_000),
@@ -76,15 +72,11 @@ pub struct DynamicReport {
     pub degraded_throughput: f64,
 }
 
-/// Runs the dynamic panel: one fiber cut at t = T during steady Poisson
-/// traffic on the mesh, plus the waterfill before/after comparison.
-pub fn run_dynamic(scale: Scale) -> DynamicReport {
-    run_dynamic_with(scale, &ThreadPool::default(), false).0
-}
-
-/// Runs the dynamic panel over `pool`. The packet-level cut scenario
-/// and the flow-level waterfill comparison share no state, so they run
-/// as two parallel units; each is internally sequential and seeded.
+/// Runs the dynamic panel over `pool`: one fiber cut at t = T during
+/// steady Poisson traffic on the mesh, plus the waterfill before/after
+/// comparison. The packet-level cut scenario and the flow-level
+/// waterfill comparison share no state, so they run as two parallel
+/// units; each is internally sequential and seeded.
 ///
 /// With `traced`, the scenario records every event through a
 /// `MemoryRecorder` and collects its sim metrics; without, no recorder
@@ -93,7 +85,7 @@ pub fn run_dynamic(scale: Scale) -> DynamicReport {
 /// registries fold in unit-index order. The report is the same with or
 /// without tracing (tracing is observe-only), and report, events and
 /// metrics are bit-identical at any worker count.
-pub fn run_dynamic_with(
+fn dynamic(
     scale: Scale,
     pool: &ThreadPool,
     traced: bool,
@@ -158,55 +150,51 @@ pub fn run_dynamic_with(
     )
 }
 
-/// The full Figure 6 trace body: the dynamic panel's packet events
-/// (ndjson, time-ordered) followed by the merged metrics of both panels
-/// (grid gauges, sim counters/histograms, waterfill meters). Byte-
-/// identical at any worker count.
-pub fn trace_ndjson_with(scale: Scale, pool: &ThreadPool) -> String {
-    let (_, grid_metrics) = run_with(scale, pool);
-    let (_, events, dyn_metrics) = run_dynamic_with(scale, pool, true);
-    trace_body(&events, dyn_metrics, &grid_metrics)
+/// Both Figure 6 panels, computed once.
+#[derive(Clone, Debug)]
+pub struct Panels {
+    /// The static grid: `grid[rings-1][failures-1]`.
+    pub grid: Vec<Vec<FaultReport>>,
+    /// The dynamic fiber-cut panel.
+    pub dynamic: DynamicReport,
+    /// The dynamic scenario's packet events, time-ordered; empty unless
+    /// traced.
+    pub events: Vec<Event>,
+    /// The dynamic panel's metrics (sim counters and histograms when
+    /// traced, waterfill meters always) with the grid's gauges merged in.
+    pub metrics: MetricsRegistry,
 }
 
-/// Serializes the events, then the dynamic panel's metrics with the
-/// grid's merged in.
-fn trace_body(events: &[Event], mut metrics: MetricsRegistry, grid: &MetricsRegistry) -> String {
-    metrics.merge(grid);
-    let mut out = quartz_obs::event::to_ndjson(events);
-    out.push_str(&metrics.to_ndjson());
-    out
-}
-
-/// Prints both Figure 6 panels.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints both Figure 6 panels, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook. Without a trace
-/// path no recorder goes anywhere near the simulator; with one, the
-/// dynamic panel runs traced — the printed reports are bit-identical
-/// either way — and the packet events + merged metrics land at `trace`.
-/// Both panels are phase-timed, so `BENCH_fig06_fault_tolerance.json`
-/// carries a `phase` breakdown.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let (grid, grid_metrics) = crate::timing::phase_timed("fig06.grid", || run_with(scale, pool));
-    render_grid(&grid);
-    let (dyn_report, events, dyn_metrics) = crate::timing::phase_timed("fig06.dynamic", || {
-        run_dynamic_with(scale, pool, trace.is_some())
-    });
-    render_dynamic(&dyn_report);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_body(&events, dyn_metrics, &grid_metrics));
+/// Runs both panels over `pool`, each phase-timed, so
+/// `BENCH_fig06_fault_tolerance.json` carries a `phase` breakdown.
+/// Only with `traced` does a recorder go anywhere near the simulator;
+/// grid and dynamic report are the same either way, and everything is
+/// bit-identical at any worker count.
+pub fn run(scale: Scale, pool: &ThreadPool, traced: bool) -> Panels {
+    let (grid, grid_metrics) = phase_timed("fig06.grid", || grid(scale, pool));
+    let (dynamic, events, mut metrics) =
+        phase_timed("fig06.dynamic", || dynamic(scale, pool, traced));
+    metrics.merge(&grid_metrics);
+    Panels {
+        grid,
+        dynamic,
+        events,
+        metrics,
     }
 }
 
-/// Renders the three static-panel tables.
-fn render_grid(grid: &[Vec<FaultReport>]) {
+/// The `--trace-out` body: the dynamic panel's packet events (ndjson,
+/// time-ordered) followed by the merged metrics of both panels.
+pub fn trace_ndjson(panels: &Panels) -> String {
+    let mut out = quartz_obs::event::to_ndjson(&panels.events);
+    out.push_str(&panels.metrics.to_ndjson());
+    out
+}
+
+/// Renders the three static-panel tables, then the dynamic-panel
+/// summary lines.
+pub fn render(panels: &Panels) {
+    let grid = &panels.grid;
     crate::outln!("Figure 6 (top): mean bandwidth loss vs broken fiber links\n");
     let headers = [
         "Rings",
@@ -264,10 +252,8 @@ fn render_grid(grid: &[Vec<FaultReport>]) {
         pct(grid[0][0].mean_bandwidth_loss),
         grid[1][3].partition_probability
     );
-}
 
-/// Renders the dynamic-panel summary lines.
-fn render_dynamic(dyn_report: &DynamicReport) {
+    let dyn_report = &panels.dynamic;
     let s = &dyn_report.scenario;
     crate::outln!("\nFigure 6 (dynamic): one fiber cut mid-run under steady Poisson traffic\n");
     crate::outln!(

@@ -26,21 +26,15 @@ pub struct Row {
     pub quarter: f64,
 }
 
-/// Runs the three patterns over the four fabrics (over one worker per
-/// hardware thread). Paper scale uses the flagship 33 × 32 mesh; quick
-/// scale a 9 × 8 one.
-pub fn run(scale: Scale) -> Vec<Row> {
-    run_with(scale, &ThreadPool::default())
-}
-
 /// Names of the three Figure 10 traffic patterns, in panel order.
 const PATTERNS: [&str; 3] = ["Random Permutation", "Incast", "Rack-Level Shuffle"];
 
 /// Runs the three patterns over `pool`: one unit per `(pattern, seed)`
 /// cell (each cell regenerates its own demand matrix from the seed, so
 /// cells share nothing); per-pattern sums fold in seed order, keeping
-/// the rows bit-identical at any worker count.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
+/// the rows bit-identical at any worker count. Paper scale uses the
+/// flagship 33 × 32 mesh; quick scale a 9 × 8 one.
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     let (racks, hpr, seeds) = match scale {
         Scale::Paper => (33usize, 32usize, 5u64),
         Scale::Quick => (9, 8, 2),
@@ -108,28 +102,8 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
         .collect()
 }
 
-/// Prints the Figure 10 bars.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the Figure 10 bars, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the patterns run
-/// once; the same rows feed both the table and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let rows = run_with(scale, pool);
-    render(&rows);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&rows));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("fig10.rows", rows.len() as u64);
     for r in rows {
@@ -144,7 +118,7 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Renders the computed rows as the Figure 10 table.
-fn render(rows: &[Row]) {
+pub fn render(rows: &[Row]) {
     crate::outln!("Figure 10: normalized throughput (1.0 = every server at full rate)\n");
     let rows: Vec<Vec<String>> = rows
         .iter()

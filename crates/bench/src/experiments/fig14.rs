@@ -135,17 +135,11 @@ fn rpc_latency_ns(quartz: bool, cross_mbps: f64, rpc_count: u32, seed: u64) -> f
     s.mean_ns
 }
 
-/// Sweeps cross-traffic 0..=200 Mb/s per source (over one worker per
-/// hardware thread).
-pub fn run(scale: Scale) -> Vec<Point> {
-    run_with(scale, &ThreadPool::default())
-}
-
-/// Sweeps cross-traffic over `pool`: the two zero-cross baselines and
+/// Sweeps cross-traffic 0..=200 Mb/s per source over `pool`: the two zero-cross baselines and
 /// every `(wiring, Mb/s)` sweep point are independent simulations, so
 /// all of them parallelize; ratios are formed afterwards on this
 /// thread, bit-identical at any worker count.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Point> {
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Point> {
     let (rpc_count, step) = match scale {
         Scale::Paper => (10_000, 25.0),
         Scale::Quick => (300, 100.0),
@@ -178,28 +172,8 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Point> {
         .collect()
 }
 
-/// Prints the Figure 14 series.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the Figure 14 series, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the sweep runs
-/// once; the same points feed both the table and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let points = run_with(scale, pool);
-    render(&points);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&points));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(points: &[Point]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(points: &[Point]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("fig14.points", points.len() as u64);
     for p in points {
@@ -210,7 +184,7 @@ fn trace_ndjson(points: &[Point]) -> String {
 }
 
 /// Renders the computed points as the Figure 14 table.
-fn render(points: &[Point]) {
+pub fn render(points: &[Point]) {
     crate::outln!("Figure 14: impact of cross-traffic on normalized RPC latency\n");
     let rows: Vec<Vec<String>> = points
         .iter()

@@ -169,16 +169,11 @@ pub fn simulate(arch: Arch, workload: Workload, tasks: usize, sim_ms: u64, seed:
 /// One panel: latency series per architecture.
 pub type Panel = Vec<(Arch, Vec<(usize, f64)>)>;
 
-/// Runs all three panels (over one worker per hardware thread).
-pub fn run(scale: Scale) -> Vec<(Workload, Panel)> {
-    run_with(scale, &ThreadPool::default())
-}
-
 /// Runs all three panels over `pool`. Every `(workload, arch, tasks,
 /// seed)` cell is one independent simulation with its own seed, so the
 /// cells parallelize freely; means fold in seed order on this thread,
 /// making the output bit-identical at any worker count.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<(Workload, Panel)> {
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<(Workload, Panel)> {
     let (sim_ms, max_sg, max_tasks) = match scale {
         Scale::Paper => (4, 4, 8),
         Scale::Quick => (1, 2, 2),
@@ -242,29 +237,9 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<(Workload, Panel)> {
         .collect()
 }
 
-/// Prints the three Figure 17 panels.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the three Figure 17 panels, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the panels run
-/// once; the same series feed both the tables and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let panels = run_with(scale, pool);
-    render(&panels);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&panels));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`]: one
+/// The `--trace-out` body: one
 /// `fig17.<workload>.<arch>.t<tasks>` latency gauge per point.
-fn trace_ndjson(panels: &[(Workload, Panel)]) -> String {
+pub fn trace_ndjson(panels: &[(Workload, Panel)]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     for (w, panel) in panels {
         let wkey = w.name().to_ascii_lowercase().replace('-', "_");
@@ -280,7 +255,7 @@ fn trace_ndjson(panels: &[(Workload, Panel)]) -> String {
 }
 
 /// Renders the computed panels as the Figure 17 tables.
-fn render(panels: &[(Workload, Panel)]) {
+pub fn render(panels: &[(Workload, Panel)]) {
     for (w, panel) in panels {
         crate::outln!(
             "\nFigure 17 ({}): average latency per packet (µs) vs number of tasks\n",

@@ -7,12 +7,12 @@
 //! performs scatter, gather operations to fewer targets than the
 //! non-local tasks." (§7.1)
 
-use crate::experiments::fig17::{add_task, Arch, Workload, MEAN_GAP_NS, PARTNERS};
+use crate::experiments::fig17::{add_task, Arch, Workload, PARTNERS};
 use crate::table::print_table;
 use crate::Scale;
 use quartz_core::pool::ThreadPool;
 use quartz_core::rng::{SliceRandom, StdRng};
-use quartz_netsim::sim::{FlowKind, SimConfig, Simulator};
+use quartz_netsim::sim::{SimConfig, Simulator};
 use quartz_netsim::time::SimTime;
 use quartz_topology::graph::{Network, NodeId};
 
@@ -82,26 +82,7 @@ pub fn simulate(arch: Arch, workload: Workload, tasks: usize, sim_ms: u64, seed:
         let root = cross_roots[t - 1];
         let mut all: Vec<_> = hosts.iter().copied().filter(|&h| h != root).collect();
         all.shuffle(&mut rng);
-        let partners = &all[..PARTNERS];
-        for &p in partners {
-            let (src, dst, respond) = match workload {
-                Workload::Scatter => (root, p, false),
-                Workload::Gather => (p, root, false),
-                Workload::ScatterGather => (root, p, true),
-            };
-            sim.add_flow(
-                src,
-                dst,
-                400,
-                FlowKind::Poisson {
-                    mean_gap_ns: MEAN_GAP_NS,
-                    stop,
-                    respond,
-                },
-                1,
-                SimTime::ZERO,
-            );
-        }
+        add_task(&mut sim, workload, root, &all[..PARTNERS], 1, stop);
     }
 
     sim.run(stop + 2_000_000);
@@ -111,16 +92,10 @@ pub fn simulate(arch: Arch, workload: Workload, tasks: usize, sim_ms: u64, seed:
 /// One panel: per-architecture series of `(total tasks, local-task µs)`.
 pub type Panel = Vec<(Arch, Vec<(usize, f64)>)>;
 
-/// Runs all three localized panels for the Figure 18 architecture set
-/// (over one worker per hardware thread).
-pub fn run(scale: Scale) -> Vec<(Workload, Panel)> {
-    run_with(scale, &ThreadPool::default())
-}
-
 /// Runs all three localized panels over `pool`; every `(workload,
 /// arch, tasks)` point is an independent seeded simulation, so output
 /// is bit-identical at any worker count.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<(Workload, Panel)> {
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<(Workload, Panel)> {
     let (sim_ms, max_sg, max_tasks) = match scale {
         Scale::Paper => (4, 5, 6),
         Scale::Quick => (1, 2, 2),
@@ -166,29 +141,9 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<(Workload, Panel)> {
         .collect()
 }
 
-/// Prints the three Figure 18 panels.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the three Figure 18 panels, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the panels run
-/// once; the same series feed both the tables and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let panels = run_with(scale, pool);
-    render(&panels);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&panels));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`]: one
+/// The `--trace-out` body: one
 /// `fig18.<workload>.<arch>.t<tasks>` latency gauge per point.
-fn trace_ndjson(panels: &[(Workload, Panel)]) -> String {
+pub fn trace_ndjson(panels: &[(Workload, Panel)]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     for (w, panel) in panels {
         let wkey = w.name().to_ascii_lowercase().replace('-', "_");
@@ -204,7 +159,7 @@ fn trace_ndjson(panels: &[(Workload, Panel)]) -> String {
 }
 
 /// Renders the computed panels as the Figure 18 tables.
-fn render(panels: &[(Workload, Panel)]) {
+pub fn render(panels: &[(Workload, Panel)]) {
     for (w, panel) in panels {
         crate::outln!(
             "\nFigure 18 (Localized {}): local-task latency per packet (µs) vs total tasks\n",

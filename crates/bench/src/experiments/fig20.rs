@@ -123,16 +123,10 @@ pub fn designs() -> [Design; 3] {
     ]
 }
 
-/// Sweeps aggregate traffic 10..=50 Gb/s (over one worker per hardware
-/// thread).
-pub fn run(scale: Scale) -> Vec<Point> {
-    run_with(scale, &ThreadPool::default())
-}
-
-/// Sweeps aggregate traffic over `pool`: one unit per `(load point,
+/// Sweeps aggregate traffic 10..=50 Gb/s over `pool`: one unit per `(load point,
 /// design)` simulation, reassembled in sweep order — bit-identical at
 /// any worker count.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Point> {
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Point> {
     let (sim_ms, points): (u64, Vec<f64>) = match scale {
         Scale::Paper => (8, vec![10.0, 20.0, 30.0, 40.0, 45.0, 50.0]),
         Scale::Quick => (1, vec![10.0, 50.0]),
@@ -152,28 +146,8 @@ pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Point> {
         .collect()
 }
 
-/// Prints the Figure 20 series.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints the Figure 20 series, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the sweep runs
-/// once; the same points feed both the table and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let pts = run_with(scale, pool);
-    render(&pts);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&pts));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(points: &[Point]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(points: &[Point]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("fig20.points", points.len() as u64);
     for p in points {
@@ -187,7 +161,7 @@ fn trace_ndjson(points: &[Point]) -> String {
 }
 
 /// Renders the computed points as the Figure 20 table.
-fn render(pts: &[Point]) {
+pub fn render(pts: &[Point]) {
     crate::outln!("Figure 20: pathological S1→S2 pattern — latency per packet (µs)\n");
     let mut headers: Vec<String> = vec!["Traffic (Gb/s)".into()];
     headers.extend(designs().iter().map(|d| d.name().to_string()));

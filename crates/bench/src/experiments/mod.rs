@@ -1,8 +1,10 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! Each module exposes `run(scale) -> Vec<Row>`-style structured results
-//! plus a `print(scale)` that renders the paper-style table; the binaries
-//! in `src/bin` are one-line wrappers around `print`.
+//! Each module exposes one `run(scale, pool)` that computes its
+//! structured result once (fig06's also takes whether a trace was asked
+//! for), a `render` that prints it as the paper-style table, and a
+//! `trace_ndjson` that serializes the same result for `--trace-out`.
+//! The binaries in `src/bin` hand those three to [`crate::run_bin`].
 
 pub mod ext01;
 pub mod ext02;

@@ -2,13 +2,15 @@
 
 use crate::table::print_table;
 use crate::Scale;
+use quartz_core::ThreadPool;
 use quartz_netsim::latency::{STANDARD, STATE_OF_ART};
 
 /// `(component, standard ns, state-of-art ns)`.
 pub type Row = (&'static str, u64, u64);
 
-/// The Table 2 component latencies.
-pub fn run(_scale: Scale) -> Vec<Row> {
+/// The Table 2 component latencies (a static table: scale and pool
+/// are unused).
+pub fn run(_scale: Scale, _pool: &ThreadPool) -> Vec<Row> {
     vec![
         ("OS Network Stack", STANDARD.stack_ns, STATE_OF_ART.stack_ns),
         ("NIC", STANDARD.nic_ns, STATE_OF_ART.nic_ns),
@@ -21,28 +23,8 @@ pub fn run(_scale: Scale) -> Vec<Row> {
     ]
 }
 
-/// Pass-through for the shared `--jobs` plumbing: the table is static,
-/// so the pool is unused.
-pub fn run_with(scale: Scale, _pool: &quartz_core::ThreadPool) -> Vec<Row> {
-    run(scale)
-}
-
-/// Pass-through for the shared `--jobs` plumbing (see [`run_with`]).
-pub fn print_with(scale: Scale, _pool: &quartz_core::ThreadPool) {
-    print(scale);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: also writes the
-/// component latencies as a metrics trace.
-pub fn print_ctx(scale: Scale, pool: &quartz_core::ThreadPool, trace: Option<&std::path::Path>) {
-    print_with(scale, pool);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&run(scale)));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("table02.rows", rows.len() as u64);
     for (component, std_ns, art_ns) in rows {
@@ -54,11 +36,11 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Prints Table 2.
-pub fn print(scale: Scale) {
+pub fn render(rows: &[Row]) {
     crate::outln!("Table 2: network latencies of different network components\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .into_iter()
-        .map(|(c, s, a)| {
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|&(c, s, a)| {
             vec![
                 c.to_string(),
                 format!("{:.1}", s as f64 / 1e3),

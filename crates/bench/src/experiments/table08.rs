@@ -3,36 +3,18 @@
 
 use crate::table::{pct, print_table};
 use crate::Scale;
+use quartz_core::ThreadPool;
 use quartz_cost::catalog::PriceCatalog;
 use quartz_cost::configurator::{configure, DatacenterSize, Row, Utilization};
 
-/// The six configurator rows under the default 2014 catalog.
-pub fn run(_scale: Scale) -> Vec<Row> {
+/// The six configurator rows under the default 2014 catalog. One
+/// evaluation is sub-millisecond, and the scale and pool are unused.
+pub fn run(_scale: Scale, _pool: &ThreadPool) -> Vec<Row> {
     configure(&PriceCatalog::era_2014())
 }
 
-/// Pass-through for the shared `--jobs` plumbing: one configurator
-/// evaluation is already sub-millisecond, so the pool is unused.
-pub fn run_with(scale: Scale, _pool: &quartz_core::ThreadPool) -> Vec<Row> {
-    run(scale)
-}
-
-/// Pass-through for the shared `--jobs` plumbing (see [`run_with`]).
-pub fn print_with(scale: Scale, _pool: &quartz_core::ThreadPool) {
-    print(scale);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: also writes the
-/// configurator rows as a metrics trace.
-pub fn print_ctx(scale: Scale, pool: &quartz_core::ThreadPool, trace: Option<&std::path::Path>) {
-    print_with(scale, pool);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&run(scale)));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("table08.rows", rows.len() as u64);
     for r in rows {
@@ -71,10 +53,10 @@ fn util_name(u: Utilization) -> &'static str {
 }
 
 /// Prints Table 8.
-pub fn print(scale: Scale) {
+pub fn render(rows: &[Row]) {
     crate::outln!("Table 8: approximate cost and latency comparison (network hardware only)\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .into_iter()
+    let rows: Vec<Vec<String>> = rows
+        .iter()
         .flat_map(|r| {
             [
                 vec![

@@ -40,16 +40,10 @@ pub struct Row {
     pub path_diversity: usize,
 }
 
-/// Builds and measures all five structures (over one worker per
-/// hardware thread).
-pub fn run(scale: Scale) -> Vec<Row> {
-    run_with(scale, &ThreadPool::default())
-}
-
 /// Builds and measures all five structures over `pool`: each
 /// structure's build + all-pairs shortest-path + max-flow analysis is
 /// one independent unit.
-pub fn run_with(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
+pub fn run(scale: Scale, pool: &ThreadPool) -> Vec<Row> {
     // Quick scale shrinks each instance but keeps the structure.
     let paper = scale == Scale::Paper;
     pool.par_map(5, |i| build_row(i, paper))
@@ -167,28 +161,8 @@ fn build_row(i: usize, paper: bool) -> Row {
     }
 }
 
-/// Prints Table 9.
-pub fn print(scale: Scale) {
-    print_with(scale, &ThreadPool::default());
-}
-
-/// Prints Table 9, computed over `pool`.
-pub fn print_with(scale: Scale, pool: &ThreadPool) {
-    print_ctx(scale, pool, None);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: the structures
-/// build once; the same rows feed both the table and the metrics trace.
-pub fn print_ctx(scale: Scale, pool: &ThreadPool, trace: Option<&std::path::Path>) {
-    let rows = run_with(scale, pool);
-    render(&rows);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&rows));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[Row]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[Row]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("table09.rows", rows.len() as u64);
     for r in rows {
@@ -209,7 +183,7 @@ fn trace_ndjson(rows: &[Row]) -> String {
 }
 
 /// Renders the computed rows as the Table 9 table.
-fn render(rows: &[Row]) {
+pub fn render(rows: &[Row]) {
     crate::outln!("Table 9: summary of different network structures (~1k server ports)\n");
     let rows: Vec<Vec<String>> = rows
         .iter()

@@ -2,35 +2,17 @@
 
 use crate::table::print_table;
 use crate::Scale;
+use quartz_core::ThreadPool;
 use quartz_netsim::switch::{SwitchSpec, ARISTA_7150S, CISCO_NEXUS_7000};
 
-/// The two simulated devices.
-pub fn run(_scale: Scale) -> Vec<SwitchSpec> {
+/// The two simulated devices (a static table: scale and pool are
+/// unused).
+pub fn run(_scale: Scale, _pool: &ThreadPool) -> Vec<SwitchSpec> {
     vec![CISCO_NEXUS_7000, ARISTA_7150S]
 }
 
-/// Pass-through for the shared `--jobs` plumbing: the table is static,
-/// so the pool is unused.
-pub fn run_with(scale: Scale, _pool: &quartz_core::ThreadPool) -> Vec<SwitchSpec> {
-    run(scale)
-}
-
-/// Pass-through for the shared `--jobs` plumbing (see [`run_with`]).
-pub fn print_with(scale: Scale, _pool: &quartz_core::ThreadPool) {
-    print(scale);
-}
-
-/// [`print_with`] plus the shared `--trace-out` hook: also writes the
-/// switch specifications as a metrics trace.
-pub fn print_ctx(scale: Scale, pool: &quartz_core::ThreadPool, trace: Option<&std::path::Path>) {
-    print_with(scale, pool);
-    if let Some(path) = trace {
-        crate::trace::write(path, &trace_ndjson(&run(scale)));
-    }
-}
-
-/// The metrics-trace body for [`print_ctx`].
-fn trace_ndjson(rows: &[SwitchSpec]) -> String {
+/// The `--trace-out` body: the metrics trace of [`run`]'s output.
+pub fn trace_ndjson(rows: &[SwitchSpec]) -> String {
     let mut m = quartz_obs::MetricsRegistry::new();
     m.inc("table16.rows", rows.len() as u64);
     for s in rows {
@@ -46,10 +28,10 @@ fn trace_ndjson(rows: &[SwitchSpec]) -> String {
 }
 
 /// Prints Table 16.
-pub fn print(scale: Scale) {
+pub fn render(rows: &[SwitchSpec]) {
     crate::outln!("Table 16: specifications of switches used in the simulations\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .into_iter()
+    let rows: Vec<Vec<String>> = rows
+        .iter()
         .map(|s| {
             vec![
                 s.name.to_string(),

@@ -6,9 +6,12 @@
 //! fig17_global_latency` regenerates Figure 17 and so on. EXPERIMENTS.md
 //! in the repository root records paper-vs-measured for every one.
 //!
-//! Every experiment takes a [`Scale`]: `Paper` runs the full
-//! configuration; `Quick` shrinks trial counts and simulated time so the
-//! whole suite can run inside the integration tests.
+//! Every experiment module exports one `run(scale, pool)` that computes
+//! its result once, a `render` that prints it, and a `trace_ndjson` that
+//! serializes the same result for `--trace-out`; each binary hands the
+//! three to [`run_bin`]. A [`Scale`] picks the fidelity: `Paper` runs
+//! the full configuration; `Quick` shrinks trial counts and simulated
+//! time so the whole suite can run inside the integration tests.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -19,6 +22,9 @@ pub mod table;
 pub mod timing;
 pub mod trace;
 
+use quartz_core::ThreadPool;
+use std::path::PathBuf;
+
 /// Experiment fidelity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -28,58 +34,83 @@ pub enum Scale {
     Quick,
 }
 
-impl Scale {
-    /// Parses `--quick` from process args.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Paper
+/// The command line every experiment binary accepts: `--quick`,
+/// `--jobs N` (or `--jobs=N`) and `--trace-out PATH` (or
+/// `--trace-out=PATH`), nothing else.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Args {
+    /// `Quick` with `--quick`, else `Paper`.
+    scale: Scale,
+    /// Worker count; `0` (the default) means one per hardware thread,
+    /// `1` runs sequentially.
+    jobs: usize,
+    /// Where to write the ndjson trace, if anywhere.
+    trace_out: Option<PathBuf>,
+}
+
+impl Args {
+    /// Parses the arguments after the program name. Any argument not
+    /// listed on [`Args`], a missing or empty value and a `--jobs`
+    /// value that is not a count are errors.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut out = Args {
+            scale: Scale::Paper,
+            jobs: 0,
+            trace_out: None,
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) => (flag, Some(v.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let mut value = || match inline.clone().or_else(|| args.next()) {
+                Some(v) if !v.is_empty() => Ok(v),
+                _ => Err(format!("{flag} needs a value")),
+            };
+            match flag {
+                "--quick" if inline.is_none() => out.scale = Scale::Quick,
+                "--jobs" => {
+                    let v = value()?;
+                    out.jobs = v
+                        .parse()
+                        .map_err(|_| format!("--jobs: cannot parse '{v}' as a worker count"))?;
+                }
+                "--trace-out" => out.trace_out = Some(PathBuf::from(value()?)),
+                _ => return Err(format!("unexpected argument '{arg}'")),
+            }
         }
+        Ok(out)
     }
 }
 
-/// Parses `--jobs N` (or `--jobs=N`) from process args. Absent or `0`
-/// means one worker per hardware thread; `--jobs 1` is the sequential
-/// pre-pool behavior.
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            if let Ok(n) = v.parse() {
-                return n;
-            }
-        }
-    }
-    0
-}
-
-/// The worker pool the process args ask for (see [`jobs_from_args`]).
-pub fn pool_from_args() -> quartz_core::ThreadPool {
-    quartz_core::ThreadPool::new(jobs_from_args())
-}
-
-/// Shared `main` for the experiment binaries: runs `print_fn` at the
-/// arg-selected scale over the arg-selected pool, passing through the
-/// arg-selected `--trace-out` path (see [`trace::trace_out_from_args`]),
-/// timing the whole run, and emits `BENCH_<name>.json` — including any
-/// [`timing::phase_timed`] breakdown — when `QUARTZ_BENCH_JSON` is set
-/// (see [`timing::write_json`]).
-pub fn run_bin(
+/// Shared `main` for the experiment binaries. Parses the process args
+/// (a bad command line exits 2 before any output), runs the experiment
+/// once over the `--jobs` pool — `run`'s last argument says whether a
+/// trace was asked for — renders its output and, with `--trace-out`,
+/// writes `trace_body` of the same output there. The whole invocation
+/// is timed, and `BENCH_<name>.json` — including any
+/// [`timing::phase_timed`] breakdown — is emitted when
+/// `QUARTZ_BENCH_JSON` is set (see [`timing::write_json`]).
+pub fn run_bin<T>(
     name: &str,
-    print_fn: impl FnOnce(Scale, &quartz_core::ThreadPool, Option<&std::path::Path>),
+    run: impl FnOnce(Scale, &ThreadPool, bool) -> T,
+    render: impl FnOnce(&T),
+    trace_body: impl FnOnce(&T) -> String,
 ) {
-    let scale = Scale::from_args();
-    let pool = pool_from_args();
-    let trace_out = trace::trace_out_from_args();
-    let ((), wall_ns) = timing::wall_timed(|| print_fn(scale, &pool, trace_out.as_deref()));
+    let args =
+        Args::parse(std::env::args().skip(1)).unwrap_or_else(|e| table::exit_usage(name, &e));
+    let pool = ThreadPool::new(args.jobs);
+    let ((), wall_ns) = timing::wall_timed(|| {
+        let out = run(args.scale, &pool, args.trace_out.is_some());
+        render(&out);
+        if let Some(path) = &args.trace_out {
+            trace::write(path, &trace_body(&out));
+        }
+    });
     timing::note(
         name,
-        match scale {
+        match args.scale {
             Scale::Paper => "total_paper",
             Scale::Quick => "total_quick",
         },
@@ -89,4 +120,51 @@ pub fn run_bin(
     );
     timing::flush_phases();
     timing::write_json(name, Some(pool.threads()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn accepts_every_documented_form() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Args {
+                scale: Scale::Paper,
+                jobs: 0,
+                trace_out: None
+            })
+        );
+        let want = Args {
+            scale: Scale::Quick,
+            jobs: 2,
+            trace_out: Some(PathBuf::from("t.ndjson")),
+        };
+        assert_eq!(
+            parse(&["--quick", "--jobs", "2", "--trace-out", "t.ndjson"]),
+            Ok(want.clone())
+        );
+        assert_eq!(
+            parse(&["--trace-out=t.ndjson", "--jobs=2", "--quick"]),
+            Ok(want)
+        );
+    }
+
+    #[test]
+    fn rejects_what_it_does_not_understand() {
+        assert!(parse(&["--jobs", "two"]).unwrap_err().contains("'two'"));
+        assert!(parse(&["--jobs=-1"]).is_err());
+        assert!(parse(&["--jobs"]).is_err());
+        assert!(parse(&["--quik"]).unwrap_err().contains("--quik"));
+        assert!(parse(&["--quick=1"]).is_err());
+        assert!(parse(&["--quick", "--trace-out"]).is_err());
+        assert!(parse(&["--trace-out="]).is_err());
+        assert!(parse(&["--bogus", "1"]).unwrap_err().contains("--bogus"));
+        assert!(parse(&["--quick", "1"]).unwrap_err().contains("'1'"));
+    }
 }

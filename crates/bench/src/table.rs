@@ -3,7 +3,8 @@
 //! This module is also the crate's single stdout sink: the
 //! `stdout-discipline` lint rule (`quartz-lint`) forbids bare
 //! `println!` in library code, so every experiment line goes through
-//! [`emit_line`] — usually via the [`outln!`](crate::outln) macro.
+//! [`emit_line`] — usually via the [`outln!`](crate::outln) macro. A bad
+//! command line is reported on stderr from here too ([`exit_usage`]).
 
 /// Writes one line of experiment output to stdout. The only sanctioned
 /// `println!` call site in the crate's library code (this file is a
@@ -11,6 +12,14 @@
 /// output stays auditable and byte-stable.
 pub fn emit_line(args: std::fmt::Arguments<'_>) {
     println!("{args}");
+}
+
+/// Reports a bad command line of experiment binary `bin` on stderr and
+/// exits with status 2, before any experiment output.
+pub fn exit_usage(bin: &str, error: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!("usage: {bin} [--quick] [--jobs N] [--trace-out PATH]");
+    std::process::exit(2)
 }
 
 /// `println!` for experiment output, routed through

@@ -1,30 +1,13 @@
 //! `--trace-out` plumbing for the experiment binaries.
 //!
-//! Every binary accepts `--trace-out PATH` (or `--trace-out=PATH`);
-//! [`crate::run_bin`] parses it here and hands the path to the
-//! experiment's `print_ctx`, which writes an ndjson trace alongside the
-//! normal stdout rows. Traces are derived from the same single
-//! computation the table is printed from — requesting one never reruns
-//! the experiment and never changes a byte of stdout — and contain only
-//! simulated-time/metric data, so they are bit-identical at any
-//! `--jobs` count.
+//! Every binary accepts `--trace-out PATH` (or `--trace-out=PATH`).
+//! [`crate::run_bin`] computes the experiment once, renders it, and then
+//! writes the module's `trace_ndjson` of that same output here. A trace
+//! never reruns the experiment and never changes a byte of stdout. It
+//! holds only simulated-time and metric data, so it is bit-identical at
+//! any `--jobs` count.
 
-use std::path::{Path, PathBuf};
-
-/// Parses `--trace-out PATH` (or `--trace-out=PATH`) from process args.
-pub fn trace_out_from_args() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            if let Some(p) = args.next() {
-                return Some(PathBuf::from(p));
-            }
-        } else if let Some(p) = a.strip_prefix("--trace-out=") {
-            return Some(PathBuf::from(p));
-        }
-    }
-    None
-}
+use std::path::Path;
 
 /// Writes `contents` to `path`, creating parent directories as needed.
 /// Intentionally silent on stdout (traces must not perturb golden

@@ -149,16 +149,10 @@ impl SenderState {
         self.alpha
     }
 
-    /// Sends as much new data as the window allows.
-    pub fn pump(&mut self) -> Vec<SendAction> {
-        let mut out = Vec::new();
-        self.pump_into(&mut out);
-        out
-    }
-
-    /// [`SenderState::pump`] appending into a caller-provided buffer, so
-    /// the simulator's steady state reuses one scratch `Vec` instead of
-    /// allocating per transport event.
+    /// Sends as much new data as the window allows, appending the
+    /// actions to `out`. Every handler appends into a caller-provided
+    /// buffer, so the simulator's steady state reuses one scratch `Vec`
+    /// instead of allocating per transport event.
     pub fn pump_into(&mut self, out: &mut Vec<SendAction>) {
         let mut sent = false;
         while self.next_seq < self.total && self.in_flight() < self.cwnd_pkts() {
@@ -175,14 +169,7 @@ impl SenderState {
     }
 
     /// Handles a cumulative ACK up to (excluding) `ack`, with DCTCP's
-    /// per-packet ECN echo.
-    pub fn on_ack(&mut self, ack: u64, ecn_echo: bool) -> Vec<SendAction> {
-        let mut out = Vec::new();
-        self.on_ack_into(ack, ecn_echo, &mut out);
-        out
-    }
-
-    /// [`SenderState::on_ack`] appending into a caller-provided buffer.
+    /// per-packet ECN echo, appending the actions to `out`.
     pub fn on_ack_into(&mut self, ack: u64, ecn_echo: bool, out: &mut Vec<SendAction>) {
         if self.complete {
             return;
@@ -255,14 +242,8 @@ impl SenderState {
         }
     }
 
-    /// Handles a retransmission timeout carrying `epoch`.
-    pub fn on_rto(&mut self, epoch: u64) -> Vec<SendAction> {
-        let mut out = Vec::new();
-        self.on_rto_into(epoch, &mut out);
-        out
-    }
-
-    /// [`SenderState::on_rto`] appending into a caller-provided buffer.
+    /// Handles a retransmission timeout carrying `epoch`, appending the
+    /// actions to `out`.
     pub fn on_rto_into(&mut self, epoch: u64, out: &mut Vec<SendAction>) {
         if self.complete || epoch != self.rto_epoch {
             return; // stale timer
@@ -308,6 +289,13 @@ impl ReceiverState {
 mod tests {
     use super::*;
 
+    /// The actions one `*_into` call appends to a fresh buffer.
+    fn acts(call: impl FnOnce(&mut Vec<SendAction>)) -> Vec<SendAction> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
+
     fn data_seqs(actions: &[SendAction]) -> Vec<u64> {
         actions
             .iter()
@@ -321,10 +309,11 @@ mod tests {
     #[test]
     fn slow_start_doubles_per_rtt() {
         let mut s = SenderState::new(TcpVariant::Reno, 1_000);
-        assert_eq!(data_seqs(&s.pump()), vec![0, 1]); // initial window 2
-                                                      // ACK both: window grows to 4, two new per ACK on average.
-        let a1 = s.on_ack(1, false);
-        let a2 = s.on_ack(2, false);
+        // Initial window 2.
+        assert_eq!(data_seqs(&acts(|o| s.pump_into(o))), vec![0, 1]);
+        // ACK both: window grows to 4, two new per ACK on average.
+        let a1 = acts(|o| s.on_ack_into(1, false, o));
+        let a2 = acts(|o| s.on_ack_into(2, false, o));
         let sent: usize = data_seqs(&a1).len() + data_seqs(&a2).len();
         assert_eq!(sent, 4);
         assert_eq!(s.cwnd_pkts(), 4);
@@ -333,56 +322,56 @@ mod tests {
     #[test]
     fn completion_fires_exactly_once() {
         let mut s = SenderState::new(TcpVariant::Reno, 3);
-        let _ = s.pump();
-        let _ = s.on_ack(1, false);
-        let _ = s.on_ack(2, false);
-        let done = s.on_ack(3, false);
+        s.pump_into(&mut Vec::new());
+        s.on_ack_into(1, false, &mut Vec::new());
+        s.on_ack_into(2, false, &mut Vec::new());
+        let done = acts(|o| s.on_ack_into(3, false, o));
         assert!(done.contains(&SendAction::Complete));
         assert!(s.is_complete());
-        assert!(s.on_ack(3, false).is_empty());
+        assert!(acts(|o| s.on_ack_into(3, false, o)).is_empty());
     }
 
     #[test]
     fn triple_dup_ack_fast_retransmits_and_halves() {
         let mut s = SenderState::new(TcpVariant::Reno, 1_000);
-        let _ = s.pump();
-        let _ = s.on_ack(1, false); // advance
-        let _ = s.on_ack(2, false); // advance, cwnd = 4
+        s.pump_into(&mut Vec::new());
+        s.on_ack_into(1, false, &mut Vec::new()); // advance
+        s.on_ack_into(2, false, &mut Vec::new()); // advance, cwnd = 4
         let cwnd_before = s.cwnd_pkts();
-        assert_eq!(s.on_ack(2, false), vec![]); // dup 1
-        assert_eq!(s.on_ack(2, false), vec![]); // dup 2
-        let acts = s.on_ack(2, false); // dup 3 → fast retransmit seq 2
-        assert_eq!(data_seqs(&acts), vec![2]);
+        assert_eq!(acts(|o| s.on_ack_into(2, false, o)), vec![]); // dup 1
+        assert_eq!(acts(|o| s.on_ack_into(2, false, o)), vec![]); // dup 2
+        let got = acts(|o| s.on_ack_into(2, false, o)); // dup 3 → fast retransmit seq 2
+        assert_eq!(data_seqs(&got), vec![2]);
         assert!(s.cwnd_pkts() <= cwnd_before / 2 + 1);
     }
 
     #[test]
     fn rto_goes_back_n_with_window_collapse() {
         let mut s = SenderState::new(TcpVariant::Reno, 100);
-        let _ = s.pump();
+        s.pump_into(&mut Vec::new());
         let epoch = s.rto_epoch;
-        let acts = s.on_rto(epoch);
-        assert_eq!(data_seqs(&acts), vec![0]); // cwnd = 1 → one segment
+        let got = acts(|o| s.on_rto_into(epoch, o));
+        assert_eq!(data_seqs(&got), vec![0]); // cwnd = 1 → one segment
         assert_eq!(s.cwnd_pkts(), 1);
         // A stale epoch does nothing.
-        assert!(s.on_rto(epoch).is_empty());
+        assert!(acts(|o| s.on_rto_into(epoch, o)).is_empty());
     }
 
     #[test]
     fn dctcp_alpha_tracks_mark_fraction() {
         let mut s = SenderState::new(TcpVariant::Dctcp, 10_000);
-        let _ = s.pump();
+        s.pump_into(&mut Vec::new());
         assert_eq!(s.alpha(), 0.0);
         // Fully marked traffic drives α up (EWMA with g = 1/16, one
         // update per window).
         for ack in 1..200u64 {
-            let _ = s.on_ack(ack, true);
+            s.on_ack_into(ack, true, &mut Vec::new());
         }
         let peak = s.alpha();
         assert!(peak > 0.3, "α = {peak}");
         // Unmarked windows decay it.
         for ack in 200..600u64 {
-            let _ = s.on_ack(ack, false);
+            s.on_ack_into(ack, false, &mut Vec::new());
         }
         assert!(s.alpha() < peak, "α should decay: {} vs {peak}", s.alpha());
     }
@@ -391,14 +380,14 @@ mod tests {
     fn dctcp_cuts_proportionally_not_by_half() {
         // Lightly marked: DCTCP's cut is gentler than Reno's halving.
         let mut s = SenderState::new(TcpVariant::Dctcp, 100_000);
-        let _ = s.pump();
+        s.pump_into(&mut Vec::new());
         for ack in 1..100u64 {
-            let _ = s.on_ack(ack, false); // grow cleanly
+            s.on_ack_into(ack, false, &mut Vec::new()); // grow cleanly
         }
         let before = s.cwnd;
         // One marked window out of many: small α, small cut.
         for ack in 100..110u64 {
-            let _ = s.on_ack(ack, ack % 10 == 0);
+            s.on_ack_into(ack, ack % 10 == 0, &mut Vec::new());
         }
         assert!(s.cwnd > before * 0.7, "{} vs {before}", s.cwnd);
     }
@@ -420,14 +409,14 @@ mod tests {
         // segment is delivered and ACKed; the connection must complete.
         let mut s = SenderState::new(TcpVariant::Reno, 500);
         let mut r = ReceiverState::default();
-        let mut wire: std::collections::VecDeque<u64> = data_seqs(&s.pump()).into();
+        let mut wire: std::collections::VecDeque<u64> = data_seqs(&acts(|o| s.pump_into(o))).into();
         let mut guard = 0;
         while !s.is_complete() {
             guard += 1;
             assert!(guard < 10_000, "deadlock");
             let seq = wire.pop_front().expect("window stalled with no data");
             let ack = r.on_data(seq);
-            for a in s.on_ack(ack, false) {
+            for a in acts(|o| s.on_ack_into(ack, false, o)) {
                 if let SendAction::SendData { seq } = a {
                     wire.push_back(seq);
                 }
@@ -442,17 +431,16 @@ mod tests {
         // window accounting must stay consistent (this underflowed
         // in_flight in debug builds).
         let mut s = SenderState::new(TcpVariant::Reno, 100);
-        let _ = s.pump(); // seq 0, 1 in flight
+        s.pump_into(&mut Vec::new()); // seq 0, 1 in flight
         let epoch = s.rto_epoch;
-        let _ = s.on_rto(epoch); // rewind: next_seq = 0, resend seq 0
-                                 // The original seq 0 and 1 were actually delivered: ACK 2 lands.
-        let acts = s.on_ack(2, false);
+        s.on_rto_into(epoch, &mut Vec::new()); // rewind: next_seq = 0, resend seq 0
+                                               // The original seq 0 and 1 were actually delivered: ACK 2 lands.
+        let got = acts(|o| s.on_ack_into(2, false, o));
         assert!(s.in_flight() <= s.cwnd_pkts());
         // The connection keeps making progress.
         assert!(
-            acts.iter()
-                .any(|a| matches!(a, SendAction::SendData { .. })),
-            "{acts:?}"
+            got.iter().any(|a| matches!(a, SendAction::SendData { .. })),
+            "{got:?}"
         );
         assert!(!s.is_complete());
     }

@@ -6,17 +6,18 @@
 
 use quartz_bench::experiments::*;
 use quartz_bench::Scale;
+use quartz_core::ThreadPool;
 
 #[test]
 fn fig01_cost_declines_exponentially() {
-    let rows = fig01::run(Scale::Quick);
+    let rows = fig01::run(Scale::Quick, &ThreadPool::default());
     assert!(rows.len() >= 5);
     assert!(rows.first().unwrap().2 / rows.last().unwrap().2 >= 1_000.0);
 }
 
 #[test]
 fn table02_standard_vs_state_of_art() {
-    let rows = table02::run(Scale::Quick);
+    let rows = table02::run(Scale::Quick, &ThreadPool::default());
     // Every component except congestion improves by at least 4x.
     for (name, std, soa) in &rows[..3] {
         assert!(
@@ -28,7 +29,7 @@ fn table02_standard_vs_state_of_art() {
 
 #[test]
 fn fig05_greedy_tracks_optimal() {
-    let rows = fig05::run(Scale::Quick);
+    let rows = fig05::run(Scale::Quick, &ThreadPool::default());
     for r in &rows {
         assert!(r.greedy >= r.lower_bound, "m={}", r.m);
         if let Some(opt) = r.optimal {
@@ -46,7 +47,7 @@ fn fig05_greedy_tracks_optimal() {
 
 #[test]
 fn fig06_more_rings_help() {
-    let grid = fig06::run(Scale::Quick);
+    let grid = fig06::run(Scale::Quick, &ThreadPool::default(), false).grid;
     // Bandwidth loss falls with ring count (column-wise).
     #[allow(clippy::needless_range_loop)] // f and r index a 2-D grid
     for f in 0..4 {
@@ -67,7 +68,7 @@ fn fig06_more_rings_help() {
 
 #[test]
 fn table08_structure() {
-    let rows = table08::run(Scale::Quick);
+    let rows = table08::run(Scale::Quick, &ThreadPool::default());
     assert_eq!(rows.len(), 6);
     for r in &rows {
         assert!(r.latency_reduction > 0.0);
@@ -79,7 +80,7 @@ fn table08_structure() {
 
 #[test]
 fn table09_orderings() {
-    let rows = table09::run(Scale::Quick);
+    let rows = table09::run(Scale::Quick, &ThreadPool::default());
     let find = |name: &str| rows.iter().find(|r| r.name.contains(name)).unwrap().clone();
     let mesh = find("Mesh");
     let tree = find("2-Tier");
@@ -94,7 +95,7 @@ fn table09_orderings() {
 
 #[test]
 fn fig10_quartz_between_half_and_full() {
-    for r in fig10::run(Scale::Quick) {
+    for r in fig10::run(Scale::Quick, &ThreadPool::default()) {
         assert!(r.quartz <= r.full + 1e-9, "{}", r.pattern);
         assert!(
             r.quartz > r.quarter,
@@ -109,7 +110,7 @@ fn fig10_quartz_between_half_and_full() {
 
 #[test]
 fn fig14_tree_degrades_quartz_does_not() {
-    let pts = fig14::run(Scale::Quick);
+    let pts = fig14::run(Scale::Quick, &ThreadPool::default());
     let last = pts.last().unwrap();
     assert!(last.cross_mbps >= 200.0 - 1e-9);
     assert!(
@@ -127,14 +128,14 @@ fn fig14_tree_degrades_quartz_does_not() {
 
 #[test]
 fn table16_constants() {
-    let specs = table16::run(Scale::Quick);
+    let specs = table16::run(Scale::Quick, &ThreadPool::default());
     assert_eq!(specs.len(), 2);
     assert!(specs[0].latency_ns > 10 * specs[1].latency_ns);
 }
 
 #[test]
 fn fig17_three_tier_worst_quartz_best() {
-    let panels = fig17::run(Scale::Quick);
+    let panels = fig17::run(Scale::Quick, &ThreadPool::default());
     for (w, panel) in panels {
         let latency_of = |arch: fig17::Arch| {
             panel
@@ -160,7 +161,7 @@ fn fig17_three_tier_worst_quartz_best() {
 
 #[test]
 fn fig18_quartz_locality_beats_jellyfish() {
-    let panels = fig18::run(Scale::Quick);
+    let panels = fig18::run(Scale::Quick, &ThreadPool::default());
     for (w, panel) in panels {
         let latency_of = |arch: fig17::Arch| {
             panel
@@ -186,7 +187,7 @@ fn fig18_quartz_locality_beats_jellyfish() {
 
 #[test]
 fn fig20_ecmp_saturates_vlb_does_not() {
-    let pts = fig20::run(Scale::Quick);
+    let pts = fig20::run(Scale::Quick, &ThreadPool::default());
     let designs = fig20::designs();
     let at = |gbps: f64, d: fig20::Design| {
         let p = pts.iter().find(|p| (p.gbps - gbps).abs() < 1e-9).unwrap();
@@ -214,7 +215,7 @@ fn ext01_topology_beats_protocol() {
     // §2.1.4 quantified: DCTCP halves-or-better the tree's probe tail;
     // the Quartz mesh beats both by an order of magnitude with plain
     // Reno, because no shared queue exists at all.
-    let rows = ext01::run(Scale::Quick);
+    let rows = ext01::run(Scale::Quick, &ThreadPool::default());
     let find = |name: &str| {
         rows.iter()
             .find(|r| r.config == name)
@@ -241,7 +242,7 @@ fn ext01_topology_beats_protocol() {
 
 #[test]
 fn ext02_server_forwarding_is_the_latency_cliff() {
-    let rows = ext02::run(Scale::Quick);
+    let rows = ext02::run(Scale::Quick, &ThreadPool::default());
     let find = |name: &str| rows.iter().find(|r| r.name.contains(name)).unwrap();
     let quartz = find("Quartz");
     let bcube = find("BCube");
@@ -263,7 +264,7 @@ fn ext03_request_time_halves_on_quartz() {
     // §1's motivating request: the dependent RPC stages amplify per-hop
     // latency; Quartz in edge+core roughly halves the tree's request
     // completion, with or without cross-traffic.
-    let rows = ext03::run(Scale::Quick);
+    let rows = ext03::run(Scale::Quick, &ThreadPool::default());
     let at = |arch: fig17::Arch, cross: usize| {
         rows.iter()
             .find(|r| r.arch == arch && r.cross_tasks == cross)

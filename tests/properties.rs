@@ -194,11 +194,11 @@ fn failure_trial_invariants() {
 #[test]
 fn transport_completes_under_arbitrary_loss() {
     fn apply(
-        acts: Vec<SendAction>,
+        acts: &mut Vec<SendAction>,
         wire: &mut std::collections::VecDeque<u64>,
         last_epoch: &mut u64,
     ) {
-        for a in acts {
+        for a in acts.drain(..) {
             match a {
                 SendAction::SendData { seq } => wire.push_back(seq),
                 SendAction::ArmRto { epoch } => *last_epoch = epoch,
@@ -222,8 +222,10 @@ fn transport_completes_under_arbitrary_loss() {
         let mut wire: std::collections::VecDeque<u64> = Default::default();
         let mut last_epoch = 0u64;
         let mut drop_idx = 0usize;
+        let mut acts = Vec::new();
 
-        apply(s.pump(), &mut wire, &mut last_epoch);
+        s.pump_into(&mut acts);
+        apply(&mut acts, &mut wire, &mut last_epoch);
         let mut guard = 0;
         while !s.is_complete() {
             guard += 1;
@@ -237,16 +239,17 @@ fn transport_completes_under_arbitrary_loss() {
                         continue;
                     }
                     let ack = r.on_data(seq);
-                    apply(s.on_ack(ack, false), &mut wire, &mut last_epoch);
+                    s.on_ack_into(ack, false, &mut acts);
+                    apply(&mut acts, &mut wire, &mut last_epoch);
                 }
                 None => {
                     // The wire drained without completing: fire the RTO.
-                    let acts = s.on_rto(last_epoch);
+                    s.on_rto_into(last_epoch, &mut acts);
                     assert!(
                         !acts.is_empty(),
                         "a live timer must restart a stalled connection (case {case})"
                     );
-                    apply(acts, &mut wire, &mut last_epoch);
+                    apply(&mut acts, &mut wire, &mut last_epoch);
                 }
             }
         }

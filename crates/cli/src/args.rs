@@ -60,6 +60,18 @@ impl Args {
         }
     }
 
+    /// A duration option counted in units of `unit_ns` nanoseconds
+    /// (`1_000` for a `-us` flag, `1_000_000` for an `-ms` one), with a
+    /// default. Returns the value as given and in nanoseconds; a value
+    /// whose nanoseconds overflow `u64` is an error.
+    pub fn duration(&self, key: &str, default: u64, unit_ns: u64) -> Result<(u64, u64), String> {
+        let v: u64 = self.num(key, default)?;
+        let ns = v
+            .checked_mul(unit_ns)
+            .ok_or_else(|| format!("--{key}: {v} overflows the 64-bit nanosecond clock"))?;
+        Ok((v, ns))
+    }
+
     /// Rejects unknown options (catches typos).
     pub fn expect_only(&self, known: &[&str]) -> Result<(), String> {
         for k in self.opts.keys() {
@@ -105,6 +117,18 @@ mod tests {
     #[test]
     fn duplicate_option_is_an_error() {
         assert!(parse("x --a 1 --a 2").is_err());
+    }
+
+    #[test]
+    fn durations_convert_and_reject_overflow() {
+        let a = parse("x --window-us 7 --horizon-ms 18446744073710").unwrap();
+        assert_eq!(a.duration("window-us", 0, 1_000).unwrap(), (7, 7_000));
+        assert_eq!(
+            a.duration("absent-ms", 3, 1_000_000).unwrap(),
+            (3, 3_000_000)
+        );
+        let err = a.duration("horizon-ms", 0, 1_000_000).unwrap_err();
+        assert!(err.starts_with("--horizon-ms: "), "{err}");
     }
 
     #[test]

@@ -39,6 +39,8 @@ use quartz_core::scalability;
 use quartz_core::QuartzRing;
 use quartz_netsim::faults::{ring_cut_scenario, ring_cut_scenario_traced, CutScenarioConfig};
 use quartz_netsim::time::SimTime;
+use quartz_obs::event::to_ndjson;
+use quartz_obs::Event;
 
 fn main() {
     let args = match Args::from_env() {
@@ -333,15 +335,15 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
 /// traffic and report what the packets saw.
 fn cmd_faults_dynamic(args: &Args) -> Result<(), String> {
     let m: usize = args.num("switches", 33)?;
-    let cut_at_us: u64 = args.num("cut-at-us", 1_000)?;
-    let reconverge_us: u64 = args.num("reconverge-us", 50)?;
-    let duration_ms: u64 = args.num("duration-ms", 4)?;
+    let (cut_at_us, cut_at_ns) = args.duration("cut-at-us", 1_000, 1_000)?;
+    let (reconverge_us, reconvergence_ns) = args.duration("reconverge-us", 50, 1_000)?;
+    let (duration_ms, duration_ns) = args.duration("duration-ms", 4, 1_000_000)?;
     let seed: u64 = args.num("seed", 42)?;
     if m < 3 {
         return Err("--switches must be ≥ 3".into());
     }
-    let cut_at = SimTime::from_us(cut_at_us);
-    let duration = SimTime::from_ms(duration_ms);
+    let cut_at = SimTime::from_ns(cut_at_ns);
+    let duration = SimTime::from_ns(duration_ns);
     if cut_at >= duration {
         return Err("--cut-at-us must fall inside --duration-ms".into());
     }
@@ -349,7 +351,7 @@ fn cmd_faults_dynamic(args: &Args) -> Result<(), String> {
         switches: m,
         hosts_per_switch: 1,
         cut_at,
-        reconvergence_ns: reconverge_us * 1_000,
+        reconvergence_ns,
         duration,
         mean_gap_ns: 4_000.0,
         background_pairs: (m / 2).max(4),
@@ -473,10 +475,10 @@ fn cmd_rwa_dynamic(args: &Args) -> Result<(), String> {
     let m: usize = args.num("switches", 9)?;
     let cuts: usize = args.num("cuts", 2)?;
     let seed: u64 = args.num("seed", 42)?;
-    let duration_us: u64 = args.num("duration-us", 1_500)?;
-    let repair_us: u64 = args.num("repair-us", 400)?;
-    let control_us: u64 = args.num("control-us", 20)?;
-    let reconverge_us: u64 = args.num("reconverge-us", 50)?;
+    let (duration_us, duration_ns) = args.duration("duration-us", 1_500, 1_000)?;
+    let (repair_us, repair_ns) = args.duration("repair-us", 400, 1_000)?;
+    let (_, control_ns) = args.duration("control-us", 20, 1_000)?;
+    let (_, reconvergence_ns) = args.duration("reconverge-us", 50, 1_000)?;
     let budget: u64 = args.num("budget", DEFAULT_NODE_BUDGET)?;
     let instant: bool = args.num("instant-retune", false)?;
     let units: usize = args.num("units", 4)?;
@@ -496,18 +498,14 @@ fn cmd_rwa_dynamic(args: &Args) -> Result<(), String> {
     let mut cfg = ChurnScenarioConfig::quick(seed);
     cfg.switches = m;
     cfg.cuts = cuts;
-    cfg.duration = SimTime::from_us(duration_us);
+    cfg.duration = SimTime::from_ns(duration_ns);
     cfg.churn_window = (
         SimTime::from_us(duration_us / 8),
         SimTime::from_us(duration_us / 2),
     );
-    cfg.repair_after_ns = if repair_us == 0 {
-        None
-    } else {
-        Some(repair_us * 1_000)
-    };
-    cfg.control_delay_ns = control_us * 1_000;
-    cfg.reconvergence_ns = reconverge_us * 1_000;
+    cfg.repair_after_ns = (repair_ns > 0).then_some(repair_ns);
+    cfg.control_delay_ns = control_ns;
+    cfg.reconvergence_ns = reconvergence_ns;
     cfg.node_budget = budget;
     if instant {
         cfg.retune = RetuneModel::instant();
@@ -558,12 +556,9 @@ fn cmd_rwa_dynamic(args: &Args) -> Result<(), String> {
         // One traced run of the base config: the control-plane events
         // plus the merged metrics, as ndjson. Independent of --jobs.
         let (_report, events, metrics) = churn_scenario_traced(&cfg);
-        let mut body = String::new();
-        for ev in &events {
-            if matches!(ev.tag(), "rwa_resolve" | "retune" | "fault" | "reroute") {
-                body.push_str(&ev.ndjson_line());
-            }
-        }
+        let control =
+            |ev: &&Event| matches!(ev.tag(), "rwa_resolve" | "retune" | "fault" | "reroute");
+        let mut body = to_ndjson(events.iter().filter(control));
         body.push_str(&metrics.to_ndjson());
         std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
         println!("  re-solve metrics written: {out}");
@@ -800,7 +795,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     print!("{}", quartz_obs::timeline::render(&events, timeline));
 
     if let Some(out) = args.get("out") {
-        let mut body = quartz_obs::event::to_ndjson(&events);
+        let mut body = to_ndjson(&events);
         body.push_str(&metrics.to_ndjson());
         std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
         println!("\ntrace written: {out}");
@@ -812,11 +807,8 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// over the Quartz-in-edge-and-core fabric and report per-size-bucket
 /// FCT and slowdown. Deterministic at any `--jobs` width.
 fn cmd_workload(args: &Args) -> Result<(), String> {
-    use quartz_core::pool::unit_seed;
     use quartz_topology::builders::quartz_in_edge_and_core;
-    use quartz_workload::{
-        run_units, run_workload_traced, variant_by_name, WorkloadConfig, WorkloadSpec,
-    };
+    use quartz_workload::{run_units, variant_by_name, WorkloadConfig, WorkloadSpec};
 
     args.expect_only(&[
         "spec",
@@ -887,18 +879,18 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
     if units == 0 {
         return Err("--units must be ≥ 1".into());
     }
-    let window_us: u64 = args.num("window-us", if quick { 500 } else { 2_000 })?;
-    let horizon_ms: u64 = args.num("horizon-ms", if quick { 40 } else { 80 })?;
-    if window_us == 0 || horizon_ms == 0 {
+    let (_, window_ns) = args.duration("window-us", if quick { 500 } else { 2_000 }, 1_000)?;
+    let (_, horizon_ns) = args.duration("horizon-ms", if quick { 40 } else { 80 }, 1_000_000)?;
+    if window_ns == 0 || horizon_ns == 0 {
         return Err("--window-us and --horizon-ms must be ≥ 1".into());
     }
-    if horizon_ms * 1_000 < window_us {
+    if horizon_ns < window_ns {
         return Err("--horizon-ms must cover --window-us".into());
     }
 
     let mut cfg = WorkloadConfig::new(spec, transport, seed);
-    cfg.window = SimTime::from_us(window_us);
-    cfg.horizon = SimTime::from_ms(horizon_ms);
+    cfg.window = SimTime::from_ns(window_ns);
+    cfg.horizon = SimTime::from_ns(horizon_ns);
 
     let build = || {
         let c = quartz_in_edge_and_core(rings, switches, hosts_per_sw, core);
@@ -911,7 +903,14 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
         host_count,
         quartz_workload::variant_name(transport),
     );
-    let reports = run_units(&cfg, units, &ThreadPool::new(jobs), build)?;
+    let trace_out = args.get("trace-out");
+    let (reports, events) = run_units(
+        &cfg,
+        units,
+        &ThreadPool::new(jobs),
+        trace_out.is_some(),
+        build,
+    )?;
     for (u, r) in reports.iter().enumerate() {
         println!("unit {u} (seed {}):", r.seed);
         for line in r.render().lines() {
@@ -927,20 +926,13 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
         std::fs::write(out, m.to_ndjson()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("metrics written: {out}");
     }
-    if let Some(out) = args.get("trace-out") {
-        // One traced replay of unit 0 — independent of --jobs; the
-        // trace carries the workload-level events (flow opens and
-        // completions, collective step boundaries).
-        let mut unit_cfg = cfg.clone();
-        unit_cfg.seed = unit_seed(cfg.seed, 0);
-        let (net, hosts) = build();
-        let (_report, events) = run_workload_traced(net, &hosts, &unit_cfg)?;
-        let mut body = String::new();
-        for ev in &events {
-            if matches!(ev.tag(), "flow_start" | "flow_complete" | "collective_step") {
-                body.push_str(&ev.ndjson_line());
-            }
-        }
+    if let Some(out) = trace_out {
+        // Unit 0's trace — independent of --jobs — cut to the
+        // workload-level events (flow opens and completions, collective
+        // step boundaries).
+        let workload =
+            |ev: &&Event| matches!(ev.tag(), "flow_start" | "flow_complete" | "collective_step");
+        let body = to_ndjson(events.iter().filter(workload));
         std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
         println!("trace written: {out}");
     }
@@ -982,8 +974,9 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     let tors: usize = args.num("tors", if quick { 2 } else { 3 })?;
     let hosts_per_tor: usize = args.num("hosts", 2)?;
     let ring: usize = args.num("ring", 4)?;
-    let duration_ms: u64 = args.num("duration-ms", if quick { 2 } else { 4 })?;
-    let cut_at_us: u64 = args.num("cut-at-us", 0)?;
+    let (duration_ms, duration_ns) =
+        args.duration("duration-ms", if quick { 2 } else { 4 }, 1_000_000)?;
+    let (cut_at_us, cut_at_ns) = args.duration("cut-at-us", 0, 1_000)?;
     let seed: u64 = args.num("seed", 42)?;
     if domains == 0 || pods == 0 || tors == 0 || hosts_per_tor == 0 || ring < 2 {
         return Err("--domains/--pods/--tors/--hosts ≥ 1, --ring ≥ 2".into());
@@ -991,7 +984,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     if duration_ms == 0 {
         return Err("--duration-ms must be ≥ 1".into());
     }
-    if cut_at_us > 0 && cut_at_us >= duration_ms * 1_000 {
+    if cut_at_ns > 0 && cut_at_ns >= duration_ns {
         return Err("--cut-at-us must fall inside --duration-ms".into());
     }
 
@@ -1055,7 +1048,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
             .ok_or("core ring has no channels")?
             .id;
         let mut plan = FaultPlan::new();
-        plan.link_down(l, SimTime::from_us(cut_at_us));
+        plan.link_down(l, SimTime::from_ns(cut_at_ns));
         sim.apply_fault_plan(&plan);
         println!("fault: core channel cut at {cut_at_us} µs (reconverge +50 µs)");
     }
@@ -1065,7 +1058,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
         sim.set_recorder(Box::new(quartz_obs::MemoryRecorder::new()));
     }
     sim.enable_metrics();
-    sim.run(SimTime::from_ms(duration_ms), &ThreadPool::new(jobs));
+    sim.run(SimTime::from_ns(duration_ns), &ThreadPool::new(jobs));
 
     let s = sim.stats();
     println!(
@@ -1107,12 +1100,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     }
     if let Some(out) = trace {
         let events = sim.take_recorder().ok_or("recorder was attached")?.finish();
-        use quartz_obs::Recorder;
-        let mut nd = quartz_obs::NdjsonRecorder::new(Vec::new());
-        for ev in &events {
-            nd.record(ev);
-        }
-        std::fs::write(&out, nd.into_inner()).map_err(|e| format!("writing {out}: {e}"))?;
+        std::fs::write(&out, to_ndjson(&events)).map_err(|e| format!("writing {out}: {e}"))?;
         println!("trace written: {out}");
     }
     Ok(())

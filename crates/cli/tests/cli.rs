@@ -169,3 +169,54 @@ fn rpc_rejects_negative_and_nan_rates() {
     rejects(&["rpc", "--cross-mbps", "-5"], "--cross-mbps");
     rejects(&["rpc", "--cross-mbps", "NaN"], "--cross-mbps");
 }
+
+/// The smallest whole count of microseconds (and a count of
+/// milliseconds) whose nanoseconds overflow `u64`.
+const OVERFLOWING: &str = "18446744073709552";
+
+/// Rejects `OVERFLOWING` as the value of each of `flags`, appended to
+/// `command`, before any output.
+fn rejects_overflowing(command: &[&str], flags: &[&str]) {
+    for flag in flags {
+        let mut args = command.to_vec();
+        args.extend([*flag, OVERFLOWING]);
+        rejects(&args, &format!("{flag}: {OVERFLOWING} overflows"));
+    }
+}
+
+#[test]
+fn faults_rejects_durations_that_overflow() {
+    rejects_overflowing(
+        &["faults", "--dynamic", "true"],
+        &["--cut-at-us", "--reconverge-us", "--duration-ms"],
+    );
+}
+
+#[test]
+fn rwa_rejects_durations_that_overflow() {
+    rejects_overflowing(
+        &["rwa", "--dynamic", "true"],
+        &[
+            "--duration-us",
+            "--repair-us",
+            "--control-us",
+            "--reconverge-us",
+        ],
+    );
+}
+
+#[test]
+fn shard_rejects_durations_that_overflow() {
+    rejects_overflowing(
+        &["shard", "--quick", "true"],
+        &["--duration-ms", "--cut-at-us"],
+    );
+}
+
+#[test]
+fn workload_rejects_durations_that_overflow() {
+    rejects_overflowing(
+        &["workload", "--quick", "true"],
+        &["--window-us", "--horizon-ms"],
+    );
+}

@@ -33,7 +33,6 @@
 pub mod bounds;
 pub mod exact;
 pub mod greedy;
-pub mod ilp;
 pub mod online;
 
 use quartz_optics::wavelength::{ChannelId, Grid};

@@ -12,8 +12,9 @@
 //!   1056-port switch; dual-ToR designs reach 2080 ports).
 //! * [`channel`] — wavelength (channel) assignment on the ring: the
 //!   paper's greedy longest-path-first heuristic, an exact
-//!   branch-and-bound solver equivalent to the paper's ILP, and certified
-//!   lower bounds. Regenerates Figure 5.
+//!   branch-and-bound solver equivalent to the paper's ILP (the crate's
+//!   `tests/ilp_model.rs` checks solutions against the ILP's
+//!   constraints), and certified lower bounds. Regenerates Figure 5.
 //! * [`routing`] — the routing policies §3.4 defines: ECMP over the
 //!   single direct hop, and Valiant load balancing over the `n − 2`
 //!   two-hop detours.
@@ -32,7 +33,6 @@
 
 pub mod channel;
 pub mod fault;
-pub mod multiring;
 pub mod pool;
 pub mod ring;
 pub mod rng;
@@ -41,7 +41,6 @@ pub mod scalability;
 
 pub use channel::{Arc, Assignment, ChannelPlan, Direction, Pair};
 pub use fault::{FailureModel, FaultReport};
-pub use multiring::{MultiRingError, MultiRingPlan};
 pub use pool::{available_parallelism, unit_seed, ThreadPool};
 pub use ring::{DesignError, QuartzRing, ScaledDesign};
 pub use routing::{RoutingPolicy, TwoHopPaths};

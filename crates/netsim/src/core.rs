@@ -777,7 +777,6 @@ impl Core {
         let i = id as usize;
         let flow_id = self.arena.flow[i];
         let delivered_at = tail + self.cfg.latency.host_recv_ns;
-        let size = self.arena.size[i];
         let created = self.arena.created[i];
         let cold = self.arena.cold[i];
         self.arena.free(id);
@@ -805,8 +804,7 @@ impl Core {
             }
             _ => None,
         };
-        self.stats
-            .record_delivery(f.tag, u64::from(size), cold.hops, latency_sample);
+        self.stats.record_delivery(f.tag, cold.hops, latency_sample);
         self.eng.record(|| Event::Deliver {
             t_ns: delivered_at.ns(),
             node: at.0,

@@ -20,7 +20,7 @@ use crate::sim::{FlowKind, SimConfig, Simulator};
 use crate::stats::LatencySummary;
 use crate::time::SimTime;
 use quartz_core::rng::StdRng;
-use quartz_obs::{Event, MemoryRecorder, MetricsRegistry, Recorder};
+use quartz_obs::{Event, MemoryRecorder, MetricsRegistry};
 use quartz_topology::builders::quartz_mesh;
 use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
 
@@ -264,33 +264,19 @@ pub fn ring_cut_scenario(cfg: &CutScenarioConfig) -> CutScenarioReport {
     scenario_report(&sim)
 }
 
-/// [`ring_cut_scenario`] with the caller's event recorder attached for
-/// the duration of the run (e.g. a `quartz_obs::NdjsonRecorder`
-/// streaming to a file) and metric collection enabled. Returns the
-/// identical report — observation never perturbs the simulation — plus
-/// the recorder (drain/flush it via `Recorder::finish`) and the
-/// collected metrics.
-pub fn ring_cut_scenario_observed(
-    cfg: &CutScenarioConfig,
-    recorder: Box<dyn Recorder>,
-) -> (CutScenarioReport, Box<dyn Recorder>, MetricsRegistry) {
-    let mut sim = scenario_sim(cfg);
-    sim.set_recorder(recorder);
-    sim.enable_metrics();
-    sim.run(cfg.duration + 2_000_000);
-    let recorder = sim.take_recorder().expect("recorder was attached");
-    let metrics = sim.take_metrics().expect("metrics were enabled");
-    (scenario_report(&sim), recorder, metrics)
-}
-
 /// [`ring_cut_scenario`] traced into memory: the report, the full event
-/// stream, and the metrics registry.
+/// stream, and the metrics registry. The report is identical to the
+/// untraced run's — observation never perturbs the simulation.
 pub fn ring_cut_scenario_traced(
     cfg: &CutScenarioConfig,
 ) -> (CutScenarioReport, Vec<Event>, MetricsRegistry) {
-    let (report, recorder, metrics) =
-        ring_cut_scenario_observed(cfg, Box::new(MemoryRecorder::new()));
-    (report, recorder.finish(), metrics)
+    let mut sim = scenario_sim(cfg);
+    sim.set_recorder(Box::new(MemoryRecorder::new()));
+    sim.enable_metrics();
+    sim.run(cfg.duration + 2_000_000);
+    let events = sim.take_recorder().expect("recorder was attached").finish();
+    let metrics = sim.take_metrics().expect("metrics were enabled");
+    (scenario_report(&sim), events, metrics)
 }
 
 /// Builds the scenario simulator: mesh, severed-pair flows, background

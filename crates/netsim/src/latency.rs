@@ -48,12 +48,6 @@ impl ComponentLatency {
     pub fn end_to_end_ns(&self, switch_hops: usize) -> u64 {
         2 * (self.stack_ns + self.nic_ns) + switch_hops as u64 * self.switch_ns
     }
-
-    /// Same, with the congestion term added once (a single congested
-    /// queue on the path).
-    pub fn end_to_end_congested_ns(&self, switch_hops: usize) -> u64 {
-        self.end_to_end_ns(switch_hops) + self.congestion_ns
-    }
 }
 
 impl fmt::Display for ComponentLatency {

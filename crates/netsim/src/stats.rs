@@ -10,7 +10,7 @@ use std::cell::{Cell, Ref, RefCell};
 
 /// Aggregated samples for one tag.
 ///
-/// Percentile queries ([`Series::cdf`], [`Series::summary`]) need the
+/// Percentile queries ([`Series::percentile`], [`Series::summary`]) need the
 /// samples sorted, but no caller depends on insertion order, so the
 /// buffer is sorted **in place, lazily**: the first query after a
 /// [`Series::record`] sorts once (amortized by the `sorted` flag) and
@@ -53,41 +53,6 @@ impl Series {
             self.sorted.set(true);
         }
         self.samples_ns.borrow()
-    }
-
-    /// Buckets the samples into `bins` equal-width bins over
-    /// `[0, max]`; returns `(upper_edge_ns, count)` per bin — ready for
-    /// plotting a latency histogram.
-    pub fn histogram(&self, bins: usize) -> Vec<(u64, usize)> {
-        assert!(bins >= 1);
-        let samples = self.samples_ns.borrow();
-        let max = samples.iter().copied().max().unwrap_or(0);
-        let width = (max / bins as u64).max(1);
-        let mut out: Vec<(u64, usize)> = (1..=bins as u64).map(|i| (i * width, 0)).collect();
-        for &s in samples.iter() {
-            let idx = ((s / width) as usize).min(bins - 1);
-            out[idx].1 += 1;
-        }
-        out
-    }
-
-    /// The empirical CDF evaluated at `quantiles` (each in `0..=1`):
-    /// returns the latency at or below which that fraction of samples
-    /// falls.
-    pub fn cdf(&self, quantiles: &[f64]) -> Vec<u64> {
-        let sorted = self.sorted_samples();
-        quantiles
-            .iter()
-            .map(|&q| {
-                assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-                if sorted.is_empty() {
-                    0
-                } else {
-                    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-                    sorted[idx]
-                }
-            })
-            .collect()
     }
 
     /// The sample at quantile `p` (`0.0..=1.0`), using the same rounded
@@ -167,13 +132,11 @@ impl LatencySummary {
     }
 }
 
-/// Per-tag aggregates: the latency series plus the byte and hop
-/// accounting, one row per tag so the per-delivery hot path touches a
-/// single entry.
+/// Per-tag aggregates: the latency series plus the hop accounting, one
+/// row per tag so the per-delivery hot path touches a single entry.
 #[derive(Clone, Debug, Default)]
 struct TagStats {
     series: Series,
-    bytes: u64,
     /// Histogram of path lengths: `hops[h]` = deliveries that crossed
     /// `h` links. Path lengths are tiny and repeat constantly, so a
     /// counted bin beats buffering one sample per delivery — and every
@@ -239,44 +202,17 @@ impl Stats {
         self.per_tag[i].series.record(ns);
     }
 
-    /// Accounts one delivered packet — payload bytes, path length, and
-    /// (when the delivery completes a flow) its latency sample — under
-    /// `tag` with a single row lookup.
-    pub fn record_delivery(&mut self, tag: u32, bytes: u64, hops: u32, latency: Option<u64>) {
+    /// Accounts one delivered packet — its path length (links
+    /// traversed, the raw material for post-failure path-stretch
+    /// reports) and, when the delivery completes a flow, its latency
+    /// sample — under `tag` with a single row lookup.
+    pub fn record_delivery(&mut self, tag: u32, hops: u32, latency: Option<u64>) {
         let i = self.tag_idx(tag);
         let row = &mut self.per_tag[i];
-        row.bytes += bytes;
         bump_hops(&mut row.hops, hops);
         if let Some(ns) = latency {
             row.series.record(ns);
         }
-    }
-
-    /// Accounts `bytes` of delivered payload under `tag`.
-    pub fn record_bytes(&mut self, tag: u32, bytes: u64) {
-        let i = self.tag_idx(tag);
-        self.per_tag[i].bytes += bytes;
-    }
-
-    /// Total payload bytes delivered under `tag`.
-    pub fn delivered_bytes(&self, tag: u32) -> u64 {
-        self.tag_row(tag).map_or(0, |r| r.bytes)
-    }
-
-    /// Goodput of `tag` over `elapsed_ns`, in Gb/s.
-    pub fn goodput_gbps(&self, tag: u32, elapsed_ns: u64) -> f64 {
-        if elapsed_ns == 0 {
-            0.0
-        } else {
-            self.delivered_bytes(tag) as f64 * 8.0 / elapsed_ns as f64
-        }
-    }
-
-    /// Records a delivered packet's path length (links traversed) under
-    /// `tag` — the raw material for post-failure path-stretch reports.
-    pub fn record_hops(&mut self, tag: u32, hops: u32) {
-        let i = self.tag_idx(tag);
-        bump_hops(&mut self.per_tag[i].hops, hops);
     }
 
     /// Mean links traversed by `tag`'s delivered packets (0.0 if none).
@@ -316,13 +252,6 @@ impl Stats {
         self.tag_row(tag).map_or(0, |r| r.series.count())
     }
 
-    /// Histogram of `tag`'s samples (see [`Series::histogram`]).
-    pub fn histogram(&self, tag: u32, bins: usize) -> Vec<(u64, usize)> {
-        self.tag_row(tag)
-            .map(|r| r.series.histogram(bins))
-            .unwrap_or_default()
-    }
-
     /// Summary for `tag` (empty summary if the tag has no samples).
     pub fn summary(&self, tag: u32) -> LatencySummary {
         self.tag_row(tag)
@@ -330,27 +259,9 @@ impl Stats {
             .unwrap_or_default()
     }
 
-    /// All tags with latency samples, ascending. (A tag with only byte
-    /// or hop accounting — e.g. a transport flow whose completion is
-    /// tracked elsewhere — does not appear, matching the behavior of
-    /// the separate per-metric maps this storage replaced.)
-    pub fn tags(&self) -> Vec<u32> {
-        self.tag_keys
-            .iter()
-            .zip(&self.per_tag)
-            .filter(|(_, r)| r.series.count() > 0)
-            .map(|(&t, _)| t)
-            .collect()
-    }
-
-    /// Total recorded samples across tags.
-    pub fn total_samples(&self) -> usize {
-        self.per_tag.iter().map(|r| r.series.count()).sum()
-    }
-
     /// Folds `other` into `self`: the conservation counters add, and
     /// each of `other`'s tag rows merges into the matching row here
-    /// (latency samples append, bytes add, hop bins add elementwise).
+    /// (latency samples append, hop bins add elementwise).
     ///
     /// Every query on [`Stats`] is a multiset function of the recorded
     /// samples, so a merge of per-shard stats yields bit-identical
@@ -365,7 +276,6 @@ impl Stats {
             let i = self.tag_idx(tag);
             let mine = &mut self.per_tag[i];
             mine.series.append(&row.series);
-            mine.bytes += row.bytes;
             if row.hops.len() > mine.hops.len() {
                 mine.hops.resize(row.hops.len(), 0);
             }
@@ -417,54 +327,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_tags_and_conservation_fields() {
+    fn stats_counts_samples_per_tag() {
         let mut st = Stats::default();
         st.record(1, 10);
         st.record(2, 20);
         st.record(2, 30);
-        assert_eq!(st.tags(), vec![1, 2]);
-        assert_eq!(st.total_samples(), 3);
+        assert_eq!(st.count(1), 1);
+        assert_eq!(st.count(2), 2);
+        assert_eq!(st.count(9), 0);
         assert_eq!(st.summary(2).count, 2);
         assert_eq!(st.summary(9).count, 0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_cdf() {
-        let mut s = Series::default();
-        for i in 1..=100u64 {
-            s.record(i * 10); // 10..=1000
-        }
-        let h = s.histogram(10);
-        assert_eq!(h.len(), 10);
-        assert_eq!(h.iter().map(|&(_, c)| c).sum::<usize>(), 100);
-        // Equal-width bins over a uniform ramp hold ~10 samples each.
-        for &(_, c) in &h {
-            assert!((9..=11).contains(&c), "{h:?}");
-        }
-        let cdf = s.cdf(&[0.0, 0.5, 1.0]);
-        assert_eq!(cdf[0], 10);
-        assert!((495..=515).contains(&cdf[1]), "{cdf:?}");
-        assert_eq!(cdf[2], 1000);
-    }
-
-    #[test]
-    fn empty_histogram_is_empty_counts() {
-        let s = Series::default();
-        let h = s.histogram(4);
-        assert_eq!(h.iter().map(|&(_, c)| c).sum::<usize>(), 0);
-        assert!(Stats::default().histogram(9, 4).is_empty());
-    }
-
-    #[test]
-    fn byte_accounting_and_goodput() {
-        let mut st = Stats::default();
-        st.record_bytes(4, 1_000);
-        st.record_bytes(4, 250);
-        assert_eq!(st.delivered_bytes(4), 1_250);
-        assert_eq!(st.delivered_bytes(5), 0);
-        // 1250 B over 1 µs = 10 Gb/s.
-        assert!((st.goodput_gbps(4, 1_000) - 10.0).abs() < 1e-9);
-        assert_eq!(st.goodput_gbps(4, 0), 0.0);
     }
 
     #[test]
@@ -487,13 +359,9 @@ mod tests {
         assert_eq!(sum.p50_ns, 777);
         assert_eq!(sum.p99_ns, 777);
         assert_eq!(sum.max_ns, 777);
-        assert_eq!(s.cdf(&[0.0, 0.5, 1.0]), vec![777, 777, 777]);
-    }
-
-    #[test]
-    fn empty_series_cdf_is_zero() {
-        let s = Series::default();
-        assert_eq!(s.cdf(&[0.0, 1.0]), vec![0, 0]);
+        for p in [0.0, 0.5, 1.0] {
+            assert_eq!(s.percentile(p), 777);
+        }
     }
 
     #[test]
@@ -504,24 +372,15 @@ mod tests {
             for i in (1..=n).rev() {
                 s.record(i * 7);
             }
-            let cdf = s.cdf(&[0.0, 1.0]);
-            assert_eq!(cdf[0], 7, "n={n}");
-            assert_eq!(cdf[1], n * 7, "n={n}");
+            assert_eq!(s.percentile(0.0), 7, "n={n}");
+            assert_eq!(s.percentile(1.0), n * 7, "n={n}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn out_of_range_quantile_panics() {
-        let mut s = Series::default();
-        s.record(1);
-        s.cdf(&[1.5]);
     }
 
     #[test]
     fn interleaved_pushes_and_percentiles_match_naive_reference() {
         // The lazy sort must re-invalidate on every record: interleave
-        // pushes with cdf/summary queries and compare each answer to a
+        // pushes with percentile/summary queries and compare each answer to a
         // naive clone-and-sort reference over the same prefix.
         let naive_cdf = |raw: &[u64], quantiles: &[f64]| -> Vec<u64> {
             let mut sorted = raw.to_vec();
@@ -551,7 +410,8 @@ mod tests {
             s.record(sample);
             raw.push(sample);
             if step % 3 == 0 {
-                assert_eq!(s.cdf(&quantiles), naive_cdf(&raw, &quantiles), "{step}");
+                let got: Vec<u64> = quantiles.iter().map(|&q| s.percentile(q)).collect();
+                assert_eq!(got, naive_cdf(&raw, &quantiles), "{step}");
             }
             if step % 5 == 0 {
                 let sum = s.summary();
@@ -562,92 +422,6 @@ mod tests {
                 assert_eq!(sum.max_ns, *raw.iter().max().unwrap());
             }
         }
-    }
-
-    #[test]
-    fn histogram_and_cdf_match_naive_reference_on_seeded_random_data() {
-        use quartz_core::rng::StdRng;
-
-        // Reference CDF: clone-and-sort, index by rounded quantile.
-        let naive_cdf = |sorted: &[u64], quantiles: &[f64]| -> Vec<u64> {
-            quantiles
-                .iter()
-                .map(|&q| {
-                    if sorted.is_empty() {
-                        0
-                    } else {
-                        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-                    }
-                })
-                .collect()
-        };
-        // Reference histogram via a different computation path than the
-        // implementation: binary-search the sorted vector for each bin's
-        // half-open range `[lo, hi)`, with everything ≥ the last edge
-        // clamped into the final bin.
-        let naive_hist = |sorted: &[u64], bins: usize| -> Vec<(u64, usize)> {
-            let max = sorted.last().copied().unwrap_or(0);
-            let width = (max / bins as u64).max(1);
-            (1..=bins as u64)
-                .map(|i| {
-                    let lo = (i - 1) * width;
-                    let below_lo = sorted.partition_point(|&s| s < lo);
-                    let count = if i as usize == bins {
-                        sorted.len() - below_lo
-                    } else {
-                        sorted.partition_point(|&s| s < i * width) - below_lo
-                    };
-                    (i * width, count)
-                })
-                .collect()
-        };
-
-        let quantiles = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
-        // Sizes cover the empty series, the single sample, and bulk.
-        for (case, &n) in [0usize, 1, 2, 3, 37, 256].iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(0xCDF + case as u64);
-            let spread = [1u64, 17, 9_999, 10_000_000][case % 4];
-            let mut s = Series::default();
-            let mut raw: Vec<u64> = Vec::new();
-            for _ in 0..n {
-                let v = rng.random::<u64>() % spread;
-                s.record(v);
-                raw.push(v);
-            }
-            raw.sort_unstable();
-            assert_eq!(s.cdf(&quantiles), naive_cdf(&raw, &quantiles), "n={n}");
-            for bins in [1usize, 2, 5, 16, 100] {
-                let got = s.histogram(bins);
-                assert_eq!(got, naive_hist(&raw, bins), "n={n} bins={bins}");
-                // Invariants independent of the reference: every sample
-                // lands in exactly one bin and edges ascend.
-                assert_eq!(got.iter().map(|&(_, c)| c).sum::<usize>(), n);
-                assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
-            }
-        }
-    }
-
-    #[test]
-    fn histogram_and_cdf_edge_cases() {
-        let empty = Series::default();
-        assert_eq!(empty.cdf(&[0.0, 0.5, 1.0]), vec![0, 0, 0]);
-        // No samples: max = 0 ⇒ unit-width bins, all empty.
-        assert_eq!(empty.histogram(3), vec![(1, 0), (2, 0), (3, 0)]);
-
-        let mut single = Series::default();
-        single.record(500);
-        assert_eq!(single.cdf(&[0.0, 0.5, 1.0]), vec![500, 500, 500]);
-        // One sample at the max: width 125, the sample sits exactly on
-        // the top edge and must clamp into the last bin.
-        assert_eq!(
-            single.histogram(4),
-            vec![(125, 0), (250, 0), (375, 0), (500, 1)]
-        );
-
-        let mut zero = Series::default();
-        zero.record(0);
-        assert_eq!(zero.cdf(&[0.0, 1.0]), vec![0, 0]);
-        assert_eq!(zero.histogram(2), vec![(1, 1), (2, 0)]);
     }
 
     #[test]
@@ -718,20 +492,20 @@ mod tests {
                     shard.record(tag, x % 100_000);
                 }
                 1 => {
-                    reference.record_delivery(tag, x % 1500, (x % 7) as u32, Some(x % 50_000));
-                    shard.record_delivery(tag, x % 1500, (x % 7) as u32, Some(x % 50_000));
+                    reference.record_delivery(tag, (x % 7) as u32, Some(x % 50_000));
+                    shard.record_delivery(tag, (x % 7) as u32, Some(x % 50_000));
                     reference.delivered += 1;
                     shard.delivered += 1;
                 }
                 2 => {
-                    reference.record_bytes(tag, x % 9000);
-                    shard.record_bytes(tag, x % 9000);
+                    reference.record_delivery(tag, (x % 11) as u32, None);
+                    shard.record_delivery(tag, (x % 11) as u32, None);
                     reference.generated += 1;
                     shard.generated += 1;
                 }
                 _ => {
-                    reference.record_hops(tag, (x % 9) as u32);
-                    shard.record_hops(tag, (x % 9) as u32);
+                    reference.record_delivery(tag, (x % 9) as u32, None);
+                    shard.record_delivery(tag, (x % 9) as u32, None);
                     reference.dropped += 1;
                     shard.dropped += 1;
                 }
@@ -744,23 +518,12 @@ mod tests {
         assert_eq!(merged.generated, reference.generated);
         assert_eq!(merged.delivered, reference.delivered);
         assert_eq!(merged.dropped, reference.dropped);
-        assert_eq!(merged.tags(), reference.tags());
-        assert_eq!(merged.total_samples(), reference.total_samples());
         for tag in 0..6u32 {
+            assert_eq!(merged.count(tag), reference.count(tag), "tag {tag}");
             assert_eq!(merged.summary(tag), reference.summary(tag), "tag {tag}");
-            assert_eq!(
-                merged.delivered_bytes(tag),
-                reference.delivered_bytes(tag),
-                "tag {tag}"
-            );
             assert_eq!(
                 merged.hop_distribution(tag),
                 reference.hop_distribution(tag),
-                "tag {tag}"
-            );
-            assert_eq!(
-                merged.histogram(tag, 8),
-                reference.histogram(tag, 8),
                 "tag {tag}"
             );
         }
@@ -770,7 +533,7 @@ mod tests {
     fn merge_into_empty_and_with_empty_are_identity() {
         let mut some = Stats::default();
         some.record(3, 11);
-        some.record_delivery(3, 64, 2, Some(7));
+        some.record_delivery(3, 2, Some(7));
         some.generated = 5;
 
         let mut from_empty = Stats::default();
@@ -789,10 +552,10 @@ mod tests {
         let mut st = Stats::default();
         assert_eq!(st.mean_hops(0), 0.0);
         assert!(st.hop_distribution(0).is_empty());
-        st.record_hops(0, 3);
-        st.record_hops(0, 3);
-        st.record_hops(0, 4);
-        st.record_hops(9, 2);
+        st.record_delivery(0, 3, None);
+        st.record_delivery(0, 3, None);
+        st.record_delivery(0, 4, None);
+        st.record_delivery(9, 2, None);
         assert!((st.mean_hops(0) - 10.0 / 3.0).abs() < 1e-12);
         assert_eq!(st.hop_distribution(0), vec![(3, 2), (4, 1)]);
         assert_eq!(st.hop_distribution(9), vec![(2, 1)]);

@@ -22,7 +22,8 @@ use quartz_netsim::stats::Stats;
 use quartz_netsim::time::SimTime;
 use quartz_netsim::transport::TcpVariant;
 use quartz_netsim::{FaultPlan, FaultRecord, FlowCompletion};
-use quartz_obs::{MemoryRecorder, MetricsRegistry, NdjsonRecorder, Recorder};
+use quartz_obs::event::to_ndjson;
+use quartz_obs::{MemoryRecorder, MetricsRegistry, Recorder};
 use quartz_topology::builders::{quartz_in_core, quartz_mesh, QuartzMesh};
 use quartz_topology::graph::NodeId;
 use quartz_topology::spain::SpainFabric;
@@ -63,7 +64,7 @@ fn stats_digest(stats: &Stats) -> u64 {
     h.u64(stats.generated);
     h.u64(stats.delivered);
     h.u64(stats.dropped);
-    for tag in stats.tags() {
+    for tag in (0..8).filter(|&t| stats.count(t) > 0) {
         let s = stats.summary(tag);
         h.u64(u64::from(tag));
         h.u64(s.count as u64);
@@ -72,7 +73,6 @@ fn stats_digest(stats: &Stats) -> u64 {
         h.u64(s.p50_ns);
         h.u64(s.p99_ns);
         h.u64(s.max_ns);
-        h.u64(stats.delivered_bytes(tag));
         h.u64(stats.mean_hops(tag).to_bits());
         for (hops, n) in stats.hop_distribution(tag) {
             h.u64(u64::from(hops));
@@ -94,12 +94,9 @@ fn golden(
     assert!(stats.delivered > 0 && stats.dropped > 0, "traffic and loss");
     assert!(!completions.is_empty(), "managed flows complete");
     assert!(!faults.is_empty(), "faults fire");
-    let mut nd = NdjsonRecorder::new(Vec::new());
-    for ev in &recorder.expect("recorder attached").finish() {
-        nd.record(ev);
-    }
+    let recorded = recorder.expect("recorder attached").finish();
     let mut trace = Fnv::new();
-    trace.bytes(&nd.into_inner());
+    trace.bytes(to_ndjson(&recorded).as_bytes());
     let mut m = Fnv::new();
     m.bytes(metrics.expect("metrics enabled").to_ndjson().as_bytes());
     let mut c = Fnv::new();
@@ -462,7 +459,7 @@ fn sharded_incast(domains: usize) -> Golden {
 }
 
 const SIMULATOR_AUTO: Golden = Golden {
-    stats: 0x18e325b4e0d23e24,
+    stats: 0xc9f28acb7ed1f4d9,
     trace: 0xb95bdec058ff367b,
     metrics: 0xed777632dc9d7437,
     completions: 0x32fb94ebb387bb05,
@@ -471,7 +468,7 @@ const SIMULATOR_AUTO: Golden = Golden {
 };
 
 const SIMULATOR_MANUAL: Golden = Golden {
-    stats: 0xafe9d4015acf9a1f,
+    stats: 0xea17d1ff98e533bd,
     trace: 0xe613aee837a1b2c2,
     metrics: 0xb8171da43273e228,
     completions: 0xd6b413924ac50575,
@@ -480,7 +477,7 @@ const SIMULATOR_MANUAL: Golden = Golden {
 };
 
 const SHARDED: Golden = Golden {
-    stats: 0x9637f0688fedbf82,
+    stats: 0x2961f0ef5055b2be,
     trace: 0x9c591250bab51155,
     metrics: 0x22ef61723a94f5af,
     completions: 0x8157a3486a3b6fad,
@@ -489,7 +486,7 @@ const SHARDED: Golden = Golden {
 };
 
 const SHARDED_INCAST: Golden = Golden {
-    stats: 0xca7305031990aa1e,
+    stats: 0x6bb063fb1b40e8b7,
     trace: 0x65e3d1c73aa371e4,
     metrics: 0x98da0a52f33254f9,
     completions: 0x904685686eef69aa,

@@ -13,7 +13,8 @@ use quartz_netsim::sim::{FlowKind, SimConfig, VlbConfig};
 use quartz_netsim::time::SimTime;
 use quartz_netsim::transport::TcpVariant;
 use quartz_netsim::FaultPlan;
-use quartz_obs::{MemoryRecorder, NdjsonRecorder, Recorder};
+use quartz_obs::event::to_ndjson;
+use quartz_obs::MemoryRecorder;
 use quartz_topology::builders::{quartz_in_core, quartz_mesh};
 use quartz_topology::graph::Network;
 
@@ -23,12 +24,12 @@ struct Digest {
     generated: u64,
     delivered: u64,
     dropped: u64,
-    /// Per tag: count, mean bits, ci95 bits, p50, p99, max, bytes,
+    /// Per tag: count, mean bits, ci95 bits, p50, p99, max,
     /// mean-hops bits, hop distribution.
     per_tag: Vec<(u32, TagDigest)>,
     completions: Vec<(u32, u64)>,
     faults: Vec<(u64, Option<u64>, u64)>,
-    ndjson: Vec<u8>,
+    ndjson: String,
     metrics: String,
 }
 
@@ -40,7 +41,6 @@ struct TagDigest {
     p50_ns: u64,
     p99_ns: u64,
     max_ns: u64,
-    bytes: u64,
     mean_hops_bits: u64,
     hop_dist: Vec<(u32, usize)>,
 }
@@ -63,20 +63,15 @@ fn run_sharded(
 
     // The trace-determinism contract is stated over the ndjson bytes.
     let events = sim.take_recorder().expect("recorder attached").finish();
-    let mut nd = NdjsonRecorder::new(Vec::new());
-    for ev in &events {
-        nd.record(ev);
-    }
-    let ndjson = nd.into_inner();
+    let ndjson = to_ndjson(&events);
     let metrics = sim
         .take_metrics()
         .map(|m| m.to_ndjson())
         .unwrap_or_default();
 
     let stats = sim.stats();
-    let per_tag = stats
-        .tags()
-        .into_iter()
+    let per_tag = (0..8)
+        .filter(|&tag| stats.count(tag) > 0)
         .map(|tag| {
             let s = stats.summary(tag);
             (
@@ -88,7 +83,6 @@ fn run_sharded(
                     p50_ns: s.p50_ns,
                     p99_ns: s.p99_ns,
                     max_ns: s.max_ns,
-                    bytes: stats.delivered_bytes(tag),
                     mean_hops_bits: stats.mean_hops(tag).to_bits(),
                     hop_dist: stats.hop_distribution(tag),
                 },

@@ -266,7 +266,7 @@ impl Event {
     /// Appends the event's single-line JSON object (no trailing newline)
     /// to `out`. Key order is fixed, all values are integers, booleans,
     /// or the fixed tag strings, so the encoding is byte-stable.
-    pub fn write_ndjson(&self, out: &mut String) {
+    fn write_ndjson(&self, out: &mut String) {
         // Infallible: `fmt::Write` for `String` never errors.
         let _ = match *self {
             Event::Gen {
@@ -407,19 +407,13 @@ impl Event {
             ),
         };
     }
-
-    /// The event as one ndjson line, newline included.
-    pub fn ndjson_line(&self) -> String {
-        let mut s = String::with_capacity(96);
-        self.write_ndjson(&mut s);
-        s.push('\n');
-        s
-    }
 }
 
-/// Renders a slice of events as ndjson, one line per event.
-pub fn to_ndjson(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
+/// Renders events as ndjson, one line per event, in iteration order.
+/// Filter first to render a subset (`events.iter().filter(..)`).
+pub fn to_ndjson<'a>(events: impl IntoIterator<Item = &'a Event>) -> String {
+    let events = events.into_iter();
+    let mut out = String::with_capacity(events.size_hint().0 * 96);
     for ev in events {
         ev.write_ndjson(&mut out);
         out.push('\n');
@@ -441,7 +435,7 @@ mod tests {
             latency_ns: 380,
         };
         assert_eq!(
-            ev.ndjson_line(),
+            to_ndjson([&ev]),
             "{\"ev\":\"forward\",\"t\":1500,\"node\":3,\"flow\":7,\"cut\":true,\"lat\":380}\n"
         );
         assert_eq!(ev.t_ns(), 1_500);
@@ -478,7 +472,7 @@ mod tests {
             fresh_channels: 11,
         };
         assert_eq!(
-            ev.ndjson_line(),
+            to_ndjson([&ev]),
             "{\"ev\":\"rwa_resolve\",\"t\":520000,\"trigger\":\"cut\",\"fiber\":3,\"outcome\":\"warm_start\",\"moved\":2,\"restored\":0,\"torn\":5,\"unroutable\":1,\"channels\":11,\"fresh\":11}\n"
         );
         assert_eq!(ev.tag(), "rwa_resolve");
@@ -491,7 +485,7 @@ mod tests {
             dark_ns: 52_500,
         };
         assert_eq!(
-            ev.ndjson_line(),
+            to_ndjson([&ev]),
             "{\"ev\":\"retune\",\"t\":520000,\"a\":1,\"b\":6,\"from\":4,\"to\":9,\"dark\":52500}\n"
         );
         assert_eq!(ev.t_ns(), 520_000);
@@ -508,7 +502,7 @@ mod tests {
             bytes: 1_048_576,
         };
         assert_eq!(
-            ev.ndjson_line(),
+            to_ndjson([&ev]),
             "{\"ev\":\"flow_start\",\"t\":1000,\"flow\":42,\"src\":3,\"dst\":17,\"bytes\":1048576}\n"
         );
         assert_eq!(ev.t_ns(), 1_000);
@@ -520,7 +514,7 @@ mod tests {
             bytes: 1_048_576,
         };
         assert_eq!(
-            ev.ndjson_line(),
+            to_ndjson([&ev]),
             "{\"ev\":\"flow_complete\",\"t\":9500,\"flow\":42,\"fct\":8500,\"bytes\":1048576}\n"
         );
         assert_eq!(ev.tag(), "flow_complete");
@@ -532,7 +526,7 @@ mod tests {
             elapsed_ns: 11_000,
         };
         assert_eq!(
-            ev.ndjson_line(),
+            to_ndjson([&ev]),
             "{\"ev\":\"collective_step\",\"t\":77000,\"algo\":\"ring\",\"step\":3,\"of\":14,\"elapsed\":11000}\n"
         );
         assert_eq!(ev.t_ns(), 77_000);

@@ -4,11 +4,11 @@
 //! clock**. The subsystem is std-only and dependency-free (it sits below
 //! every other workspace crate), and it is built around one invariant:
 //!
-//! > Observation must not perturb the experiment. With the default
-//! > [`NullRecorder`] the simulator's RNG draws, event ordering, and
-//! > printed output are bit-identical to a build without the subsystem;
-//! > with any real recorder the captured trace is bit-identical at every
-//! > `--jobs` worker count.
+//! > Observation must not perturb the experiment. With no recorder
+//! > attached (the simulator's default) its RNG draws, event ordering,
+//! > and printed output are bit-identical to a build without the
+//! > subsystem; with a recorder attached the captured trace is
+//! > bit-identical at every `--jobs` worker count.
 //!
 //! The pieces:
 //!
@@ -16,12 +16,12 @@
 //!   enqueue → cut-through decision → transmit → deliver/drop), VLB
 //!   detour choices, and fault/reroute transitions. Every event carries
 //!   a simulated-time `t_ns`; none carries a wall-clock reading.
-//! - [`Recorder`] — the sink trait. [`NullRecorder`] is the inlined
-//!   no-op default; [`MemoryRecorder`] buffers events for in-process
-//!   inspection; [`NdjsonRecorder`] streams one JSON object per line to
-//!   any [`std::io::Write`]. [`Stamped`] stashes what parallel
-//!   producers record under `(time, key)` stamps and drains them in one
-//!   order, so a merged trace is identical at any producer count.
+//! - [`Recorder`] — the sink trait the simulator calls once per event
+//!   when one is attached. [`MemoryRecorder`] buffers the events, and
+//!   [`event::to_ndjson`] renders them as one JSON object per line.
+//!   [`Stamped`] stashes what parallel producers record under
+//!   `(time, key)` stamps and drains them in one order, so a merged
+//!   trace is identical at any producer count.
 //! - [`MetricsRegistry`] — BTreeMap-ordered counters, gauges, and
 //!   sim-time-bucketed histograms. BTreeMap (not HashMap) so every
 //!   rendering iterates in a deterministic order, and [`MetricsRegistry::merge`]
@@ -50,4 +50,4 @@ pub mod timeline;
 pub use event::{DropReason, Event};
 pub use metrics::{BucketStats, CounterColumn, HistogramColumn, MetricsRegistry, TimeHistogram};
 pub use profile::Phases;
-pub use recorder::{MemoryRecorder, NdjsonRecorder, NullRecorder, Recorder, Stamped};
+pub use recorder::{MemoryRecorder, Recorder, Stamped};

@@ -1,4 +1,4 @@
-//! Event sinks: the [`Recorder`] trait and its three backends, and
+//! Event sinks: the [`Recorder`] trait and its in-memory backend, and
 //! [`Stamped`], which merges several producers' stamped streams into
 //! one deterministic order.
 //!
@@ -6,11 +6,8 @@
 //! `None`; the disabled path is a single branch per emission site, so a
 //! build that never attaches a recorder pays (measurably) nothing. The
 //! trait requires `Send` so a recorder can ride inside a work unit on
-//! the thread pool.
-
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+//! the thread pool. A recorded stream becomes ndjson through
+//! [`crate::event::to_ndjson`].
 
 use crate::event::Event;
 
@@ -23,24 +20,13 @@ pub trait Recorder: Send {
     /// Accepts one event. Called in simulation order.
     fn record(&mut self, ev: &Event);
 
-    /// Flushes the sink and returns any buffered events.
+    /// Ends recording and returns any buffered events.
     ///
-    /// Streaming backends flush and return an empty vec; the in-memory
-    /// backend hands its buffer back for timeline rendering.
+    /// A sink that keeps no events returns an empty vec (the default);
+    /// [`MemoryRecorder`] hands its buffer back for rendering.
     fn finish(self: Box<Self>) -> Vec<Event> {
         Vec::new()
     }
-}
-
-/// The default no-op sink. `record` is inlined away, so the cost of an
-/// *attached-but-null* recorder is one virtual call per event and the
-/// cost of no recorder at all is one `Option` branch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline(always)]
-    fn record(&mut self, _ev: &Event) {}
 }
 
 /// Buffers every event in memory, in arrival order.
@@ -53,21 +39,6 @@ impl MemoryRecorder {
     /// An empty buffer.
     pub fn new() -> MemoryRecorder {
         MemoryRecorder::default()
-    }
-
-    /// The events recorded so far.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -137,73 +108,6 @@ impl<T> Stamped<T> {
     }
 }
 
-/// Streams events as newline-delimited JSON to any writer.
-///
-/// The encoding is byte-stable (fixed key order, integer/bool values),
-/// so two runs that record the same events produce byte-identical
-/// output — the property the trace-determinism tests assert across
-/// `--jobs` counts.
-///
-/// I/O errors are latched rather than panicking mid-simulation; check
-/// [`NdjsonRecorder::io_error`] (or the flush in `finish`) afterwards.
-#[derive(Debug)]
-pub struct NdjsonRecorder<W: Write + Send> {
-    out: W,
-    written: u64,
-    io_error: Option<io::ErrorKind>,
-}
-
-impl<W: Write + Send> NdjsonRecorder<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> NdjsonRecorder<W> {
-        NdjsonRecorder {
-            out,
-            written: 0,
-            io_error: None,
-        }
-    }
-
-    /// Number of event lines written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// The first I/O error encountered, if any.
-    pub fn io_error(&self) -> Option<io::ErrorKind> {
-        self.io_error
-    }
-
-    /// Unwraps the inner writer (without flushing).
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl NdjsonRecorder<BufWriter<File>> {
-    /// Opens (truncates) `path` for buffered ndjson output.
-    pub fn create(path: &Path) -> io::Result<NdjsonRecorder<BufWriter<File>>> {
-        Ok(NdjsonRecorder::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> Recorder for NdjsonRecorder<W> {
-    fn record(&mut self, ev: &Event) {
-        if self.io_error.is_some() {
-            return;
-        }
-        let line = ev.ndjson_line();
-        match self.out.write_all(line.as_bytes()) {
-            Ok(()) => self.written += 1,
-            Err(e) => self.io_error = Some(e.kind()),
-        }
-    }
-
-    fn finish(mut self: Box<Self>) -> Vec<Event> {
-        let _ = self.out.flush();
-        Vec::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,32 +153,7 @@ mod tests {
         for ev in &sample() {
             rec.record(ev);
         }
-        assert_eq!(rec.len(), 2);
-        assert!(!rec.is_empty());
-        assert_eq!(rec.events()[1].tag(), "drop");
         let events = (rec as Box<dyn Recorder>).finish();
-        assert_eq!(events.len(), 2);
-    }
-
-    #[test]
-    fn ndjson_recorder_streams_lines() {
-        let mut rec = NdjsonRecorder::new(Vec::new());
-        for ev in &sample() {
-            rec.record(ev);
-        }
-        assert_eq!(rec.written(), 2);
-        assert_eq!(rec.io_error(), None);
-        let bytes = rec.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text, crate::event::to_ndjson(&sample()));
-    }
-
-    #[test]
-    fn null_recorder_buffers_nothing() {
-        let mut rec = NullRecorder;
-        for ev in &sample() {
-            rec.record(ev);
-        }
-        assert!((Box::new(rec) as Box<dyn Recorder>).finish().is_empty());
+        assert_eq!(events, sample());
     }
 }

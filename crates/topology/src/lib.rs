@@ -35,12 +35,10 @@ pub mod dot;
 pub mod graph;
 pub mod metrics;
 pub mod partition;
-pub mod ports;
 pub mod route;
 pub mod spain;
 
 pub use graph::{LinkId, Network, Node, NodeId, NodeKind, SwitchRole};
 pub use partition::{spatial_domains, Partition};
-pub use ports::{validate_port_budget, PortBudget, PortViolation};
 pub use route::{FlatRoutes, RouteChange, RouteTable};
 pub use spain::SpainFabric;

@@ -41,8 +41,6 @@ pub mod trace;
 pub use collective::{run_allreduce, CollectiveAlgo, CollectiveReport, CollectiveStep};
 pub use dist::{SizeDist, HADOOP, WEBSEARCH};
 pub use report::{BucketStat, WorkloadReport, BUCKETS};
-pub use run::{
-    run_units, run_workload, run_workload_traced, variant_by_name, variant_name, WorkloadConfig,
-};
+pub use run::{run_units, run_workload, variant_by_name, variant_name, WorkloadConfig};
 pub use spec::WorkloadSpec;
 pub use trace::{Trace, TraceError, TraceFlow};

@@ -89,18 +89,6 @@ pub fn run_workload(
     run_inner(net, hosts, cfg, false).map(|(report, _)| report)
 }
 
-/// [`run_workload`] with a [`MemoryRecorder`] attached: also returns
-/// the full event stream (flow opens/completions, collective steps,
-/// per-packet events) for `--trace-out`. The report is bit-identical to
-/// the untraced run's — observation never perturbs the simulation.
-pub fn run_workload_traced(
-    net: Network,
-    hosts: &[NodeId],
-    cfg: &WorkloadConfig,
-) -> Result<(WorkloadReport, Vec<Event>), String> {
-    run_inner(net, hosts, cfg, true)
-}
-
 fn run_inner(
     net: Network,
     hosts: &[NodeId],
@@ -287,12 +275,19 @@ fn run_inner(
 /// with [`unit_seed`]`(cfg.seed, u)`) on `pool`; reports come back in
 /// unit order, bit-identical at any pool width. `build` constructs a
 /// fresh `(network, hosts)` per unit (the simulator consumes it).
+///
+/// With `traced`, unit 0 runs with a [`MemoryRecorder`] attached and
+/// its full event stream (flow opens/completions, collective steps,
+/// per-packet events) comes back beside the reports; otherwise the
+/// stream is empty. Observation never perturbs the simulation, so the
+/// reports are the same either way.
 pub fn run_units<F>(
     cfg: &WorkloadConfig,
     units: usize,
     pool: &ThreadPool,
+    traced: bool,
     build: F,
-) -> Result<Vec<WorkloadReport>, String>
+) -> Result<(Vec<WorkloadReport>, Vec<Event>), String>
 where
     F: Fn() -> (Network, Vec<NodeId>) + Sync,
 {
@@ -300,9 +295,18 @@ where
         let mut unit_cfg = cfg.clone();
         unit_cfg.seed = unit_seed(cfg.seed, u as u64);
         let (net, hosts) = build();
-        run_workload(net, &hosts, &unit_cfg)
+        run_inner(net, &hosts, &unit_cfg, traced && u == 0)
     });
-    results.into_iter().collect()
+    let mut reports = Vec::with_capacity(units);
+    let mut events = Vec::new();
+    for (u, r) in results.into_iter().enumerate() {
+        let (report, unit_events) = r?;
+        if u == 0 {
+            events = unit_events;
+        }
+        reports.push(report);
+    }
+    Ok((reports, events))
 }
 
 #[cfg(test)]
@@ -400,11 +404,11 @@ mod tests {
             bytes: 5_000,
             jitter_ns: 1_000,
         };
-        let (net_a, hosts_a) = small_fabric();
-        let plain = run_workload(net_a, &hosts_a, &cfg(spec.clone())).unwrap();
-        let (net_b, hosts_b) = small_fabric();
-        let (traced, events) = run_workload_traced(net_b, &hosts_b, &cfg(spec)).unwrap();
-        assert_eq!(plain.render(), traced.render());
+        let pool = ThreadPool::sequential();
+        let (plain, none) = run_units(&cfg(spec.clone()), 1, &pool, false, small_fabric).unwrap();
+        assert!(none.is_empty());
+        let (traced, events) = run_units(&cfg(spec), 1, &pool, true, small_fabric).unwrap();
+        assert_eq!(plain[0].render(), traced[0].render());
         let starts = events.iter().filter(|e| e.tag() == "flow_start").count();
         let dones = events.iter().filter(|e| e.tag() == "flow_complete").count();
         assert_eq!(starts, 3);
@@ -418,8 +422,8 @@ mod tests {
             bytes: 10_000,
             jitter_ns: 500,
         });
-        let seq = run_units(&base, 4, &ThreadPool::sequential(), small_fabric).unwrap();
-        let par = run_units(&base, 4, &ThreadPool::new(4), small_fabric).unwrap();
+        let (seq, _) = run_units(&base, 4, &ThreadPool::sequential(), false, small_fabric).unwrap();
+        let (par, _) = run_units(&base, 4, &ThreadPool::new(4), false, small_fabric).unwrap();
         let render = |v: &[WorkloadReport]| v.iter().map(|r| r.render()).collect::<String>();
         assert_eq!(render(&seq), render(&par));
         // Units are re-seeded, so they are not carbon copies.

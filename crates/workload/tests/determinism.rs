@@ -23,9 +23,17 @@ fn assert_pool_width_invariant(spec: WorkloadSpec, variant: TcpVariant) {
     let name = spec.name();
     let cfg = WorkloadConfig::new(spec, variant, 0xA11CE);
     let units = 4;
-    let baseline = render_all(&run_units(&cfg, units, &ThreadPool::new(1), fabric).unwrap());
+    let baseline = render_all(
+        &run_units(&cfg, units, &ThreadPool::new(1), false, fabric)
+            .unwrap()
+            .0,
+    );
     for jobs in [2, 8] {
-        let wide = render_all(&run_units(&cfg, units, &ThreadPool::new(jobs), fabric).unwrap());
+        let wide = render_all(
+            &run_units(&cfg, units, &ThreadPool::new(jobs), false, fabric)
+                .unwrap()
+                .0,
+        );
         assert_eq!(
             baseline, wide,
             "{name} over {jobs} threads diverged from sequential"
@@ -98,9 +106,9 @@ fn same_seed_same_report_different_seed_different_report() {
     let pool = ThreadPool::new(2);
     let a = WorkloadConfig::new(spec.clone(), TcpVariant::Dctcp, 7);
     let b = WorkloadConfig::new(spec, TcpVariant::Dctcp, 8);
-    let ra = render_all(&run_units(&a, 2, &pool, fabric).unwrap());
-    let ra2 = render_all(&run_units(&a, 2, &pool, fabric).unwrap());
-    let rb = render_all(&run_units(&b, 2, &pool, fabric).unwrap());
+    let ra = render_all(&run_units(&a, 2, &pool, false, fabric).unwrap().0);
+    let ra2 = render_all(&run_units(&a, 2, &pool, false, fabric).unwrap().0);
+    let rb = render_all(&run_units(&b, 2, &pool, false, fabric).unwrap().0);
     assert_eq!(ra, ra2, "same seed must replay exactly");
     assert_ne!(ra, rb, "different seeds must diverge");
 }

@@ -37,7 +37,9 @@ use quartz_core::fault::FailureModel;
 use quartz_core::pool::ThreadPool;
 use quartz_core::scalability;
 use quartz_core::QuartzRing;
-use quartz_netsim::faults::{ring_cut_scenario, ring_cut_scenario_traced, CutScenarioConfig};
+use quartz_netsim::faults::{
+    ring_cut_scenario, ring_cut_scenario_traced, CutScenarioConfig, DRAIN_NS,
+};
 use quartz_netsim::time::SimTime;
 use quartz_obs::event::to_ndjson;
 use quartz_obs::Event;
@@ -357,6 +359,12 @@ fn cmd_faults_dynamic(args: &Args) -> Result<(), String> {
         background_pairs: (m / 2).max(4),
         seed,
     };
+    if cfg.horizon().is_none() {
+        return Err(format!(
+            "--duration-ms: {duration_ms} plus the {} ms drain overflows the 64-bit nanosecond clock",
+            DRAIN_NS / 1_000_000
+        ));
+    }
     let s = ring_cut_scenario(&cfg);
     println!(
         "{m}-switch mesh, fiber 0<->1 cut at {cut_at_us} us, {reconverge_us} us reconvergence, {duration_ms} ms run (seed {seed}):"
@@ -1001,11 +1009,6 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
         "shard: quartz-in-core {pods} pods x {tors} ToRs x {hosts_per_tor} hosts \
          ({n} hosts, {ring}-switch core ring), seed {seed}"
     );
-    eprintln!(
-        "partition: {} domain(s), lookahead {} ns",
-        sim.domain_count(),
-        sim.lookahead_ns()
-    );
 
     // Pod-crossing traffic: RPC ping-pong, a Reno transfer, and a paced
     // file per triple of hosts.
@@ -1085,6 +1088,13 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
             r.drops_during_outage,
         );
     }
+    eprintln!(
+        "partition: {} domain(s), lookahead {} ns, {} windows, {} boundary messages",
+        sim.domain_count(),
+        sim.lookahead_ns(),
+        sim.windows(),
+        sim.boundary_messages()
+    );
     let per_dom = sim.per_domain_events();
     eprintln!(
         "events: {} total across {} domain(s): {:?}",

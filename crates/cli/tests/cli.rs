@@ -193,6 +193,24 @@ fn faults_rejects_durations_that_overflow() {
 }
 
 #[test]
+fn faults_rejects_a_duration_whose_drain_overflows() {
+    // 18446744073709 ms fits u64 nanoseconds; the 2 ms drain after it
+    // does not.
+    rejects(
+        &[
+            "faults",
+            "--dynamic",
+            "true",
+            "--switches",
+            "5",
+            "--duration-ms",
+            "18446744073709",
+        ],
+        "--duration-ms: 18446744073709 plus the 2 ms drain overflows",
+    );
+}
+
+#[test]
 fn rwa_rejects_durations_that_overflow() {
     rejects_overflowing(
         &["rwa", "--dynamic", "true"],

@@ -177,7 +177,8 @@ pub struct CutScenarioConfig {
     pub cut_at: SimTime,
     /// Control-plane reconvergence delay after the cut.
     pub reconvergence_ns: u64,
-    /// When traffic generation stops (the run drains 2 ms longer).
+    /// When traffic generation stops (the run drains [`DRAIN_NS`]
+    /// longer).
     pub duration: SimTime,
     /// Mean Poisson inter-packet gap per flow, ns.
     pub mean_gap_ns: f64,
@@ -187,7 +188,20 @@ pub struct CutScenarioConfig {
     pub seed: u64,
 }
 
+/// How long a ring-cut run keeps going after traffic stops, ns, so
+/// the packets in flight drain.
+pub const DRAIN_NS: u64 = 2_000_000;
+
 impl CutScenarioConfig {
+    /// Where the run ends: `duration` plus [`DRAIN_NS`], or `None` when
+    /// that overflows the 64-bit nanosecond clock.
+    pub fn horizon(&self) -> Option<SimTime> {
+        self.duration
+            .ns()
+            .checked_add(DRAIN_NS)
+            .map(SimTime::from_ns)
+    }
+
     /// The paper-scale scenario: the 33-switch ring, cut at 1 ms into a
     /// 4 ms run, 50 µs reconvergence.
     pub fn paper(seed: u64) -> Self {
@@ -258,32 +272,43 @@ pub const TAG_BACKGROUND: u32 = 2;
 /// Poisson traffic, cut the switch-0↔switch-1 fiber at `cut_at`, let the
 /// control plane reconverge onto the degraded routes, and report the
 /// severed pair's before/after latency and path stretch.
+///
+/// # Panics
+/// Panics if the mesh has fewer than 3 switches, the cut does not fall
+/// inside `duration`, or the run's end overflows the clock
+/// ([`CutScenarioConfig::horizon`]).
 pub fn ring_cut_scenario(cfg: &CutScenarioConfig) -> CutScenarioReport {
-    let mut sim = scenario_sim(cfg);
-    sim.run(cfg.duration + 2_000_000);
+    let (mut sim, horizon) = scenario_sim(cfg);
+    sim.run(horizon);
     scenario_report(&sim)
 }
 
 /// [`ring_cut_scenario`] traced into memory: the report, the full event
 /// stream, and the metrics registry. The report is identical to the
 /// untraced run's — observation never perturbs the simulation.
+///
+/// # Panics
+/// As [`ring_cut_scenario`].
 pub fn ring_cut_scenario_traced(
     cfg: &CutScenarioConfig,
 ) -> (CutScenarioReport, Vec<Event>, MetricsRegistry) {
-    let mut sim = scenario_sim(cfg);
+    let (mut sim, horizon) = scenario_sim(cfg);
     sim.set_recorder(Box::new(MemoryRecorder::new()));
     sim.enable_metrics();
-    sim.run(cfg.duration + 2_000_000);
+    sim.run(horizon);
     let events = sim.take_recorder().expect("recorder was attached").finish();
     let metrics = sim.take_metrics().expect("metrics were enabled");
     (scenario_report(&sim), events, metrics)
 }
 
-/// Builds the scenario simulator: mesh, severed-pair flows, background
-/// load, and the scheduled cut.
-fn scenario_sim(cfg: &CutScenarioConfig) -> Simulator {
+/// Builds the scenario simulator (mesh, severed-pair flows, background
+/// load, and the scheduled cut) and returns it with the run's end.
+fn scenario_sim(cfg: &CutScenarioConfig) -> (Simulator, SimTime) {
     assert!(cfg.switches >= 3, "a detour needs a third switch");
     assert!(cfg.cut_at < cfg.duration, "cut must land inside the run");
+    let horizon = cfg
+        .horizon()
+        .expect("duration plus the drain fits the 64-bit nanosecond clock");
     let q = quartz_mesh(cfg.switches, cfg.hosts_per_switch, 10.0, 10.0);
     let mut sim = Simulator::new(
         q.net.clone(),
@@ -351,7 +376,7 @@ fn scenario_sim(cfg: &CutScenarioConfig) -> Simulator {
     let mut plan = FaultPlan::new();
     plan.link_down(cut, cfg.cut_at);
     sim.apply_fault_plan(&plan);
-    sim
+    (sim, horizon)
 }
 
 /// Summarizes a finished scenario run.

@@ -27,6 +27,23 @@
 //! domain nothing crosses (`L = ∞`), so a run is one window per
 //! control event.
 //!
+//! ## Boundary exchange
+//!
+//! A packet forwarded to a node of another domain leaves its arena and
+//! is stashed, as a `BoundaryMsg`, in the sender's outbox for that
+//! peer; the sender also lists the peers its outboxes hold messages
+//! for. At the window edge the coordinator makes one pass over the
+//! domains: it moves each listed outbox into its receiver's inbox
+//! (`Vec::append`, keeping the earliest arrival time), gathers the
+//! trace and completion stashes, and takes the earliest pending event
+//! time, wheels and mailboxes alike, which bounds the next window. The
+//! receiving domain re-materializes its inbox at the start of its own
+//! next step, on its own worker. The coordinator's cost is therefore
+//! one visit per domain plus one per non-empty outbox, not one per
+//! domain pair, and no packet is rebuilt on the coordinator. A run
+//! that ends leaves the last window's messages in the inboxes; they
+//! count as pending events and are delivered when the next run steps.
+//!
 //! ## Determinism
 //!
 //! The engine is **bit-identical at any domain count** (and any worker
@@ -140,7 +157,7 @@ enum DEv {
 
 /// A packet crossing a domain boundary: everything the receiving shard
 /// needs to re-materialize it in its own arena and schedule its next
-/// arrival. `Copy`, about one cache line — outboxes are plain vectors.
+/// arrival. `Copy`, about one cache line — mailboxes are plain vectors.
 #[derive(Clone, Copy, Debug)]
 struct BoundaryMsg {
     /// Arrival time of the head at `at` (strictly beyond the window).
@@ -163,9 +180,41 @@ struct BoundaryMsg {
     vspray: u64,
 }
 
+/// Boundary packets in transit, with the earliest arrival among them
+/// (`u64::MAX` when empty) so a window bound never scans the messages.
+struct Mailbox {
+    msgs: Vec<BoundaryMsg>,
+    first: u64,
+}
+
+impl Default for Mailbox {
+    fn default() -> Mailbox {
+        Mailbox {
+            msgs: Vec::new(),
+            first: u64::MAX,
+        }
+    }
+}
+
+impl Mailbox {
+    /// Adds `m`, keeping the earliest arrival.
+    fn push(&mut self, m: BoundaryMsg) {
+        self.first = self.first.min(m.arr_head.ns());
+        self.msgs.push(m);
+    }
+
+    /// Moves every message of `other` here, leaving it empty (its
+    /// allocation stays with it for the next window).
+    fn append(&mut self, other: &mut Mailbox) {
+        self.first = self.first.min(other.first);
+        other.first = u64::MAX;
+        self.msgs.append(&mut other.msgs);
+    }
+}
+
 /// One spatial domain's half of the per-packet path — what the shared
 /// core calls out to: a content-keyed timing wheel with per-link batch
-/// drain plus the boundary outbox, per-flow RNG streams drawn at
+/// drain plus the boundary mailboxes, per-flow RNG streams drawn at
 /// emission, and the metrics, trace and completion sinks. Per-flow
 /// rows are full-size in every domain (only the owning side's domain
 /// advances them), trading memory for branch-free indexing by flow id.
@@ -198,9 +247,14 @@ pub(crate) struct Domain {
     vcoin: Vec<u64>,
     vpick: Vec<u64>,
     vspray: Vec<u64>,
-    /// Boundary packets bound for each peer domain, drained by the
-    /// coordinator at every window edge.
-    outbox: Vec<Vec<BoundaryMsg>>,
+    /// Boundary packets bound for each peer domain, handed to the
+    /// peers' inboxes by the coordinator at every window edge.
+    outbox: Vec<Mailbox>,
+    /// The peers whose outboxes are non-empty, in first-stash order.
+    peers: Vec<u32>,
+    /// Boundary packets handed to this domain at the last window edge,
+    /// re-materialized at the start of its next step.
+    inbox: Mailbox,
     /// The metrics fold every event this domain records passes through.
     metrics: Option<EngineMetrics>,
     /// The recorder, held by domain 0 at every domain count. With one
@@ -248,7 +302,9 @@ impl Domain {
             vcoin: Vec::new(),
             vpick: Vec::new(),
             vspray: Vec::new(),
-            outbox: (0..k).map(|_| Vec::new()).collect(),
+            outbox: (0..k).map(|_| Mailbox::default()).collect(),
+            peers: Vec::new(),
+            inbox: Mailbox::default(),
             metrics: None,
             recorder: None,
             stash: false,
@@ -286,9 +342,14 @@ impl Domain {
         }
     }
 
-    /// Stashes a boundary crossing for the coordinator to deliver.
+    /// Stashes a boundary crossing for the coordinator to hand to
+    /// domain `dom`.
     fn stash_boundary(&mut self, dom: u32, m: BoundaryMsg) {
-        self.outbox[dom as usize].push(m);
+        let out = &mut self.outbox[dom as usize];
+        if out.msgs.is_empty() {
+            self.peers.push(dom);
+        }
+        out.push(m);
     }
 
     /// Schedules the flow's next generation event at its canonical key.
@@ -472,16 +533,22 @@ impl Domain {
 }
 
 impl Core {
-    /// Earliest pending event time in this domain, if any.
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        self.eng.wheel.next_time()
+    /// Earliest pending event time in this domain, ns (`u64::MAX` when
+    /// none): its wheel's next event or its inbox's earliest arrival.
+    fn next_event_ns(&mut self) -> u64 {
+        let wheel = self.eng.wheel.next_time().map_or(u64::MAX, SimTime::ns);
+        wheel.min(self.eng.inbox.first)
     }
 
-    /// Drains every event with `time <= bound` in `(time, key)` order,
-    /// stopping early — right after an event — once `stop` holds.
+    /// Delivers the inbox, then drains every event with `time <= bound`
+    /// in `(time, key)` order, stopping early — right after an event —
+    /// once `stop` holds.
     // lint:hot
     fn step_to(&mut self, bound: SimTime, stop: &impl Fn(&Core) -> bool) {
         let t_in = (self.eng.clock)();
+        if !self.eng.inbox.msgs.is_empty() {
+            self.deliver_inbox();
+        }
         while !stop(self) {
             let Some((t, ev)) = self.eng.wheel.pop_before(bound) else {
                 break;
@@ -580,10 +647,24 @@ impl Core {
         }
     }
 
+    /// Re-materializes every boundary packet of the inbox, in hand-off
+    /// order (irrelevant to the output: events are keyed), and empties
+    /// it, keeping its allocation.
+    // lint:hot
+    fn deliver_inbox(&mut self) {
+        let mut inbox = std::mem::take(&mut self.eng.inbox);
+        for m in &inbox.msgs {
+            self.deliver_boundary(m);
+        }
+        inbox.msgs.clear();
+        inbox.first = u64::MAX;
+        self.eng.inbox = inbox;
+    }
+
     /// Re-materializes a boundary packet in this domain's arena and
-    /// schedules its arrival. Called by the coordinator between
-    /// windows; the arrival time is provably beyond everything this
-    /// domain has processed.
+    /// schedules its arrival. Runs at the start of the receiving
+    /// domain's step; the arrival time is provably beyond everything
+    /// this domain has processed.
     // lint:hot
     fn deliver_boundary(&mut self, m: &BoundaryMsg) {
         debug_assert!(
@@ -694,63 +775,65 @@ impl CtlPlane {
 }
 
 /// The coordinator's output sinks: the merged completion log and the
-/// window merge's reusable buffers (boundary messages ping-pong with
-/// the domains' outboxes; stashes gather in `trace_buf` and `comp_buf`).
+/// window edge's reusable buffers (the domains' stashes gather in
+/// `trace_buf` and `comp_buf`).
 struct Sinks {
     completions: Vec<FlowCompletion>,
-    msg_scratch: Vec<BoundaryMsg>,
     trace_buf: Stamped<Event>,
     comp_buf: Stamped<FlowCompletion>,
 }
 
+/// What one window edge found across the domains.
+struct Edge {
+    /// The earliest pending event time, ns (`u64::MAX` when none).
+    next_ns: u64,
+    /// Boundary messages handed to their receivers.
+    handed: u64,
+}
+
 impl Sinks {
-    /// Merges one window's outputs: boundary packets into their target
-    /// wheels, then traces into the recorder and completions into the
-    /// completion log, each in `(time, key)` order.
-    fn merge_window(&mut self, cells: &DomainCells<'_, Core>) {
-        self.merge_boundary(cells);
-        self.merge_traces(cells);
+    /// Closes one window: [`Sinks::sweep`], then the completions into
+    /// the completion log in `(time, key)` order.
+    fn end_window(&mut self, cells: &DomainCells<'_, Core>) -> Edge {
+        let edge = self.sweep(cells);
         // The completion log grows once per flow — off the hot path.
-        for d in 0..cells.len() {
-            self.comp_buf.append(&mut cells.lock(d).eng.comp_stash);
-        }
         let log = &mut self.completions;
         self.comp_buf.drain_in_order(|&c| log.push(c));
+        edge
     }
 
-    /// Drains every domain's outboxes into the target domains' wheels.
-    /// Delivery order is irrelevant to simulation output (events are
-    /// keyed), but is fixed anyway: by receiving domain, then sender.
-    // lint:hot
-    fn merge_boundary(&mut self, cells: &DomainCells<'_, Core>) {
-        let k = cells.len();
-        for dd in 0..k {
-            for sd in (0..k).filter(|&sd| sd != dd) {
-                std::mem::swap(&mut self.msg_scratch, &mut cells.lock(sd).eng.outbox[dd]);
-                if !self.msg_scratch.is_empty() {
-                    let mut dst = cells.lock(dd);
-                    for m in &self.msg_scratch {
-                        dst.deliver_boundary(m);
-                    }
-                    self.msg_scratch.clear();
-                }
-                std::mem::swap(&mut self.msg_scratch, &mut cells.lock(sd).eng.outbox[dd]);
-            }
-        }
-    }
-
-    /// Merges the domains' trace stashes into domain 0's recorder in
-    /// `(time, key)` order. Each stash is in order and equal stamps only
-    /// arise within one domain, so draining their concatenation in
+    /// One pass over the domains: hands each non-empty outbox to its
+    /// receiver's inbox, gathers the trace and completion stashes, and
+    /// takes the earliest pending event time (a handed message counts
+    /// through its outbox, whichever of the two domains the pass visits
+    /// first). Then merges the traces into domain 0's recorder in
+    /// `(time, key)` order: each stash is in order and equal stamps
+    /// only arise within one domain, so draining their concatenation in
     /// stamp order is the k-way merge.
     // lint:hot
-    fn merge_traces(&mut self, cells: &DomainCells<'_, Core>) {
+    fn sweep(&mut self, cells: &DomainCells<'_, Core>) -> Edge {
+        let mut edge = Edge {
+            next_ns: u64::MAX,
+            handed: 0,
+        };
         for d in 0..cells.len() {
-            self.trace_buf.append(&mut cells.lock(d).eng.trace_stash);
+            let mut cell = cells.lock(d);
+            edge.next_ns = edge.next_ns.min(cell.next_event_ns());
+            let eng = &mut cell.eng;
+            for &p in &eng.peers {
+                let out = &mut eng.outbox[p as usize];
+                edge.next_ns = edge.next_ns.min(out.first);
+                edge.handed += out.msgs.len() as u64;
+                cells.lock(p as usize).eng.inbox.append(out);
+            }
+            eng.peers.clear();
+            self.trace_buf.append(&mut eng.trace_stash);
+            self.comp_buf.append(&mut eng.comp_stash);
         }
         if let Some(r) = cells.lock(0).eng.recorder.as_deref_mut() {
             self.trace_buf.drain_in_order(|ev| r.record(ev));
         }
+        edge
     }
 }
 
@@ -797,6 +880,10 @@ pub struct ShardedSim {
     seed: u64,
     clock: fn() -> u64,
     coord_ns: u64,
+    /// Windows stepped so far (see [`ShardedSim::windows`]).
+    windows: u64,
+    /// Boundary messages handed over so far.
+    boundary_msgs: u64,
     flow_count: usize,
 }
 
@@ -862,7 +949,6 @@ impl ShardedSim {
             },
             sinks: Sinks {
                 completions: Vec::new(),
-                msg_scratch: Vec::new(),
                 trace_buf: Stamped::default(),
                 comp_buf: Stamped::default(),
             },
@@ -871,6 +957,8 @@ impl ShardedSim {
             seed: cfg.seed,
             clock: zero_clock,
             coord_ns: 0,
+            windows: 0,
+            boundary_msgs: 0,
             flow_count: 0,
         }
     }
@@ -1109,23 +1197,24 @@ impl ShardedSim {
         let ctl = &mut self.ctl;
         let sinks = &mut self.sinks;
         let coord_ns = &mut self.coord_ns;
-        let mut first = true;
+        let windows = &mut self.windows;
+        let boundary_msgs = &mut self.boundary_msgs;
         let doms = std::mem::take(&mut self.domains);
         let doms = pool.step_domains(
             doms,
             |d, b| d.step_to(SimTime::from_ns(b), stop),
             |cells| {
                 let t_in = clock();
-                if !std::mem::take(&mut first) {
-                    sinks.merge_window(cells);
-                }
+                let edge = sinks.end_window(cells);
+                *boundary_msgs += edge.handed;
                 // Only a one-domain run stops early (`run_until_samples`).
                 let stopped = cells.len() == 1 && stop(&cells.lock(0));
                 let r = if stopped {
                     None
                 } else {
-                    Self::coordinate(ctl, cells, until, lookahead)
+                    Self::coordinate(ctl, cells, edge.next_ns, until, lookahead)
                 };
+                *windows += u64::from(r.is_some());
                 *coord_ns = coord_ns.saturating_add(clock().saturating_sub(t_in));
                 r
             },
@@ -1133,11 +1222,9 @@ impl ShardedSim {
         self.domains = doms;
         #[cfg(debug_assertions)]
         {
-            let quiescent = self
-                .domains
-                .iter()
-                .all(|d| d.eng.wheel.is_empty() && d.eng.outbox.iter().all(Vec::is_empty));
-            if quiescent {
+            // The last window edge handed every outbox over.
+            debug_assert!(self.domains.iter().all(|d| d.eng.peers.is_empty()));
+            if !self.has_pending_events() {
                 for d in &self.domains {
                     // A non-empty batch always keeps its drain queued.
                     debug_assert!(d.eng.batch_tail.iter().all(|&t| t == NO_PKT));
@@ -1160,23 +1247,18 @@ impl ShardedSim {
 
     /// One coordinator round after the finished window's outputs are
     /// merged: apply every control event due before the next packet
-    /// event, then pick the next window bound (or end the run).
+    /// event (at `next_ns`, `u64::MAX` when none; control events move
+    /// no packet event), then pick the next window bound (or end the
+    /// run).
     fn coordinate(
         ctl: &mut CtlPlane,
         cells: &DomainCells<'_, Core>,
+        next_ns: u64,
         until: SimTime,
         lookahead: u64,
     ) -> Option<u64> {
+        let next_ev = (next_ns != u64::MAX).then_some(next_ns);
         loop {
-            let mut next_ev: Option<u64> = None;
-            for d in 0..cells.len() {
-                if let Some(t) = cells.lock(d).next_event_time() {
-                    let t = t.ns();
-                    if next_ev.is_none_or(|b| t < b) {
-                        next_ev = Some(t);
-                    }
-                }
-            }
             let tc = ctl.next_time();
             if let Some(tc) = tc {
                 // A control event due at or before the earliest packet
@@ -1252,6 +1334,20 @@ impl ShardedSim {
         self.coord_ns
     }
 
+    /// Lookahead windows the domains have stepped so far, over every
+    /// run. Derived from the simulation alone: the same at any worker
+    /// count.
+    pub fn windows(&self) -> u64 {
+        self.windows
+    }
+
+    /// Packets handed across domain boundaries so far, over every run.
+    /// Derived from the simulation alone: the same at any worker count
+    /// (zero at one domain).
+    pub fn boundary_messages(&self) -> u64 {
+        self.boundary_msgs
+    }
+
     /// The conservative lookahead bound `L`, ns (`u64::MAX` when no
     /// link crosses a domain boundary).
     pub fn lookahead_ns(&self) -> u64 {
@@ -1297,9 +1393,12 @@ impl ShardedSim {
     }
 
     /// Whether any events remain queued (packets in flight or future
-    /// generations) in any domain.
+    /// generations) in any domain, boundary packets waiting in an inbox
+    /// included.
     pub fn has_pending_events(&self) -> bool {
-        self.domains.iter().any(|d| !d.eng.wheel.is_empty())
+        self.domains
+            .iter()
+            .any(|d| !d.eng.wheel.is_empty() || !d.eng.inbox.msgs.is_empty())
     }
 
     /// Transmission statistics per link, in the network's link order,

@@ -5,7 +5,9 @@
 //! VLB mesh with bursty traffic, a DCTCP transfer under ECN, a mid-run
 //! fiber cut plus repair, and on a Figure 15 Quartz-in-core composite.
 //! Each domain count is also re-run across 1, 2, and 8 pool workers to
-//! pin that the thread schedule cannot leak into the output.
+//! pin that the thread schedule cannot leak into the output. A run
+//! stopped mid-flight and resumed must equal an uninterrupted one, and
+//! the engine's work counters (windows, boundary messages) are pinned.
 
 use quartz_core::pool::ThreadPool;
 use quartz_netsim::shard::ShardedSim;
@@ -45,21 +47,43 @@ struct TagDigest {
     hop_dist: Vec<(u32, usize)>,
 }
 
+/// The engine's deterministic work counters after a run.
+#[derive(Debug, PartialEq)]
+struct Work {
+    windows: u64,
+    boundary_messages: u64,
+}
+
 /// Runs `populate`d traffic on `net` under `cfg` with `k` domains and
-/// `workers` pool threads, capturing every output channel.
+/// `workers` pool threads, capturing every output channel. The run
+/// stops at each of `stops` in turn and resumes; every stop but the
+/// last must find events still pending.
 fn run_sharded(
     net: &Network,
     cfg: &SimConfig,
     k: usize,
     workers: usize,
-    until: SimTime,
+    stops: &[SimTime],
     populate: impl FnOnce(&mut ShardedSim),
-) -> Digest {
+) -> (Digest, Work) {
     let mut sim = ShardedSim::new(net.clone(), cfg.clone(), k);
     populate(&mut sim);
     sim.set_recorder(Box::new(MemoryRecorder::new()));
     sim.enable_metrics();
-    sim.run(until, &ThreadPool::new(workers));
+    let pool = ThreadPool::new(workers);
+    for (i, &until) in stops.iter().enumerate() {
+        sim.run(until, &pool);
+        if i + 1 < stops.len() {
+            assert!(
+                sim.has_pending_events(),
+                "nothing pending at {until} ({k} domains, {workers} workers)"
+            );
+        }
+    }
+    let work = Work {
+        windows: sim.windows(),
+        boundary_messages: sim.boundary_messages(),
+    };
 
     // The trace-determinism contract is stated over the ndjson bytes.
     let events = sim.take_recorder().expect("recorder attached").finish();
@@ -89,7 +113,7 @@ fn run_sharded(
             )
         })
         .collect();
-    Digest {
+    let digest = Digest {
         generated: stats.generated,
         delivered: stats.delivered,
         dropped: stats.dropped,
@@ -112,7 +136,8 @@ fn run_sharded(
             .collect(),
         ndjson,
         metrics,
-    }
+    };
+    (digest, work)
 }
 
 /// The fig. 6-flavored mesh scenario: VLB detours over the full ring,
@@ -139,7 +164,8 @@ fn mesh_digest(k: usize, workers: usize) -> Digest {
     };
     let stop = SimTime::from_ms(2);
     let n = q.hosts.len();
-    run_sharded(&q.net, &cfg, k, workers, SimTime::from_ms(3), |sim| {
+    let stops = [SimTime::from_ms(3)];
+    let (digest, _) = run_sharded(&q.net, &cfg, k, workers, &stops, |sim| {
         for (i, &src) in q.hosts.iter().enumerate() {
             let dst = q.hosts[(i + 5) % n];
             match i % 3 {
@@ -206,7 +232,8 @@ fn mesh_digest(k: usize, workers: usize) -> Digest {
         plan.link_down(ring_link, SimTime::from_ns(500_000))
             .link_up(ring_link, SimTime::from_ns(1_200_000));
         sim.apply_fault_plan(&plan);
-    })
+    });
+    digest
 }
 
 /// The Figure 15 Quartz-in-core composite: four pods whose cores are
@@ -214,6 +241,15 @@ fn mesh_digest(k: usize, workers: usize) -> Digest {
 /// file-transfer traffic (pod-crossing is what exercises the domain
 /// boundaries — the partitioner groups whole pods).
 fn composite_digest(k: usize, workers: usize) -> Digest {
+    composite_run(k, workers, &[COMPOSITE_HORIZON]).0
+}
+
+/// Where the composite run ends.
+const COMPOSITE_HORIZON: SimTime = SimTime::from_ms(4);
+
+/// [`composite_digest`], stopping at each of `stops` in turn, with the
+/// run's work counters.
+fn composite_run(k: usize, workers: usize, stops: &[SimTime]) -> (Digest, Work) {
     let c = quartz_in_core(3, 4, 2, 4);
     let cfg = SimConfig {
         seed: 0xC0DE,
@@ -221,7 +257,7 @@ fn composite_digest(k: usize, workers: usize) -> Digest {
         ..SimConfig::default()
     };
     let n = c.hosts.len();
-    run_sharded(&c.net, &cfg, k, workers, SimTime::from_ms(4), |sim| {
+    run_sharded(&c.net, &cfg, k, workers, stops, |sim| {
         for i in 0..n {
             let src = c.hosts[i];
             let dst = c.hosts[(i + n / 2) % n];
@@ -293,5 +329,88 @@ fn composite_output_is_domain_count_invariant() {
             reference, other,
             "composite run diverged at {k} domains / {workers} workers"
         );
+    }
+}
+
+#[test]
+fn composite_resumed_mid_flight_equals_one_run() {
+    let reference = composite_digest(1, 1);
+    // 60 µs is mid-flight: every flow has started (the last at 46 µs)
+    // and packets are in transit, some of them across domains.
+    let stops = [SimTime::from_us(60), COMPOSITE_HORIZON];
+    for k in [1usize, 4, 16] {
+        for workers in [1usize, 2] {
+            let (resumed, _) = composite_run(k, workers, &stops);
+            assert_eq!(
+                reference, resumed,
+                "resumed composite run diverged at {k} domains / {workers} workers"
+            );
+        }
+    }
+}
+
+#[test]
+fn composite_work_counters_are_pinned_and_worker_count_invariant() {
+    // One domain: nothing crosses, so the run is a single window.
+    for (k, expected) in [
+        (
+            1usize,
+            Work {
+                windows: 1,
+                boundary_messages: 0,
+            },
+        ),
+        (
+            4,
+            Work {
+                windows: 539,
+                boundary_messages: 2830,
+            },
+        ),
+        (
+            16,
+            Work {
+                windows: 539,
+                boundary_messages: 3580,
+            },
+        ),
+    ] {
+        for workers in [1usize, 2] {
+            let (_, work) = composite_run(k, workers, &[COMPOSITE_HORIZON]);
+            assert_eq!(work, expected, "{k} domains / {workers} workers");
+        }
+    }
+}
+
+#[test]
+fn a_packet_parked_in_an_inbox_is_pending_and_delivered_on_resume() {
+    // One RPC across pods: a single packet exists at any time, so a
+    // stop that falls while it crosses a domain boundary leaves it in
+    // an inbox with every wheel empty. Stops every 50 ns over the first
+    // half of the round trip, the request's way out, are sure to land
+    // on such a crossing (each lasts at least the 430 ns lookahead).
+    let c = quartz_in_core(3, 4, 2, 4);
+    let cfg = SimConfig {
+        seed: 7,
+        ..SimConfig::default()
+    };
+    let (src, dst) = (c.hosts[0], c.hosts[c.hosts.len() / 2]);
+    let rpc = |k: usize, stops: &[SimTime]| {
+        run_sharded(&c.net, &cfg, k, 1, stops, |sim| {
+            sim.add_flow(src, dst, 400, FlowKind::Rpc { count: 1 }, 0, SimTime::ZERO);
+        })
+    };
+    let (reference, _) = rpc(1, &[COMPOSITE_HORIZON]);
+    let rtt = reference.per_tag[0].1.max_ns;
+    assert!(rtt > 1_000, "the round trip crosses the core: {rtt} ns");
+    let mut stops: Vec<SimTime> = (1..)
+        .map(|i| SimTime::from_ns(50 * i))
+        .take_while(|t| t.ns() < rtt / 2)
+        .collect();
+    stops.push(COMPOSITE_HORIZON);
+    for k in [4usize, 16] {
+        let (resumed, work) = rpc(k, &stops);
+        assert!(work.boundary_messages > 0, "the RPC crosses domains");
+        assert_eq!(reference, resumed, "{k} domains");
     }
 }

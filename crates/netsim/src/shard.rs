@@ -102,6 +102,7 @@ use quartz_obs::{Event, MetricsRegistry, Recorder, Stamped};
 use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
 use quartz_topology::partition::spatial_domains;
 use quartz_topology::route::{FlatRoutes, RouteError, RouteTable};
+use std::fmt;
 use std::sync::Arc;
 
 /// Rank bit of packet-arrival (`Head`) keys: arrivals sort after
@@ -837,6 +838,42 @@ impl Sinks {
     }
 }
 
+/// Why a fabric cannot be split into simulation domains
+/// ([`ShardedSim::try_new`]). Such a fabric still runs at one domain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShardError {
+    /// A cross-domain hop takes zero time (zero switch latency and zero
+    /// propagation delay), so no window could advance.
+    ZeroLookahead,
+    /// A cross-domain link touches a host: a relay host, or a
+    /// multi-homed host straddling the cut.
+    HostOnCut {
+        /// The link's end in the sending domain.
+        from: NodeId,
+        /// The link's end in the receiving domain.
+        to: NodeId,
+    },
+}
+
+impl fmt::Display for ShardError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShardError::ZeroLookahead => write!(
+                f,
+                "conservative lookahead needs >= 1 ns per cross-domain hop; this latency \
+                 model has zero switch latency and zero propagation delay — run with domains = 1"
+            ),
+            ShardError::HostOnCut { from, to } => write!(
+                f,
+                "cross-domain links must join switches; {from:?} -> {to:?} touches a host \
+                 (relay-host fabrics are not shardable — use domains = 1)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ShardError {}
+
 /// The simulation: `k` spatial domains advancing one simulation under
 /// conservative lookahead. See the module docs for the windowing and
 /// determinism arguments; [`ShardedSim::run`] drives the domains on a
@@ -892,12 +929,18 @@ impl ShardedSim {
     /// here), partitioned into (at most) `domains` spatial domains.
     ///
     /// # Panics
-    /// Panics if any cross-domain link touches a host (relay-host
-    /// fabrics and multi-homed hosts straddling a cut are not
-    /// shardable), or if the lookahead bound would be zero (an ideal
-    /// latency model with zero propagation delay cannot shard — run
-    /// with `domains = 1`).
+    /// Panics with the [`ShardError`] message if `net` cannot be split
+    /// into `domains` (see [`ShardedSim::try_new`]).
     pub fn new(net: Network, cfg: SimConfig, domains: usize) -> Self {
+        Self::try_new(net, cfg, domains).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ShardedSim::new`], or why `net` cannot be split into `domains`:
+    /// a cross-domain link touches a host (relay-host fabrics and
+    /// multi-homed hosts straddling a cut are not shardable), or the
+    /// lookahead bound would be zero (an ideal latency model with zero
+    /// propagation delay cannot shard). Both run with `domains = 1`.
+    pub fn try_new(net: Network, cfg: SimConfig, domains: usize) -> Result<Self, ShardError> {
         let mut lookahead = u64::MAX;
         // One domain needs no partition (and so admits switchless
         // fabrics such as CamCube).
@@ -906,23 +949,17 @@ impl ShardedSim {
         } else {
             let part = spatial_domains(&net, domains);
             for (_slot, from, to) in part.cross_slots(&net) {
-                let from_kind = net.node(from).kind;
-                assert!(
-                    from_kind.is_switch() && net.node(to).kind.is_switch(),
-                    "cross-domain links must join switches; {from:?} -> {to:?} touches a host \
-                     (relay-host fabrics are not shardable — use domains = 1)"
-                );
-                let NodeKind::Switch(role) = from_kind else {
-                    unreachable!("asserted switch above")
+                let (NodeKind::Switch(role), true) =
+                    (net.node(from).kind, net.node(to).kind.is_switch())
+                else {
+                    return Err(ShardError::HostOnCut { from, to });
                 };
                 let hop = cfg.latency.spec_for(role).latency_ns + cfg.prop_delay_ns;
                 lookahead = lookahead.min(hop);
             }
-            assert!(
-                lookahead >= 1,
-                "conservative lookahead needs >= 1 ns per cross-domain hop; this latency \
-                 model has zero switch latency and zero propagation delay — run with domains = 1"
-            );
+            if lookahead == 0 {
+                return Err(ShardError::ZeroLookahead);
+            }
             (part.domain_of().into(), part.domains())
         };
         let fabric = Fabric::new(net, &cfg);
@@ -936,7 +973,7 @@ impl ShardedSim {
                 Core::new(&fabric, cfg.clone(), Arc::clone(&flat), d)
             })
             .collect();
-        ShardedSim {
+        Ok(ShardedSim {
             domains: doms,
             dom_of,
             net: fabric.net,
@@ -960,7 +997,7 @@ impl ShardedSim {
             windows: 0,
             boundary_msgs: 0,
             flow_count: 0,
-        }
+        })
     }
 
     /// Registers a flow starting at `start`; returns its index. Flow
@@ -1907,6 +1944,35 @@ mod tests {
             ..SimConfig::default()
         };
         let _ = ShardedSim::new(m.net.clone(), cfg, 2);
+    }
+
+    #[test]
+    fn try_new_reports_a_zero_lookahead() {
+        let m = quartz_mesh(4, 2, 10.0, 10.0);
+        let cfg = SimConfig {
+            prop_delay_ns: 0,
+            latency: crate::switch::LatencyModel::ideal(),
+            ..SimConfig::default()
+        };
+        let err = ShardedSim::try_new(m.net.clone(), cfg.clone(), 2).err();
+        assert_eq!(err, Some(ShardError::ZeroLookahead));
+        // One domain has no cut to cross, so it needs no lookahead.
+        assert!(ShardedSim::try_new(m.net, cfg, 1).is_ok());
+    }
+
+    #[test]
+    fn try_new_reports_a_host_on_the_cut() {
+        // Every host of a dual-ToR mesh hangs off two ring switches; with
+        // one switch per domain, each host straddles a cut.
+        let m = dual_tor_mesh(4, 2, 10.0, 10.0);
+        let err = ShardedSim::try_new(m.net.clone(), SimConfig::default(), 8).err();
+        let Some(ShardError::HostOnCut { from, to }) = err else {
+            panic!("expected HostOnCut, got {err:?}");
+        };
+        let host = |x: NodeId| m.net.node(x).kind.is_host();
+        assert!(host(from) || host(to), "{from:?} -> {to:?}");
+        assert!(err.unwrap().to_string().contains("touches a host"));
+        assert!(ShardedSim::try_new(m.net, SimConfig::default(), 1).is_ok());
     }
 
     /// A burst source with a zero period would start its next burst at

@@ -189,6 +189,12 @@ fn fabrics() -> Vec<(String, Network)> {
         ("camcube".to_string(), camcube(3, 10.0).net),
         ("quartz_in_edge".to_string(), quartz_in_edge(2, 3, 2, 2).net),
         ("quartz_in_core".to_string(), quartz_in_core(2, 3, 3, 4).net),
+        // Every aggregation switch holds the same 16-wide ring set
+        // toward each remote pod: one interned set, many destinations.
+        (
+            "quartz_in_core_ring16".to_string(),
+            quartz_in_core(4, 4, 2, 16).net,
+        ),
     ];
     for seed in [1, 2, 3, 4] {
         v.push((
@@ -228,6 +234,28 @@ fn spanning_tree_tables_match_the_dense_oracle() {
             assert_matches(&format!("{label} stp@{root}"), &net, &table, &oracle);
         }
     }
+}
+
+/// Leaf-to-leaf ECMP 260 wide: wider than a byte, so the flat table's
+/// set encoding must carry any width. Kept out of [`fabrics`], whose
+/// patch script would rebuild this 269-node oracle at every step.
+#[test]
+fn sets_wider_than_a_byte_match_the_dense_oracle() {
+    let ls = leaf_spine(3, 260, 2, 1, 10.0);
+    let net = &ls.net;
+    let table = RouteTable::all_shortest_paths(net);
+    let flat = FlatRoutes::new(&table, net);
+    assert_eq!(flat.next_hops(ls.leaves[0], ls.leaves[2]).len(), 260);
+    assert_matches(
+        "leaf_spine_260",
+        net,
+        &table,
+        &Oracle::degraded(net, |_| false, |_| false),
+    );
+    let (dl, dn) = random_failures(net, 5, 0.1, 0.02);
+    let table = RouteTable::degraded(net, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
+    let oracle = Oracle::degraded(net, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
+    assert_matches("leaf_spine_260 seed5", net, &table, &oracle);
 }
 
 /// Seeded random failure sets: a share of the links (host access links

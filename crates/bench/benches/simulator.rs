@@ -232,9 +232,9 @@ fn run_instrumented_4pod() -> ShardedSim {
 /// 16 ToRs × 40 hosts, 16-switch core ring) built, partitioned into 16
 /// domains, and driven with 512 pod-crossing RPC flows. One timed pass
 /// (construction and run recorded separately), plus the heap bytes of
-/// the route tables the engine holds (`route_bytes`: the value sits in
-/// the `mean_ns`/`min_ns` fields, like `per_event` rows keep events in
-/// `iters`).
+/// the flat route table the engine holds (`route_bytes`: the value sits
+/// in the `mean_ns`/`min_ns` fields, like `per_event` rows keep events
+/// in `iters`).
 fn bench_composite_10k_hosts() {
     let (mut sim, build_ns) = wall_timed(|| {
         let c = quartz_in_core(16, 16, 40, 16);
@@ -261,11 +261,11 @@ fn bench_composite_10k_hosts() {
     let events = sim.events_processed();
     let s = sim.stats();
     assert_eq!(s.summary(0).count, 512 * 50, "every RPC must complete");
-    // The engine holds one route table and its flattening; build the
-    // same pair outside the timed pass to size them.
+    // The engine holds only the flat table (the route table it is built
+    // from is dropped); build it outside the timed pass to size it.
     let net = quartz_in_core(16, 16, 40, 16).net;
-    let table = RouteTable::all_shortest_paths(&net);
-    let route_bytes = (table.heap_bytes() + FlatRoutes::new(&table, &net).heap_bytes()) as f64;
+    let flat = FlatRoutes::new(&RouteTable::all_shortest_paths(&net), &net);
+    let route_bytes = flat.heap_bytes() as f64;
     note("composite_10k_hosts", "construct", build_ns, build_ns, 1);
     note("composite_10k_hosts", "run_2ms", run_ns, run_ns, events);
     note(
@@ -276,7 +276,7 @@ fn bench_composite_10k_hosts() {
         1,
     );
     println!(
-        "composite_10k_hosts: {} domains, {} events, construct {:.3} s, run {:.3} s ({:.2} M events/s), route tables {:.2} MB",
+        "composite_10k_hosts: {} domains, {} events, construct {:.3} s, run {:.3} s ({:.2} M events/s), flat routes {:.2} MB",
         sim.domain_count(),
         events,
         build_ns / 1e9,

@@ -7,10 +7,11 @@
 //! implements the per-packet logic exactly once: forwarding and
 //! delivery ([`Core::arrive`]), generation, emission, transport
 //! actions, drop accounting and data-plane fault state. It holds no
-//! metrics: it records one [`Event`] per lifecycle point. [`Control`]
-//! holds the route table and the fault log: opening a fault record and
-//! the incremental reroute patch loop (with its debug scratch-rebuild
-//! check and the fault-log close) live there, also once.
+//! metrics: it records one [`Event`] per lifecycle point. Nor does it
+//! keep a route table: a reroute installs [`Core::live_routes`], a
+//! table built from scratch over the live failure state and flattened.
+//! The fault log and the reroute timeline belong to the coordinator's
+//! control plane (`crate::shard`).
 //!
 //! Scheduling, randomness and the event sinks belong to the domain the
 //! core runs in ([`crate::shard::Domain`], the core's `eng`): a
@@ -26,14 +27,14 @@ use crate::arena::{
 };
 use crate::faults::FaultKind;
 use crate::shard::Domain;
-use crate::sim::{FaultRecord, FlowCompletion, FlowKind, LinkLoad, SimConfig};
+use crate::sim::{FlowCompletion, FlowKind, LinkLoad, SimConfig};
 use crate::stats::Stats;
 use crate::switch::ForwardMode;
 use crate::time::SimTime;
 use crate::transport::{ReceiverState, SendAction, SenderState, TransportInfo, RTO_NS};
 use quartz_obs::{DropReason, Event};
 use quartz_topology::graph::{Network, NodeId, NodeKind};
-use quartz_topology::route::{FlatRoutes, RouteChange, RouteTable};
+use quartz_topology::route::{FlatRoutes, RouteTable};
 use std::sync::Arc;
 
 /// Sentinel: this flow has no transport connection.
@@ -877,6 +878,18 @@ impl Core {
         }
     }
 
+    /// The routes a converged control plane installs over this core's
+    /// live failure state: a from-scratch [`RouteTable::degraded`],
+    /// flattened (the table itself is dropped).
+    pub(crate) fn live_routes(&self) -> FlatRoutes {
+        let table = RouteTable::degraded(
+            &self.net,
+            |l| self.links[2 * l.0 as usize].failed,
+            |n| self.failed_nodes[n.0 as usize],
+        );
+        FlatRoutes::new(&table, &self.net)
+    }
+
     /// Adds this core's per-slot transmission totals into `out` (one
     /// row per undirected link).
     pub(crate) fn add_link_loads(&self, out: &mut [LinkLoad]) {
@@ -887,156 +900,5 @@ impl Core {
             ll.ba_busy_ns += ba.busy_ns;
             ll.ba_bytes += ba.bytes;
         }
-    }
-}
-
-/// The control plane: the routing table as the data plane last saw
-/// it, the fault deltas not yet reflected in it, and the fault log.
-pub(crate) struct Control {
-    net: Arc<Network>,
-    pub(crate) table: RouteTable,
-    /// Link/node failure state *as the routing table last saw it*.
-    /// [`Control::reroute`] replays pending deltas against these so
-    /// each incremental patch observes exactly the state the previous
-    /// patch produced (faults and recoveries may interleave between
-    /// reroutes).
-    routed_link_failed: Vec<bool>,
-    routed_node_failed: Vec<bool>,
-    /// Fault deltas that have fired but are not yet in `table`.
-    pending: Vec<FaultKind>,
-    /// Every fault event that has fired, with reconvergence outcomes.
-    pub(crate) fault_log: Vec<FaultRecord>,
-}
-
-impl Control {
-    /// Routes the pristine fabric; returns the control plane and the
-    /// flat table the data plane forwards by.
-    pub(crate) fn new(net: Arc<Network>) -> (Control, FlatRoutes) {
-        let table = RouteTable::all_shortest_paths(&net);
-        let flat = FlatRoutes::new(&table, &net);
-        let ctl = Control {
-            routed_link_failed: vec![false; net.link_count()],
-            routed_node_failed: vec![false; net.node_count()],
-            net,
-            table,
-            pending: Vec::new(),
-            fault_log: Vec::new(),
-        };
-        (ctl, flat)
-    }
-
-    /// # Panics
-    /// Panics if `kind` names an unknown link or a non-switch node.
-    pub(crate) fn check(&self, kind: FaultKind) {
-        match kind {
-            FaultKind::LinkDown(l) | FaultKind::LinkUp(l) => {
-                assert!((l.0 as usize) < self.net.link_count(), "unknown link");
-            }
-            FaultKind::SwitchDown(n) | FaultKind::SwitchUp(n) => {
-                assert!(
-                    self.net.node(n).kind.is_switch(),
-                    "only switches fail; {n:?} is a host"
-                );
-            }
-        }
-    }
-
-    /// Opens a log record for a fault that just hit the data plane at
-    /// `at`, with `dropped` packets lost so far. Returns its trace
-    /// event.
-    pub(crate) fn open(&mut self, at: SimTime, kind: FaultKind, dropped: u64) -> Event {
-        self.pending.push(kind);
-        self.fault_log.push(FaultRecord {
-            at,
-            kind,
-            reconverged_at: None,
-            drops_during_outage: 0,
-            baseline_drops: dropped,
-        });
-        let (kind_str, element) = match kind {
-            FaultKind::LinkDown(l) => ("link_down", l.0),
-            FaultKind::LinkUp(l) => ("link_up", l.0),
-            FaultKind::SwitchDown(n) => ("switch_down", n.0),
-            FaultKind::SwitchUp(n) => ("switch_up", n.0),
-        };
-        Event::Fault {
-            t_ns: at.ns(),
-            kind: kind_str,
-            element,
-        }
-    }
-
-    /// Control-plane reconvergence at `at`: patches the table with
-    /// every pending delta, closes the open fault records against
-    /// `dropped`, and returns the new flat table plus the trace event.
-    /// `links` and `failed_nodes` are the live data plane the patched
-    /// table is checked against in debug builds.
-    pub(crate) fn reroute(
-        &mut self,
-        at: SimTime,
-        dropped: u64,
-        links: &[DirLink],
-        failed_nodes: &[bool],
-    ) -> (FlatRoutes, Event) {
-        // Incremental reconvergence: replay each pending fault delta as
-        // a patch that recomputes only the destinations whose shortest
-        // paths the delta can change. Each patch must observe the
-        // failure state the *previous* patch produced (several deltas
-        // may queue between reroutes, including a fault and its own
-        // recovery), so the `routed_*` vectors advance delta by delta
-        // rather than reading the live data plane.
-        for kind in std::mem::take(&mut self.pending) {
-            let change = match kind {
-                FaultKind::LinkDown(l) => {
-                    self.routed_link_failed[l.0 as usize] = true;
-                    RouteChange::LinkDown(l)
-                }
-                FaultKind::LinkUp(l) => {
-                    self.routed_link_failed[l.0 as usize] = false;
-                    RouteChange::LinkUp(l)
-                }
-                FaultKind::SwitchDown(n) => {
-                    self.routed_node_failed[n.0 as usize] = true;
-                    RouteChange::NodeDown(n)
-                }
-                FaultKind::SwitchUp(n) => {
-                    self.routed_node_failed[n.0 as usize] = false;
-                    RouteChange::NodeUp(n)
-                }
-            };
-            let (rl, rn) = (&self.routed_link_failed, &self.routed_node_failed);
-            self.table.patch(
-                &self.net,
-                change,
-                |l| rl[l.0 as usize],
-                |n| rn[n.0 as usize],
-            );
-        }
-        // Every delta has been replayed, so the patched table must
-        // equal a from-scratch rebuild over the live failure state.
-        debug_assert_eq!(
-            self.table,
-            RouteTable::degraded(
-                &self.net,
-                |l| links[2 * l.0 as usize].failed,
-                |n| failed_nodes[n.0 as usize],
-            ),
-            "incremental route patch diverged from scratch rebuild"
-        );
-        let mut resolved = 0u32;
-        for r in self
-            .fault_log
-            .iter_mut()
-            .filter(|r| r.reconverged_at.is_none())
-        {
-            r.reconverged_at = Some(at);
-            r.drops_during_outage = dropped - r.baseline_drops;
-            resolved += 1;
-        }
-        let ev = Event::Reroute {
-            t_ns: at.ns(),
-            resolved,
-        };
-        (FlatRoutes::new(&self.table, &self.net), ev)
     }
 }

@@ -86,10 +86,14 @@
 //! host link would cross a domain boundary.
 //!
 //! A control-plane event (fault or reroute) at time `t` applies before
-//! every packet event at `t`, at every domain count.
+//! every packet event at `t`, at every domain count. The control plane
+//! keeps the fault log but no route table: a reroute that resolves a
+//! fault builds the routes from scratch over the live failure state and
+//! hands every domain the same flat table, and one that resolves none
+//! keeps the installed table.
 
 use crate::arena::{PacketArena, PacketCold, PacketId};
-use crate::core::{Arrival, Control, Core, Fabric};
+use crate::core::{Arrival, Core, Fabric};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::metrics::EngineMetrics;
 use crate::sched::TimingWheel;
@@ -700,13 +704,16 @@ enum CtlKind {
     Reroute,
 }
 
-/// The coordinator's control plane: the shared [`Control`] (route
-/// table and fault log) plus the sorted timeline of fault/reroute
-/// events. Control events apply *between* windows — every window is
-/// bounded by the next control event's time, so a fault at `t` is
-/// visible to every packet event at `t` or later, in every domain.
+/// The coordinator's control plane: the fault log and the sorted
+/// timeline of fault/reroute events. It keeps no route table: a reroute
+/// that resolves a fault builds the routes from the data plane's live
+/// failure state ([`Core::live_routes`]). Control events apply
+/// *between* windows — every window is bounded by the next control
+/// event's time, so a fault at `t` is visible to every packet event at
+/// `t` or later, in every domain.
 struct CtlPlane {
-    ctl: Control,
+    /// Every fault event that has fired, with reconvergence outcomes.
+    fault_log: Vec<FaultRecord>,
     /// Time-sorted control events; `cursor` marks the applied prefix.
     events: Vec<(SimTime, CtlKind)>,
     cursor: usize,
@@ -749,20 +756,24 @@ impl CtlPlane {
                 if let Some(delay) = self.reconvergence_ns {
                     self.insert(at + delay, CtlKind::Reroute);
                 }
-                self.ctl.open(at, k, dropped)
+                self.open(at, k, dropped)
             }
             CtlKind::Reroute => {
-                // Domain 0's live failure state checks the patch (it is
-                // identical in all domains).
-                let (flat, ev) = {
-                    let d0 = cells.lock(0);
-                    self.ctl.reroute(at, dropped, &d0.links, &d0.failed_nodes)
-                };
-                let flat = Arc::new(flat);
-                for i in 0..cells.len() {
-                    cells.lock(i).flat = Arc::clone(&flat);
+                let resolved = self.close(at, dropped);
+                // Every reroute closes every open record, so the open
+                // ones are the faults since the last reroute: with none,
+                // the installed routes are still current.
+                if resolved > 0 {
+                    // Domain 0's live failure state is every domain's.
+                    let flat = Arc::new(cells.lock(0).live_routes());
+                    for i in 0..cells.len() {
+                        cells.lock(i).flat = Arc::clone(&flat);
+                    }
                 }
-                ev
+                Event::Reroute {
+                    t_ns: at.ns(),
+                    resolved,
+                }
             }
         };
         let d0 = &mut cells.lock(0).eng;
@@ -772,6 +783,45 @@ impl CtlPlane {
         if let Some(r) = &mut d0.recorder {
             r.record(&ev);
         }
+    }
+
+    /// Opens a log record for a fault that just hit the data plane at
+    /// `at`, with `dropped` packets lost so far. Returns its trace
+    /// event.
+    fn open(&mut self, at: SimTime, kind: FaultKind, dropped: u64) -> Event {
+        self.fault_log.push(FaultRecord {
+            at,
+            kind,
+            reconverged_at: None,
+            drops_during_outage: 0,
+            baseline_drops: dropped,
+        });
+        let (kind_str, element) = match kind {
+            FaultKind::LinkDown(l) => ("link_down", l.0),
+            FaultKind::LinkUp(l) => ("link_up", l.0),
+            FaultKind::SwitchDown(n) => ("switch_down", n.0),
+            FaultKind::SwitchUp(n) => ("switch_up", n.0),
+        };
+        Event::Fault {
+            t_ns: at.ns(),
+            kind: kind_str,
+            element,
+        }
+    }
+
+    /// Closes every open fault record as reconverged at `at`, with
+    /// `dropped` packets lost so far; returns how many it closed.
+    fn close(&mut self, at: SimTime, dropped: u64) -> u32 {
+        let mut resolved = 0;
+        for r in self.fault_log.iter_mut().rev() {
+            if r.reconverged_at.is_some() {
+                break;
+            }
+            r.reconverged_at = Some(at);
+            r.drops_during_outage = dropped - r.baseline_drops;
+            resolved += 1;
+        }
+        resolved
     }
 }
 
@@ -963,8 +1013,11 @@ impl ShardedSim {
             (part.domain_of().into(), part.domains())
         };
         let fabric = Fabric::new(net, &cfg);
-        let (ctl, flat) = Control::new(Arc::clone(&fabric.net));
-        let flat = Arc::new(flat);
+        // The table is dropped once flattened: the engine forwards by
+        // the flat table alone.
+        let table = RouteTable::all_shortest_paths(&fabric.net);
+        let flat = Arc::new(FlatRoutes::new(&table, &fabric.net));
+        drop(table);
         let slots = 2 * fabric.net.link_count();
         debug_assert!(k <= u32::MAX as usize, "domain count fits u32");
         let doms: Vec<Core> = (0..k)
@@ -979,7 +1032,7 @@ impl ShardedSim {
             net: fabric.net,
             lookahead,
             ctl: CtlPlane {
-                ctl,
+                fault_log: Vec::new(),
                 events: Vec::new(),
                 cursor: 0,
                 reconvergence_ns: cfg.reconvergence_ns,
@@ -1084,7 +1137,7 @@ impl ShardedSim {
     /// frame arriving at (or queued through) it is lost.
     ///
     /// # Panics
-    /// Panics if `node` is not a switch.
+    /// Panics if `node` is unknown or not a switch.
     pub fn fail_switch_at(&mut self, node: NodeId, at: SimTime) {
         self.schedule_fault(FaultKind::SwitchDown(node), at);
     }
@@ -1095,7 +1148,8 @@ impl ShardedSim {
     /// otherwise call [`ShardedSim::reroute`].
     ///
     /// # Panics
-    /// Panics if the plan names an unknown link or a non-switch node.
+    /// Panics if the plan names an unknown link, an unknown node or a
+    /// non-switch node.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
             self.schedule_fault(ev.kind, ev.at);
@@ -1103,7 +1157,18 @@ impl ShardedSim {
     }
 
     fn schedule_fault(&mut self, kind: FaultKind, at: SimTime) {
-        self.ctl.ctl.check(kind);
+        match kind {
+            FaultKind::LinkDown(l) | FaultKind::LinkUp(l) => {
+                assert!((l.0 as usize) < self.net.link_count(), "unknown link");
+            }
+            FaultKind::SwitchDown(n) | FaultKind::SwitchUp(n) => {
+                assert!((n.0 as usize) < self.net.node_count(), "unknown node");
+                assert!(
+                    self.net.node(n).kind.is_switch(),
+                    "only switches fail; {n:?} is a host"
+                );
+            }
+        }
         self.ctl.insert(at, CtlKind::Fault(kind));
     }
 
@@ -1343,7 +1408,7 @@ impl ShardedSim {
     /// Every fault event that has fired so far, in firing order, with
     /// its measured reconvergence time and outage cost.
     pub fn fault_log(&self) -> &[FaultRecord] {
-        &self.ctl.ctl.fault_log
+        &self.ctl.fault_log
     }
 
     /// Total simulated events processed so far across all domains: one
@@ -1460,7 +1525,6 @@ pub fn _assert_send() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
     use crate::switch::{LatencyModel, SwitchSpec, ARISTA_7150S};
     use quartz_obs::{Event, MemoryRecorder, Recorder};
     use quartz_topology::builders::{
@@ -1853,23 +1917,23 @@ mod tests {
         assert!(stashed <= 16, "{stashed} trace events stashed at once");
     }
 
-    /// The incremental-reroute invariant, pinned on the paper's
-    /// 33-switch ring-cut mesh: after every scripted fault's
-    /// reconvergence, the incrementally patched routing table must equal
-    /// a [`RouteTable::degraded`] rebuild from scratch over the live
-    /// failure state. (The same comparison runs as a `debug_assert`
-    /// inside `Control::reroute` on every reroute of every debug run;
-    /// this test makes it an explicit release-mode guarantee too.)
+    /// The reroute invariant, pinned on the paper's 33-switch ring-cut
+    /// mesh at three domains: after every scripted fault's
+    /// reconvergence, every domain forwards by the flat table of a
+    /// [`RouteTable::degraded`] build over its live failure state, and
+    /// once every fault has healed, by the pristine one.
     #[test]
-    fn incremental_patch_matches_scratch_rebuild_on_the_ring_cut_mesh() {
+    fn rerouted_routes_match_a_scratch_rebuild_on_the_ring_cut_mesh() {
         let q = quartz_mesh(33, 1, 10.0, 10.0);
-        let mut sim = Simulator::new(
+        let mut sim = ShardedSim::new(
             q.net.clone(),
             SimConfig {
                 reconvergence_ns: Some(50_000),
                 ..SimConfig::default()
             },
+            3,
         );
+        assert_eq!(sim.domain_count(), 3);
         // Background traffic keeps packets in flight across every fault.
         for i in 0..8 {
             sim.add_flow(
@@ -1887,8 +1951,8 @@ mod tests {
         }
         // The paper's cut (switch 0 ↔ 1 at 1 ms) plus a scripted mix of
         // repairs, a switch death and recovery, and seeded extra cuts —
-        // including overlapping outages, so patches apply on top of an
-        // already-degraded table.
+        // including overlapping outages, so reroutes rebuild over an
+        // already-degraded fabric.
         let cut = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
         let mut plan = FaultPlan::random_link_faults(
             &q.net,
@@ -1903,21 +1967,25 @@ mod tests {
             .switch_up(q.switches[7], SimTime::from_ms(6));
         sim.apply_fault_plan(&plan);
 
+        let pool = ThreadPool::sequential();
         // Checkpoint just past each fault's reconvergence.
         let mut checkpoints: Vec<SimTime> = plan.events().iter().map(|f| f.at + 50_001).collect();
         checkpoints.sort();
         for (i, t) in checkpoints.into_iter().enumerate() {
-            sim.run(t);
-            let (links, failed_nodes) = (&sim.domains[0].links, &sim.domains[0].failed_nodes);
-            let scratch = RouteTable::degraded(
-                &sim.net,
-                |l| links[2 * l.0 as usize].failed,
-                |n| failed_nodes[n.0 as usize],
-            );
-            assert_eq!(
-                sim.ctl.ctl.table, scratch,
-                "patched table diverged from scratch rebuild at {t:?}"
-            );
+            sim.run(t, &pool);
+            for d in &sim.domains {
+                let scratch = RouteTable::degraded(
+                    &sim.net,
+                    |l| d.links[2 * l.0 as usize].failed,
+                    |n| d.failed_nodes[n.0 as usize],
+                );
+                assert_eq!(
+                    *d.flat,
+                    FlatRoutes::new(&scratch, &sim.net),
+                    "domain {} routes differ from a scratch rebuild at {t:?}",
+                    d.eng.id
+                );
+            }
             // Each fault's own reroute fired 50 µs after it, so by the
             // i-th checkpoint at least i + 1 faults have reconverged (a
             // reroute also resolves any other still-open records).
@@ -1929,9 +1997,37 @@ mod tests {
             assert!(resolved > i, "missing reroutes by {t:?}");
         }
         assert_eq!(sim.fault_log().len(), plan.len());
-        // Every fault healed: the final table equals the pristine one.
-        sim.run(SimTime::from_ms(9));
-        assert_eq!(sim.ctl.ctl.table, RouteTable::all_shortest_paths(&sim.net));
+        // Every fault healed: the final routes equal the pristine ones.
+        sim.run(SimTime::from_ms(9), &pool);
+        let pristine = FlatRoutes::new(&RouteTable::all_shortest_paths(&sim.net), &sim.net);
+        for d in &sim.domains {
+            assert_eq!(*d.flat, pristine);
+        }
+    }
+
+    /// A reroute that resolves no fault keeps the installed routes: the
+    /// same `Arc`, not a rebuild of equal content.
+    #[test]
+    fn a_reroute_that_resolves_nothing_keeps_the_routes() {
+        let m = quartz_mesh(4, 2, 10.0, 10.0);
+        let mut sim = ShardedSim::new(m.net.clone(), SimConfig::default(), 2);
+        let shares = |sim: &ShardedSim, flat: &Arc<FlatRoutes>| {
+            sim.domains.iter().all(|d| Arc::ptr_eq(&d.flat, flat))
+        };
+        let pristine = Arc::clone(&sim.domains[0].flat);
+        sim.reroute();
+        assert!(shares(&sim, &pristine), "a reroute with no fault rebuilt");
+
+        let l = m.net.link_between(m.switches[0], m.switches[1]).unwrap();
+        sim.fail_link_at(l, SimTime::from_us(1));
+        sim.run(SimTime::from_us(2), &ThreadPool::sequential());
+        sim.reroute();
+        let cut = Arc::clone(&sim.domains[0].flat);
+        assert!(!Arc::ptr_eq(&cut, &pristine), "the cut was not rerouted");
+        assert!(shares(&sim, &cut));
+        assert!(sim.fault_log()[0].reconverged_at.is_some());
+        sim.reroute();
+        assert!(shares(&sim, &cut), "a reroute after the last one rebuilt");
     }
 
     #[test]

@@ -350,7 +350,20 @@ mod tests {
     #[test]
     fn md1_queueing_matches_theory() {
         // The §7 validation claim: Poisson arrivals, deterministic
-        // service. At ρ = 0.5, M/D/1 mean wait = ρS/(2(1−ρ)) = S/2.
+        // service, swept over light, medium and heavy load.
+        for rho in [0.2, 0.5, 0.8] {
+            check_md1(rho);
+        }
+    }
+
+    /// One M/D/1 point at load `rho`: the mean latency must match
+    /// theory within a band set by the run's own batch means. The run
+    /// is cut into 20 equal stretches of simulated time; consecutive
+    /// packets' waits are correlated, but the stretches' means are
+    /// nearly independent, so their spread gives the standard error.
+    fn check_md1(rho: f64) {
+        const BATCHES: u64 = 20;
+        const BATCH_MS: u64 = 10;
         let (net, h1, h2) = dumbbell(SwitchRole::TopOfRack, 10.0);
         let cfg = SimConfig {
             prop_delay_ns: 0,
@@ -359,30 +372,43 @@ mod tests {
         };
         let mut sim = Simulator::new(net, cfg);
         let s_ns = 320.0; // 400 B at 10 Gb/s
-        let rho = 0.5;
         sim.add_flow(
             h1,
             h2,
             400,
             FlowKind::Poisson {
                 mean_gap_ns: s_ns / rho,
-                stop: SimTime::from_ms(200),
+                stop: SimTime::from_ms(BATCHES * BATCH_MS),
                 respond: false,
             },
             0,
             SimTime::ZERO,
         );
-        sim.run(SimTime::from_ms(400));
-        let got = sim.stats().summary(0);
-        assert!(got.count > 100_000, "only {} samples", got.count);
-        // Expected latency = wait + one serialization (the second link
-        // pipelines behind the first under cut-through at equal rates).
+        let mut means = Vec::new();
+        let (mut count, mut sum) = (0, 0.0);
+        for b in 1..=BATCHES {
+            sim.run(SimTime::from_ms(b * BATCH_MS));
+            let got = sim.stats().summary(0);
+            let total = got.mean_ns * got.count as f64;
+            assert!(got.count - count > 2_000, "rho {rho}: batch {b} is thin");
+            means.push((total - sum) / (got.count - count) as f64);
+            (count, sum) = (got.count, total);
+        }
+        assert_eq!(sim.stats().dropped, 0, "rho {rho}: the queue overflowed");
+        let n = BATCHES as f64;
+        let mean = means.iter().sum::<f64>() / n;
+        let var = means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        let se = (var / n).sqrt();
+        // Expected latency = M/D/1 wait ρS/(2(1−ρ)) + one serialization
+        // (the second link pipelines behind the first under cut-through
+        // at equal rates).
         let theory = rho * s_ns / (2.0 * (1.0 - rho)) + s_ns;
-        let rel_err = (got.mean_ns - theory).abs() / theory;
+        // The band must be tight enough to mean something.
+        assert!(se < 0.01 * theory, "rho {rho}: standard error {se} ns");
+        // 3.88: Student's t at 19 degrees of freedom, two-sided 99.9 %.
         assert!(
-            rel_err < 0.03,
-            "sim {} vs theory {theory} (rel err {rel_err})",
-            got.mean_ns
+            (mean - theory).abs() < 3.88 * se,
+            "rho {rho}: sim {mean} vs theory {theory} (standard error {se})"
         );
     }
 
@@ -695,6 +721,14 @@ mod tests {
         let (net, _, _) = dumbbell(SwitchRole::TopOfRack, 10.0);
         let mut sim = Simulator::new(net, SimConfig::default());
         sim.fail_link_at(quartz_topology::graph::LinkId(99), SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown node")]
+    fn failing_unknown_switch_panics() {
+        let (net, _, _) = dumbbell(SwitchRole::TopOfRack, 10.0);
+        let mut sim = Simulator::new(net, SimConfig::default());
+        sim.fail_switch_at(NodeId(99), SimTime::ZERO);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!   greedy fallback — degradation, never an abort.
 //! * **Scenario-level determinism**: the full packet experiment is
 //!   bit-identical at 1, 2, and 8 workers, the retune-modeled run is
-//!   measurably different from the instant-retune baseline, and repair
-//!   reconvergence flows through the incremental `RouteTable::patch`
-//!   path (its own debug_assert cross-checks against the from-scratch
-//!   build in these runs).
+//!   measurably different from the instant-retune baseline, and every
+//!   cut and repair in the compiled plan is closed by a reroute, which
+//!   rebuilds the routes from the live failure state.
 
 use quartz_core::channel::greedy;
 use quartz_core::channel::online::{OnlineRwa, ResolveOutcome, RingDelta, DEFAULT_NODE_BUDGET};
@@ -148,11 +147,10 @@ fn retune_latency_is_measurable_against_the_instant_baseline() {
 }
 
 #[test]
-fn repair_reconvergence_flows_through_the_patch_path() {
-    // Every repair in the compiled plan triggers a Reroute through
-    // RouteTable::patch (cross-checked against the from-scratch build
-    // by its debug_assert, active in this test profile). The fault log
-    // must show reconvergence closing both down and up transitions.
+fn repair_reconvergence_closes_every_fault_record() {
+    // Every cut and repair in the compiled plan schedules a reroute.
+    // The fault log must show reconvergence closing both down and up
+    // transitions.
     use quartz_netsim::rwa::compile_churn;
     use quartz_netsim::{SimConfig, Simulator};
     use quartz_topology::builders::quartz_mesh;

@@ -40,5 +40,5 @@ pub mod spain;
 
 pub use graph::{LinkId, Network, Node, NodeId, NodeKind, SwitchRole};
 pub use partition::{spatial_domains, Partition};
-pub use route::{FlatRoutes, RouteChange, RouteTable};
+pub use route::{FlatRoutes, RouteTable};
 pub use spain::SpainFabric;

@@ -39,8 +39,8 @@
 //!
 //! A leaf is live when it, its access link and its ToR are; the first two
 //! are flags in the leaf's column and the third is the ToR's own row. So
-//! failing or restoring a host access link (or a leaf host) is an O(1)
-//! [`RouteTable::patch`], and only routing-node changes run searches.
+//! a dead host access link (or leaf host) costs no search: the searches
+//! run over routing nodes only.
 //!
 //! [`FlatRoutes`] resolves the same table to `(next hop, directed link
 //! slot)` entries for the simulator's per-hop path. It stores each
@@ -285,129 +285,6 @@ impl RouteTable {
             + self.hops.capacity() * size_of::<NodeId>()
             + self.dead_links.capacity() * size_of::<LinkId>()
     }
-
-    /// Incrementally updates the table for one topology `change`,
-    /// recomputing only the destinations whose shortest-path DAG the
-    /// change can touch. `dead_link` / `dead_node` must describe the
-    /// full failure state **after** the change (the same predicates a
-    /// from-scratch [`RouteTable::degraded`] would get), and the table
-    /// must currently match the pre-change state; the result is then
-    /// identical to the full rebuild — the invariant the simulator
-    /// `debug_assert`s on every reconvergence and
-    /// `incremental_patch_matches_scratch_rebuild` pins.
-    ///
-    /// A change to a leaf host or its access link only flips a flag in
-    /// the leaf's column: O(1). A change between routing nodes reruns
-    /// the search toward every routing destination it may affect. The
-    /// affected-destination tests are exact for links and conservative
-    /// for nodes:
-    ///
-    /// * a removed link `(a, b)` only matters for destinations whose
-    ///   DAG contains it, i.e. `|dist[a] − dist[b]| == 1` (removing an
-    ///   edge on no shortest path changes no distance);
-    /// * a restored link only matters where it shortens a distance or
-    ///   adds an equal-cost edge: `dist[a] + 1 <= dist[b]` (or the
-    ///   mirror), including the `==` case that only widens the ECMP
-    ///   set;
-    /// * a removed node matters for destinations it could reach (it is
-    ///   on no path toward any other destination);
-    /// * a restored node matters for destinations any of its live
-    ///   neighbors can reach (otherwise it remains isolated).
-    pub fn patch(
-        &mut self,
-        net: &Network,
-        change: RouteChange,
-        dead_link: impl Fn(LinkId) -> bool,
-        dead_node: impl Fn(NodeId) -> bool,
-    ) {
-        match change {
-            RouteChange::LinkDown(l) | RouteChange::LinkUp(l) => {
-                let at = self.dead_links.partition_point(|&d| d < l);
-                match (dead_link(l), self.dead_links.get(at) == Some(&l)) {
-                    (true, false) => self.dead_links.insert(at, l),
-                    (false, true) => {
-                        self.dead_links.remove(at);
-                    }
-                    _ => {}
-                }
-                let link = net.link(l);
-                for end in [link.a, link.b] {
-                    if let Place::Leaf(leaf) = &mut self.place[end.0 as usize] {
-                        leaf.link_up = !dead_link(l);
-                        return;
-                    }
-                }
-            }
-            RouteChange::NodeDown(x) | RouteChange::NodeUp(x) => {
-                if let Place::Leaf(leaf) = &mut self.place[x.0 as usize] {
-                    leaf.alive = !dead_node(x);
-                    return;
-                }
-            }
-        }
-        // A change between routing nodes: each endpoint is one.
-        let r = self.r();
-        let index = |x: NodeId| match self.place[x.0 as usize] {
-            Place::Router(i) => Some(i as usize),
-            Place::Leaf(_) => None,
-        };
-        let affected: Vec<bool> =
-            self.dist
-                .chunks(r.max(1))
-                .enumerate()
-                .map(|(d, dist)| {
-                    let at = |x: NodeId| index(x).map_or(u32::MAX, |i| dist[i]);
-                    match change {
-                        RouteChange::LinkDown(l) => {
-                            let link = net.link(l);
-                            let (da, db) = (at(link.a), at(link.b));
-                            da != u32::MAX && db != u32::MAX && (da == db + 1 || db == da + 1)
-                        }
-                        RouteChange::LinkUp(l) => {
-                            let link = net.link(l);
-                            if dead_node(link.a) || dead_node(link.b) {
-                                // A leg into a dead switch: the link stays
-                                // unusable, nothing to recompute.
-                                false
-                            } else {
-                                let (da, db) = (at(link.a), at(link.b));
-                                (da != u32::MAX && (db == u32::MAX || da < db))
-                                    || (db != u32::MAX && (da == u32::MAX || db < da))
-                            }
-                        }
-                        RouteChange::NodeDown(x) => index(x) == Some(d) || at(x) != u32::MAX,
-                        RouteChange::NodeUp(x) => {
-                            index(x) == Some(d)
-                                || net.neighbors(x).iter().any(|&(v, l)| {
-                                    !dead_link(l) && !dead_node(v) && at(v) != u32::MAX
-                                })
-                        }
-                    }
-                })
-                .collect();
-        if !affected.contains(&true) {
-            return;
-        }
-        // Splice: affected rows are searched again, the others copied.
-        let graph = Graph::new(net, &self.place, &self.routers);
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        let mut hops = Vec::with_capacity(self.hops.len());
-        offsets.push(0);
-        for (d, row) in self.dist.chunks_mut(r).enumerate() {
-            if affected[d] {
-                graph.route_to(d, row, &dead_link, &dead_node, &mut offsets, &mut hops);
-                continue;
-            }
-            let old = &self.offsets[d * r..=(d + 1) * r];
-            let (lo, hi) = (old[0] as usize, old[r] as usize);
-            let base = hops.len();
-            hops.extend_from_slice(&self.hops[lo..hi]);
-            debug_assert!(hops.len() <= u32::MAX as usize, "hop offsets fit u32");
-            offsets.extend(old[1..].iter().map(|&o| (o as usize - lo + base) as u32));
-        }
-        self.offsets = offsets;
-        self.hops = hops;
-    }
 }
 
 /// Splits `net`'s nodes into routing nodes (in id order) and leaf hosts,
@@ -526,19 +403,6 @@ impl<'a> Graph<'a> {
             offsets.push(hops.len() as u32);
         }
     }
-}
-
-/// One topology delta for [`RouteTable::patch`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteChange {
-    /// Link `l` failed (both directions).
-    LinkDown(LinkId),
-    /// Link `l` recovered.
-    LinkUp(LinkId),
-    /// Node `n` failed (kills every incident link).
-    NodeDown(NodeId),
-    /// Node `n` recovered.
-    NodeUp(NodeId),
 }
 
 /// Why a [`RouteTable`] cannot forward over a [`Network`].
@@ -971,54 +835,10 @@ mod tests {
         }
     }
 
-    /// Drives `patch` through a fault/recovery script, cross-checking
-    /// every step against a from-scratch `degraded` build; returns the
-    /// patched table after each step.
-    fn replay(net: &Network, script: &[RouteChange]) -> Vec<RouteTable> {
-        let mut dead_links = vec![false; net.link_count()];
-        let mut dead_nodes = vec![false; net.node_count()];
-        let mut table = RouteTable::all_shortest_paths(net);
-        let mut steps = Vec::new();
-        for &change in script {
-            match change {
-                RouteChange::LinkDown(l) => dead_links[l.0 as usize] = true,
-                RouteChange::LinkUp(l) => dead_links[l.0 as usize] = false,
-                RouteChange::NodeDown(x) => dead_nodes[x.0 as usize] = true,
-                RouteChange::NodeUp(x) => dead_nodes[x.0 as usize] = false,
-            }
-            let (dl, dn) = (&dead_links, &dead_nodes);
-            table.patch(net, change, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
-            let scratch = RouteTable::degraded(net, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
-            assert_eq!(table, scratch, "diverged after {change:?}");
-            steps.push(table.clone());
-        }
-        steps
-    }
-
     #[test]
-    fn patch_matches_scratch_rebuild_through_a_fault_script() {
-        let p = prototype_quartz();
-        let l01 = p.net.link_between(p.switches[0], p.switches[1]).unwrap();
-        let l23 = p.net.link_between(p.switches[2], p.switches[3]).unwrap();
-        let steps = replay(
-            &p.net,
-            &[
-                RouteChange::LinkDown(l01),
-                RouteChange::NodeDown(p.switches[2]),
-                RouteChange::LinkDown(l23), // already implicitly dead leg
-                RouteChange::LinkUp(l01),
-                RouteChange::NodeUp(p.switches[2]),
-                RouteChange::LinkUp(l23),
-            ],
-        );
-        // Everything recovered: back to the pristine table.
-        assert_eq!(steps.last(), Some(&RouteTable::all_shortest_paths(&p.net)));
-    }
-
-    #[test]
-    fn patch_matches_scratch_rebuild_through_leaf_events() {
-        // Cut and restore a host access link, then kill and revive the
-        // ToR, orphaning every host in its rack.
+    fn degraded_tables_through_leaf_events() {
+        // Cut a host access link, then kill the ToR, orphaning every
+        // host in its rack, then restore both.
         let t3 = three_tier(2, 2, 2, 2, 10.0, 40.0);
         let (host, peer, far) = (t3.hosts[0], t3.hosts[1], *t3.hosts.last().unwrap());
         let tor = t3.net.host_tor(host).unwrap();
@@ -1028,56 +848,27 @@ mod tests {
             "hosts 0 and 1 share a rack"
         );
         let access = t3.net.link_between(host, tor).unwrap();
-        let steps = replay(
-            &t3.net,
-            &[
-                RouteChange::LinkDown(access),
-                RouteChange::LinkUp(access),
-                RouteChange::NodeDown(tor),
-                RouteChange::LinkDown(access), // a leg of the dead ToR
-                RouteChange::NodeUp(tor),
-                RouteChange::LinkUp(access),
-            ],
-        );
         // Cut access link: the host is alone, its rack-mate is not.
-        let cut = &steps[0];
+        let cut = RouteTable::degraded(&t3.net, |l| l == access, |_| false);
         assert_eq!(cut.path_len(host, host), Some(0));
         assert_eq!(cut.path_len(host, far), None);
         assert_eq!(cut.next_hops(tor, host), &[]);
         assert_eq!(cut.path_len(peer, far), Some(6));
-        // Dead ToR: the whole rack is orphaned.
-        let dead = &steps[2];
-        for h in [host, peer] {
-            assert_eq!(dead.path_len(h, far), None);
-            assert_eq!(dead.path_len(far, h), None);
-            assert_eq!(dead.next_hops(h, far), &[]);
+        // Dead ToR: the whole rack is orphaned, whatever its access
+        // links do.
+        for access_dead in [false, true] {
+            let dead = RouteTable::degraded(&t3.net, |l| access_dead && l == access, |x| x == tor);
+            for h in [host, peer] {
+                assert_eq!(dead.path_len(h, far), None);
+                assert_eq!(dead.path_len(far, h), None);
+                assert_eq!(dead.next_hops(h, far), &[]);
+            }
         }
-        let pristine = RouteTable::all_shortest_paths(&t3.net);
-        assert_eq!(steps[1], pristine);
-        assert_eq!(steps[5], pristine);
-    }
-
-    #[test]
-    fn patch_handles_equal_cost_set_changes_on_recovery() {
-        // Three-tier has real ECMP fan-out; flapping an agg→core link
-        // must restore the exact equal-cost sets, not just distances.
-        let t3 = three_tier(2, 2, 2, 2, 10.0, 40.0);
-        let mut table = RouteTable::all_shortest_paths(&t3.net);
-        let agg_core = t3
-            .net
-            .links()
-            .find(|l| t3.cores.contains(&l.a) || t3.cores.contains(&l.b))
-            .map(|l| l.id)
-            .unwrap();
-        for change in [
-            RouteChange::LinkDown(agg_core),
-            RouteChange::LinkUp(agg_core),
-        ] {
-            let dead = matches!(change, RouteChange::LinkDown(_));
-            table.patch(&t3.net, change, |l| dead && l == agg_core, |_| false);
-            let scratch = RouteTable::degraded(&t3.net, |l| dead && l == agg_core, |_| false);
-            assert_eq!(table, scratch, "diverged after {change:?}");
-        }
+        // Restored: the host reaches the far side again, through its ToR.
+        let restored = RouteTable::degraded(&t3.net, |_| false, |_| false);
+        assert_eq!(restored.path_len(host, far), Some(6));
+        assert_eq!(restored.next_hops(tor, host), &[host]);
+        assert_eq!(restored.next_hops(host, far), &[tor]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use quartz_topology::builders::{
     prototype_two_tier, quartz_in_core, quartz_in_edge, quartz_mesh, three_tier,
 };
 use quartz_topology::graph::{LinkId, Network, NodeId};
-use quartz_topology::route::{FlatRoutes, RouteChange, RouteTable};
+use quartz_topology::route::{FlatRoutes, RouteTable};
 use std::collections::VecDeque;
 
 /// The dense all-pairs table: `dist[dst][at]`, `next[dst][at]` as
@@ -238,7 +238,7 @@ fn spanning_tree_tables_match_the_dense_oracle() {
 
 /// Leaf-to-leaf ECMP 260 wide: wider than a byte, so the flat table's
 /// set encoding must carry any width. Kept out of [`fabrics`], whose
-/// patch script would rebuild this 269-node oracle at every step.
+/// sweeps would build this 269-node oracle eleven times.
 #[test]
 fn sets_wider_than_a_byte_match_the_dense_oracle() {
     let ls = leaf_spine(3, 260, 2, 1, 10.0);
@@ -300,49 +300,6 @@ fn orphaned_hosts_match_the_dense_oracle() {
         let table = RouteTable::degraded(&net, |l| l == access, |x| x == tor);
         let oracle = Oracle::degraded(&net, |l| l == access, |x| x == tor);
         assert_matches(&format!("{label} orphaned"), &net, &table, &oracle);
-    }
-}
-
-/// Replays a seeded fault/recovery script through `patch` — random link
-/// flaps (access links included) and node flaps (ToRs and hosts
-/// included) — and checks each step against a scratch `degraded` build
-/// and the oracle.
-#[test]
-fn patch_scripts_match_scratch_and_oracle() {
-    for (label, net) in fabrics() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut dead_links = vec![false; net.link_count()];
-        let mut dead_nodes = vec![false; net.node_count()];
-        let mut table = RouteTable::all_shortest_paths(&net);
-        for step in 0..24 {
-            let change = if rng.random::<f64>() < 0.6 {
-                let l = rng.random_range(0..net.link_count());
-                dead_links[l] = !dead_links[l];
-                let l = LinkId(l as u32);
-                if dead_links[l.0 as usize] {
-                    RouteChange::LinkDown(l)
-                } else {
-                    RouteChange::LinkUp(l)
-                }
-            } else {
-                let x = rng.random_range(0..net.node_count());
-                dead_nodes[x] = !dead_nodes[x];
-                let x = NodeId(x as u32);
-                if dead_nodes[x.0 as usize] {
-                    RouteChange::NodeDown(x)
-                } else {
-                    RouteChange::NodeUp(x)
-                }
-            };
-            let (dl, dn) = (&dead_links, &dead_nodes);
-            table.patch(&net, change, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
-            let scratch = RouteTable::degraded(&net, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
-            assert_eq!(table, scratch, "{label}: step {step} {change:?}");
-            if step % 6 == 5 {
-                let oracle = Oracle::degraded(&net, |l| dl[l.0 as usize], |x| dn[x.0 as usize]);
-                assert_matches(&format!("{label} step{step}"), &net, &table, &oracle);
-            }
-        }
     }
 }
 

@@ -8,18 +8,22 @@
 //!
 //! 1. start from the certified [load lower bound](crate::channel::bounds);
 //! 2. if the greedy heuristic already meets it, that is the optimum;
-//! 3. otherwise run a depth-first search for a feasible assignment with
-//!    exactly `C` channels, for `C = LB, LB+1, …`, with channel-symmetry
-//!    breaking (a pair may only open the next unused channel index) and
-//!    longest-path-first variable ordering.
+//! 3. otherwise run the channel layer's one branch-and-bound
+//!    (`channel::search`) over empty channels, capped at `C` channels,
+//!    for `C = LB, LB+1, …`: longest pairs first, open channels in
+//!    ascending order, then the next unused channel index (channel
+//!    symmetry breaking), with aggregate-slack pruning.
 //!
 //! The first `C` admitting a feasible assignment is provably minimal —
-//! exactly what the ILP would report. A node budget guards against
-//! pathological instances; if it trips, the result degrades gracefully to
-//! the best known assignment with `status = BudgetExhausted`.
+//! exactly what the ILP would report. A budget of DFS nodes per level
+//! guards against pathological instances; if it trips, the result
+//! degrades gracefully to the best known assignment with
+//! `status = BudgetExhausted`. The online controller's repack is the
+//! same search over the occupancy its cut left standing.
 
 use super::bounds::load_lower_bound;
-use super::{all_pairs, arc_mask, arcs_shorter_first, greedy, Assignment, Direction, Pair};
+use super::search::Pending;
+use super::{all_pairs, greedy, Assignment};
 
 /// Outcome quality of [`solve`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,130 +46,13 @@ pub struct ExactResult {
     pub status: ExactStatus,
 }
 
-/// Per-pair precomputed candidate arcs as link bitmasks.
-struct Candidate {
-    pair: Pair,
-    /// `(direction, mask)`, shorter arc first.
-    arcs: [(Direction, u64); 2],
-}
-
-struct Search {
-    candidates: Vec<Candidate>,
-    /// `used[c]` = bitmask of links occupied on channel `c`.
-    used: Vec<u64>,
-    /// Highest channel index opened so far + 1.
-    opened: usize,
-    nodes: u64,
-    budget: u64,
-    out: Vec<(Pair, Direction, u16)>,
-    /// Total `(channel, link)` slots available: `channels × m`.
-    total_slots: usize,
-    /// Slots consumed by arcs placed so far.
-    used_slots: usize,
-    /// `suffix_min[idx]` = Σ over candidates `idx..` of shortest-arc
-    /// length — the minimum slots the remaining pairs will consume.
-    suffix_min: Vec<usize>,
-}
-
-enum SearchOutcome {
-    Found,
-    Infeasible,
-    Budget,
-}
-
-impl Search {
-    fn dfs(&mut self, idx: usize) -> SearchOutcome {
-        if idx == self.candidates.len() {
-            return SearchOutcome::Found;
-        }
-        if self.nodes >= self.budget {
-            return SearchOutcome::Budget;
-        }
-        self.nodes += 1;
-
-        let cand_arcs = self.candidates[idx].arcs;
-        let pair = self.candidates[idx].pair;
-        let limit = self.used.len();
-        let mut budget_hit = false;
-
-        for (dir, mask) in cand_arcs {
-            // Aggregate-slack pruning: the remaining pairs consume at
-            // least their shortest-arc lengths, and this arc consumes
-            // `mask.count_ones()` slots; together they must fit in the
-            // unused (channel, link) slots. Longer-arc branches die here
-            // almost immediately when the channel count is load-tight.
-            let arc_slots = mask.count_ones() as usize;
-            if self.used_slots + arc_slots + self.suffix_min[idx + 1] > self.total_slots {
-                continue;
-            }
-            // Symmetry breaking: channels above `opened` are
-            // interchangeable, so only the first of them may be tried.
-            let try_until = (self.opened + 1).min(limit);
-            debug_assert!(try_until <= u16::MAX as usize + 1, "channel ids fit u16");
-            for c in 0..try_until {
-                if self.used[c] & mask != 0 {
-                    continue;
-                }
-                let was_opened = self.opened;
-                self.used[c] |= mask;
-                self.used_slots += arc_slots;
-                self.opened = self.opened.max(c + 1);
-                self.out.push((pair, dir, c as u16));
-                match self.dfs(idx + 1) {
-                    SearchOutcome::Found => return SearchOutcome::Found,
-                    SearchOutcome::Budget => budget_hit = true,
-                    SearchOutcome::Infeasible => {}
-                }
-                self.out.pop();
-                self.used[c] &= !mask;
-                self.used_slots -= arc_slots;
-                self.opened = was_opened;
-                if budget_hit {
-                    return SearchOutcome::Budget;
-                }
-            }
-        }
-        SearchOutcome::Infeasible
-    }
-}
-
-/// Searches for an assignment of `m`'s pairs into exactly `channels`
-/// channels. Returns `Ok(Some(_))` on success, `Ok(None)` on proven
-/// infeasibility, `Err(())` if the node budget ran out.
+/// Searches for an assignment of `m`'s pairs into at most `channels`
+/// channels: the shared search over empty occupancy. Returns
+/// `Ok(Some(_))` on success, `Ok(None)` on proven infeasibility,
+/// `Err(())` if the node budget ran out.
 fn search_with(m: usize, channels: usize, budget: u64) -> Result<Option<Assignment>, ()> {
-    let mut pairs = all_pairs(m);
-    // Longest (most constrained) first; stable tie-break on pair order.
-    pairs.sort_by_key(|p| std::cmp::Reverse(p.min_len(m)));
-
-    let candidates: Vec<Candidate> = pairs
-        .into_iter()
-        .map(|pair| Candidate {
-            pair,
-            arcs: arcs_shorter_first(pair, m).map(|(dir, arc)| (dir, arc_mask(&arc))),
-        })
-        .collect();
-
-    let n_pairs = candidates.len();
-    let mut suffix_min = vec![0usize; n_pairs + 1];
-    for i in (0..n_pairs).rev() {
-        suffix_min[i] = suffix_min[i + 1] + candidates[i].pair.min_len(m);
-    }
-    let mut s = Search {
-        candidates,
-        used: vec![0u64; channels],
-        opened: 0,
-        nodes: 0,
-        budget,
-        out: Vec::with_capacity(n_pairs),
-        total_slots: channels * m,
-        used_slots: 0,
-        suffix_min,
-    };
-    match s.dfs(0) {
-        SearchOutcome::Found => Ok(Some(Assignment::from_entries(m, s.out))),
-        SearchOutcome::Infeasible => Ok(None),
-        SearchOutcome::Budget => Err(()),
-    }
+    let found = Pending::new(m, 0, &all_pairs(m)).place(Vec::new(), channels, budget, &mut 0)?;
+    Ok(found.map(|entries| Assignment::from_entries(m, entries)))
 }
 
 /// Computes the provably minimal channel count for a ring of `m`

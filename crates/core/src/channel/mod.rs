@@ -18,6 +18,8 @@
 //! [`online`] relaxes the offline assumption: it keeps a plan live while
 //! ring fibers are cut and repaired, warm-starting each re-solve from
 //! the incumbent and falling back to the greedy under a node budget.
+//! Its repack and [`exact`] run one branch-and-bound search, over kept
+//! and over empty occupancy respectively.
 //!
 //! An intact ring is the case with no dead fibers (§3.5 treats a cut as
 //! the same ring with links missing): one [`Assignment`] type, one
@@ -34,6 +36,7 @@ pub mod bounds;
 pub mod exact;
 pub mod greedy;
 pub mod online;
+mod search;
 
 use quartz_optics::wavelength::{ChannelId, Grid};
 use std::collections::{BTreeMap, BTreeSet};

@@ -5,12 +5,13 @@
 //! holds the incumbent [`Assignment`] and the dead-fiber mask. On each
 //! [`RingDelta`] it warm-starts from the incumbent plan: entries whose
 //! arcs survive are kept verbatim, only displaced or newly routable
-//! pairs are re-placed, and a budgeted branch-and-bound repack (fixed
-//! incumbent occupancy, bounded to the affected pairs) closes the gap
-//! to the from-scratch greedy count when first-fit overshoots. If the
-//! node budget runs out anywhere, the controller *falls back* to the
-//! fresh greedy plan — the plan degrades (a retune storm), never the
-//! solve.
+//! pairs are re-placed, and a budgeted repack closes the gap to the
+//! from-scratch greedy count when first-fit overshoots. The repack is
+//! the [`exact`](super::exact) solver's branch-and-bound run over the
+//! kept occupancy instead of empty channels, capped at the fresh greedy
+//! count and bounded to the affected pairs. If the node budget runs out
+//! anywhere, the controller *falls back* to the fresh greedy plan — the
+//! plan degrades (a retune storm), never the solve.
 //!
 //! Invariant, enforced by construction and pinned by the differential
 //! tests: after every delta the adopted plan passes
@@ -22,19 +23,9 @@
 //! `(i+1) % m`; dead fibers are a `u64` bitmask (hence `m ≤ 64`, same
 //! ceiling as the exact solver).
 
-use super::{arc_mask, arcs_shorter_first, greedy, routable, Arc, Assignment, Direction, Pair};
+use super::search::{Entries, Pending};
+use super::{arc_mask, greedy, routable, Arc, Assignment, Direction, Pair};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The candidate arcs of `pair` that avoid every dead fiber, shorter
-/// arc first (clockwise on ties) — the same preference order as the
-/// greedy.
-fn allowed_arcs(pair: Pair, m: usize, dead: u64) -> Vec<(Direction, u64, usize)> {
-    arcs_shorter_first(pair, m)
-        .into_iter()
-        .map(|(d, a)| (d, arc_mask(&a), a.len))
-        .filter(|(_, mask, _)| mask & dead == 0)
-        .collect()
-}
 
 /// One topology transition the control plane reacts to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,7 +130,8 @@ pub struct ResolveReport {
     pub torn_down: Vec<Pair>,
     /// Pairs still dark after the re-solve.
     pub unroutable: usize,
-    /// Search nodes spent (placement probes + repack nodes).
+    /// Budget spent: one node per first-fit channel probe plus one per
+    /// repack DFS node.
     pub nodes_used: u64,
 }
 
@@ -149,16 +141,6 @@ impl ResolveReport {
     pub fn retune_count(&self) -> usize {
         self.moved.len() + self.restored.iter().filter(|op| op.from != op.to).count()
     }
-}
-
-/// Outcome of the budgeted warm placement + repack.
-enum WarmOutcome {
-    /// Placement (and repack, if needed) finished within budget.
-    Done(Vec<(Pair, Direction, u16)>),
-    /// Could not match the fresh channel count (proven).
-    Overshoot,
-    /// Node budget ran out.
-    Budget,
 }
 
 /// The live RWA controller: incumbent plan + dead-fiber mask.
@@ -269,31 +251,20 @@ impl OnlineRwa {
                 still_dark.push(p);
             }
         }
-        // Most-constrained first (longest surviving arc requirement),
-        // stable on pair order — mirrors the exact solver's ordering.
-        to_place.sort_unstable();
-        to_place.sort_by_key(|p| {
-            std::cmp::Reverse(
-                allowed_arcs(*p, self.m, dead)
-                    .iter()
-                    .map(|(_, _, len)| *len)
-                    .min()
-                    .expect("to_place pairs are routable"),
-            )
-        });
         still_dark.sort_unstable();
 
         let mut nodes_used = 0u64;
+        let to_place = Pending::new(self.m, dead, &to_place);
         let warm = self.warm_place(&kept, &to_place, fresh_channels, &mut nodes_used);
 
         let (outcome, new_entries, new_unroutable) = match warm {
-            WarmOutcome::Done(entries) => (ResolveOutcome::WarmStart, entries, still_dark.clone()),
-            WarmOutcome::Overshoot => (
+            Ok(Some(entries)) => (ResolveOutcome::WarmStart, entries, still_dark.clone()),
+            Ok(None) => (
                 ResolveOutcome::FreshSolve,
                 fresh.entries.clone(),
                 fresh.unroutable.clone(),
             ),
-            WarmOutcome::Budget => (
+            Err(()) => (
                 ResolveOutcome::BudgetFallback,
                 fresh.entries.clone(),
                 fresh.unroutable.clone(),
@@ -376,24 +347,27 @@ impl OnlineRwa {
         }
     }
 
-    /// Budgeted warm placement: first-fit each displaced pair over the
-    /// kept occupancy; if the resulting distinct-channel count exceeds
-    /// the fresh greedy's, fall through to a bounded DFS repack of the
-    /// displaced pairs only (kept entries never move). Every channel
-    /// probe costs one node against the budget.
+    /// Budgeted warm placement: first-fit each displaced pair, most
+    /// constrained first, over the kept occupancy, each channel probe
+    /// costing one node; if the resulting distinct-channel count exceeds
+    /// the fresh greedy's, repack the displaced pairs (kept entries never
+    /// move) with the shared search capped at the fresh count, each DFS
+    /// node costing one node. One budget covers both phases.
+    ///
+    /// Returns the warm plan's entries, `Ok(None)` if no warm completion
+    /// can match the fresh count (proven), `Err(())` if the budget ran
+    /// out.
     fn warm_place(
         &self,
         kept: &[(Pair, Direction, u16)],
-        to_place: &[Pair],
+        to_place: &Pending,
         fresh_channels: usize,
         nodes_used: &mut u64,
-    ) -> WarmOutcome {
+    ) -> Result<Option<Entries>, ()> {
         let m = self.m;
-        let dead = self.dead;
         let budget = self.node_budget;
 
         let mut used: Vec<u64> = Vec::new();
-        let kept_set: BTreeSet<u16> = kept.iter().map(|&(_, _, c)| c).collect();
         for &(p, d, c) in kept {
             let mask = arc_mask(&Arc::of(p, d, m));
             while used.len() <= usize::from(c) {
@@ -403,24 +377,18 @@ impl OnlineRwa {
         }
 
         // Phase 1: first-fit.
-        let mut placed: Vec<(Pair, Direction, u16)> = Vec::with_capacity(to_place.len());
+        let mut placed: Vec<(Pair, Direction, u16)> = Vec::with_capacity(to_place.rows().len());
         let mut ff_used = used.clone();
-        let mut exhausted = false;
-        'pairs: for &p in to_place {
+        for row in to_place.rows() {
             let mut best: Option<(Direction, u64, usize)> = None;
-            for (dir, mask, _) in allowed_arcs(p, m, dead) {
+            for &(dir, mask, _) in row.arcs() {
                 for c in 0.. {
                     if *nodes_used >= budget {
-                        exhausted = true;
-                        break 'pairs;
+                        return Err(());
                     }
                     *nodes_used += 1;
                     if ff_used.get(c).is_none_or(|links| links & mask == 0) {
-                        let better = match &best {
-                            None => true,
-                            Some((_, _, best_ch)) => c < *best_ch,
-                        };
-                        if better {
+                        if best.is_none_or(|(_, _, best_ch)| c < best_ch) {
                             best = Some((dir, mask, c));
                         }
                         break;
@@ -433,147 +401,20 @@ impl OnlineRwa {
                 ff_used.push(0);
             }
             ff_used[ch] |= mask;
-            placed.push((p, dir, ch as u16));
-        }
-        if exhausted {
-            return WarmOutcome::Budget;
+            placed.push((row.pair, dir, ch as u16));
         }
 
-        let mut distinct = kept_set.clone();
-        for &(_, _, c) in &placed {
-            distinct.insert(c);
-        }
-        if distinct.len() <= fresh_channels {
-            let mut entries = kept.to_vec();
-            entries.extend(placed);
-            return WarmOutcome::Done(entries);
-        }
-
-        // Phase 2: bounded repack. Kept occupancy is fixed; search for
-        // a placement of the displaced pairs whose total distinct
-        // channel count is ≤ fresh_channels. Channels already paid for
-        // (kept) are tried first; brand-new channels are opened through
-        // one canonical fresh index at a time (they are interchangeable
-        // while empty), capped so the distinct count can never exceed
-        // the target.
-        if kept_set.len() > fresh_channels {
-            // Even the untouched entries alone overshoot — no warm
-            // completion can match the fresh count.
-            return WarmOutcome::Overshoot;
-        }
-        let arcs_of: PlacedArcs = to_place
-            .iter()
-            .map(|&p| (p, allowed_arcs(p, m, dead)))
-            .collect();
-        let mut repack = Repack {
-            arcs_of,
-            used,
-            open: kept_set.iter().copied().collect(),
-            kept_open: kept_set.len(),
-            max_open: fresh_channels,
-            nodes: *nodes_used,
-            budget,
-            out: Vec::with_capacity(to_place.len()),
-        };
-        let outcome = repack.dfs(0);
-        *nodes_used = repack.nodes;
-        match outcome {
-            RepackOutcome::Found => {
-                let mut entries = kept.to_vec();
-                entries.extend(repack.out);
-                WarmOutcome::Done(entries)
-            }
-            RepackOutcome::Infeasible => WarmOutcome::Overshoot,
-            RepackOutcome::Budget => WarmOutcome::Budget,
-        }
-    }
-}
-
-enum RepackOutcome {
-    Found,
-    Infeasible,
-    Budget,
-}
-
-/// A displaced pair together with its surviving arc choices
-/// (direction, fiber mask, length), shorter arc first.
-type PlacedArcs = Vec<(Pair, Vec<(Direction, u64, usize)>)>;
-
-/// DFS state of the bounded repack (see [`OnlineRwa::apply`]).
-struct Repack {
-    /// Displaced pairs with their surviving arcs, in placement order.
-    arcs_of: PlacedArcs,
-    /// Per-channel-index occupancy mask (kept + placed so far).
-    used: Vec<u64>,
-    /// Channel indices currently carrying at least one lightpath,
-    /// ascending — the deterministic try order.
-    open: Vec<u16>,
-    /// How many of `open` came from kept entries (never closed).
-    kept_open: usize,
-    /// Distinct-channel ceiling (the fresh greedy count).
-    max_open: usize,
-    nodes: u64,
-    budget: u64,
-    out: Vec<(Pair, Direction, u16)>,
-}
-
-impl Repack {
-    fn dfs(&mut self, idx: usize) -> RepackOutcome {
-        if idx == self.arcs_of.len() {
-            return RepackOutcome::Found;
-        }
-        let arcs = self.arcs_of[idx].1.clone();
-        let pair = self.arcs_of[idx].0;
-        let mut budget_hit = false;
-
-        for (dir, mask, _) in arcs {
-            // Try every open channel (ascending), then — if the ceiling
-            // allows — the lowest unopened index as the canonical fresh
-            // channel (empty channels are interchangeable).
-            let mut candidates: Vec<u16> = self.open.clone();
-            if self.open.len() < self.max_open {
-                let fresh = (0u16..)
-                    .find(|c| !self.open.contains(c))
-                    .expect("u16 space");
-                candidates.push(fresh);
-            }
-            for c in candidates {
-                if self.nodes >= self.budget {
-                    return RepackOutcome::Budget;
-                }
-                self.nodes += 1;
-                let ci = usize::from(c);
-                if self.used.get(ci).copied().unwrap_or(0) & mask != 0 {
-                    continue;
-                }
-                while self.used.len() <= ci {
-                    self.used.push(0);
-                }
-                let newly_open = !self.open.contains(&c);
-                self.used[ci] |= mask;
-                if newly_open {
-                    let at = self.open.partition_point(|&o| o < c);
-                    self.open.insert(at, c);
-                }
-                self.out.push((pair, dir, c));
-                match self.dfs(idx + 1) {
-                    RepackOutcome::Found => return RepackOutcome::Found,
-                    RepackOutcome::Budget => budget_hit = true,
-                    RepackOutcome::Infeasible => {}
-                }
-                self.out.pop();
-                self.used[ci] &= !mask;
-                if newly_open {
-                    let at = self.open.partition_point(|&o| o < c);
-                    self.open.remove(at);
-                    debug_assert!(self.open.len() >= self.kept_open);
-                }
-                if budget_hit {
-                    return RepackOutcome::Budget;
-                }
+        // Phase 2, if first-fit overshoots: repack over the kept
+        // occupancy, which stays fixed.
+        if ff_used.iter().filter(|&&links| links != 0).count() > fresh_channels {
+            match to_place.place(used, fresh_channels, budget, nodes_used)? {
+                Some(repacked) => placed = repacked,
+                None => return Ok(None),
             }
         }
-        RepackOutcome::Infeasible
+        let mut entries = kept.to_vec();
+        entries.extend(placed);
+        Ok(Some(entries))
     }
 }
 

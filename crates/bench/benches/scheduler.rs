@@ -21,10 +21,12 @@ const CHURN_EVENTS: u64 = 100_000;
 /// mostly a few hundred ns ahead of the drain point (per-hop arrivals),
 /// a slice ~10 µs out (generator gaps), and a far tail (retransmission
 /// timers), every pop respawning until exactly [`CHURN_EVENTS`] pops
-/// have drained. Returns a checksum of the pop order so the work can't
-/// be optimized away.
+/// have drained. Keys come from a local counter, as the simulator keys
+/// its own events. Returns a checksum of the pop order so the work
+/// can't be optimized away.
 fn churn(seed: u64) -> u64 {
     let mut s = TimingWheel::new();
+    let mut seq = 0u64;
     let mut rng = StdRng::seed_from_u64(seed);
     let next_time = |now: SimTime, rng: &mut StdRng| {
         now + match rng.random_range(0..10) {
@@ -35,17 +37,19 @@ fn churn(seed: u64) -> u64 {
     };
     for i in 0..1_024u32 {
         let t = next_time(SimTime::ZERO, &mut rng);
-        s.push(t, i);
+        seq += 1;
+        s.push_at_seq(t, seq, i);
     }
     let mut pops = 0u64;
     let mut checksum = 0u64;
-    while let Some((t, item)) = s.pop() {
+    while let Some((t, item)) = s.pop_before(SimTime::from_ns(u64::MAX)) {
         pops += 1;
         checksum = checksum
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(t.ns() ^ u64::from(item));
         if pops + (s.len() as u64) < CHURN_EVENTS {
-            s.push(next_time(t, &mut rng), item);
+            seq += 1;
+            s.push_at_seq(next_time(t, &mut rng), seq, item);
         }
     }
     debug_assert_eq!(pops, CHURN_EVENTS);

@@ -31,7 +31,7 @@
 //!
 //! The wheel drains events in exactly `(time, seq)` order, where `seq`
 //! is the caller's key — the simulator's content-derived event key
-//! (DESIGN.md §13) — or a monotone number assigned at push. This is the
+//! (DESIGN.md §13); the wheel assigns none of its own. This is the
 //! tie-break rule the simulator's determinism contract (DESIGN.md §6)
 //! is built on, and exactly the order a binary min-heap keyed by
 //! `(time, seq)` pops in — the reference kept as a test oracle in
@@ -97,7 +97,6 @@ pub struct TimingWheel<T> {
     near_len: usize,
     /// Total queued events (near + far).
     len: usize,
-    seq: u64,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -118,7 +117,6 @@ impl<T> TimingWheel<T> {
             cursor: 0,
             near_len: 0,
             len: 0,
-            seq: 0,
         }
     }
 
@@ -190,27 +188,14 @@ impl<T> TimingWheel<T> {
     }
 }
 
-/// The simulator queues every event under its own key
-/// ([`TimingWheel::push_at_seq`]); [`TimingWheel::push`] numbers events
-/// in push order for callers without one. [`TimingWheel::peek_key`]
-/// lets the batched link drain (DESIGN.md §10) ask "is anything queued
-/// ahead of my next batch entry?" without popping.
+/// The caller queues every event under its own key
+/// ([`TimingWheel::push_at_seq`]) and drains up to a time bound
+/// ([`TimingWheel::pop_before`]). [`TimingWheel::peek_key`] lets the
+/// batched link drain (DESIGN.md §10) ask "is anything queued ahead of
+/// my next batch entry?" without popping.
 impl<T> TimingWheel<T> {
-    /// Queues `item` at `time`, assigning it the next sequence number.
-    pub fn push(&mut self, time: SimTime, item: T) {
-        let seq = self.reserve_seq();
-        self.push_at_seq(time, seq, item);
-    }
-
-    /// Draws the next sequence number without queueing anything.
-    pub fn reserve_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// Queues `item` at `(time, seq)` where `seq` came from
-    /// [`TimingWheel::reserve_seq`] (or is a caller-defined key: keys
-    /// must be unique).
+    /// Queues `item` at `(time, seq)`. `seq` is the caller's key and
+    /// breaks ties between equal times; keys must be unique.
     pub fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T) {
         let slot = time.wheel_slot(GRANULARITY_LOG2);
         if slot <= self.cursor {
@@ -241,21 +226,8 @@ impl<T> TimingWheel<T> {
         self.len += 1;
     }
 
-    /// Removes and returns the earliest `(time, seq)` event.
-    // lint:hot
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        if !self.seek() {
-            return None;
-        }
-        // `seek() == true` guarantees `current` is non-empty.
-        let (time, _, item) = self.current.pop()?;
-        self.near_len -= 1;
-        self.len -= 1;
-        Some((time, item))
-    }
-
-    /// [`TimingWheel::pop`], but only if the earliest event's time is
-    /// `<= bound`; otherwise the wheel is untouched.
+    /// Removes and returns the earliest `(time, seq)` event if its time
+    /// is `<= bound`; otherwise the wheel is untouched.
     // lint:hot
     pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, T)> {
         if !self.seek() {
@@ -301,39 +273,44 @@ impl<T> TimingWheel<T> {
 mod tests {
     use super::*;
 
+    /// Drains the earliest event, whatever its time.
+    fn pop<T>(w: &mut TimingWheel<T>) -> Option<(SimTime, T)> {
+        w.pop_before(SimTime::from_ns(u64::MAX))
+    }
+
     #[test]
-    fn equal_timestamps_drain_in_push_order() {
+    fn equal_timestamps_drain_in_key_order() {
         let mut w = TimingWheel::new();
-        for i in 0..100u32 {
-            w.push(SimTime::from_ns(42), i);
+        for i in (0..100u32).rev() {
+            w.push_at_seq(SimTime::from_ns(42), u64::from(i), i);
         }
         for i in 0..100u32 {
-            assert_eq!(w.pop(), Some((SimTime::from_ns(42), i)));
+            assert_eq!(pop(&mut w), Some((SimTime::from_ns(42), i)));
         }
-        assert_eq!(w.pop(), None);
+        assert_eq!(pop(&mut w), None);
     }
 
     #[test]
     fn far_future_events_migrate_in_order() {
         let mut w = TimingWheel::new();
-        // All beyond the 4096 × 64 ns ≈ 262 µs horizon.
-        w.push(SimTime::from_ms(3), 0u32);
-        w.push(SimTime::from_ms(1), 1);
-        w.push(SimTime::from_ms(2), 2);
-        w.push(SimTime::from_ms(1), 3);
+        // All beyond the 512 × 64 ns ≈ 33 µs horizon.
+        w.push_at_seq(SimTime::from_ms(3), 0, 0u32);
+        w.push_at_seq(SimTime::from_ms(1), 1, 1);
+        w.push_at_seq(SimTime::from_ms(2), 2, 2);
+        w.push_at_seq(SimTime::from_ms(1), 3, 3);
         assert_eq!(w.next_time(), Some(SimTime::from_ms(1)));
-        assert_eq!(w.pop(), Some((SimTime::from_ms(1), 1)));
-        assert_eq!(w.pop(), Some((SimTime::from_ms(1), 3)));
-        assert_eq!(w.pop(), Some((SimTime::from_ms(2), 2)));
-        assert_eq!(w.pop(), Some((SimTime::from_ms(3), 0)));
-        assert_eq!(w.pop(), None);
+        assert_eq!(pop(&mut w), Some((SimTime::from_ms(1), 1)));
+        assert_eq!(pop(&mut w), Some((SimTime::from_ms(1), 3)));
+        assert_eq!(pop(&mut w), Some((SimTime::from_ms(2), 2)));
+        assert_eq!(pop(&mut w), Some((SimTime::from_ms(3), 0)));
+        assert_eq!(pop(&mut w), None);
     }
 
     #[test]
     fn pop_before_leaves_later_events_queued() {
         let mut w = TimingWheel::new();
-        w.push(SimTime::from_ns(10), 'a');
-        w.push(SimTime::from_ns(2_000_000), 'b');
+        w.push_at_seq(SimTime::from_ns(10), 0, 'a');
+        w.push_at_seq(SimTime::from_ns(2_000_000), 1, 'b');
         assert_eq!(
             w.pop_before(SimTime::from_ns(100)),
             Some((SimTime::from_ns(10), 'a'))
@@ -350,15 +327,17 @@ mod tests {
     #[test]
     fn far_arena_recycles_slots() {
         let mut w = TimingWheel::new();
+        let mut seq = 0u64;
         for round in 0..10u64 {
             for i in 0..50u32 {
                 // Each round sits a full millisecond past the previous
-                // cursor — far beyond the 4096×64 ns horizon — so every
+                // cursor — far beyond the 512×64 ns horizon — so every
                 // event routes through the overflow heap's payload
                 // arena.
-                w.push(SimTime::from_ms(round + 1) + i as u64 * 1_000, i);
+                seq += 1;
+                w.push_at_seq(SimTime::from_ms(round + 1) + i as u64 * 1_000, seq, i);
             }
-            while w.pop().is_some() {}
+            while pop(&mut w).is_some() {}
         }
         // Ten rounds of 50 events reuse the same 50 arena slots.
         assert!(
@@ -373,12 +352,12 @@ mod tests {
     fn len_tracks_pushes_and_pops() {
         let mut w: TimingWheel<u8> = TimingWheel::new();
         assert!(w.is_empty());
-        w.push(SimTime::from_ns(5), 1);
-        w.push(SimTime::from_ms(5), 2);
+        w.push_at_seq(SimTime::from_ns(5), 0, 1);
+        w.push_at_seq(SimTime::from_ms(5), 1, 2);
         assert_eq!(w.len(), 2);
-        w.pop();
+        pop(&mut w);
         assert_eq!(w.len(), 1);
-        w.pop();
+        pop(&mut w);
         assert!(w.is_empty());
         assert_eq!(w.next_time(), None);
     }

@@ -3,7 +3,7 @@
 //!
 //! Seeded random event streams — equal-timestamp bursts,
 //! beyond-horizon times, mid-drain pushes back into the draining
-//! bucket, pushes into the past, reserved-sequence pushes out of order —
+//! bucket, pushes into the past, keyed pushes out of order —
 //! must drain through [`TimingWheel`] and [`BinaryHeapScheduler`] in
 //! the same order. The streams also fan out over a [`ThreadPool`]
 //! pinned at 1, 2, and 8 workers, because the determinism contract is
@@ -19,6 +19,20 @@ use quartz_core::ThreadPool;
 use quartz_netsim::sched::TimingWheel;
 use quartz_netsim::SimTime;
 use support::{BinaryHeapScheduler, Queue};
+
+/// Pushes `item` at `t` into both engines under the next key of `seq`,
+/// a local counter: neither engine numbers events itself.
+fn push_both(
+    wheel: &mut TimingWheel<u32>,
+    heap: &mut BinaryHeapScheduler<u32>,
+    seq: &mut u64,
+    t: SimTime,
+    item: u32,
+) {
+    *seq += 1;
+    wheel.push_at_seq(t, *seq, item);
+    heap.push_at_seq(t, *seq, item);
+}
 
 /// A simple deterministic LCG so the streams need nothing beyond core.
 struct Lcg(u64);
@@ -38,6 +52,7 @@ impl Lcg {
 fn drain_stream(seed: u64) -> Vec<(u64, u32)> {
     let mut wheel = TimingWheel::new();
     let mut heap = BinaryHeapScheduler::new();
+    let mut seq = 0u64;
     let mut rng = Lcg(seed.wrapping_add(1));
     for i in 0..500u32 {
         let t = match rng.next() % 4 {
@@ -46,8 +61,7 @@ fn drain_stream(seed: u64) -> Vec<(u64, u32)> {
             2 => 7_000 + rng.next() % 4, // equal-time ties
             _ => rng.next() % 4_000_000, // far beyond horizon
         };
-        wheel.push(SimTime::from_ns(t), i);
-        heap.push(SimTime::from_ns(t), i);
+        push_both(&mut wheel, &mut heap, &mut seq, SimTime::from_ns(t), i);
     }
     let mut transcript = Vec::new();
     let mut tag = 500u32;
@@ -63,8 +77,7 @@ fn drain_stream(seed: u64) -> Vec<(u64, u32)> {
                 1 => rng.next() % 100,
                 _ => 500_000 + rng.next() % 100_000,
             };
-            wheel.push(t + delta, tag);
-            heap.push(t + delta, tag);
+            push_both(&mut wheel, &mut heap, &mut seq, t + delta, tag);
             tag += 1;
         }
     }
@@ -91,6 +104,7 @@ fn seeded_streams_drain_identically_at_any_worker_count() {
 fn differential(seed: u64, initial: usize, respawn_num: u64, respawn_den: u64) {
     let mut wheel = TimingWheel::new();
     let mut heap = BinaryHeapScheduler::new();
+    let mut seq = 0u64;
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..initial {
         // Mix near (same-bucket bursts), mid, and far-horizon times.
@@ -100,8 +114,13 @@ fn differential(seed: u64, initial: usize, respawn_num: u64, respawn_den: u64) {
             2 => 5_000 + rng.random_range(0..8) as u64, // equal-time bursts
             _ => rng.random_range(0..5_000_000) as u64, // beyond horizon
         };
-        wheel.push(SimTime::from_ns(t), i as u32);
-        heap.push(SimTime::from_ns(t), i as u32);
+        push_both(
+            &mut wheel,
+            &mut heap,
+            &mut seq,
+            SimTime::from_ns(t),
+            i as u32,
+        );
     }
     let mut next_tag = initial as u32;
     let mut popped = 0u64;
@@ -125,8 +144,7 @@ fn differential(seed: u64, initial: usize, respawn_num: u64, respawn_den: u64) {
                 1 => rng.random_range(0..100) as u64,
                 _ => 300_000 + rng.random_range(0..300_000) as u64,
             };
-            wheel.push(t + delta, next_tag);
-            heap.push(t + delta, next_tag);
+            push_both(&mut wheel, &mut heap, &mut seq, t + delta, next_tag);
             next_tag += 1;
         }
     }
@@ -148,10 +166,10 @@ fn wheel_matches_heap_under_heavy_respawn() {
 /// Pushing into the past: the heap pops an earlier-than-now push first;
 /// the wheel clamps it into the cursor bucket and must do the same.
 fn past_pushes_pop_immediately(s: &mut impl Queue<u32>) {
-    s.push(SimTime::from_us(50), 0);
-    s.push(SimTime::from_us(60), 1);
+    s.push_at_seq(SimTime::from_us(50), 1, 0);
+    s.push_at_seq(SimTime::from_us(60), 2, 1);
     assert_eq!(s.pop(), Some((SimTime::from_us(50), 0)));
-    s.push(SimTime::from_us(1), 2);
+    s.push_at_seq(SimTime::from_us(1), 3, 2);
     assert_eq!(s.pop(), Some((SimTime::from_us(1), 2)));
     assert_eq!(s.pop(), Some((SimTime::from_us(60), 1)));
 }
@@ -162,14 +180,16 @@ fn past_pushes_pop_immediately_on_both_engines() {
     past_pushes_pop_immediately(&mut BinaryHeapScheduler::new());
 }
 
-/// Reserving seqs up front and pushing out of order must drain
-/// identically to plain pushes in reservation order — the primitive
-/// the batched link drain stands on.
-fn reserved_seq_orders_like_plain_push(s: &mut impl Queue<u32>) {
+/// Drawing keys up front and pushing out of order must drain in key
+/// order — the primitive the batched link drain stands on.
+fn keyed_pushes_drain_in_key_order(s: &mut impl Queue<u32>) {
     let t = SimTime::from_ns(100);
-    let s0 = s.reserve_seq();
-    let s1 = s.reserve_seq();
-    let s2 = s.reserve_seq();
+    let mut seq = 0u64;
+    let mut key = || {
+        seq += 1;
+        seq
+    };
+    let (s0, s1, s2) = (key(), key(), key());
     assert!(s0 < s1 && s1 < s2);
     // Insert in scrambled order, same timestamp.
     s.push_at_seq(t, s2, 2);
@@ -184,7 +204,7 @@ fn reserved_seq_orders_like_plain_push(s: &mut impl Queue<u32>) {
 }
 
 #[test]
-fn reserved_seq_orders_like_plain_push_on_both_engines() {
-    reserved_seq_orders_like_plain_push(&mut TimingWheel::new());
-    reserved_seq_orders_like_plain_push(&mut BinaryHeapScheduler::new());
+fn keyed_pushes_drain_in_key_order_on_both_engines() {
+    keyed_pushes_drain_in_key_order(&mut TimingWheel::new());
+    keyed_pushes_drain_in_key_order(&mut BinaryHeapScheduler::new());
 }

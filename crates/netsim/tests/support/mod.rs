@@ -12,34 +12,31 @@ use quartz_netsim::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The operations the differential tests drive on either engine.
+/// The operations the differential tests drive on either engine. Keys
+/// come from the caller (a local counter in the tests), as the
+/// simulator's do.
 pub trait Queue<T> {
-    /// Queues `item` at `time` with the next sequence number.
-    fn push(&mut self, time: SimTime, item: T) {
-        let seq = self.reserve_seq();
-        self.push_at_seq(time, seq, item);
-    }
-    /// Draws the next sequence number without queueing anything.
-    fn reserve_seq(&mut self) -> u64;
     /// Queues `item` at an explicit `(time, seq)` key.
     fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T);
-    /// Removes and returns the earliest `(time, seq)` event.
-    fn pop(&mut self) -> Option<(SimTime, T)>;
+    /// Removes and returns the earliest `(time, seq)` event if its time
+    /// is `<= bound`.
+    fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, T)>;
     /// The earliest queued `(time, seq)` key, if any.
     fn peek_key(&mut self) -> Option<(SimTime, u64)>;
     /// Whether nothing is queued.
     fn is_empty(&self) -> bool;
+    /// Removes and returns the earliest event, whatever its time.
+    fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.pop_before(SimTime::from_ns(u64::MAX))
+    }
 }
 
 impl<T> Queue<T> for TimingWheel<T> {
-    fn reserve_seq(&mut self) -> u64 {
-        TimingWheel::reserve_seq(self)
-    }
     fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T) {
         TimingWheel::push_at_seq(self, time, seq, item);
     }
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        TimingWheel::pop(self)
+    fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, T)> {
+        TimingWheel::pop_before(self, bound)
     }
     fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         TimingWheel::peek_key(self)
@@ -52,7 +49,6 @@ impl<T> Queue<T> for TimingWheel<T> {
 /// The reference scheduler: a binary min-heap ordered by `(time, seq)`.
 pub struct BinaryHeapScheduler<T> {
     heap: BinaryHeap<Reverse<HeapEv<T>>>,
-    seq: u64,
 }
 
 struct HeapEv<T> {
@@ -83,20 +79,18 @@ impl<T> BinaryHeapScheduler<T> {
     pub fn new() -> Self {
         BinaryHeapScheduler {
             heap: BinaryHeap::new(),
-            seq: 0,
         }
     }
 }
 
 impl<T> Queue<T> for BinaryHeapScheduler<T> {
-    fn reserve_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
     fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T) {
         self.heap.push(Reverse(HeapEv { time, seq, item }));
     }
-    fn pop(&mut self) -> Option<(SimTime, T)> {
+    fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, T)> {
+        if self.heap.peek()?.0.time > bound {
+            return None;
+        }
         self.heap.pop().map(|Reverse(e)| (e.time, e.item))
     }
     fn peek_key(&mut self) -> Option<(SimTime, u64)> {

@@ -211,6 +211,44 @@ fn faults_rejects_a_duration_whose_drain_overflows() {
 }
 
 #[test]
+fn rwa_rejects_durations_whose_sums_overflow() {
+    // 18446744073709551 us fits u64 nanoseconds; the 2 ms drain after
+    // it, or the churn's last transition before it, does not.
+    for (flag, what) in [
+        ("--duration-us", "plus the 2 ms drain overflows"),
+        (
+            "--repair-us",
+            "plus the churn window's end (750 us) overflows",
+        ),
+        (
+            "--control-us",
+            "plus the churn's last transition (1150 us) overflows",
+        ),
+    ] {
+        rejects(
+            &["rwa", "--dynamic", "true", flag, "18446744073709551"],
+            &format!("{flag}: 18446744073709551 {what}"),
+        );
+    }
+}
+
+#[test]
+fn faults_reconvergence_past_the_end_of_the_clock_never_happens() {
+    // The delay fits u64 nanoseconds, but not on top of the 1 ms cut.
+    let (ok, stdout, stderr) = quartz(&[
+        "faults",
+        "--dynamic",
+        "true",
+        "--switches",
+        "5",
+        "--reconverge-us",
+        "18446744073709551",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("reconvergence         never"), "{stdout}");
+}
+
+#[test]
 fn rwa_rejects_durations_that_overflow() {
     rejects_overflowing(
         &["rwa", "--dynamic", "true"],

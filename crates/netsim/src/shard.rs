@@ -753,8 +753,10 @@ impl CtlPlane {
                 for i in 0..cells.len() {
                     cells.lock(i).set_fault_state(k);
                 }
-                if let Some(delay) = self.reconvergence_ns {
-                    self.insert(at + delay, CtlKind::Reroute);
+                // A reroute past the end of the clock never happens:
+                // the record stays open.
+                if let Some(t) = self.reconvergence_ns.and_then(|d| at.ns().checked_add(d)) {
+                    self.insert(SimTime::from_ns(t), CtlKind::Reroute);
                 }
                 self.open(at, k, dropped)
             }

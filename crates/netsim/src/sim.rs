@@ -73,7 +73,8 @@ pub struct SimConfig {
     pub ecn_threshold_bytes: Option<u64>,
     /// Control-plane reconvergence delay: when a fault (or recovery)
     /// fires, routes are recomputed over the degraded network this many
-    /// ns later. `None` (the default) models a static control plane —
+    /// ns later — never, if that lands past the end of the 64-bit
+    /// clock. `None` (the default) models a static control plane —
     /// call [`ShardedSim::reroute`] by hand.
     pub reconvergence_ns: Option<u64>,
 }
@@ -1076,6 +1077,46 @@ mod tests {
             st.delivered > 100 + rec.drops_during_outage,
             "traffic resumes over the detour after reconvergence"
         );
+    }
+
+    #[test]
+    fn reconvergence_past_the_end_of_the_clock_never_fires() {
+        // A delay that fits u64 nanoseconds but not on top of the cut
+        // time: the reroute would land past the end of the clock, so it
+        // is never scheduled and the outage stays open.
+        let q = quartz_mesh(4, 1, 10.0, 10.0);
+        let mut sim = Simulator::new(
+            q.net.clone(),
+            SimConfig {
+                reconvergence_ns: Some(u64::MAX - 1_000),
+                ..no_prop_cfg()
+            },
+        );
+        sim.add_flow(
+            q.hosts[0],
+            q.hosts[1],
+            400,
+            FlowKind::Poisson {
+                mean_gap_ns: 10_000.0,
+                stop: SimTime::from_ms(2),
+                respond: false,
+            },
+            0,
+            SimTime::ZERO,
+        );
+        let direct = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
+        let mut plan = FaultPlan::new();
+        plan.link_down(direct, SimTime::from_ms(1));
+        sim.apply_fault_plan(&plan);
+        sim.run(SimTime::from_ms(2));
+
+        let log = sim.fault_log();
+        assert_eq!(log.len(), 1);
+        assert_eq!(
+            log[0].reconverged_at, None,
+            "no reroute past the clock's end"
+        );
+        assert!(sim.stats().dropped > 0, "the cut blackholes until the end");
     }
 
     #[test]

@@ -53,8 +53,8 @@ fn main() {
         run_once(black_box(1))
     });
     // The headline rate: scheduler events retired per wall-clock second
-    // on the flagship scenario (generation, per-hop arrivals, batched
-    // drains — everything the engine pops or drains counts once).
+    // on the flagship scenario (generation, per-hop arrivals, timers —
+    // everything the engine pops counts once).
     note_event_rate("mesh_2ms_40pct_load", events, &rec);
 
     measure("simulator", "construction_64_hosts", || {

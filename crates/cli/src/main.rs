@@ -44,6 +44,31 @@ use quartz_netsim::time::SimTime;
 use quartz_obs::event::to_ndjson;
 use quartz_obs::Event;
 
+/// Writes `text` to stdout. A reader that closes the pipe early
+/// (`quartz plan … | head -1`) ends the program quietly with status 0,
+/// as Unix filters do; any other write error exits with status 1.
+fn emit(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let Err(e) = std::io::stdout().lock().write_fmt(text) else {
+        return;
+    };
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: writing to stdout: {e}");
+    std::process::exit(1);
+}
+
+/// `println!` through [`emit`]: same input, same bytes.
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() {
     let args = match Args::from_env() {
         Ok(a) => a,
@@ -81,7 +106,7 @@ fn main() {
 }
 
 fn usage() {
-    println!(
+    outln!(
         "quartz — design tools for WDM-ring full-mesh datacenter networks\n\n\
          commands:\n\
          \x20 design      check a ring design: ports, wavelengths, optics, fault plan\n\
@@ -119,22 +144,22 @@ fn cmd_design(args: &Args) -> Result<(), String> {
     let rate: f64 = args.num("rate", 10.0)?;
 
     let ring = QuartzRing::new(m, n, k, rate).map_err(|e| e.to_string())?;
-    println!("Quartz ring: {m} switches, {n} server + {k} trunk ports each, {rate} Gb/s");
-    println!("  server ports           {}", ring.server_ports());
-    println!("  worst-case switch hops {}", ring.max_switch_hops());
-    println!("  rack-pair oversub      {}:1", ring.oversubscription());
-    println!("  wavelengths (greedy)   {}", ring.wavelengths_required());
-    println!("  lower bound            {}", bounds::load_lower_bound(m));
-    println!("  WDM muxes per switch   {}", ring.muxes_per_switch());
-    println!("  physical fiber rings   {}", ring.physical_rings());
+    outln!("Quartz ring: {m} switches, {n} server + {k} trunk ports each, {rate} Gb/s");
+    outln!("  server ports           {}", ring.server_ports());
+    outln!("  worst-case switch hops {}", ring.max_switch_hops());
+    outln!("  rack-pair oversub      {}:1", ring.oversubscription());
+    outln!("  wavelengths (greedy)   {}", ring.wavelengths_required());
+    outln!("  lower bound            {}", bounds::load_lower_bound(m));
+    outln!("  WDM muxes per switch   {}", ring.muxes_per_switch());
+    outln!("  physical fiber rings   {}", ring.physical_rings());
     let optics = ring.optical_plan().map_err(|e| e.to_string())?;
-    println!("  amplifiers on ring     {}", optics.amplifier_count());
-    println!(
+    outln!("  amplifiers on ring     {}", optics.amplifier_count());
+    outln!(
         "  receiver pad           {} dB",
         optics.receiver_pad().attenuation.value()
     );
-    println!("  worst optical margin   {}", optics.worst_margin());
-    println!(
+    outln!("  worst optical margin   {}", optics.worst_margin());
+    outln!(
         "  max ports at this port count: {}",
         scalability::max_mesh_server_ports(n + k)
     );
@@ -155,7 +180,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             return Err("--exact supports up to 64 switches".into());
         }
         let r = exact::solve(m, exact::DEFAULT_NODE_BUDGET);
-        println!(
+        outln!(
             "exact plan: {} wavelengths ({})",
             r.channels,
             match r.status {
@@ -166,7 +191,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         r.assignment
     } else {
         let a = greedy::assign_best(m, 0);
-        println!(
+        outln!(
             "greedy plan: {} wavelengths (lower bound {})",
             a.channels_used(),
             bounds::load_lower_bound(m)
@@ -177,10 +202,10 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
 
     for (shown, (pair, dir, ch)) in assignment.entries().iter().enumerate() {
         if shown >= show {
-            println!("  … ({} more pairs)", assignment.entries().len() - shown);
+            outln!("  … ({} more pairs)", assignment.entries().len() - shown);
             break;
         }
-        println!("  λ[{} ↔ {}] = channel {ch} ({dir:?} arc)", pair.a, pair.b);
+        outln!("  λ[{} ↔ {}] = channel {ch} ({dir:?} arc)", pair.a, pair.b);
     }
     Ok(())
 }
@@ -192,20 +217,21 @@ fn cmd_grow(args: &Args) -> Result<(), String> {
         return Err("--switches must be ≥ 2".into());
     }
     let step = scalability::expansion_step(m);
-    println!("growing a ring from {} to {} switches:", step.from, step.to);
-    println!("  new pairs (channels to provision) {}", step.added);
-    println!("  existing pairs re-tuned           {}", step.retuned);
-    println!(
+    outln!("growing a ring from {} to {} switches:", step.from, step.to);
+    outln!("  new pairs (channels to provision) {}", step.added);
+    outln!("  existing pairs re-tuned           {}", step.retuned);
+    outln!(
         "  wavelengths                        {} → {}",
-        step.wavelengths.0, step.wavelengths.1
+        step.wavelengths.0,
+        step.wavelengths.1
     );
-    println!(
+    outln!(
         "  retune dark time (fast-tunable)    {} total, {} critical path",
         fmt_ns(step.retune_total_ns),
         fmt_ns(step.retune_max_ns)
     );
     let thermal = scalability::expansion_step_with(m, &quartz_optics::retune::THERMAL_TUNABLE_SFP);
-    println!(
+    outln!(
         "  retune dark time (thermal SFP+)    {} total, {} critical path",
         fmt_ns(thermal.retune_total_ns),
         fmt_ns(thermal.retune_max_ns)
@@ -244,13 +270,13 @@ fn cmd_scale(args: &Args) -> Result<(), String> {
         quartz_optics::retune::FAST_TUNABLE_SFP
     };
     let ceiling = scalability::max_ring_size_for_channels(channels);
-    println!("Quartz element scaling:");
-    println!("  ring ceiling at {channels} channels   {ceiling} switches");
-    println!(
+    outln!("Quartz element scaling:");
+    outln!("  ring ceiling at {channels} channels   {ceiling} switches");
+    outln!(
         "  max server ports ({ports}-port sw)  {}",
         scalability::max_mesh_server_ports(ports)
     );
-    println!(
+    outln!(
         "\nexpansion cost per added switch ({} retune model):",
         if thermal {
             "thermal SFP+"
@@ -258,16 +284,21 @@ fn cmd_scale(args: &Args) -> Result<(), String> {
             "fast-tunable"
         }
     );
-    println!(
+    outln!(
         "  {:>8}  {:>5}  {:>7}  {:>9}  {:>12}  {:>13}",
-        "step", "added", "retuned", "waves", "dark total", "critical path"
+        "step",
+        "added",
+        "retuned",
+        "waves",
+        "dark total",
+        "critical path"
     );
     for m in [4usize, 8, 12, 16, 24, 32] {
         if m + 1 > ceiling {
             break;
         }
         let step = scalability::expansion_step_with(m, &model);
-        println!(
+        outln!(
             "  {:>2} → {:>2}  {:>5}  {:>7}  {:>4} → {:<3}  {:>12}  {:>13}",
             step.from,
             step.to,
@@ -315,20 +346,21 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     }
     let model = FailureModel::new(m, rings);
     let r = model.monte_carlo_with(failures, trials, seed, &ThreadPool::new(jobs));
-    println!(
+    outln!(
         "{m}-switch ring, {rings} physical fiber ring(s), {failures} random cut(s), {trials} trials:"
     );
-    println!(
+    outln!(
         "  mean direct-bandwidth loss {:.1}%",
         r.mean_bandwidth_loss * 100.0
     );
-    println!(
+    outln!(
         "  partition probability      {:.4}",
         r.partition_probability
     );
-    println!(
+    outln!(
         "  severed-pair detour        {:.2} hops (mesh-wide mean {:.2})",
-        r.mean_detour_stretch, r.mean_post_failure_hops
+        r.mean_detour_stretch,
+        r.mean_post_failure_hops
     );
     Ok(())
 }
@@ -366,33 +398,36 @@ fn cmd_faults_dynamic(args: &Args) -> Result<(), String> {
         ));
     }
     let s = ring_cut_scenario(&cfg);
-    println!(
+    outln!(
         "{m}-switch mesh, fiber 0<->1 cut at {cut_at_us} us, {reconverge_us} us reconvergence, {duration_ms} ms run (seed {seed}):"
     );
-    println!(
+    outln!(
         "  severed pair latency  p50 {:.2} -> {:.2} us, mean {:.2} -> {:.2} us",
         s.pre.p50_ns as f64 / 1e3,
         s.post.p50_ns as f64 / 1e3,
         s.pre.mean_ns / 1e3,
         s.post.mean_ns / 1e3
     );
-    println!(
+    outln!(
         "  path stretch          {:.2} -> {:.2} links per packet",
-        s.pre_mean_hops, s.post_mean_hops
+        s.pre_mean_hops,
+        s.post_mean_hops
     );
     match s.reconvergence_ns {
-        Some(ns) => println!(
+        Some(ns) => outln!(
             "  reconvergence         {:.1} us, {} packets lost during the outage",
             ns as f64 / 1e3,
             s.drops_during_outage
         ),
         None => {
-            println!("  reconvergence         never (run ended before the control plane acted)")
+            outln!("  reconvergence         never (run ended before the control plane acted)")
         }
     }
-    println!(
+    outln!(
         "  totals                {} generated, {} delivered, {} dropped",
-        s.generated, s.delivered, s.dropped
+        s.generated,
+        s.delivered,
+        s.dropped
     );
     if !s.post_hop_distribution.is_empty() {
         let dist: Vec<String> = s
@@ -400,7 +435,7 @@ fn cmd_faults_dynamic(args: &Args) -> Result<(), String> {
             .iter()
             .map(|(h, n)| format!("{h} links x{n}"))
             .collect();
-        println!("  post-cut paths        {}", dist.join(", "));
+        outln!("  post-cut paths        {}", dist.join(", "));
     }
     Ok(())
 }
@@ -438,12 +473,12 @@ fn cmd_rwa(args: &Args) -> Result<(), String> {
         return Err("--switches must be in 3..=64".into());
     }
     let mut rwa = OnlineRwa::new(m, budget);
-    println!(
+    outln!(
         "{m}-switch ring, seed plan {} wavelengths, node budget {budget}:",
         rwa.plan().channels_used()
     );
     let show = |label: &str, r: &ResolveReport| {
-        println!(
+        outln!(
             "  {label}: {} ({} ch vs {} fresh), {} moved / {} relit / {} torn down / {} dark, {} nodes",
             r.outcome.as_str(),
             r.channels,
@@ -455,9 +490,14 @@ fn cmd_rwa(args: &Args) -> Result<(), String> {
             r.nodes_used
         );
         for op in r.moved.iter().chain(r.restored.iter()).take(6) {
-            println!(
+            outln!(
                 "    pair ({},{}) retunes {:?} ch {} → {:?} ch {}",
-                op.pair.a, op.pair.b, op.from.0, op.from.1, op.to.0, op.to.1
+                op.pair.a,
+                op.pair.b,
+                op.from.0,
+                op.from.1,
+                op.to.0,
+                op.to.1
             );
         }
     };
@@ -466,7 +506,7 @@ fn cmd_rwa(args: &Args) -> Result<(), String> {
     let repair = rwa.apply(RingDelta::FiberRepair(0));
     show("repair fiber 0", &repair);
     rwa.plan().validate(0).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "  healed plan valid: {} wavelengths",
         rwa.plan().channels_used()
     );
@@ -540,7 +580,7 @@ fn cmd_rwa_dynamic(args: &Args) -> Result<(), String> {
         ));
     }
 
-    println!(
+    outln!(
         "{m}-switch mesh, {cuts} fiber cut(s){}, {} retune, {duration_us} us run, budget {budget} (seed {seed}, {units} unit(s)):",
         if repair_us == 0 {
             " (no repair)".to_string()
@@ -552,7 +592,7 @@ fn cmd_rwa_dynamic(args: &Args) -> Result<(), String> {
     let reports = churn_units(&cfg, units, &ThreadPool::new(jobs));
     let mut tot = (0u32, 0u32, 0u32, 0u64, 0u64, 0u64);
     for (u, r) in reports.iter().enumerate() {
-        println!(
+        outln!(
             "  unit {u}: {} warm / {} fallback / {} fresh; {} retunes ({} dark); {} dropped; p99 neighbor {:.2} us, cross {:.2} us",
             r.warm_start,
             r.budget_fallback,
@@ -570,7 +610,7 @@ fn cmd_rwa_dynamic(args: &Args) -> Result<(), String> {
         tot.4 += r.dark_ns_total;
         tot.5 += r.dropped;
     }
-    println!(
+    outln!(
         "  aggregate: {} re-solve(s) ({} warm, {} fallback, {} fresh), {} retunes, {} dark, {} dropped",
         tot.0 + tot.1 + tot.2,
         tot.0,
@@ -590,7 +630,7 @@ fn cmd_rwa_dynamic(args: &Args) -> Result<(), String> {
         let mut body = to_ndjson(events.iter().filter(control));
         body.push_str(&metrics.to_ndjson());
         std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("  re-solve metrics written: {out}");
+        outln!("  re-solve metrics written: {out}");
     }
     Ok(())
 }
@@ -601,7 +641,7 @@ fn cmd_configure(args: &Args) -> Result<(), String> {
     let catalog = quartz_cost::catalog::PriceCatalog::era_2014().with_wdm_scale(scale);
     for row in quartz_cost::configurator::configure(&catalog) {
         let premium = row.quartz_cost / row.baseline_cost - 1.0;
-        println!(
+        outln!(
             "{:?}/{:?}: {} ${:.0} → {} ${:.0} ({:+.1}%), latency −{:.0}%",
             row.size,
             row.utilization,
@@ -664,7 +704,7 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         severed: Vec::new(),
     };
     let t = normalized_throughput(&fabric, &demands);
-    println!(
+    outln!(
         "{racks}×{hosts} mesh, {pattern}, {policy_s}: normalized throughput {:.3} ({:.1} of {:.1} line-rate units)",
         t.normalized, t.aggregate, t.ideal_aggregate
     );
@@ -734,7 +774,7 @@ fn cmd_rpc(args: &Args) -> Result<(), String> {
     }
     sim.run(horizon);
     let s = sim.stats().summary(0);
-    println!(
+    outln!(
         "{wiring} wiring, {mbps} Mb/s cross-traffic per source: RPC RTT mean {:.2} µs, p99 {:.2} µs ({} calls)",
         s.mean_us(),
         s.p99_ns as f64 / 1e3,
@@ -775,7 +815,7 @@ fn cmd_topo(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    print!("{}", to_dot(&net, title));
+    emit(format_args!("{}", to_dot(&net, title)));
     Ok(())
 }
 
@@ -804,13 +844,13 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let timeline: usize = args.num("timeline", 40)?;
 
     let (report, events, metrics) = ring_cut_scenario_traced(&cfg);
-    println!(
+    outln!(
         "{m}-switch mesh, fiber 0<->1 cut at {:.0} us (seed {seed}): {} events, {} metrics",
         cfg.cut_at.ns() as f64 / 1e3,
         events.len(),
         metrics.len()
     );
-    println!(
+    outln!(
         "  generated {} / delivered {} / dropped {}; reconvergence {}",
         report.generated,
         report.delivered,
@@ -820,14 +860,17 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             None => "never".to_string(),
         }
     );
-    println!();
-    print!("{}", quartz_obs::timeline::render(&events, timeline));
+    outln!();
+    emit(format_args!(
+        "{}",
+        quartz_obs::timeline::render(&events, timeline)
+    ));
 
     if let Some(out) = args.get("out") {
         let mut body = to_ndjson(&events);
         body.push_str(&metrics.to_ndjson());
         std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("\ntrace written: {out}");
+        outln!("\ntrace written: {out}");
     }
     Ok(())
 }
@@ -925,7 +968,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
         let c = quartz_in_edge_and_core(rings, switches, hosts_per_sw, core);
         (c.net, c.hosts)
     };
-    println!(
+    outln!(
         "workload {} over {} hosts ({rings} ring(s) x {switches} sw x {hosts_per_sw}), \
          {} transport, seed {seed}, {units} unit(s):",
         cfg.spec.name(),
@@ -941,9 +984,9 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
         build,
     )?;
     for (u, r) in reports.iter().enumerate() {
-        println!("unit {u} (seed {}):", r.seed);
+        outln!("unit {u} (seed {}):", r.seed);
         for line in r.render().lines() {
-            println!("  {line}");
+            outln!("  {line}");
         }
     }
 
@@ -953,7 +996,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
             r.add_metrics(&mut m, &format!("workload.u{u}"));
         }
         std::fs::write(out, m.to_ndjson()).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("metrics written: {out}");
+        outln!("metrics written: {out}");
     }
     if let Some(out) = trace_out {
         // Unit 0's trace — independent of --jobs — cut to the
@@ -963,7 +1006,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
             |ev: &&Event| matches!(ev.tag(), "flow_start" | "flow_complete" | "collective_step");
         let body = to_ndjson(events.iter().filter(workload));
         std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("trace written: {out}");
+        outln!("trace written: {out}");
     }
     Ok(())
 }
@@ -1026,7 +1069,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     };
     let mut sim = ShardedSim::new(c.net.clone(), cfg, domains);
     let n = c.hosts.len();
-    println!(
+    outln!(
         "shard: quartz-in-core {pods} pods x {tors} ToRs x {hosts_per_tor} hosts \
          ({n} hosts, {ring}-switch core ring), seed {seed}"
     );
@@ -1074,7 +1117,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
         let mut plan = FaultPlan::new();
         plan.link_down(l, SimTime::from_ns(cut_at_ns));
         sim.apply_fault_plan(&plan);
-        println!("fault: core channel cut at {cut_at_us} µs (reconverge +50 µs)");
+        outln!("fault: core channel cut at {cut_at_us} µs (reconverge +50 µs)");
     }
 
     let trace = args.get("trace-out").map(str::to_string);
@@ -1085,22 +1128,29 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     sim.run(SimTime::from_ns(duration_ns), &ThreadPool::new(jobs));
 
     let s = sim.stats();
-    println!(
+    outln!(
         "packets: {} generated, {} delivered, {} dropped over {} ms",
-        s.generated, s.delivered, s.dropped, duration_ms
+        s.generated,
+        s.delivered,
+        s.dropped,
+        duration_ms
     );
     for (tag, label) in [(0u32, "rpc"), (1, "reno-60k"), (2, "file-30k")] {
         let sum = s.summary(tag);
         if sum.count > 0 {
-            println!(
+            outln!(
                 "  {label:<10} n={:<5} mean {:>9.1} ns  p50 {:>8} ns  p99 {:>8} ns  max {:>8} ns",
-                sum.count, sum.mean_ns, sum.p50_ns, sum.p99_ns, sum.max_ns
+                sum.count,
+                sum.mean_ns,
+                sum.p50_ns,
+                sum.p99_ns,
+                sum.max_ns
             );
         }
     }
-    println!("completions: {}", sim.flow_completions().len());
+    outln!("completions: {}", sim.flow_completions().len());
     for r in sim.fault_log() {
-        println!(
+        outln!(
             "fault at {} ns: reconverged {}, {} drops during outage",
             r.at.ns(),
             r.reconverged_at
@@ -1127,12 +1177,12 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     if let Some(out) = args.get("metrics-out") {
         let m = sim.take_metrics().ok_or("metrics were enabled")?;
         std::fs::write(out, m.to_ndjson()).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("metrics written: {out}");
+        outln!("metrics written: {out}");
     }
     if let Some(out) = trace {
         let events = sim.take_recorder().ok_or("recorder was attached")?.finish();
         std::fs::write(&out, to_ndjson(&events)).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("trace written: {out}");
+        outln!("trace written: {out}");
     }
     Ok(())
 }
@@ -1146,7 +1196,7 @@ fn cmd_power(args: &Args) -> Result<(), String> {
     use quartz_cost::bom::Design;
     use quartz_cost::power::PowerCatalog;
     let p = PowerCatalog::default();
-    println!("network power draw for {servers} servers:");
+    outln!("network power draw for {servers} servers:");
     for d in [
         Design::TwoTierTree,
         Design::ThreeTierTree,
@@ -1155,7 +1205,7 @@ fn cmd_power(args: &Args) -> Result<(), String> {
         Design::QuartzInEdgeAndCore,
     ] {
         let w = p.watts_per_server(d, servers);
-        println!(
+        outln!(
             "  {:<26} {w:>6.2} W/server ({:.1} kW total)",
             d.name(),
             w * servers as f64 / 1000.0

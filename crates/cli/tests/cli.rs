@@ -276,3 +276,30 @@ fn workload_rejects_durations_that_overflow() {
         &["--window-us", "--horizon-ms"],
     );
 }
+
+/// A reader that closes the pipe after the first line (`quartz … |
+/// head -1`) ends the run quietly with status 0, instead of a
+/// "failed printing to stdout" panic. The listing is far larger than a
+/// pipe's buffer, so the binary is still writing when the pipe closes.
+#[test]
+fn closed_stdout_pipe_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_quartz"))
+        .args(["plan", "--switches", "100", "--show-pairs", "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("stdout piped");
+    BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("greedy plan:"), "{first}");
+    // The reader drops here: the pipe is closed mid-listing.
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -15,7 +15,6 @@
 //!   flow:     [u32     u32     u32     …]   stats / transport lookup
 //!   size:     [u32     u32     u32     …]   serialization time
 //!   hash:     [u64     u64     u64     …]   ECMP pick
-//!   arr_head/arr_tail/arr_next …            pending batched arrival
 //!   cold (read at delivery / detour only)
 //!   cold:     [PacketCold …]               transport, intermediate,
 //!                                          flags, hops
@@ -85,14 +84,6 @@ pub struct PacketArena {
     pub(crate) size: Vec<u32>,
     /// ECMP flow hash (resprayed on VLB detours).
     pub(crate) hash: Vec<u64>,
-    /// Pending batched arrival: head time at the next node. Valid only
-    /// while the packet sits in a link batch queue.
-    pub(crate) arr_head: Vec<SimTime>,
-    /// Pending batched arrival: tail time at the next node.
-    pub(crate) arr_tail: Vec<SimTime>,
-    /// Pending batched arrival: the next entry of the same link batch
-    /// (`PacketId::MAX` at its end).
-    pub(crate) arr_next: Vec<PacketId>,
     /// Cold row per slot.
     pub(crate) cold: Vec<PacketCold>,
     /// Freed slot ids, reused LIFO.
@@ -164,9 +155,6 @@ impl PacketArena {
         self.flow.push(flow);
         self.size.push(size);
         self.hash.push(hash);
-        self.arr_head.push(SimTime::ZERO);
-        self.arr_tail.push(SimTime::ZERO);
-        self.arr_next.push(PacketId::MAX);
         self.cold.push(cold);
         #[cfg(debug_assertions)]
         self.live_bits.push(true);

@@ -15,10 +15,9 @@
 //!
 //! Scheduling, randomness and the event sinks belong to the domain the
 //! core runs in ([`crate::shard::Domain`], the core's `eng`): a
-//! content-keyed wheel with per-link batch drain plus the cross-domain
-//! boundary outbox, per-flow RNG streams drawn at emission, and the
-//! metrics fold and recorder (or merge-keyed stash) every recorded
-//! event goes to. Which retransmission timer is live is decided here,
+//! content-keyed wheel plus the cross-domain boundary outbox, per-flow
+//! RNG streams drawn at emission, and the metrics fold and recorder (or
+//! merge-keyed stash) every recorded event goes to. Which retransmission timer is live is decided here,
 //! once: a connection keeps at most one timer event queued (see
 //! [`Core::on_rto`]).
 
@@ -47,14 +46,9 @@ pub(crate) struct Arrival {
     pub(crate) pkt: PacketId,
     /// The node the head arrives at.
     pub(crate) at: NodeId,
-    /// The directed link slot it travels.
-    pub(crate) slot: u32,
     pub(crate) head: SimTime,
-    pub(crate) tail: SimTime,
-    /// Serialization time of the hop (`tail - head`), ns.
+    /// Serialization time of the hop (tail minus head), ns.
     pub(crate) ser: u32,
-    /// Whether the link was idle when the packet reached it.
-    pub(crate) idle: bool,
 }
 
 /// Per-flow metadata, fixed at `add_flow`. `Copy`, so the per-event
@@ -140,9 +134,6 @@ impl DirLink {
 pub(crate) struct Fabric {
     pub(crate) net: Arc<Network>,
     node_kind: Arc<[NodeKind]>,
-    /// Arrival node of each directed link slot (`[2l]` = `a→b` arrives
-    /// at `b`).
-    slot_dst: Arc<[NodeId]>,
     /// VLB domain index per node (`u32::MAX` = not in any domain).
     vlb_domain: Arc<[u32]>,
     /// Whether any VLB domain exists at all.
@@ -168,10 +159,8 @@ impl Fabric {
                 }
             }
         }
-        let mut slot_dst = Vec::with_capacity(2 * net.link_count());
         let mut links = Vec::with_capacity(2 * net.link_count());
         for l in net.links() {
-            slot_dst.extend([l.b, l.a]);
             let d = DirLink {
                 rate_gbps: l.bandwidth_gbps,
                 free_at: SimTime::ZERO,
@@ -186,7 +175,6 @@ impl Fabric {
         Fabric {
             node_kind: net.nodes().map(|n| n.kind).collect(),
             vlb_enabled: vlb_domain.iter().any(|&d| d != u32::MAX),
-            slot_dst: slot_dst.into(),
             vlb_domain: vlb_domain.into(),
             links,
             net: Arc::new(net),
@@ -201,7 +189,6 @@ pub(crate) struct Core {
     /// Dense per-node kind column (the [`Network`] rows carry rack
     /// metadata the per-hop path never reads).
     pub(crate) node_kind: Arc<[NodeKind]>,
-    pub(crate) slot_dst: Arc<[NodeId]>,
     vlb_domain: Arc<[u32]>,
     /// Whether any VLB domain exists; `false` keeps non-VLB runs off
     /// the domain table entirely.
@@ -244,7 +231,6 @@ impl Core {
             cfg,
             net: Arc::clone(&fabric.net),
             node_kind: Arc::clone(&fabric.node_kind),
-            slot_dst: Arc::clone(&fabric.slot_dst),
             vlb_enabled: fabric.vlb_enabled,
             vlb_domain: Arc::clone(&fabric.vlb_domain),
             flat,
@@ -751,17 +737,13 @@ impl Core {
         cold.hops += 1;
         self.arena.cold[i] = cold;
         self.arena.hash[i] = hash;
-        debug_assert_eq!(next, self.slot_dst[slot as usize]);
         debug_assert!(ser_ns <= u64::from(u32::MAX));
         let prop = self.cfg.prop_delay_ns;
         let arrival = Arrival {
             pkt: id,
             at: next,
-            slot,
             head: start + prop,
-            tail: done + prop,
             ser: ser_ns as u32,
-            idle: free_at <= earliest,
         };
         self.eng.schedule_arrival(&mut self.arena, arrival);
     }

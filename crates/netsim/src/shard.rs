@@ -79,11 +79,11 @@
 //! The engine supports all five [`FlowKind`]s, ECN marking, Reno/DCTCP
 //! transport, VLB detours, the SPAIN-style extra route tables of the §6
 //! prototype, live faults with automatic or manual reconvergence, and
-//! the full observability surface. Each domain batches back-to-back
-//! arrivals on its own links (DESIGN.md §10); arrivals crossing into
-//! another domain stay plain events. Fabrics whose routes forward
-//! *through* hosts (e.g. BCube) are rejected at construction when a
-//! host link would cross a domain boundary.
+//! the full observability surface. Every packet arrival is one `Head`
+//! event, whether it stays in its domain or crosses into another.
+//! Fabrics whose routes forward *through* hosts (e.g. BCube) are
+//! rejected at construction when a host link would cross a domain
+//! boundary.
 //!
 //! A control-plane event (fault or reroute) at time `t` applies before
 //! every packet event at `t`, at every domain count. The control plane
@@ -115,8 +115,6 @@ const HEAD_RANK: u64 = 1 << 62;
 /// Rank bit of retransmission-timer (`Rto`) keys: timers sort last
 /// among same-time events.
 const RTO_RANK: u64 = 1 << 63;
-/// No packet: an empty link batch, or the end of one.
-const NO_PKT: PacketId = PacketId::MAX;
 
 /// Canonical key of the `n`-th generation event of `flow` (rank 0).
 #[inline]
@@ -149,11 +147,6 @@ enum DEv {
     /// Packet head arrives at `at`; tail follows `ser` ns later. The
     /// packet's canonical key lives in the arena sidecar (`pkey`).
     Head { pkt: PacketId, at: NodeId, ser: u32 },
-    /// Drain the batch of back-to-back arrivals queued on directed link
-    /// `slot`, starting with its first pending arrival `pkt`. Queued at
-    /// that arrival's own `(time, key)`, so it pops exactly where the
-    /// arrival's `Head` event would have.
-    LinkDrain { slot: u32, pkt: PacketId },
     /// The one queued retransmission-timer event of `flow`. `seq` is
     /// the flow's arm counter when its timer was armed — the key
     /// component, advanced on every arm so keys stay unique.
@@ -166,7 +159,7 @@ enum DEv {
 #[derive(Clone, Copy, Debug)]
 struct BoundaryMsg {
     /// Arrival time of the head at `at` (strictly beyond the window).
-    arr_head: SimTime,
+    head: SimTime,
     /// The packet's canonical key (`pkey` sidecar value).
     key_lo: u64,
     /// Node the packet arrives at (owned by the receiving domain).
@@ -204,7 +197,7 @@ impl Default for Mailbox {
 impl Mailbox {
     /// Adds `m`, keeping the earliest arrival.
     fn push(&mut self, m: BoundaryMsg) {
-        self.first = self.first.min(m.arr_head.ns());
+        self.first = self.first.min(m.head.ns());
         self.msgs.push(m);
     }
 
@@ -218,9 +211,9 @@ impl Mailbox {
 }
 
 /// One spatial domain's half of the per-packet path — what the shared
-/// core calls out to: a content-keyed timing wheel with per-link batch
-/// drain plus the boundary mailboxes, per-flow RNG streams drawn at
-/// emission, and the metrics, trace and completion sinks. Per-flow
+/// core calls out to: a content-keyed timing wheel plus the boundary
+/// mailboxes, per-flow RNG streams drawn at emission, and the metrics,
+/// trace and completion sinks. Per-flow
 /// rows are full-size in every domain (only the owning side's domain
 /// advances them), trading memory for branch-free indexing by flow id.
 pub(crate) struct Domain {
@@ -229,11 +222,6 @@ pub(crate) struct Domain {
     /// Whether packets pre-draw VLB randomness at emission.
     vlb: bool,
     wheel: TimingWheel<DEv>,
-    /// Per directed link slot: the last arrival of its pending batch
-    /// (`NO_PKT` when none is pending). Entries chain through the
-    /// arena's `arr_next`; a non-empty batch keeps exactly one
-    /// [`DEv::LinkDrain`] queued, keyed like its first entry.
-    batch_tail: Vec<PacketId>,
     /// Next generation-event ordinal (key component).
     gen_n: Vec<u32>,
     /// Per-flow retransmission-timer arm counter (key component),
@@ -283,20 +271,15 @@ pub(crate) struct Domain {
     /// Wall time spent inside `step_to`, by the injected clock.
     busy_ns: u64,
     clock: fn() -> u64,
-    /// Test-only reference schedule: one `Head` event per arrival, no
-    /// batching (DESIGN.md §10).
-    #[cfg(test)]
-    per_packet: bool,
 }
 
 impl Domain {
-    fn new(id: u32, dom_of: Arc<[u32]>, vlb: bool, k: usize, slots: usize) -> Domain {
+    fn new(id: u32, dom_of: Arc<[u32]>, vlb: bool, k: usize) -> Domain {
         Domain {
             id,
             dom_of,
             vlb,
             wheel: TimingWheel::new(),
-            batch_tail: vec![NO_PKT; slots],
             gen_n: Vec::new(),
             rto_emit: Vec::new(),
             src_emit: Vec::new(),
@@ -320,8 +303,6 @@ impl Domain {
             cur_key: 0,
             busy_ns: 0,
             clock: zero_clock,
-            #[cfg(test)]
-            per_packet: false,
         }
     }
 
@@ -394,8 +375,8 @@ impl Domain {
     }
 
     /// Queues a forwarded packet's arrival: hands it to the next hop's
-    /// domain, appends it to its link's batch, or queues a plain event.
-    /// The packet's arena row is final.
+    /// domain or queues its `Head` event. The packet's arena row is
+    /// final.
     // lint:hot
     #[inline]
     pub(crate) fn schedule_arrival(&mut self, arena: &mut PacketArena, a: Arrival) {
@@ -403,7 +384,7 @@ impl Domain {
         let next_dom = self.dom_of[a.at.0 as usize];
         if next_dom != self.id {
             let m = BoundaryMsg {
-                arr_head: a.head,
+                head: a.head,
                 key_lo: self.pkey[i],
                 at: a.at,
                 ser: a.ser,
@@ -421,40 +402,12 @@ impl Domain {
             arena.free(a.pkt);
             return;
         }
-        let key = HEAD_RANK | self.pkey[i];
-        let tail = &mut self.batch_tail[a.slot as usize];
-        // An idle link's lone arrival gets a plain event, so short
-        // queues pay no batch bookkeeping; the test-only reference
-        // schedule never batches.
-        let batch = *tail != NO_PKT || !a.idle;
-        #[cfg(test)]
-        let batch = batch && !self.per_packet;
-        if !batch {
-            let ev = DEv::Head {
-                pkt: a.pkt,
-                at: a.at,
-                ser: a.ser,
-            };
-            self.wheel.push_at_seq(a.head, key, ev);
-            return;
-        }
-        // Queued behind a transmission in progress (or a pending
-        // batch): append. Arrivals on one slot are strictly increasing
-        // in time, since each starts transmitting no earlier than its
-        // predecessor finished.
-        arena.arr_head[i] = a.head;
-        arena.arr_tail[i] = a.tail;
-        arena.arr_next[i] = NO_PKT;
-        if *tail == NO_PKT {
-            let drain = DEv::LinkDrain {
-                slot: a.slot,
-                pkt: a.pkt,
-            };
-            self.wheel.push_at_seq(a.head, key, drain);
-        } else {
-            arena.arr_next[*tail as usize] = a.pkt;
-        }
-        *tail = a.pkt;
+        let ev = DEv::Head {
+            pkt: a.pkt,
+            at: a.at,
+            ser: a.ser,
+        };
+        self.wheel.push_at_seq(a.head, HEAD_RANK | self.pkey[i], ev);
     }
 
     /// Assigns a freshly allocated packet of `flow` its canonical key
@@ -559,7 +512,7 @@ impl Core {
                 break;
             };
             self.events_processed += 1;
-            self.dispatch(t, ev, bound, stop);
+            self.dispatch(t, ev);
         }
         self.eng.busy_ns = self
             .eng
@@ -570,7 +523,7 @@ impl Core {
     /// Dispatches one event, reconstructing its canonical merge key
     /// from its content.
     // lint:hot
-    fn dispatch(&mut self, t: SimTime, ev: DEv, bound: SimTime, stop: &impl Fn(&Core) -> bool) {
+    fn dispatch(&mut self, t: SimTime, ev: DEv) {
         match ev {
             DEv::Gen { flow, n } => {
                 debug_assert_eq!(
@@ -581,7 +534,6 @@ impl Core {
                 self.generate(flow as usize, t);
             }
             DEv::Head { pkt, at, ser } => self.head(pkt, at, t, t + u64::from(ser)),
-            DEv::LinkDrain { slot, pkt } => self.drain_link(slot, pkt, bound, stop),
             DEv::Rto { flow, seq } => {
                 let key = rto_key(flow, seq);
                 self.begin(t, key);
@@ -609,49 +561,6 @@ impl Core {
         self.arrive(pkt, at, head, tail);
     }
 
-    /// Processes the batch queued on directed link `slot` from `pkt`
-    /// on, in line while — and only while — each arrival's `(time, key)`
-    /// precedes everything else queued, lies within `bound` and `stop`
-    /// does not hold. Otherwise the drain re-queues itself at the next
-    /// arrival's key and yields, so the global order is exactly the
-    /// per-packet schedule's (DESIGN.md §10).
-    // lint:hot
-    fn drain_link(
-        &mut self,
-        slot: u32,
-        mut pkt: PacketId,
-        bound: SimTime,
-        stop: &impl Fn(&Core) -> bool,
-    ) {
-        let at = self.slot_dst[slot as usize];
-        loop {
-            // Read the entry before `arrive` frees or re-batches its
-            // slot; the last entry closes the batch first.
-            let i = pkt as usize;
-            let next = self.arena.arr_next[i];
-            if next == NO_PKT {
-                self.eng.batch_tail[slot as usize] = NO_PKT;
-            }
-            let (head, tail) = (self.arena.arr_head[i], self.arena.arr_tail[i]);
-            self.head(pkt, at, head, tail);
-            if next == NO_PKT {
-                return;
-            }
-            pkt = next;
-            let j = pkt as usize;
-            let (head, key) = (self.arena.arr_head[j], HEAD_RANK | self.eng.pkey[j]);
-            if head > bound
-                || stop(self)
-                || self.eng.wheel.peek_key().is_some_and(|k| k < (head, key))
-            {
-                let drain = DEv::LinkDrain { slot, pkt };
-                self.eng.wheel.push_at_seq(head, key, drain);
-                return;
-            }
-            self.events_processed += 1;
-        }
-    }
-
     /// Re-materializes every boundary packet of the inbox, in hand-off
     /// order (irrelevant to the output: events are keyed), and empties
     /// it, keeping its allocation.
@@ -673,7 +582,7 @@ impl Core {
     // lint:hot
     fn deliver_boundary(&mut self, m: &BoundaryMsg) {
         debug_assert!(
-            m.arr_head > self.now,
+            m.head > self.now,
             "conservative lookahead violated: boundary event in the past"
         );
         let id = self
@@ -691,7 +600,7 @@ impl Core {
             at: m.at,
             ser: m.ser,
         };
-        d.wheel.push_at_seq(m.arr_head, HEAD_RANK | m.key_lo, ev);
+        d.wheel.push_at_seq(m.head, HEAD_RANK | m.key_lo, ev);
     }
 }
 
@@ -1020,11 +929,10 @@ impl ShardedSim {
         let table = RouteTable::all_shortest_paths(&fabric.net);
         let flat = Arc::new(FlatRoutes::new(&table, &fabric.net));
         drop(table);
-        let slots = 2 * fabric.net.link_count();
         debug_assert!(k <= u32::MAX as usize, "domain count fits u32");
         let doms: Vec<Core> = (0..k)
             .map(|id| {
-                let d = Domain::new(id as u32, Arc::clone(&dom_of), fabric.vlb_enabled, k, slots);
+                let d = Domain::new(id as u32, Arc::clone(&dom_of), fabric.vlb_enabled, k);
                 Core::new(&fabric, cfg.clone(), Arc::clone(&flat), d)
             })
             .collect();
@@ -1330,8 +1238,6 @@ impl ShardedSim {
             debug_assert!(self.domains.iter().all(|d| d.eng.peers.is_empty()));
             if !self.has_pending_events() {
                 for d in &self.domains {
-                    // A non-empty batch always keeps its drain queued.
-                    debug_assert!(d.eng.batch_tail.iter().all(|&t| t == NO_PKT));
                     debug_assert_eq!(
                         d.arena.live(),
                         0,
@@ -1414,9 +1320,8 @@ impl ShardedSim {
     }
 
     /// Total simulated events processed so far across all domains: one
-    /// per scheduler pop plus one per batched arrival (so the count
-    /// equals the per-packet schedule's). The events/sec headline
-    /// metric divides this by wall time.
+    /// per scheduler pop. The events/sec headline metric divides this
+    /// by wall time.
     pub fn events_processed(&self) -> u64 {
         self.domains.iter().map(|d| d.events_processed).sum()
     }
@@ -2089,17 +1994,15 @@ mod tests {
     }
 }
 
-/// Differential test for the batched link drain: the batched schedule
-/// and the per-packet reference (one `Head` event per arrival, kept
-/// only under `cfg(test)`) must produce identical runs — same stats,
-/// same completions and event count, same recorded event stream, same
-/// ndjson bytes — at one domain and at four, on a loaded VLB mesh with
-/// bursty traffic, a congestion-controlled transfer under ECN, and a
-/// mid-run fiber cut plus repair. The pair is also re-run on 1, 2, and 8
-/// concurrent threads to pin that no hidden shared state leaks between
-/// simulations.
+/// A pinned loaded scenario: a VLB mesh with bursty echo and fill
+/// traffic, a DCTCP transfer under ECN, and a mid-run fiber cut plus
+/// repair. Its digest — stats (bit-level for the float summaries),
+/// completions, `events_processed`, the recorded event stream and the
+/// re-encoded ndjson bytes — is pinned to constants, and must come out
+/// the same at one domain and at four, and on 1, 2 and 8 concurrent
+/// threads (no hidden shared state between simulations).
 #[cfg(test)]
-mod batch_differential {
+mod pinned_scenario {
     use super::*;
     use crate::sim::VlbConfig;
     use crate::transport::TcpVariant;
@@ -2135,12 +2038,71 @@ mod batch_differential {
         hop_dist: Vec<(u32, usize)>,
     }
 
-    /// One full scenario run at `domains` domains, batched or on the
-    /// per-packet reference schedule: VLB detours, Poisson echo + burst
-    /// cross-traffic, a DCTCP transfer with ECN marking, and a ring
-    /// fiber cut at 0.5 ms repaired at 1.2 ms (control plane reconverges
-    /// 50 µs after each).
-    fn run(per_packet: bool, domains: usize) -> Digest {
+    /// 64-bit FNV-1a over little-endian fields.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Fnv {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn bytes(&mut self, b: &[u8]) {
+            for &x in b {
+                self.0 ^= u64::from(x);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn u64(&mut self, v: u64) {
+            self.bytes(&v.to_le_bytes());
+        }
+    }
+
+    impl Digest {
+        /// The digest folded to scalars: counts as they are, the
+        /// per-tag rows, completions and ndjson bytes as FNV-1a hashes.
+        fn pinned(&self) -> [u64; 9] {
+            let mut tags = Fnv::new();
+            for (tag, r) in &self.per_tag {
+                tags.u64(u64::from(*tag));
+                tags.u64(r.count as u64);
+                tags.u64(r.mean_bits);
+                tags.u64(r.ci95_bits);
+                tags.u64(r.p50_ns);
+                tags.u64(r.p99_ns);
+                tags.u64(r.max_ns);
+                tags.u64(r.mean_hops_bits);
+                for &(hops, n) in &r.hop_dist {
+                    tags.u64(u64::from(hops));
+                    tags.u64(n as u64);
+                }
+            }
+            let mut comps = Fnv::new();
+            for c in &self.completions {
+                comps.u64(u64::from(c.flow));
+                comps.u64(c.fct_ns);
+            }
+            let mut ndjson = Fnv::new();
+            ndjson.bytes(self.ndjson.as_bytes());
+            [
+                self.generated,
+                self.delivered,
+                self.dropped,
+                tags.0,
+                comps.0,
+                self.faults as u64,
+                self.events_processed,
+                self.events.len() as u64,
+                ndjson.0,
+            ]
+        }
+    }
+
+    /// One full scenario run at `domains` domains: VLB detours, Poisson
+    /// echo + burst cross-traffic, a DCTCP transfer with ECN marking,
+    /// and a ring fiber cut at 0.5 ms repaired at 1.2 ms (control plane
+    /// reconverges 50 µs after each).
+    fn run(domains: usize) -> Digest {
         let q = quartz_mesh(4, 4, 10.0, 10.0);
         // First switch-switch link: cutting it forces reroutes (and VLB
         // detours around the gap) while packets are in flight.
@@ -2162,9 +2124,6 @@ mod batch_differential {
         };
         let mut sim = ShardedSim::new(q.net.clone(), cfg, domains);
         assert_eq!(sim.domain_count(), domains);
-        for d in &mut sim.domains {
-            d.eng.per_packet = per_packet;
-        }
         let stop = SimTime::from_ms(2);
         let n = q.hosts.len();
         for (i, &src) in q.hosts.iter().enumerate() {
@@ -2180,9 +2139,8 @@ mod batch_differential {
                     },
                     0,
                 ),
-                // Bursts: back-to-back runs are exactly what the batched
-                // drain coalesces, so they must still land on the same
-                // (time, key) positions.
+                // Bursts: back-to-back runs queue deep behind one
+                // another on every link they share.
                 1 => (
                     FlowKind::Burst {
                         burst_pkts: 24,
@@ -2259,42 +2217,42 @@ mod batch_differential {
         }
     }
 
+    /// The digest of [`run`] at one domain, recorded when the engine
+    /// still batched back-to-back arrivals into one drain event per
+    /// link: one `Head` event per arrival gives the same output.
+    const PINNED: [u64; 9] = [
+        41_494,
+        41_315,
+        179,
+        0x2ff5_cc20_65e2_3559,
+        0x7255_55f6_4879_6904,
+        2,
+        163_070,
+        473_351,
+        0x2164_592f_994f_3b99,
+    ];
+
     #[test]
-    fn batched_drain_matches_per_packet_schedule() {
-        let one = run(false, 1);
+    fn loaded_scenario_matches_its_pinned_digest_at_one_and_four_domains() {
+        let one = run(1);
         assert!(one.delivered > 0, "scenario must carry traffic");
         assert!(one.dropped > 0, "fault window must cost packets");
         assert!(!one.completions.is_empty(), "the transfer completes");
         assert!(!one.events.is_empty(), "recorder must observe the run");
-        assert_eq!(
-            one,
-            run(true, 1),
-            "batched drain diverged from the per-packet schedule"
-        );
-        let four = run(false, 4);
-        assert_eq!(four, run(true, 4), "batched drain diverged at 4 domains");
-        assert_eq!(four, one, "domain count changed the output");
+        assert_eq!(one.pinned(), PINNED, "simulator output changed");
+        assert_eq!(run(4), one, "domain count changed the output");
     }
 
     #[test]
-    fn schedules_agree_across_worker_counts() {
-        let reference = run(false, 1);
+    fn loaded_scenario_agrees_across_worker_counts() {
+        let reference = run(1);
         for workers in [1usize, 2, 8] {
-            let digests: Vec<(Digest, Digest)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| s.spawn(|| (run(false, 1), run(true, 1))))
-                    .collect();
+            let digests: Vec<Digest> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers).map(|_| s.spawn(|| run(1))).collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
-            for (batched, per_packet) in &digests {
-                assert_eq!(
-                    batched, &reference,
-                    "batched run diverged at {workers} workers"
-                );
-                assert_eq!(
-                    per_packet, &reference,
-                    "per-packet run diverged at {workers} workers"
-                );
+            for d in &digests {
+                assert_eq!(d, &reference, "run diverged at {workers} workers");
             }
         }
     }

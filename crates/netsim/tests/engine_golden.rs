@@ -2,8 +2,8 @@
 //! of its fronts: `Simulator` (one domain, on the calling thread) and
 //! `ShardedSim` at one and four domains.
 //!
-//! The differential suites (batched vs per-packet drain, wheel vs heap,
-//! one domain vs many) compare two runs of one per-packet core, so a
+//! The differential suites (wheel vs heap, one domain vs many, one
+//! worker vs many) compare two runs of one per-packet core, so a
 //! change *inside* that core moves both sides together and no
 //! differential notices. This file pins the absolute output instead:
 //! FNV-1a digests of the per-tag statistics bits, the recorder's ndjson

@@ -1,11 +1,12 @@
 //! Differential pinning of the timing wheel against the reference
 //! binary heap (DESIGN.md §8), the test oracle in `support/`.
 //!
-//! Seeded random event streams — equal-timestamp bursts,
-//! beyond-horizon times, mid-drain pushes back into the draining
-//! bucket, pushes into the past, keyed pushes out of order —
-//! must drain through [`TimingWheel`] and [`BinaryHeapScheduler`] in
-//! the same order. The streams also fan out over a [`ThreadPool`]
+//! Seeded random event streams — equal-timestamp bursts, times on the
+//! wheel's second level and past its ~16.8 ms horizon, mid-drain
+//! pushes back into the draining bucket, pushes into the past, keyed
+//! pushes out of order, drains bounded mid-revolution — must drain
+//! through [`TimingWheel`] and [`BinaryHeapScheduler`] in the same
+//! order. The streams also fan out over a [`ThreadPool`]
 //! pinned at 1, 2, and 8 workers, because the determinism contract is
 //! "bit-identical at any `--jobs`": each worker drains its own
 //! schedulers, and the per-seed transcripts must not depend on which
@@ -55,11 +56,12 @@ fn drain_stream(seed: u64) -> Vec<(u64, u32)> {
     let mut seq = 0u64;
     let mut rng = Lcg(seed.wrapping_add(1));
     for i in 0..500u32 {
-        let t = match rng.next() % 4 {
-            0 => rng.next() % 64,        // one-bucket bursts
-            1 => rng.next() % 20_000,    // near horizon
-            2 => 7_000 + rng.next() % 4, // equal-time ties
-            _ => rng.next() % 4_000_000, // far beyond horizon
+        let t = match rng.next() % 5 {
+            0 => rng.next() % 64,                       // one-bucket bursts
+            1 => rng.next() % 20_000,                   // first revolution
+            2 => 7_000 + rng.next() % 4,                // equal-time ties
+            3 => rng.next() % 4_000_000,                // second level
+            _ => 20_000_000 + rng.next() % 180_000_000, // past its horizon
         };
         push_both(&mut wheel, &mut heap, &mut seq, SimTime::from_ns(t), i);
     }
@@ -72,10 +74,11 @@ fn drain_stream(seed: u64) -> Vec<(u64, u32)> {
         transcript.push((t.ns(), v));
         // Mid-drain pushes, frequently into the bucket being drained.
         if v % 3 == 0 && tag < 800 {
-            let delta = match rng.next() % 3 {
+            let delta = match rng.next() % 4 {
                 0 => 0,
                 1 => rng.next() % 100,
-                _ => 500_000 + rng.next() % 100_000,
+                2 => 500_000 + rng.next() % 100_000,
+                _ => 20_000_000 + rng.next() % 180_000_000,
             };
             push_both(&mut wheel, &mut heap, &mut seq, t + delta, tag);
             tag += 1;
@@ -163,6 +166,71 @@ fn wheel_matches_heap_under_heavy_respawn() {
     differential(0xFEED, 50, 1, 1);
 }
 
+/// Drains both engines in windows whose bounds mostly stop in the
+/// middle of a wheel revolution (32 768 ns) and sometimes jump past the
+/// second level's horizon, pushing new events between windows — ahead
+/// of the bound, at it, and into the past — as the sharded engine's
+/// domains do at every window edge.
+fn bounded_windows(seed: u64) {
+    let mut wheel = TimingWheel::new();
+    let mut heap = BinaryHeapScheduler::new();
+    let mut seq = 0u64;
+    let mut rng = Lcg(seed.wrapping_mul(31).wrapping_add(7));
+    let mut tag = 0u32;
+    let far = |rng: &mut Lcg, from: u64| {
+        from + match rng.next() % 4 {
+            0 => rng.next() % 2_000,
+            1 => rng.next() % 100_000,
+            2 => rng.next() % 10_000_000,
+            _ => 20_000_000 + rng.next() % 180_000_000,
+        }
+    };
+    for _ in 0..400 {
+        let t = far(&mut rng, 0);
+        push_both(&mut wheel, &mut heap, &mut seq, SimTime::from_ns(t), tag);
+        tag += 1;
+    }
+    let (mut bound, mut pops) = (0u64, 0usize);
+    while !heap.is_empty() {
+        bound += match rng.next() % 8 {
+            0 => 30_000_000 + rng.next() % 100_000_000,
+            _ => 1 + rng.next() % 50_000,
+        };
+        let b = SimTime::from_ns(bound);
+        loop {
+            let w = wheel.pop_before(b);
+            assert_eq!(
+                w,
+                heap.pop_before(b),
+                "diverged at bound {bound} (seed {seed})"
+            );
+            if w.is_none() {
+                break;
+            }
+            pops += 1;
+        }
+        assert_eq!(wheel.peek_key(), heap.peek_key(), "next key after {bound}");
+        let more = if tag < 1_200 { rng.next() % 6 } else { 0 };
+        for _ in 0..more {
+            let t = match rng.next() % 3 {
+                0 => bound.saturating_sub(rng.next() % 1_000),
+                1 => bound + 1,
+                _ => far(&mut rng, bound),
+            };
+            push_both(&mut wheel, &mut heap, &mut seq, SimTime::from_ns(t), tag);
+            tag += 1;
+        }
+    }
+    assert!(wheel.is_empty() && pops == tag as usize);
+}
+
+#[test]
+fn bounded_windows_stop_mid_revolution_like_the_heap() {
+    for seed in 0..8 {
+        bounded_windows(seed);
+    }
+}
+
 /// Pushing into the past: the heap pops an earlier-than-now push first;
 /// the wheel clamps it into the cursor bucket and must do the same.
 fn past_pushes_pop_immediately(s: &mut impl Queue<u32>) {
@@ -181,7 +249,7 @@ fn past_pushes_pop_immediately_on_both_engines() {
 }
 
 /// Drawing keys up front and pushing out of order must drain in key
-/// order — the primitive the batched link drain stands on.
+/// order: the engine keys events by content, not by push order.
 fn keyed_pushes_drain_in_key_order(s: &mut impl Queue<u32>) {
     let t = SimTime::from_ns(100);
     let mut seq = 0u64;

@@ -31,7 +31,7 @@ pub trait Queue<T> {
     }
 }
 
-impl<T> Queue<T> for TimingWheel<T> {
+impl<T: Copy> Queue<T> for TimingWheel<T> {
     fn push_at_seq(&mut self, time: SimTime, seq: u64, item: T) {
         TimingWheel::push_at_seq(self, time, seq, item);
     }

@@ -3,8 +3,11 @@
 //! [`Core`] owns the state every packet touches — configuration,
 //! directed link slots, failed nodes, node kinds, flat routes (plus the
 //! SPAIN-style extra tables and per-flow pins), VLB domains, the packet
-//! arena, per-flow progress and transport state, and statistics — and
-//! implements the per-packet logic exactly once: forwarding and
+//! arena (one row per packet: its hot fields, canonical key, pre-drawn
+//! VLB randomness and cold fields), the flow table (one row per flow:
+//! its metadata, progress, key counters and two private RNG streams),
+//! the transport connections, and statistics — and implements the
+//! per-packet logic exactly once: forwarding and
 //! delivery ([`Core::arrive`]), generation, emission, transport
 //! actions, drop accounting and data-plane fault state. It holds no
 //! metrics: it records one [`Event`] per lifecycle point. Nor does it
@@ -13,24 +16,29 @@
 //! The fault log and the reroute timeline belong to the coordinator's
 //! control plane (`crate::shard`).
 //!
-//! Scheduling, randomness and the event sinks belong to the domain the
-//! core runs in ([`crate::shard::Domain`], the core's `eng`): a
-//! content-keyed wheel plus the cross-domain boundary outbox, per-flow
-//! RNG streams drawn at emission, and the metrics fold and recorder (or
-//! merge-keyed stash) every recorded event goes to. Which retransmission timer is live is decided here,
-//! once: a connection keeps at most one timer event queued (see
-//! [`Core::on_rto`]).
+//! How the core runs belongs to its domain ([`crate::shard::Domain`],
+//! the core's `eng`): a content-keyed wheel plus the cross-domain
+//! boundary mailboxes, the metrics fold and recorder (or merge-keyed
+//! stash) every recorded event goes to, and the injected clock. The
+//! keys themselves are the core's to count: it advances each flow's
+//! generation, emission and timer-arm counters and builds the keys with
+//! `crate::shard`'s key functions. Which retransmission timer is live
+//! is decided here, once: a connection keeps at most one timer event
+//! queued (see [`Core::on_rto`]).
 
 use crate::arena::{
-    PacketArena, PacketCold, PacketId, FLAG_ECN, FLAG_LAST, FLAG_RESPONSE, FLAG_VLB_DECIDED,
+    Packet, PacketArena, PacketCold, PacketId, VlbDraws, FLAG_ECN, FLAG_LAST, FLAG_RESPONSE,
+    FLAG_VLB_DECIDED,
 };
 use crate::faults::FaultKind;
-use crate::shard::Domain;
+use crate::shard::{packet_key, rto_key, Domain};
 use crate::sim::{FlowCompletion, FlowKind, LinkLoad, SimConfig};
 use crate::stats::Stats;
 use crate::switch::ForwardMode;
 use crate::time::SimTime;
 use crate::transport::{ReceiverState, SendAction, SenderState, TransportInfo, RTO_NS};
+use quartz_core::pool::unit_seed;
+use quartz_core::rng::StdRng;
 use quartz_obs::{DropReason, Event};
 use quartz_topology::graph::{Network, NodeId, NodeKind};
 use quartz_topology::route::{FlatRoutes, RouteTable};
@@ -66,13 +74,26 @@ pub(crate) struct FlowMeta {
     conn: u32,
 }
 
-/// Per-flow mutable progress, parallel to the [`FlowMeta`] table.
-#[derive(Clone, Copy, Debug)]
+/// Per-flow mutable progress and key counters, parallel to the
+/// [`FlowMeta`] table.
 struct FlowState {
     /// Packets (or requests) sent so far.
     sent: u32,
     /// First emission time (file transfers measure completion from it).
     t0: SimTime,
+    /// Next generation-event ordinal (the generation key's low word).
+    gens: u32,
+    /// The source side (`[0]`) and the destination side (`[1]`).
+    sides: [Side; 2],
+}
+
+/// One end of a flow as an emitter: its packet-key counter and its
+/// private RNG stream.
+struct Side {
+    /// Packets emitted from this side so far (the packet key's low
+    /// word).
+    emitted: u32,
+    rng: StdRng,
 }
 
 /// One reliable connection's two endpoints, its start time and its
@@ -95,6 +116,8 @@ struct Timer {
     epoch: u64,
     /// Whether an event for this connection is queued.
     queued: bool,
+    /// Arms so far: the next arm's key component.
+    arms: u32,
 }
 
 /// Per-direction link state.
@@ -221,7 +244,7 @@ pub(crate) struct Core {
     vlb_scratch: Vec<NodeId>,
     /// Scratch for transport actions, reused via `mem::take`.
     action_scratch: Vec<SendAction>,
-    /// The domain's scheduling, randomness and sinks.
+    /// The domain's wheel, mailboxes, sinks and clock.
     pub(crate) eng: Domain,
 }
 
@@ -251,9 +274,9 @@ impl Core {
         }
     }
 
-    /// Appends a flow row (and its connection, for transport flows);
-    /// returns its index. Scheduling the first generation is the
-    /// caller's.
+    /// Appends a flow row (and its connection, for transport flows),
+    /// seeds its two RNG streams, and queues its first generation at
+    /// `start` if this domain hosts `src`. Returns its index.
     ///
     /// # Panics
     /// Panics if `src` or `dst` is not a host, or they coincide.
@@ -299,8 +322,32 @@ impl Core {
             hash,
             conn,
         });
-        self.flow_state.push(FlowState { sent: 0, t0: start });
-        self.flows.len() - 1
+        let i = self.flow_state.len() as u64;
+        let side = |j| Side {
+            emitted: 0,
+            rng: StdRng::seed_from_u64(unit_seed(self.cfg.seed, 2 * i + j)),
+        };
+        self.flow_state.push(FlowState {
+            sent: 0,
+            t0: start,
+            gens: 0,
+            sides: [side(0), side(1)],
+        });
+        let idx = self.flows.len() - 1;
+        if self.eng.owns(src) {
+            self.schedule_gen(idx, start);
+        }
+        idx
+    }
+
+    /// Queues the flow's next generation event.
+    #[inline]
+    fn schedule_gen(&mut self, flow_idx: usize, at: SimTime) {
+        let st = &mut self.flow_state[flow_idx];
+        let n = st.gens;
+        debug_assert!(n < u32::MAX, "generation counter fits u32");
+        st.gens = n + 1;
+        self.eng.push_gen(flow_idx, n, at);
     }
 
     /// Counts a discarded packet, records it, and frees its slot.
@@ -360,11 +407,12 @@ impl Core {
                     return;
                 }
                 self.emit_request(flow_idx, now, None, false);
-                let u: f64 = self.eng.uniform(flow_idx).max(1e-12);
+                let rng = &mut self.flow_state[flow_idx].sides[0].rng;
+                let u = rng.random::<f64>().max(1e-12);
                 let gap = (-mean_gap_ns * u.ln()).max(1.0) as u64;
                 let next = now + gap;
                 if next < stop {
-                    self.eng.schedule_gen(flow_idx, next);
+                    self.schedule_gen(flow_idx, next);
                 }
             }
             FlowKind::Rpc { count } => {
@@ -387,7 +435,7 @@ impl Core {
                 }
                 let next = now + period_ns;
                 if next < stop {
-                    self.eng.schedule_gen(flow_idx, next);
+                    self.schedule_gen(flow_idx, next);
                 }
             }
             FlowKind::Transport { total_bytes, .. } => {
@@ -423,7 +471,7 @@ impl Core {
                     let (_, link_id) = self.net.neighbors(flow.src)[0];
                     let rate = self.net.link(link_id).bandwidth_gbps;
                     let pace = ((flow.size as f64 * 8.0) / rate).ceil() as u64;
-                    self.eng.schedule_gen(flow_idx, now + pace);
+                    self.schedule_gen(flow_idx, now + pace);
                 }
             }
         }
@@ -487,20 +535,36 @@ impl Core {
         };
         debug_assert!(flow_idx <= u32::MAX as usize, "flow ids fit u32");
         let flow_id = flow_idx as u32;
-        let id = self.arena.alloc(
+        // The canonical key and the VLB draws come from the emitting
+        // side: the destination's for responses, echoes and ACKs.
+        let side = &mut self.flow_state[flow_idx].sides[usize::from(reverse)];
+        let n = side.emitted;
+        debug_assert!(n < u32::MAX, "emission counter fits u32");
+        side.emitted = n + 1;
+        let vlb = if self.vlb_enabled {
+            VlbDraws {
+                coin: side.rng.random::<f64>(),
+                pick: side.rng.next_u64(),
+                spray: side.rng.next_u64(),
+            }
+        } else {
+            VlbDraws::default()
+        };
+        let id = self.arena.alloc(Packet {
             created,
             dst,
-            flow_id,
+            flow: flow_id,
             size,
             hash,
-            PacketCold {
+            key: packet_key(flow_id, reverse, n),
+            vlb,
+            cold: PacketCold {
                 transport,
                 intermediate: None,
                 flags,
                 hops: 0,
             },
-        );
-        self.eng.on_emit(&self.arena, id, flow_id, reverse);
+        });
         self.stats.generated += 1;
         self.eng.record(|| Event::Gen {
             t_ns: now.ns(),
@@ -523,18 +587,23 @@ impl Core {
                 }
                 SendAction::ArmRto { epoch } => {
                     let deadline = now + RTO_NS;
-                    let key = self.eng.reserve_rto_key(flow_idx);
                     let conn = self.flows[flow_idx].conn as usize;
                     let rto = &mut self.conns[conn].rto;
                     // Deadlines never move back, so the queued event
                     // (at or before the old deadline) still pops first.
                     debug_assert!(!rto.queued || deadline >= rto.deadline);
+                    // Every arm takes the flow's next key, so the timer
+                    // pops where a per-arm schedule would pop it.
+                    debug_assert!(rto.arms < u32::MAX, "timer counter fits u32");
+                    debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
+                    let key = rto_key(flow_idx as u32, rto.arms);
                     let queued = rto.queued;
                     *rto = Timer {
                         deadline,
                         key,
                         epoch,
                         queued: true,
+                        arms: rto.arms + 1,
                     };
                     if !queued {
                         self.eng.push_rto(flow_idx, deadline, key);
@@ -610,14 +679,15 @@ impl Core {
                 if let Some((nh, _)) = self.flat.ecmp_next(at, dst, hash) {
                     if self.vlb_domain[nh.0 as usize] == dom_idx {
                         let vlb = self.cfg.vlb.as_ref().expect("domains imply config");
-                        if self.eng.vlb_coin(id) < vlb.fraction {
+                        let draws = self.arena.vlb[i];
+                        if draws.coin < vlb.fraction {
                             let dom = &vlb.domains[dom_idx as usize];
                             self.vlb_scratch.clear();
                             self.vlb_scratch
                                 .extend(dom.iter().copied().filter(|&w| w != at && w != nh));
                             if !self.vlb_scratch.is_empty() {
-                                let pick = self.eng.vlb_pick(id, self.vlb_scratch.len());
-                                let w = self.vlb_scratch[pick];
+                                let n = self.vlb_scratch.len() as u64;
+                                let w = self.vlb_scratch[(draws.pick % n) as usize];
                                 cold.intermediate = Some(w);
                                 self.eng.record(|| Event::Vlb {
                                     t_ns: head.ns(),
@@ -628,7 +698,7 @@ impl Core {
                                 // Per-packet spraying: differentiate the
                                 // hash so detour packets of one flow use
                                 // their own ECMP choices.
-                                hash = self.eng.vlb_spray(id);
+                                hash = draws.spray;
                             }
                         }
                     }
@@ -822,7 +892,7 @@ impl Core {
             TransportInfo::None if is_response => {
                 if let FlowKind::Rpc { count } = f.kind {
                     if self.flow_state[flow_idx].sent < count {
-                        self.eng.schedule_gen(flow_idx, delivered_at);
+                        self.schedule_gen(flow_idx, delivered_at);
                     }
                 }
             }

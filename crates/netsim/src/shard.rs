@@ -3,10 +3,12 @@
 //!
 //! [`ShardedSim`] runs **one** simulation across `k` spatial domains
 //! produced by [`quartz_topology::partition::spatial_domains`]. Each
-//! domain owns a contiguous region of the network — its switches, its
-//! hosts, and every directed link slot whose *source* node it owns —
-//! plus a private [`TimingWheel`] and [`PacketArena`] shard, around its
-//! own copy of the per-packet core (`core`). [`crate::sim::Simulator`]
+//! domain owns a contiguous region of the network — its switches and
+//! its hosts — and runs its own copy of the per-packet core (`core`),
+//! with a private [`TimingWheel`] and [`PacketArena`] shard. Every copy
+//! holds full-size link and flow tables; a domain advances only the
+//! rows of the directed link slots whose *source* node it owns and the
+//! per-flow state of the flow ends it hosts. [`crate::sim::Simulator`]
 //! is this engine at `k = 1`. Domains advance independently inside a
 //! window `[W0, B]` whose upper bound is derived from the slowest-safe
 //! lower bound
@@ -29,10 +31,10 @@
 //!
 //! ## Boundary exchange
 //!
-//! A packet forwarded to a node of another domain leaves its arena and
-//! is stashed, as a `BoundaryMsg`, in the sender's outbox for that
-//! peer; the sender also lists the peers its outboxes hold messages
-//! for. At the window edge the coordinator makes one pass over the
+//! A packet forwarded to a node of another domain leaves its arena as
+//! one row ([`PacketArena::take`]) and is stashed, as a `BoundaryMsg`,
+//! in the sender's outbox for that peer; the sender also lists the
+//! peers its outboxes hold messages for. At the window edge the coordinator makes one pass over the
 //! domains: it moves each listed outbox into its receiver's inbox
 //! (`Vec::append`, keeping the earliest arrival time), gathers the
 //! trace and completion stashes, and takes the earliest pending event
@@ -57,11 +59,12 @@
 //!    `(time, key)` order is therefore a property of the *simulation*,
 //!    not of the schedule that produced it.
 //! 2. **Order-independent randomness.** Each flow owns two private RNG
-//!    streams ([`unit_seed`]`(seed, 2·flow)` for its source side,
-//!    `2·flow + 1` for its destination side); VLB decisions are
-//!    pre-drawn at emission from the emitting side's stream and carried
-//!    with the packet. No RNG is ever shared across domains, so draw
-//!    order cannot depend on the partition.
+//!    streams ([`quartz_core::pool::unit_seed`]`(seed, 2·flow)` for its
+//!    source side, `2·flow + 1` for its destination side), kept in the
+//!    core's flow table; VLB decisions are pre-drawn at emission from
+//!    the emitting side's stream and carried in the packet's arena row.
+//!    No RNG is ever shared across domains, so draw order cannot depend
+//!    on the partition.
 //! 3. **Merge-order-stable sinks.** Domains stash trace events and
 //!    flow completions keyed by the `(time, key)` of the event that
 //!    produced them; at every window edge the coordinator merges the
@@ -92,7 +95,7 @@
 //! hands every domain the same flat table, and one that resolves none
 //! keeps the installed table.
 
-use crate::arena::{PacketArena, PacketCold, PacketId};
+use crate::arena::{Packet, PacketArena, PacketId};
 use crate::core::{Arrival, Core, Fabric};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::metrics::EngineMetrics;
@@ -100,7 +103,7 @@ use crate::sched::TimingWheel;
 use crate::sim::{FaultRecord, FlowCompletion, FlowKind, LinkLoad, PinError, SimConfig};
 use crate::stats::Stats;
 use crate::time::SimTime;
-use quartz_core::pool::{unit_seed, DomainCells, ThreadPool};
+use quartz_core::pool::{DomainCells, ThreadPool};
 use quartz_core::rng::StdRng;
 use quartz_obs::{Event, MetricsRegistry, Recorder, Stamped};
 use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
@@ -108,6 +111,10 @@ use quartz_topology::partition::spatial_domains;
 use quartz_topology::route::{FlatRoutes, RouteError, RouteTable};
 use std::fmt;
 use std::sync::Arc;
+
+// The canonical key layout, the one place it is written down: a rank in
+// bits 62–63, the packet side in bit 61, the flow id in bits 32–60
+// (`add_flow` admits 2²⁹ flows), and a per-flow counter in the low word.
 
 /// Rank bit of packet-arrival (`Head`) keys: arrivals sort after
 /// generations (rank 0) and before retransmission timers.
@@ -122,9 +129,17 @@ fn gen_key(flow: u32, n: u32) -> u64 {
     (u64::from(flow) << 32) | u64::from(n)
 }
 
+/// Canonical key of every arrival of the `n`-th packet `flow` emits
+/// from its source side, or from its destination side when `reverse`
+/// (bit 61).
+#[inline]
+pub(crate) fn packet_key(flow: u32, reverse: bool, n: u32) -> u64 {
+    HEAD_RANK | (u64::from(reverse) << 61) | (u64::from(flow) << 32) | u64::from(n)
+}
+
 /// Canonical key of the `seq`-th retransmission timer armed by `flow`.
 #[inline]
-fn rto_key(flow: u32, seq: u32) -> u64 {
+pub(crate) fn rto_key(flow: u32, seq: u32) -> u64 {
     RTO_RANK | (u64::from(flow) << 32) | u64::from(seq)
 }
 
@@ -145,7 +160,7 @@ enum DEv {
     /// pump — `n` is the flow's generation counter, not a packet seq).
     Gen { flow: u32, n: u32 },
     /// Packet head arrives at `at`; tail follows `ser` ns later. The
-    /// packet's canonical key lives in the arena sidecar (`pkey`).
+    /// packet's canonical key lives in its arena row.
     Head { pkt: PacketId, at: NodeId, ser: u32 },
     /// The one queued retransmission-timer event of `flow`. `seq` is
     /// the flow's arm counter when its timer was armed — the key
@@ -153,29 +168,20 @@ enum DEv {
     Rto { flow: u32, seq: u32 },
 }
 
-/// A packet crossing a domain boundary: everything the receiving shard
-/// needs to re-materialize it in its own arena and schedule its next
-/// arrival. `Copy`, about one cache line — mailboxes are plain vectors.
+/// A packet crossing a domain boundary: its next arrival plus its whole
+/// arena row, which the receiving shard allocates in its own arena.
+/// `Copy`, 112 bytes (pinned by a unit test) — mailboxes are plain
+/// vectors.
 #[derive(Clone, Copy, Debug)]
 struct BoundaryMsg {
     /// Arrival time of the head at `at` (strictly beyond the window).
     head: SimTime,
-    /// The packet's canonical key (`pkey` sidecar value).
-    key_lo: u64,
     /// Node the packet arrives at (owned by the receiving domain).
     at: NodeId,
     /// Serialization time of the inbound hop, ns (tail = head + ser).
     ser: u32,
-    created: SimTime,
-    dst: NodeId,
-    flow: u32,
-    size: u32,
-    hash: u64,
-    cold: PacketCold,
-    /// Pre-drawn VLB randomness (coin as `f64::to_bits`, pick, spray).
-    vcoin: u64,
-    vpick: u64,
-    vspray: u64,
+    /// The packet's arena row.
+    pkt: Packet,
 }
 
 /// Boundary packets in transit, with the earliest arrival among them
@@ -210,36 +216,15 @@ impl Mailbox {
     }
 }
 
-/// One spatial domain's half of the per-packet path — what the shared
-/// core calls out to: a content-keyed timing wheel plus the boundary
-/// mailboxes, per-flow RNG streams drawn at emission, and the metrics,
-/// trace and completion sinks. Per-flow
-/// rows are full-size in every domain (only the owning side's domain
-/// advances them), trading memory for branch-free indexing by flow id.
+/// How one spatial domain runs — what the shared core calls out to: a
+/// content-keyed timing wheel, the boundary mailboxes, the metrics,
+/// trace and completion sinks, and the injected clock. Packets and
+/// flows keep their rows in the core; nothing here is indexed by packet
+/// or flow id.
 pub(crate) struct Domain {
     id: u32,
     dom_of: Arc<[u32]>,
-    /// Whether packets pre-draw VLB randomness at emission.
-    vlb: bool,
     wheel: TimingWheel<DEv>,
-    /// Next generation-event ordinal (key component).
-    gen_n: Vec<u32>,
-    /// Per-flow retransmission-timer arm counter (key component),
-    /// advanced on every arm.
-    rto_emit: Vec<u32>,
-    /// Per-flow emission counters, source / destination side (canonical
-    /// packet-key components).
-    src_emit: Vec<u32>,
-    dst_emit: Vec<u32>,
-    /// Per-flow private RNG streams, source / destination side.
-    src_rng: Vec<StdRng>,
-    dst_rng: Vec<StdRng>,
-    /// Arena sidecars, parallel to the arena columns: the packet's
-    /// canonical key and its pre-drawn VLB randomness.
-    pkey: Vec<u64>,
-    vcoin: Vec<u64>,
-    vpick: Vec<u64>,
-    vspray: Vec<u64>,
     /// Boundary packets bound for each peer domain, handed to the
     /// peers' inboxes by the coordinator at every window edge.
     outbox: Vec<Mailbox>,
@@ -274,22 +259,11 @@ pub(crate) struct Domain {
 }
 
 impl Domain {
-    fn new(id: u32, dom_of: Arc<[u32]>, vlb: bool, k: usize) -> Domain {
+    fn new(id: u32, dom_of: Arc<[u32]>, k: usize) -> Domain {
         Domain {
             id,
             dom_of,
-            vlb,
             wheel: TimingWheel::new(),
-            gen_n: Vec::new(),
-            rto_emit: Vec::new(),
-            src_emit: Vec::new(),
-            dst_emit: Vec::new(),
-            src_rng: Vec::new(),
-            dst_rng: Vec::new(),
-            pkey: Vec::new(),
-            vcoin: Vec::new(),
-            vpick: Vec::new(),
-            vspray: Vec::new(),
             outbox: (0..k).map(|_| Mailbox::default()).collect(),
             peers: Vec::new(),
             inbox: Mailbox::default(),
@@ -306,26 +280,10 @@ impl Domain {
         }
     }
 
-    /// Adds flow `i`'s key counters and RNG streams.
-    fn push_flow(&mut self, i: u64, base_seed: u64) {
-        self.gen_n.push(0);
-        self.rto_emit.push(0);
-        self.src_emit.push(0);
-        self.dst_emit.push(0);
-        self.src_rng
-            .push(StdRng::seed_from_u64(unit_seed(base_seed, 2 * i)));
-        self.dst_rng
-            .push(StdRng::seed_from_u64(unit_seed(base_seed, 2 * i + 1)));
-    }
-
-    /// Grows the arena sidecar columns to cover every allocated slot.
-    fn ensure_side_cols(&mut self, need: usize) {
-        if self.pkey.len() < need {
-            self.pkey.resize(need, 0);
-            self.vcoin.resize(need, 0);
-            self.vpick.resize(need, 0);
-            self.vspray.resize(need, 0);
-        }
+    /// Whether `node` belongs to this domain.
+    #[inline]
+    pub(crate) fn owns(&self, node: NodeId) -> bool {
+        self.dom_of[node.0 as usize] == self.id
     }
 
     /// Stashes a boundary crossing for the coordinator to hand to
@@ -338,32 +296,18 @@ impl Domain {
         out.push(m);
     }
 
-    /// Schedules the flow's next generation event at its canonical key.
+    /// Queues the `n`-th generation event of `flow` at its canonical
+    /// key.
     #[inline]
-    pub(crate) fn schedule_gen(&mut self, flow_idx: usize, at: SimTime) {
-        let n = self.gen_n[flow_idx];
-        debug_assert!(n < u32::MAX, "generation counter fits u32");
-        self.gen_n[flow_idx] = n + 1;
+    pub(crate) fn push_gen(&mut self, flow_idx: usize, n: u32, at: SimTime) {
         debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
         let flow = flow_idx as u32;
         self.wheel
             .push_at_seq(at, gen_key(flow, n), DEv::Gen { flow, n });
     }
 
-    /// Reserves the key of a newly armed retransmission timer of
-    /// `flow`: its next `arm#`. Called on every arm, so the timer pops
-    /// where a per-arm schedule would pop it.
-    #[inline]
-    pub(crate) fn reserve_rto_key(&mut self, flow_idx: usize) -> u64 {
-        debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
-        let seq = self.rto_emit[flow_idx];
-        debug_assert!(seq < u32::MAX, "timer counter fits u32");
-        self.rto_emit[flow_idx] = seq + 1;
-        rto_key(flow_idx as u32, seq)
-    }
-
     /// Queues `flow`'s one timer event at `(at, key)`, a key from
-    /// [`Domain::reserve_rto_key`].
+    /// [`rto_key`].
     #[inline]
     pub(crate) fn push_rto(&mut self, flow_idx: usize, at: SimTime, key: u64) {
         debug_assert!(flow_idx < (1 << 29), "flow ids fit the key layout");
@@ -374,94 +318,32 @@ impl Domain {
         self.wheel.push_at_seq(at, key, DEv::Rto { flow, seq });
     }
 
-    /// Queues a forwarded packet's arrival: hands it to the next hop's
-    /// domain or queues its `Head` event. The packet's arena row is
-    /// final.
+    /// Queues a forwarded packet's arrival: hands its row to the next
+    /// hop's domain or queues its `Head` event. The packet's arena row
+    /// is final.
     // lint:hot
     #[inline]
     pub(crate) fn schedule_arrival(&mut self, arena: &mut PacketArena, a: Arrival) {
-        let i = a.pkt as usize;
         let next_dom = self.dom_of[a.at.0 as usize];
         if next_dom != self.id {
             let m = BoundaryMsg {
                 head: a.head,
-                key_lo: self.pkey[i],
                 at: a.at,
                 ser: a.ser,
-                created: arena.created[i],
-                dst: arena.dst[i],
-                flow: arena.flow[i],
-                size: arena.size[i],
-                hash: arena.hash[i],
-                cold: arena.cold[i],
-                vcoin: self.vcoin[i],
-                vpick: self.vpick[i],
-                vspray: self.vspray[i],
+                pkt: arena.take(a.pkt),
             };
             self.stash_boundary(next_dom, m);
-            arena.free(a.pkt);
             return;
         }
-        let ev = DEv::Head {
-            pkt: a.pkt,
-            at: a.at,
-            ser: a.ser,
-        };
-        self.wheel.push_at_seq(a.head, HEAD_RANK | self.pkey[i], ev);
+        let key = arena.key[a.pkt as usize];
+        self.push_head(a.head, key, a.pkt, a.at, a.ser);
     }
 
-    /// Assigns a freshly allocated packet of `flow` its canonical key
-    /// and (when VLB is on) pre-draws its detour randomness from the
-    /// emitting side's private stream — the destination side's when
-    /// `dst_side`.
+    /// Queues packet `pkt`'s arrival at `at` at `(head, key)`.
     #[inline]
-    pub(crate) fn on_emit(&mut self, arena: &PacketArena, id: PacketId, flow: u32, dst_side: bool) {
-        self.ensure_side_cols(arena.capacity());
-        let i = id as usize;
-        let fi = flow as usize;
-        let (dir, ctr) = if dst_side {
-            (1u64, &mut self.dst_emit[fi])
-        } else {
-            (0u64, &mut self.src_emit[fi])
-        };
-        let c = *ctr;
-        debug_assert!(c < u32::MAX, "emission counter fits u32");
-        *ctr = c + 1;
-        self.pkey[i] = (dir << 61) | (u64::from(flow) << 32) | u64::from(c);
-        if self.vlb {
-            let rng = if dst_side {
-                &mut self.dst_rng[fi]
-            } else {
-                &mut self.src_rng[fi]
-            };
-            self.vcoin[i] = rng.random::<f64>().to_bits();
-            self.vpick[i] = rng.next_u64();
-            self.vspray[i] = rng.next_u64();
-        }
-    }
-
-    /// A uniform `[0, 1)` draw for `flow`'s source (Poisson gaps).
-    #[inline]
-    pub(crate) fn uniform(&mut self, flow: usize) -> f64 {
-        self.src_rng[flow].random::<f64>()
-    }
-
-    /// The VLB coin for `pkt`, uniform in `[0, 1)`.
-    #[inline]
-    pub(crate) fn vlb_coin(&self, pkt: PacketId) -> f64 {
-        f64::from_bits(self.vcoin[pkt as usize])
-    }
-
-    /// The VLB intermediate pick for `pkt`, uniform in `0..n`.
-    #[inline]
-    pub(crate) fn vlb_pick(&self, pkt: PacketId, n: usize) -> usize {
-        (self.vpick[pkt as usize] % n as u64) as usize
-    }
-
-    /// The re-sprayed ECMP hash of a detoured `pkt`.
-    #[inline]
-    pub(crate) fn vlb_spray(&self, pkt: PacketId) -> u64 {
-        self.vspray[pkt as usize]
+    fn push_head(&mut self, head: SimTime, key: u64, pkt: PacketId, at: NodeId, ser: u32) {
+        self.wheel
+            .push_at_seq(head, key, DEv::Head { pkt, at, ser });
     }
 
     /// Records one engine event, built only when observing: folds it
@@ -526,8 +408,8 @@ impl Core {
     fn dispatch(&mut self, t: SimTime, ev: DEv) {
         match ev {
             DEv::Gen { flow, n } => {
-                debug_assert_eq!(
-                    self.eng.dom_of[self.flows[flow as usize].src.0 as usize], self.eng.id,
+                debug_assert!(
+                    self.eng.owns(self.flows[flow as usize].src),
                     "generation runs in the source domain"
                 );
                 self.begin(t, gen_key(flow, n));
@@ -556,8 +438,8 @@ impl Core {
     // lint:hot
     #[inline]
     fn head(&mut self, pkt: PacketId, at: NodeId, head: SimTime, tail: SimTime) {
-        debug_assert_eq!(self.eng.dom_of[at.0 as usize], self.eng.id);
-        self.begin(head, HEAD_RANK | self.eng.pkey[pkt as usize]);
+        debug_assert!(self.eng.owns(at));
+        self.begin(head, self.arena.key[pkt as usize]);
         self.arrive(pkt, at, head, tail);
     }
 
@@ -585,22 +467,8 @@ impl Core {
             m.head > self.now,
             "conservative lookahead violated: boundary event in the past"
         );
-        let id = self
-            .arena
-            .alloc(m.created, m.dst, m.flow, m.size, m.hash, m.cold);
-        let d = &mut self.eng;
-        d.ensure_side_cols(self.arena.capacity());
-        let i = id as usize;
-        d.pkey[i] = m.key_lo;
-        d.vcoin[i] = m.vcoin;
-        d.vpick[i] = m.vpick;
-        d.vspray[i] = m.vspray;
-        let ev = DEv::Head {
-            pkt: id,
-            at: m.at,
-            ser: m.ser,
-        };
-        d.wheel.push_at_seq(m.head, HEAD_RANK | m.key_lo, ev);
+        let id = self.arena.alloc(m.pkt);
+        self.eng.push_head(m.head, m.pkt.key, id, m.at, m.ser);
     }
 }
 
@@ -865,7 +733,6 @@ impl std::error::Error for ShardError {}
 /// ```
 pub struct ShardedSim {
     domains: Vec<Core>,
-    dom_of: Arc<[u32]>,
     net: Arc<Network>,
     lookahead: u64,
     ctl: CtlPlane,
@@ -875,7 +742,6 @@ pub struct ShardedSim {
     merged: Stats,
     /// Construction-order RNG: one ECMP hash per `add_flow`.
     cons_rng: StdRng,
-    seed: u64,
     clock: fn() -> u64,
     coord_ns: u64,
     /// Windows stepped so far (see [`ShardedSim::windows`]).
@@ -932,13 +798,12 @@ impl ShardedSim {
         debug_assert!(k <= u32::MAX as usize, "domain count fits u32");
         let doms: Vec<Core> = (0..k)
             .map(|id| {
-                let d = Domain::new(id as u32, Arc::clone(&dom_of), fabric.vlb_enabled, k);
+                let d = Domain::new(id as u32, Arc::clone(&dom_of), k);
                 Core::new(&fabric, cfg.clone(), Arc::clone(&flat), d)
             })
             .collect();
         Ok(ShardedSim {
             domains: doms,
-            dom_of,
             net: fabric.net,
             lookahead,
             ctl: CtlPlane {
@@ -954,7 +819,6 @@ impl ShardedSim {
             },
             merged: Stats::default(),
             cons_rng: StdRng::seed_from_u64(cfg.seed),
-            seed: cfg.seed,
             clock: zero_clock,
             coord_ns: 0,
             windows: 0,
@@ -990,10 +854,7 @@ impl ShardedSim {
         let hash = self.cons_rng.random::<u64>();
         for d in &mut self.domains {
             d.add_flow(src, dst, size_bytes, kind, tag, start, hash);
-            d.eng.push_flow(idx as u64, self.seed);
         }
-        let src_dom = self.dom_of[src.0 as usize];
-        self.domains[src_dom as usize].eng.schedule_gen(idx, start);
         idx
     }
 
@@ -1723,46 +1584,72 @@ mod tests {
         assert_eq!(base, digest(6));
     }
 
+    /// VLB on two fabrics. On the mesh the detour decision runs at the
+    /// source's own switch, before any crossing. On the composite the
+    /// sources sit in the first pod and the destinations in the last,
+    /// and the VLB domain is the core ring plus the destination pod's
+    /// aggregation switches: the decision runs at a ring switch, across
+    /// the aggregation↔ring cut, on the draws the packet carried over.
     #[test]
     fn vlb_detours_are_domain_count_invariant() {
-        let digest = |k: usize| {
-            let m = quartz_mesh(6, 2, 10.0, 10.0);
-            let cfg = SimConfig {
-                vlb: Some(crate::sim::VlbConfig {
-                    fraction: 0.5,
-                    domains: vec![m.switches.clone()],
-                }),
-                ..SimConfig::default()
-            };
-            let mut sim = ShardedSim::new(m.net.clone(), cfg, k);
-            for i in 0..4 {
-                sim.add_flow(
-                    m.hosts[i],
-                    m.hosts[11 - i],
-                    400,
-                    FlowKind::Burst {
+        let m = quartz_mesh(6, 2, 10.0, 10.0);
+        let mesh_pairs: Vec<_> = (0..4).map(|i| (m.hosts[i], m.hosts[11 - i])).collect();
+        let c = quartz_in_core(2, 4, 2, 4);
+        let n = c.hosts.len();
+        let core_pairs: Vec<_> = (0..4).map(|i| (c.hosts[i], c.hosts[n - 1 - i])).collect();
+        let mut core_vlb = c.uppers.clone();
+        for &(_, dst) in &core_pairs {
+            let tor = c.net.neighbors(dst)[0].0;
+            for &(agg, _) in c.net.neighbors(tor) {
+                if c.net.node(agg).kind.is_switch() && !core_vlb.contains(&agg) {
+                    core_vlb.push(agg);
+                }
+            }
+        }
+        let cases = [
+            (&m.net, &m.switches, &mesh_pairs, [2, 6]),
+            (&c.net, &core_vlb, &core_pairs, [2, 4]),
+        ];
+        for (net, vlb_switches, pairs, ks) in cases {
+            let digest = |k: usize| {
+                let cfg = SimConfig {
+                    vlb: Some(crate::sim::VlbConfig {
+                        fraction: 0.5,
+                        domains: vec![vlb_switches.clone()],
+                    }),
+                    ..SimConfig::default()
+                };
+                let mut sim = ShardedSim::new(net.clone(), cfg, k);
+                assert_eq!(sim.domain_count(), k);
+                sim.set_recorder(Box::new(MemoryRecorder::new()));
+                for (i, &(src, dst)) in pairs.iter().enumerate() {
+                    let kind = FlowKind::Burst {
                         burst_pkts: 4,
                         period_ns: 10_000,
                         stop: SimTime::from_us(300),
-                    },
-                    i as u32,
-                    SimTime::ZERO,
-                );
-            }
-            sim.run(SimTime::from_ms(2), &ThreadPool::sequential());
-            let s = sim.stats();
-            (
-                s.generated,
-                s.delivered,
-                (0..4)
+                    };
+                    sim.add_flow(src, dst, 400, kind, i as u32, SimTime::ZERO);
+                }
+                sim.run(SimTime::from_ms(2), &ThreadPool::sequential());
+                let s = sim.stats();
+                let means: Vec<u64> = (0..4)
                     .filter(|&t| s.count(t) > 0)
                     .map(|t| s.summary(t).mean_ns.to_bits())
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let base = digest(1);
-        assert_eq!(base, digest(2));
-        assert_eq!(base, digest(6));
+                    .collect();
+                let (generated, delivered) = (s.generated, s.delivered);
+                let events = sim.take_recorder().expect("recorder attached").finish();
+                let detours = events
+                    .iter()
+                    .filter(|e| matches!(e, Event::Vlb { .. }))
+                    .count();
+                assert!(detours > 0, "VLB detours some packets at k = {k}");
+                (generated, delivered, means, events)
+            };
+            let base = digest(1);
+            for k in ks {
+                assert_eq!(base, digest(k), "VLB output diverges at k = {k}");
+            }
+        }
     }
 
     #[test]
@@ -1935,6 +1822,14 @@ mod tests {
         assert!(sim.fault_log()[0].reconverged_at.is_some());
         sim.reroute();
         assert!(shares(&sim, &cut), "a reroute after the last one rebuilt");
+    }
+
+    /// A crossing copies one message through two mailboxes; carrying
+    /// the packet as one arena row must not make it larger than the
+    /// 112 bytes it took as thirteen copied fields.
+    #[test]
+    fn a_boundary_message_is_no_larger_than_its_fields_were() {
+        assert!(std::mem::size_of::<BoundaryMsg>() <= 112);
     }
 
     #[test]

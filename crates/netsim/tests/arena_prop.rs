@@ -2,21 +2,45 @@
 //! alloc/free churn pinning the recycling contract the simulator's
 //! determinism rests on — no slot is ever live twice, recycling is
 //! LIFO, and identical operation sequences produce identical id
-//! sequences.
+//! sequences — and the row round trip a boundary crossing relies on:
+//! `take` returns exactly the row `alloc` wrote.
 
 use quartz_core::rng::StdRng;
-use quartz_netsim::arena::{PacketArena, PacketCold, PacketId};
+use quartz_netsim::arena::{Packet, PacketArena, PacketCold, PacketId, VlbDraws};
 use quartz_netsim::time::SimTime;
 use quartz_netsim::transport::TransportInfo;
 use quartz_topology::graph::NodeId;
 use std::collections::HashSet;
 
-fn cold() -> PacketCold {
-    PacketCold {
-        transport: TransportInfo::None,
-        intermediate: None,
-        flags: 0,
-        hops: 0,
+/// A row with every field drawn from `rng`, so a column mix-up shows.
+fn packet(rng: &mut StdRng, step: usize) -> Packet {
+    let transport = match rng.random_range(0..3) {
+        0 => TransportInfo::None,
+        1 => TransportInfo::Data(rng.next_u64()),
+        _ => TransportInfo::Ack {
+            ack: rng.next_u64(),
+            ecn_echo: rng.random_range(0..2) == 1,
+        },
+    };
+    let intermediate = (rng.random_range(0..2) == 1).then(|| NodeId(rng.next_u64() as u32));
+    Packet {
+        created: SimTime::from_ns(step as u64),
+        dst: NodeId(rng.random_range(0..64) as u32),
+        flow: rng.random_range(0..16) as u32,
+        size: 64 + rng.random_range(0..1_500) as u32,
+        hash: rng.next_u64(),
+        key: rng.next_u64(),
+        vlb: VlbDraws {
+            coin: rng.random::<f64>(),
+            pick: rng.next_u64(),
+            spray: rng.next_u64(),
+        },
+        cold: PacketCold {
+            transport,
+            intermediate,
+            flags: rng.next_u64() as u8,
+            hops: rng.random_range(0..8) as u32,
+        },
     }
 }
 
@@ -34,14 +58,7 @@ fn churn(seed: u64, ops: usize) -> (Vec<PacketId>, Vec<PacketId>) {
     for step in 0..ops {
         let do_alloc = live.is_empty() || rng.random_range(0..5) < 3;
         if do_alloc {
-            let id = arena.alloc(
-                SimTime::from_ns(step as u64),
-                NodeId(rng.random_range(0..64) as u32),
-                rng.random_range(0..16) as u32,
-                400,
-                rng.random::<u64>(),
-                cold(),
-            );
+            let id = arena.alloc(packet(&mut rng, step));
             // Never-twice-live: a handed-out slot must not alias one
             // still allocated.
             assert!(
@@ -88,10 +105,9 @@ fn identical_sequences_yield_identical_ids() {
 
 #[test]
 fn recycling_is_lifo() {
+    let mut rng = StdRng::seed_from_u64(3);
     let mut arena = PacketArena::new();
-    let ids: Vec<PacketId> = (0..16)
-        .map(|i| arena.alloc(SimTime::from_ns(i), NodeId(0), 0, 400, i, cold()))
-        .collect();
+    let ids: Vec<PacketId> = (0..16).map(|i| arena.alloc(packet(&mut rng, i))).collect();
     // Free in an arbitrary fixed order; re-allocation must hand the
     // slots back in exactly the reverse of it.
     let free_order = [3u32, 11, 5, 0, 15, 8];
@@ -99,16 +115,7 @@ fn recycling_is_lifo() {
         arena.free(id);
     }
     let realloc: Vec<PacketId> = (0..free_order.len())
-        .map(|i| {
-            arena.alloc(
-                SimTime::from_ns(100 + i as u64),
-                NodeId(1),
-                1,
-                400,
-                0,
-                cold(),
-            )
-        })
+        .map(|i| arena.alloc(packet(&mut rng, 100 + i)))
         .collect();
     let expect: Vec<PacketId> = free_order.iter().rev().copied().collect();
     assert_eq!(realloc, expect, "free list must recycle LIFO");
@@ -118,4 +125,32 @@ fn recycling_is_lifo() {
         "no growth while free slots exist"
     );
     assert_eq!(arena.live(), 16);
+}
+
+/// Seeded churn in which every release is a `take`: it must return the
+/// row its slot was allocated with, field for field, free the slot, and
+/// the LIFO free list must hand that slot out next.
+#[test]
+fn take_returns_the_row_and_frees_its_slot_first_in_line() {
+    for seed in 0..8 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut arena = PacketArena::new();
+        let mut rows: Vec<(PacketId, Packet)> = Vec::new();
+        for step in 0..2_000 {
+            if rows.is_empty() || rng.random_range(0..5) < 3 {
+                let p = packet(&mut rng, step);
+                rows.push((arena.alloc(p), p));
+                continue;
+            }
+            let (id, want) = rows.swap_remove(rng.random_range(0..rows.len()));
+            let (live, capacity) = (arena.live(), arena.capacity());
+            assert_eq!(arena.take(id), want, "slot {id} (seed {seed}, step {step})");
+            assert_eq!(arena.live(), live - 1, "take frees the slot");
+            let next = packet(&mut rng, step);
+            assert_eq!(arena.alloc(next), id, "the taken slot is handed out next");
+            assert_eq!(arena.capacity(), capacity, "no growth after a take");
+            rows.push((id, next));
+        }
+        assert_eq!(arena.live(), rows.len());
+    }
 }

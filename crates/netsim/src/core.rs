@@ -1,10 +1,11 @@
 //! The per-packet core every spatial domain of the engine runs.
 //!
-//! [`Core`] owns the state every packet touches — configuration,
-//! directed link slots, failed nodes, node kinds, flat routes (plus the
-//! SPAIN-style extra tables and per-flow pins), VLB domains, the packet
-//! arena (one row per packet: its hot fields, canonical key, pre-drawn
-//! VLB randomness and cold fields), the flow table (one row per flow:
+//! [`Core`] owns the state every packet touches — configuration, the
+//! link rows of the directed slots its own nodes send on, failed links
+//! and nodes, node kinds, flat routes (plus the SPAIN-style extra
+//! tables and per-flow pins), VLB domains, the packet arena (one row
+//! per packet: its hot fields, canonical key, pre-drawn VLB randomness
+//! and cold fields), the flow table (one row per flow:
 //! its metadata, progress, key counters and two private RNG streams),
 //! the transport connections, and statistics — and implements the
 //! per-packet logic exactly once: forwarding and
@@ -120,8 +121,9 @@ struct Timer {
     arms: u32,
 }
 
-/// Per-direction link state.
-#[derive(Clone, Debug)]
+/// Per-direction link state: one row per directed slot, kept only by
+/// the domain that owns the slot's source node.
+#[derive(Debug)]
 pub(crate) struct DirLink {
     rate_gbps: f64, // == bits per ns
     free_at: SimTime,
@@ -129,8 +131,6 @@ pub(crate) struct DirLink {
     busy_ns: u64,
     /// Bytes transmitted.
     bytes: u64,
-    /// A failed link silently drops everything queued onto it.
-    pub(crate) failed: bool,
     /// Memoized serialization time for the last frame size sent (the
     /// rate is fixed per link and traffic is dominated by one or two
     /// sizes, so the `ceil(bits / rate)` float round-trip rarely
@@ -140,6 +140,17 @@ pub(crate) struct DirLink {
 }
 
 impl DirLink {
+    fn new(rate_gbps: f64) -> DirLink {
+        DirLink {
+            rate_gbps,
+            free_at: SimTime::ZERO,
+            busy_ns: 0,
+            bytes: 0,
+            ser_size: 0,
+            ser_ns: 0,
+        }
+    }
+
     /// Serialization time for `size` bytes — the cached value when the
     /// size repeats, the identical f64 computation when it doesn't.
     #[inline]
@@ -153,7 +164,9 @@ impl DirLink {
 }
 
 /// Read-only fabric state, built once per simulation and shared by
-/// every [`Core`] of it.
+/// every [`Core`] of it: the network, node kinds, VLB domains, and the
+/// map from each global directed slot to its row in the owning
+/// domain's link table.
 pub(crate) struct Fabric {
     pub(crate) net: Arc<Network>,
     node_kind: Arc<[NodeKind]>,
@@ -161,20 +174,18 @@ pub(crate) struct Fabric {
     vlb_domain: Arc<[u32]>,
     /// Whether any VLB domain exists at all.
     pub(crate) vlb_enabled: bool,
-    /// Pristine per-slot link state each core starts from.
-    links: Vec<DirLink>,
+    /// Each directed slot's row in its owner's link table, where the
+    /// owner is the domain of the slot's source node.
+    slot_local: Arc<[u32]>,
 }
 
 impl Fabric {
-    /// # Panics
-    /// Panics if the VLB fraction lies outside `0..=1`.
-    pub(crate) fn new(net: Network, cfg: &SimConfig) -> Fabric {
+    /// The shared state of `net` under `cfg`, split over `k` domains by
+    /// `dom_of` (the domain of each node). `cfg`'s VLB domains must
+    /// name nodes of `net` (`ShardedSim::try_new` checks them).
+    pub(crate) fn new(net: Network, cfg: &SimConfig, dom_of: &[u32], k: usize) -> Fabric {
         let mut vlb_domain = vec![u32::MAX; net.node_count()];
         if let Some(v) = &cfg.vlb {
-            assert!(
-                (0.0..=1.0).contains(&v.fraction),
-                "VLB fraction must be in 0..=1"
-            );
             for (i, dom) in v.domains.iter().enumerate() {
                 debug_assert!(i < u32::MAX as usize, "VLB domain ids fit u32");
                 for &sw in dom {
@@ -182,30 +193,31 @@ impl Fabric {
                 }
             }
         }
-        let mut links = Vec::with_capacity(2 * net.link_count());
+        // Rows are numbered per owner in slot order, the order in which
+        // `Core::new` lays out its table.
+        let mut rows = vec![0u32; k];
+        let mut slot_local = Vec::with_capacity(2 * net.link_count());
         for l in net.links() {
-            let d = DirLink {
-                rate_gbps: l.bandwidth_gbps,
-                free_at: SimTime::ZERO,
-                busy_ns: 0,
-                bytes: 0,
-                failed: false,
-                ser_size: 0,
-                ser_ns: 0,
-            };
-            links.extend([d.clone(), d]);
+            for src in [l.a, l.b] {
+                let next = &mut rows[dom_of[src.0 as usize] as usize];
+                slot_local.push(*next);
+                *next += 1;
+            }
         }
         Fabric {
             node_kind: net.nodes().map(|n| n.kind).collect(),
             vlb_enabled: vlb_domain.iter().any(|&d| d != u32::MAX),
             vlb_domain: vlb_domain.into(),
-            links,
+            slot_local: slot_local.into(),
             net: Arc::new(net),
         }
     }
 }
 
-/// The per-packet state machine of one domain.
+/// The per-packet state machine of one domain. Its link table holds a
+/// row only for each directed slot whose source node the domain owns
+/// (the only slots its `arrive` ever sends on); its flow table is
+/// full-size, with only the ends the domain hosts ever advancing.
 pub(crate) struct Core {
     pub(crate) cfg: SimConfig,
     pub(crate) net: Arc<Network>,
@@ -225,8 +237,14 @@ pub(crate) struct Core {
     /// The extra table each flow is pinned to, by flow id (flows past
     /// the end are unpinned).
     pub(crate) flow_table: Vec<Option<usize>>,
-    /// 2 per undirected link: `[2l]` = a→b, `[2l+1]` = b→a.
+    /// One row per directed slot this domain sends on, in slot order;
+    /// `slot_local` maps a global slot (`[2l]` = a→b, `[2l+1]` = b→a)
+    /// to its row.
     pub(crate) links: Vec<DirLink>,
+    slot_local: Arc<[u32]>,
+    /// Per-link failure state, one entry per undirected link. Every
+    /// domain keeps all of it, so any domain's reroute sees every cut.
+    pub(crate) failed_links: Vec<bool>,
     /// Per-node failure state (only switches ever fail).
     pub(crate) failed_nodes: Vec<bool>,
     pub(crate) flows: Vec<FlowMeta>,
@@ -250,6 +268,13 @@ pub(crate) struct Core {
 
 impl Core {
     pub(crate) fn new(fabric: &Fabric, cfg: SimConfig, flat: Arc<FlatRoutes>, eng: Domain) -> Self {
+        let net = &fabric.net;
+        let links = net
+            .links()
+            .flat_map(|l| [(l.a, l), (l.b, l)])
+            .filter(|&(src, _)| eng.owns(src))
+            .map(|(_, l)| DirLink::new(l.bandwidth_gbps))
+            .collect();
         Core {
             cfg,
             net: Arc::clone(&fabric.net),
@@ -259,8 +284,10 @@ impl Core {
             flat,
             extra_flat: Vec::new(),
             flow_table: Vec::new(),
-            links: fabric.links.clone(),
-            failed_nodes: vec![false; fabric.net.node_count()],
+            links,
+            slot_local: Arc::clone(&fabric.slot_local),
+            failed_links: vec![false; net.link_count()],
+            failed_nodes: vec![false; net.node_count()],
             flows: Vec::new(),
             flow_state: Vec::new(),
             conns: Vec::new(),
@@ -717,11 +744,13 @@ impl Core {
             self.drop_packet(id, at, head, DropReason::NoRoute);
             return;
         };
-        let (failed, rate, free_at, ser_ns) = {
-            let dl = &mut self.links[slot as usize];
-            (dl.failed, dl.rate_gbps, dl.free_at, dl.ser_ns(size))
+        // The sending node is this domain's, so the slot has a row here.
+        let row = self.slot_local[slot as usize] as usize;
+        let (rate, free_at, ser_ns) = {
+            let dl = &mut self.links[row];
+            (dl.rate_gbps, dl.free_at, dl.ser_ns(size))
         };
-        if failed {
+        if self.failed_links[(slot >> 1) as usize] {
             // A cut fiber: everything forwarded onto it is lost until
             // routes are recomputed.
             self.drop_packet(id, at, head, DropReason::DeadLink);
@@ -783,7 +812,7 @@ impl Core {
             earliest
         };
         let done = start + ser_ns;
-        let dl = &mut self.links[slot as usize];
+        let dl = &mut self.links[row];
         dl.free_at = done;
         dl.busy_ns += ser_ns;
         dl.bytes += u64::from(size);
@@ -921,9 +950,7 @@ impl Core {
     pub(crate) fn set_fault_state(&mut self, kind: FaultKind) {
         match kind {
             FaultKind::LinkDown(l) | FaultKind::LinkUp(l) => {
-                let down = matches!(kind, FaultKind::LinkDown(_));
-                self.links[2 * l.0 as usize].failed = down;
-                self.links[2 * l.0 as usize + 1].failed = down;
+                self.failed_links[l.0 as usize] = matches!(kind, FaultKind::LinkDown(_));
             }
             FaultKind::SwitchDown(n) => self.failed_nodes[n.0 as usize] = true,
             FaultKind::SwitchUp(n) => self.failed_nodes[n.0 as usize] = false,
@@ -936,21 +963,27 @@ impl Core {
     pub(crate) fn live_routes(&self) -> FlatRoutes {
         let table = RouteTable::degraded(
             &self.net,
-            |l| self.links[2 * l.0 as usize].failed,
+            |l| self.failed_links[l.0 as usize],
             |n| self.failed_nodes[n.0 as usize],
         );
         FlatRoutes::new(&table, &self.net)
     }
 
-    /// Adds this core's per-slot transmission totals into `out` (one
-    /// row per undirected link).
+    /// Adds the transmission totals of the slots this core sends on
+    /// into `out` (one row per undirected link).
     pub(crate) fn add_link_loads(&self, out: &mut [LinkLoad]) {
-        for (i, ll) in out.iter_mut().enumerate() {
-            let (ab, ba) = (&self.links[2 * i], &self.links[2 * i + 1]);
-            ll.ab_busy_ns += ab.busy_ns;
-            ll.ab_bytes += ab.bytes;
-            ll.ba_busy_ns += ba.busy_ns;
-            ll.ba_bytes += ba.bytes;
+        let row = |slot: usize| &self.links[self.slot_local[slot] as usize];
+        for ((i, ll), l) in out.iter_mut().enumerate().zip(self.net.links()) {
+            if self.eng.owns(l.a) {
+                let ab = row(2 * i);
+                ll.ab_busy_ns += ab.busy_ns;
+                ll.ab_bytes += ab.bytes;
+            }
+            if self.eng.owns(l.b) {
+                let ba = row(2 * i + 1);
+                ll.ba_busy_ns += ba.busy_ns;
+                ll.ba_bytes += ba.bytes;
+            }
         }
     }
 }

@@ -5,9 +5,9 @@
 //! produced by [`quartz_topology::partition::spatial_domains`]. Each
 //! domain owns a contiguous region of the network — its switches and
 //! its hosts — and runs its own copy of the per-packet core (`core`),
-//! with a private [`TimingWheel`] and [`PacketArena`] shard. Every copy
-//! holds full-size link and flow tables; a domain advances only the
-//! rows of the directed link slots whose *source* node it owns and the
+//! with a private [`TimingWheel`] and [`PacketArena`] shard. Each copy
+//! holds link rows only for the directed slots whose *source* node it
+//! owns, and a full-size flow table of which it advances only the
 //! per-flow state of the flow ends it hosts. [`crate::sim::Simulator`]
 //! is this engine at `k = 1`. Domains advance independently inside a
 //! window `[W0, B]` whose upper bound is derived from the slowest-safe
@@ -682,6 +682,13 @@ pub enum ShardError {
         /// The link's end in the receiving domain.
         to: NodeId,
     },
+    /// The VLB fraction lies outside `0..=1` (or is NaN).
+    VlbFraction,
+    /// A VLB domain lists a node the network does not have.
+    VlbNodeOutOfRange {
+        /// The listed node.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for ShardError {
@@ -696,6 +703,11 @@ impl fmt::Display for ShardError {
                 f,
                 "cross-domain links must join switches; {from:?} -> {to:?} touches a host \
                  (relay-host fabrics are not shardable — use domains = 1)"
+            ),
+            ShardError::VlbFraction => write!(f, "VLB fraction must be in 0..=1"),
+            ShardError::VlbNodeOutOfRange { node } => write!(
+                f,
+                "VLB domain member {node:?} is not a node of this network"
             ),
         }
     }
@@ -767,7 +779,18 @@ impl ShardedSim {
     /// multi-homed hosts straddling a cut are not shardable), or the
     /// lookahead bound would be zero (an ideal latency model with zero
     /// propagation delay cannot shard). Both run with `domains = 1`.
+    /// A VLB config with a fraction outside `0..=1` or a domain member
+    /// outside `net` is rejected at every domain count.
     pub fn try_new(net: Network, cfg: SimConfig, domains: usize) -> Result<Self, ShardError> {
+        if let Some(v) = &cfg.vlb {
+            if !(0.0..=1.0).contains(&v.fraction) {
+                return Err(ShardError::VlbFraction);
+            }
+            let outside = |n: &&NodeId| n.0 as usize >= net.node_count();
+            if let Some(&node) = v.domains.iter().flatten().find(outside) {
+                return Err(ShardError::VlbNodeOutOfRange { node });
+            }
+        }
         let mut lookahead = u64::MAX;
         // One domain needs no partition (and so admits switchless
         // fabrics such as CamCube).
@@ -789,7 +812,7 @@ impl ShardedSim {
             }
             (part.domain_of().into(), part.domains())
         };
-        let fabric = Fabric::new(net, &cfg);
+        let fabric = Fabric::new(net, &cfg, &dom_of, k);
         // The table is dropped once flattened: the engine forwards by
         // the flat table alone.
         let table = RouteTable::all_shortest_paths(&fabric.net);
@@ -1272,8 +1295,8 @@ impl ShardedSim {
     }
 
     /// Transmission statistics per link, in the network's link order,
-    /// summed across domains (each directed slot is only ever driven by
-    /// its owning domain).
+    /// summed across domains (each directed slot has its row in the
+    /// domain that owns its source node, and only there).
     pub fn link_loads(&self) -> Vec<LinkLoad> {
         let mut out = vec![LinkLoad::default(); self.net.link_count()];
         for d in &self.domains {
@@ -1770,7 +1793,7 @@ mod tests {
             for d in &sim.domains {
                 let scratch = RouteTable::degraded(
                     &sim.net,
-                    |l| d.links[2 * l.0 as usize].failed,
+                    |l| d.failed_links[l.0 as usize],
                     |n| d.failed_nodes[n.0 as usize],
                 );
                 assert_eq!(
@@ -1871,6 +1894,67 @@ mod tests {
         assert!(host(from) || host(to), "{from:?} -> {to:?}");
         assert!(err.unwrap().to_string().contains("touches a host"));
         assert!(ShardedSim::try_new(m.net, SimConfig::default(), 1).is_ok());
+    }
+
+    fn vlb_cfg(fraction: f64, members: Vec<NodeId>) -> SimConfig {
+        SimConfig {
+            vlb: Some(crate::sim::VlbConfig {
+                fraction,
+                domains: vec![members],
+            }),
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn try_new_reports_a_vlb_fraction_outside_the_unit_interval() {
+        let m = quartz_mesh(4, 2, 10.0, 10.0);
+        for fraction in [-0.1, 1.5, f64::NAN] {
+            for k in [1, 2] {
+                let cfg = vlb_cfg(fraction, m.switches.clone());
+                let err = ShardedSim::try_new(m.net.clone(), cfg, k).err();
+                assert_eq!(err, Some(ShardError::VlbFraction), "{fraction} at {k}");
+            }
+        }
+        for fraction in [0.0, 1.0] {
+            let cfg = vlb_cfg(fraction, m.switches.clone());
+            assert!(ShardedSim::try_new(m.net.clone(), cfg, 2).is_ok());
+        }
+    }
+
+    #[test]
+    fn try_new_reports_a_vlb_member_outside_the_network() {
+        let m = quartz_mesh(4, 2, 10.0, 10.0);
+        let node = NodeId(m.net.node_count() as u32);
+        let mut members = m.switches.clone();
+        members.push(node);
+        for k in [1, 2] {
+            let err = ShardedSim::try_new(m.net.clone(), vlb_cfg(0.5, members.clone()), k).err();
+            assert_eq!(err, Some(ShardError::VlbNodeOutOfRange { node }));
+        }
+    }
+
+    /// No domain holds a link row for a slot it does not send on: each
+    /// core's table has one row per directed slot whose source node it
+    /// owns, so the tables together hold each slot exactly once.
+    #[test]
+    fn each_domain_keeps_link_rows_only_for_its_own_slots() {
+        let c = quartz_in_core(3, 4, 2, 4);
+        for k in [1, 4] {
+            let sim = ShardedSim::new(c.net.clone(), SimConfig::default(), k);
+            assert_eq!(sim.domains.len(), k);
+            for d in &sim.domains {
+                let owned = c
+                    .net
+                    .links()
+                    .flat_map(|l| [l.a, l.b])
+                    .filter(|&src| d.eng.owns(src))
+                    .count();
+                assert_eq!(d.links.len(), owned, "domain {} of {k}", d.eng.id);
+            }
+            let rows: usize = sim.domains.iter().map(|d| d.links.len()).sum();
+            assert_eq!(rows, 2 * c.net.link_count(), "{k} domains");
+        }
     }
 
     /// A burst source with a zero period would start its next burst at

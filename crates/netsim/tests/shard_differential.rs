@@ -1,9 +1,10 @@
 //! Differential test for the sharded engine's determinism contract:
 //! [`ShardedSim`] must produce byte-identical output at every domain
 //! count — same stats bits, same ndjson trace bytes, same flow
-//! completion log, same fault log, same merged metrics — on a loaded
-//! VLB mesh with bursty traffic, a DCTCP transfer under ECN, a mid-run
-//! fiber cut plus repair, and on a Figure 15 Quartz-in-core composite.
+//! completion log, same fault log, same merged metrics, same per-link
+//! transmission totals — on a loaded VLB mesh with bursty traffic, a
+//! DCTCP transfer under ECN, a mid-run fiber cut plus repair, and on a
+//! Figure 15 Quartz-in-core composite.
 //! Each domain count is also re-run across 1, 2, and 8 pool workers to
 //! pin that the thread schedule cannot leak into the output. A run
 //! stopped mid-flight and resumed must equal an uninterrupted one, and
@@ -11,7 +12,7 @@
 
 use quartz_core::pool::ThreadPool;
 use quartz_netsim::shard::ShardedSim;
-use quartz_netsim::sim::{FlowKind, SimConfig, VlbConfig};
+use quartz_netsim::sim::{FlowKind, LinkLoad, SimConfig, VlbConfig};
 use quartz_netsim::time::SimTime;
 use quartz_netsim::transport::TcpVariant;
 use quartz_netsim::FaultPlan;
@@ -31,6 +32,9 @@ struct Digest {
     per_tag: Vec<(u32, TagDigest)>,
     completions: Vec<(u32, u64)>,
     faults: Vec<(u64, Option<u64>, u64)>,
+    /// Per link: busy ns and bytes in each direction, summed over the
+    /// domains that own the two directions.
+    link_loads: Vec<LinkLoad>,
     ndjson: String,
     metrics: String,
 }
@@ -134,10 +138,17 @@ fn run_sharded(
                 )
             })
             .collect(),
+        link_loads: sim.link_loads(),
         ndjson,
         metrics,
     };
     (digest, work)
+}
+
+/// Whether both directions of some link carried bytes: a run whose
+/// totals lose a direction reads zero there at every domain count.
+fn loads_both_directions(d: &Digest) -> bool {
+    d.link_loads.iter().any(|l| l.ab_bytes > 0) && d.link_loads.iter().any(|l| l.ba_bytes > 0)
 }
 
 /// The fig. 6-flavored mesh scenario: VLB detours over the full ring,
@@ -300,6 +311,11 @@ fn mesh_output_is_domain_count_invariant() {
         "metrics must observe the run"
     );
     assert_eq!(reference.faults.len(), 2, "cut and repair both fire");
+    assert!(
+        loads_both_directions(&reference),
+        "{:?}",
+        reference.link_loads
+    );
     for k in [2usize, 4, 8] {
         let other = mesh_digest(k, 1);
         assert_eq!(reference, other, "mesh run diverged at {k} domains");
@@ -322,6 +338,11 @@ fn composite_output_is_domain_count_invariant() {
     assert!(
         !reference.completions.is_empty(),
         "transport and file flows must complete"
+    );
+    assert!(
+        loads_both_directions(&reference),
+        "{:?}",
+        reference.link_loads
     );
     for (k, workers) in [(2usize, 2usize), (4, 2), (4, 4), (8, 8)] {
         let other = composite_digest(k, workers);

@@ -383,12 +383,9 @@ fn cmd_faults_dynamic(args: &Args) -> Result<(), String> {
     }
     let cfg = CutScenarioConfig {
         switches: m,
-        hosts_per_switch: 1,
         cut_at,
         reconvergence_ns,
         duration,
-        mean_gap_ns: 4_000.0,
-        background_pairs: (m / 2).max(4),
         seed,
     };
     if cfg.horizon().is_none() {
@@ -837,10 +834,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     if m < 3 {
         return Err("--switches must be ≥ 3".into());
     }
-    if m != cfg.switches {
-        cfg.switches = m;
-        cfg.background_pairs = (m / 2).max(4);
-    }
+    cfg.switches = m;
     let timeline: usize = args.num("timeline", 40)?;
 
     let (report, events, metrics) = ring_cut_scenario_traced(&cfg);
@@ -1116,7 +1110,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
             .id;
         let mut plan = FaultPlan::new();
         plan.link_down(l, SimTime::from_ns(cut_at_ns));
-        sim.apply_fault_plan(&plan);
+        sim.apply_fault_plan(&plan).map_err(|e| e.to_string())?;
         outln!("fault: core channel cut at {cut_at_us} µs (reconverge +50 µs)");
     }
 

@@ -403,8 +403,7 @@ mod tests {
             let (out, metrics) = ThreadPool::new(threads).par_map_observed(16, |i, m| {
                 m.inc("unit.work", (i as u64 + 1) * 3);
                 m.set_gauge("unit.last", i as f64);
-                let mut series =
-                    quartz_obs::TimeHistogram::new(quartz_obs::metrics::DEFAULT_BUCKET_NS);
+                let mut series = quartz_obs::TimeHistogram::new();
                 series.observe(i as u64 * 1_000, i as u64);
                 m.add_histogram("unit.series", &series);
                 i * 2

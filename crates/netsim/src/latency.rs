@@ -1,11 +1,8 @@
-//! End-to-end latency composition — Table 2 of the paper.
+//! Per-component latencies — Table 2 of the paper.
 //!
 //! "There are many sources of latency in DCNs": the OS network stack, the
 //! NIC, each switch, and congestion. Table 2 contrasts standard hardware
-//! with the state of the art; [`ComponentLatency`] captures one column
-//! and composes an end-to-end estimate.
-
-use std::fmt;
+//! with the state of the art; [`ComponentLatency`] captures one column.
 
 /// Per-component one-way latency contributions, in nanoseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,27 +39,15 @@ pub const STATE_OF_ART: ComponentLatency = ComponentLatency {
     congestion_ns: 50_000,
 };
 
-impl ComponentLatency {
-    /// One-way latency through `switch_hops` switches with both end-host
-    /// stacks and NICs, ignoring congestion.
-    pub fn end_to_end_ns(&self, switch_hops: usize) -> u64 {
-        2 * (self.stack_ns + self.nic_ns) + switch_hops as u64 * self.switch_ns
-    }
-}
-
-impl fmt::Display for ComponentLatency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: stack {} ns, NIC {} ns, switch {} ns, congestion {} ns",
-            self.name, self.stack_ns, self.nic_ns, self.switch_ns, self.congestion_ns
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-way latency through `switch_hops` switches with both end-host
+    /// stacks and NICs, ignoring congestion.
+    fn end_to_end_ns(c: &ComponentLatency, switch_hops: u64) -> u64 {
+        2 * (c.stack_ns + c.nic_ns) + switch_hops * c.switch_ns
+    }
 
     #[test]
     fn table2_values() {
@@ -84,8 +69,8 @@ mod tests {
     fn order_of_magnitude_improvement() {
         // §1: combining state-of-the-art techniques yields "an order of
         // magnitude reduction in end-to-end network latency".
-        let std = STANDARD.end_to_end_ns(5);
-        let soa = STATE_OF_ART.end_to_end_ns(5);
+        let std = end_to_end_ns(&STANDARD, 5);
+        let soa = end_to_end_ns(&STATE_OF_ART, 5);
         assert!(std as f64 / soa as f64 > 8.0, "{std} vs {soa}");
     }
 
@@ -94,6 +79,6 @@ mod tests {
         // Table 2's point: once components are fast, congestion (~50 µs)
         // dominates — the motivation for Quartz's topology approach.
         let soa = STATE_OF_ART;
-        assert!(soa.congestion_ns > soa.end_to_end_ns(5));
+        assert!(soa.congestion_ns > end_to_end_ns(&soa, 5));
     }
 }

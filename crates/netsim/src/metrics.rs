@@ -203,7 +203,7 @@ mod tests {
         let uplink = pod1_agg.and_then(|a| c.net.link_between(a, c.uppers[0]));
         let mut plan = FaultPlan::new();
         plan.link_down(uplink.expect("uplink"), SimTime::from_us(300));
-        sim.apply_fault_plan(&plan);
+        sim.apply_fault_plan(&plan).expect("core uplink");
         sim.set_recorder(Box::new(MemoryRecorder::new()));
         sim.enable_metrics();
         sim.run(SimTime::from_ms(2), &ThreadPool::sequential());

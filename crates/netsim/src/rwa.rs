@@ -12,8 +12,12 @@
 //!    layer loses — torn-down pairs from the instant of the cut,
 //!    re-tuned pairs for their transceivers' retune window after the
 //!    control-plane delay — and relights them when the lasers lock, and
-//! 3. [`Event::RwaResolve`] / [`Event::Retune`] observability events
-//!    plus `rwa.*` metrics.
+//! 3. [`Event::RwaResolve`] / [`Event::Retune`] observability events,
+//!    and the totals the traced run renders as `rwa.*` metrics.
+//!
+//! [`churn_scenario`] replays the compiled plan against steady Poisson
+//! load on a one-host-per-switch mesh, built by the same crate-private
+//! scenario builder as [`crate::faults::ring_cut_scenario`].
 //!
 //! Because the compilation is a pure function of the churn sequence,
 //! the whole scenario stays bit-deterministic: same seed, same report,
@@ -25,17 +29,17 @@
 //! change darkens channels for tens of microseconds to milliseconds,
 //! and that shows up directly in the latency and drop distributions.
 
-use crate::faults::{FaultPlan, DRAIN_NS};
-use crate::sim::{FlowKind, SimConfig, Simulator};
+use crate::faults::{build_scenario, horizon, run_traced, FaultPlan};
+use crate::sim::Simulator;
 use crate::stats::LatencySummary;
 use crate::time::SimTime;
 use quartz_core::channel::online::{OnlineRwa, ResolveReport, RingDelta};
 use quartz_core::channel::Pair;
 use quartz_core::pool::{unit_seed, ThreadPool};
 use quartz_core::rng::StdRng;
-use quartz_obs::{Event, MemoryRecorder, MetricsRegistry};
+use quartz_obs::{Event, MetricsRegistry};
 use quartz_optics::retune::{RetuneModel, FAST_TUNABLE_SFP};
-use quartz_topology::builders::{quartz_mesh, QuartzMesh};
+use quartz_topology::builders::QuartzMesh;
 use std::collections::BTreeMap;
 
 /// One optical-layer transition at an absolute simulated time.
@@ -107,8 +111,6 @@ pub struct CompiledChurn {
     pub control_events: Vec<Event>,
     /// One re-solve report per churn event, in order.
     pub reports: Vec<ResolveReport>,
-    /// `rwa.*` counters and gauges.
-    pub metrics: MetricsRegistry,
     /// Total transceiver retunes across the sequence.
     pub retunes: u64,
     /// Summed dark time charged to retuning (not to the outages
@@ -140,7 +142,6 @@ pub fn compile_churn(
 ) -> CompiledChurn {
     let m = q.switches.len();
     let mut rwa = OnlineRwa::new(m, node_budget);
-    let mut metrics = MetricsRegistry::new();
     let mut control_events = Vec::new();
     let mut reports = Vec::with_capacity(churn.len());
     let mut retunes = 0u64;
@@ -183,7 +184,6 @@ pub fn compile_churn(
                 .push((t_ctrl + dark, true));
         }
 
-        metrics.inc(&format!("rwa.resolve.{}", report.outcome.as_str()), 1);
         let counts = [
             report.moved.len(),
             report.restored.len(),
@@ -251,34 +251,25 @@ pub fn compile_churn(
         }
     }
 
-    metrics.inc("rwa.retunes", retunes);
-    metrics.inc("rwa.dark_ns", dark_ns_total);
-    let final_channels = rwa.plan().channels_used();
-    let final_unroutable = rwa.plan().unroutable().len();
-    metrics.set_gauge("rwa.channels", final_channels as f64);
-    metrics.set_gauge("rwa.unroutable", final_unroutable as f64);
-
     CompiledChurn {
         plan,
         control_events,
         reports,
-        metrics,
         retunes,
         dark_ns_total,
-        final_channels,
-        final_unroutable,
+        final_channels: rwa.plan().channels_used(),
+        final_unroutable: rwa.plan().unroutable().len(),
     }
 }
 
-/// Parameters of the churn experiment: a Quartz mesh under steady
-/// Poisson load while ring fibers are cut and repaired, with the online
-/// RWA controller re-provisioning the optical layer.
+/// Parameters of the churn experiment: a Quartz mesh with one host per
+/// switch under steady Poisson load (400 B packets, 4 µs mean gap per
+/// flow) while ring fibers are cut and repaired, with the online RWA
+/// controller re-provisioning the optical layer.
 #[derive(Clone, Debug)]
 pub struct ChurnScenarioConfig {
-    /// Mesh size (switches in the ring, `2..=64`).
+    /// Mesh size (switches in the ring, `3..=64`).
     pub switches: usize,
-    /// Hosts attached to each switch.
-    pub hosts_per_switch: usize,
     /// How many distinct ring fibers get cut.
     pub cuts: usize,
     /// Window the cuts land in.
@@ -295,23 +286,19 @@ pub struct ChurnScenarioConfig {
     /// Transceiver retune model ([`RetuneModel::instant`] for the
     /// free-reconfiguration baseline).
     pub retune: RetuneModel,
-    /// When traffic generation stops (the run drains [`DRAIN_NS`]
-    /// longer).
+    /// When traffic generation stops (the run drains
+    /// [`DRAIN_NS`](crate::faults::DRAIN_NS) longer).
     pub duration: SimTime,
-    /// Mean Poisson inter-packet gap per flow, ns.
-    pub mean_gap_ns: f64,
     /// Simulation seed (same seed ⇒ bit-identical report).
     pub seed: u64,
 }
 
 impl ChurnScenarioConfig {
-    /// Where the run ends: `duration` plus [`DRAIN_NS`], or `None` when
-    /// that overflows the 64-bit nanosecond clock.
+    /// Where the run ends: `duration` plus
+    /// [`DRAIN_NS`](crate::faults::DRAIN_NS), or `None` when that
+    /// overflows the 64-bit nanosecond clock.
     pub fn horizon(&self) -> Option<SimTime> {
-        self.duration
-            .ns()
-            .checked_add(DRAIN_NS)
-            .map(SimTime::from_ns)
+        horizon(self.duration)
     }
 
     /// A CI-sized scenario: 9 switches, two cut+repair rounds inside a
@@ -319,7 +306,6 @@ impl ChurnScenarioConfig {
     pub fn quick(seed: u64) -> Self {
         ChurnScenarioConfig {
             switches: 9,
-            hosts_per_switch: 1,
             cuts: 2,
             churn_window: (SimTime::from_us(200), SimTime::from_us(800)),
             repair_after_ns: Some(400_000),
@@ -328,7 +314,6 @@ impl ChurnScenarioConfig {
             node_budget: 2_000_000,
             retune: FAST_TUNABLE_SFP,
             duration: SimTime::from_us(1_500),
-            mean_gap_ns: 4_000.0,
             seed,
         }
     }
@@ -338,7 +323,6 @@ impl ChurnScenarioConfig {
     pub fn paper(seed: u64) -> Self {
         ChurnScenarioConfig {
             switches: 33,
-            hosts_per_switch: 1,
             cuts: 4,
             churn_window: (SimTime::from_ms(1), SimTime::from_ms(3)),
             repair_after_ns: Some(500_000),
@@ -347,7 +331,6 @@ impl ChurnScenarioConfig {
             node_budget: 2_000_000,
             retune: FAST_TUNABLE_SFP,
             duration: SimTime::from_ms(4),
-            mean_gap_ns: 4_000.0,
             seed,
         }
     }
@@ -392,69 +375,42 @@ pub struct ChurnScenarioReport {
     pub dropped: u64,
 }
 
-/// Builds the churn simulator and its compiled control-plane schedule.
-fn churn_sim(cfg: &ChurnScenarioConfig) -> (Simulator, CompiledChurn) {
-    assert!(cfg.switches >= 3, "a detour needs a third switch");
-    let q = quartz_mesh(cfg.switches, cfg.hosts_per_switch, 10.0, 10.0);
+/// Builds the churn simulator and returns it with the run's end and
+/// its compiled control-plane schedule.
+fn churn_sim(cfg: &ChurnScenarioConfig) -> (Simulator, SimTime, CompiledChurn) {
+    let m = cfg.switches;
+    assert!(m >= 3, "a detour needs a third switch");
+    // Every switch talks to its ring neighbor (shortest channels, the
+    // ones single cuts displace) and to its antipode (the long arcs
+    // that cross whichever fiber dies).
+    let stop = cfg.duration;
+    let flows: Vec<_> = (0..m)
+        .flat_map(|i| {
+            [
+                (i, (i + 1) % m, TAG_NEIGHBOR, SimTime::ZERO, stop),
+                (i, (i + m / 2) % m, TAG_CROSS, SimTime::ZERO, stop),
+            ]
+        })
+        .collect();
     // The churn stream gets its own unit of the seed's splitmix stream
     // so it never aliases the simulator's draws.
     let churn = random_churn(
-        cfg.switches,
+        m,
         cfg.cuts,
         cfg.churn_window,
         cfg.repair_after_ns,
         unit_seed(cfg.seed, 1),
     );
-    let compiled = compile_churn(
-        &q,
-        &churn,
-        cfg.control_delay_ns,
-        cfg.node_budget,
-        &cfg.retune,
-    );
-
-    let mut sim = Simulator::new(
-        q.net.clone(),
-        SimConfig {
-            seed: cfg.seed,
-            reconvergence_ns: Some(cfg.reconvergence_ns),
-            ..SimConfig::default()
-        },
-    );
-    let hps = cfg.hosts_per_switch;
-    let host_of = |sw: usize| q.hosts[sw * hps];
-    // Every switch talks to its ring neighbor (shortest channels, the
-    // ones single cuts displace) and to its antipode (the long arcs
-    // that cross whichever fiber dies).
-    let m = cfg.switches;
-    for i in 0..m {
-        sim.add_flow(
-            host_of(i),
-            host_of((i + 1) % m),
-            400,
-            FlowKind::Poisson {
-                mean_gap_ns: cfg.mean_gap_ns,
-                stop: cfg.duration,
-                respond: false,
-            },
-            TAG_NEIGHBOR,
-            SimTime::ZERO,
+    build_scenario(m, cfg.seed, cfg.reconvergence_ns, stop, &flows, |q| {
+        let compiled = compile_churn(
+            q,
+            &churn,
+            cfg.control_delay_ns,
+            cfg.node_budget,
+            &cfg.retune,
         );
-        sim.add_flow(
-            host_of(i),
-            host_of((i + m / 2) % m),
-            400,
-            FlowKind::Poisson {
-                mean_gap_ns: cfg.mean_gap_ns,
-                stop: cfg.duration,
-                respond: false,
-            },
-            TAG_CROSS,
-            SimTime::ZERO,
-        );
-    }
-    sim.apply_fault_plan(&compiled.plan);
-    (sim, compiled)
+        (compiled.plan.clone(), compiled)
+    })
 }
 
 /// Summarizes a finished churn run.
@@ -500,29 +456,34 @@ fn churn_report(sim: &Simulator, compiled: &CompiledChurn) -> ChurnScenarioRepor
 /// # Panics
 /// Panics if [`ChurnScenarioConfig::horizon`] overflows.
 pub fn churn_scenario(cfg: &ChurnScenarioConfig) -> ChurnScenarioReport {
-    let (mut sim, compiled) = churn_sim(cfg);
-    sim.run(cfg.horizon().expect("run horizon overflows the clock"));
+    let (mut sim, horizon, compiled) = churn_sim(cfg);
+    sim.run(horizon);
     churn_report(&sim, &compiled)
 }
 
 /// [`churn_scenario`] traced into memory: the report, the merged event
 /// stream (simulator events with the control plane's `RwaResolve` /
-/// `Retune` events interleaved in time order), and the merged metrics.
+/// `Retune` events interleaved in time order), and the simulator's
+/// metrics plus the `rwa.*` counters (one per re-solve outcome seen,
+/// retunes, dark time) and gauges (final channels and unroutable pairs).
 ///
 /// # Panics
 /// Panics if [`ChurnScenarioConfig::horizon`] overflows.
 pub fn churn_scenario_traced(
     cfg: &ChurnScenarioConfig,
 ) -> (ChurnScenarioReport, Vec<Event>, MetricsRegistry) {
-    let (mut sim, compiled) = churn_sim(cfg);
-    sim.set_recorder(Box::new(MemoryRecorder::new()));
-    sim.enable_metrics();
-    sim.run(cfg.horizon().expect("run horizon overflows the clock"));
-    let recorder = sim.take_recorder().expect("recorder was attached");
-    let mut metrics = sim.take_metrics().expect("metrics were enabled");
-    metrics.merge(&compiled.metrics);
-    let events = merge_by_time(recorder.finish(), compiled.control_events.clone());
-    (churn_report(&sim, &compiled), events, metrics)
+    let (mut sim, horizon, compiled) = churn_sim(cfg);
+    let (sim_events, mut metrics) = run_traced(&mut sim, horizon);
+    for r in &compiled.reports {
+        metrics.inc(&format!("rwa.resolve.{}", r.outcome.as_str()), 1);
+    }
+    metrics.inc("rwa.retunes", compiled.retunes);
+    metrics.inc("rwa.dark_ns", compiled.dark_ns_total);
+    metrics.set_gauge("rwa.channels", compiled.final_channels as f64);
+    metrics.set_gauge("rwa.unroutable", compiled.final_unroutable as f64);
+    let report = churn_report(&sim, &compiled);
+    let events = merge_by_time(sim_events, compiled.control_events);
+    (report, events, metrics)
 }
 
 /// Interleaves the control plane's time-sorted events into the
@@ -564,6 +525,7 @@ pub fn churn_units(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quartz_topology::builders::quartz_mesh;
 
     #[test]
     fn random_churn_is_seeded_and_well_ordered() {

@@ -97,7 +97,7 @@
 
 use crate::arena::{Packet, PacketArena, PacketId};
 use crate::core::{Arrival, Core, Fabric};
-use crate::faults::{FaultKind, FaultPlan};
+use crate::faults::{FaultError, FaultKind, FaultPlan};
 use crate::metrics::EngineMetrics;
 use crate::sched::TimingWheel;
 use crate::sim::{FaultRecord, FlowCompletion, FlowKind, LinkLoad, PinError, SimConfig};
@@ -106,7 +106,7 @@ use crate::time::SimTime;
 use quartz_core::pool::{DomainCells, ThreadPool};
 use quartz_core::rng::StdRng;
 use quartz_obs::{Event, MetricsRegistry, Recorder, Stamped};
-use quartz_topology::graph::{LinkId, Network, NodeId, NodeKind};
+use quartz_topology::graph::{Network, NodeId, NodeKind};
 use quartz_topology::partition::spatial_domains;
 use quartz_topology::route::{FlatRoutes, RouteError, RouteTable};
 use std::fmt;
@@ -920,50 +920,21 @@ impl ShardedSim {
         Ok(())
     }
 
-    /// Schedules a fiber cut: at `at`, both directions of `link` start
-    /// dropping everything queued onto them (§3.5's failure model,
-    /// live) until recovery and reconvergence.
-    pub fn fail_link_at(&mut self, link: LinkId, at: SimTime) {
-        self.schedule_fault(FaultKind::LinkDown(link), at);
-    }
-
-    /// Schedules the death of switch `node` at `at`: from then on, every
-    /// frame arriving at (or queued through) it is lost.
+    /// Schedules every event of a [`FaultPlan`], the one way faults
+    /// enter a run. With [`SimConfig::reconvergence_ns`] set, each fault
+    /// (and recovery) triggers an automatic route recomputation that
+    /// much later; otherwise call [`ShardedSim::reroute`].
     ///
-    /// # Panics
-    /// Panics if `node` is unknown or not a switch.
-    pub fn fail_switch_at(&mut self, node: NodeId, at: SimTime) {
-        self.schedule_fault(FaultKind::SwitchDown(node), at);
-    }
-
-    /// Schedules every event of a [`FaultPlan`]. With
-    /// [`SimConfig::reconvergence_ns`] set, each fault (and recovery)
-    /// triggers an automatic route recomputation that much later;
-    /// otherwise call [`ShardedSim::reroute`].
-    ///
-    /// # Panics
-    /// Panics if the plan names an unknown link, an unknown node or a
-    /// non-switch node.
-    pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
+    /// # Errors
+    /// A plan that names an unknown link, an unknown node or a host is
+    /// refused with the [`FaultError`] of its first such event, before
+    /// any event is scheduled.
+    pub fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultError> {
+        plan.check(&self.net)?;
         for ev in plan.events() {
-            self.schedule_fault(ev.kind, ev.at);
+            self.ctl.insert(ev.at, CtlKind::Fault(ev.kind));
         }
-    }
-
-    fn schedule_fault(&mut self, kind: FaultKind, at: SimTime) {
-        match kind {
-            FaultKind::LinkDown(l) | FaultKind::LinkUp(l) => {
-                assert!((l.0 as usize) < self.net.link_count(), "unknown link");
-            }
-            FaultKind::SwitchDown(n) | FaultKind::SwitchUp(n) => {
-                assert!((n.0 as usize) < self.net.node_count(), "unknown node");
-                assert!(
-                    self.net.node(n).kind.is_switch(),
-                    "only switches fail; {n:?} is a host"
-                );
-            }
-        }
-        self.ctl.insert(at, CtlKind::Fault(kind));
+        Ok(())
     }
 
     /// Recomputes the routes over the surviving links and switches at
@@ -1585,7 +1556,9 @@ mod tests {
                 .net
                 .link_between(m.switches[0], m.switches[3])
                 .expect("mesh channel exists");
-            sim.fail_link_at(l, SimTime::from_us(30));
+            let mut plan = FaultPlan::new();
+            plan.link_down(l, SimTime::from_us(30));
+            sim.apply_fault_plan(&plan).expect("mesh channel");
             sim.run(SimTime::from_ms(4), &ThreadPool::sequential());
             let log: Vec<(u64, Option<u64>, u64)> = sim
                 .fault_log()
@@ -1766,23 +1739,27 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        // The paper's cut (switch 0 ↔ 1 at 1 ms) plus a scripted mix of
-        // repairs, a switch death and recovery, and seeded extra cuts —
-        // including overlapping outages, so reroutes rebuild over an
-        // already-degraded fabric.
-        let cut = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
-        let mut plan = FaultPlan::random_link_faults(
-            &q.net,
-            4,
-            (SimTime::from_ms(2), SimTime::from_ms(5)),
-            Some(1_500_000),
-            0xC07,
-        );
-        plan.link_down(cut, SimTime::from_ms(1))
-            .link_up(cut, SimTime::from_ms(4))
+        // Four extra cuts between 2 and 5 ms, each repaired 1.5 ms
+        // later, then the paper's cut (switch 0 ↔ 1 at 1 ms) and a
+        // scripted switch death and recovery — overlapping outages, so
+        // reroutes rebuild over an already-degraded fabric.
+        let link = |a: usize, b: usize| q.net.link_between(q.switches[a], q.switches[b]).unwrap();
+        let mut plan = FaultPlan::new();
+        for (a, b, at_ns) in [
+            (17, 29, 2_749_336),
+            (7, 23, 2_993_992),
+            (6, 22, 2_562_718),
+            (17, 18, 3_836_671),
+        ] {
+            plan.link_down(link(a, b), SimTime::from_ns(at_ns))
+                .link_up(link(a, b), SimTime::from_ns(at_ns + 1_500_000));
+        }
+        plan.link_down(link(0, 1), SimTime::from_ms(1))
+            .link_up(link(0, 1), SimTime::from_ms(4))
             .switch_down(q.switches[7], SimTime::from_ms(3))
             .switch_up(q.switches[7], SimTime::from_ms(6));
-        sim.apply_fault_plan(&plan);
+        sim.apply_fault_plan(&plan)
+            .expect("mesh links and switches");
 
         let pool = ThreadPool::sequential();
         // Checkpoint just past each fault's reconvergence.
@@ -1836,7 +1813,9 @@ mod tests {
         assert!(shares(&sim, &pristine), "a reroute with no fault rebuilt");
 
         let l = m.net.link_between(m.switches[0], m.switches[1]).unwrap();
-        sim.fail_link_at(l, SimTime::from_us(1));
+        let mut plan = FaultPlan::new();
+        plan.link_down(l, SimTime::from_us(1));
+        sim.apply_fault_plan(&plan).expect("mesh channel");
         sim.run(SimTime::from_us(2), &ThreadPool::sequential());
         sim.reroute();
         let cut = Arc::clone(&sim.domains[0].flat);
@@ -2157,7 +2136,7 @@ mod pinned_scenario {
         let mut plan = FaultPlan::new();
         plan.link_down(ring_link, SimTime::from_ns(500_000))
             .link_up(ring_link, SimTime::from_ns(1_200_000));
-        sim.apply_fault_plan(&plan);
+        sim.apply_fault_plan(&plan).expect("ring link");
         sim.set_recorder(Box::new(MemoryRecorder::new()));
         sim.run(SimTime::from_ms(3), &ThreadPool::sequential());
 

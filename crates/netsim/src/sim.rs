@@ -271,10 +271,10 @@ impl DerefMut for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultPlan;
+    use crate::faults::{FaultError, FaultPlan};
     use crate::switch::{ARISTA_7150S, CISCO_NEXUS_7000};
     use quartz_topology::builders::{prototype_quartz, quartz_mesh, three_tier};
-    use quartz_topology::graph::SwitchRole;
+    use quartz_topology::graph::{LinkId, SwitchRole};
     use quartz_topology::route::{RouteError, RouteTable};
 
     /// Two hosts on one switch of the given role; returns (net, h1, h2).
@@ -688,7 +688,9 @@ mod tests {
             SimTime::ZERO,
         );
         let direct = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
-        sim.fail_link_at(direct, SimTime::from_ms(3));
+        let mut plan = FaultPlan::new();
+        plan.link_down(direct, SimTime::from_ms(3));
+        sim.apply_fault_plan(&plan).expect("mesh channel");
 
         // Phase 1: healthy.
         sim.run(SimTime::from_ms(3));
@@ -717,19 +719,71 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown link")]
-    fn failing_unknown_link_panics() {
+    fn failing_unknown_link_is_refused() {
         let (net, _, _) = dumbbell(SwitchRole::TopOfRack, 10.0);
         let mut sim = Simulator::new(net, SimConfig::default());
-        sim.fail_link_at(quartz_topology::graph::LinkId(99), SimTime::ZERO);
+        let mut plan = FaultPlan::new();
+        plan.link_down(LinkId(99), SimTime::ZERO);
+        assert_eq!(
+            sim.apply_fault_plan(&plan),
+            Err(FaultError::UnknownLink(LinkId(99)))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "unknown node")]
-    fn failing_unknown_switch_panics() {
+    fn failing_unknown_switch_is_refused() {
         let (net, _, _) = dumbbell(SwitchRole::TopOfRack, 10.0);
         let mut sim = Simulator::new(net, SimConfig::default());
-        sim.fail_switch_at(NodeId(99), SimTime::ZERO);
+        let mut plan = FaultPlan::new();
+        plan.switch_down(NodeId(99), SimTime::ZERO);
+        assert_eq!(
+            sim.apply_fault_plan(&plan),
+            Err(FaultError::UnknownNode(NodeId(99)))
+        );
+    }
+
+    #[test]
+    fn a_plan_with_one_bad_event_schedules_nothing() {
+        // The plan is checked whole before any event is scheduled: the
+        // valid cut ahead of the bad repair never fires.
+        let q = quartz_mesh(4, 1, 10.0, 10.0);
+        let mut sim = Simulator::new(
+            q.net.clone(),
+            SimConfig {
+                reconvergence_ns: Some(1_000),
+                ..no_prop_cfg()
+            },
+        );
+        sim.add_flow(
+            q.hosts[0],
+            q.hosts[1],
+            400,
+            FlowKind::Poisson {
+                mean_gap_ns: 10_000.0,
+                stop: SimTime::from_ms(2),
+                respond: false,
+            },
+            0,
+            SimTime::ZERO,
+        );
+        let direct = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
+        let mut plan = FaultPlan::new();
+        plan.link_down(direct, SimTime::from_ms(1))
+            .link_up(LinkId(999), SimTime::from_us(1_500));
+        assert_eq!(
+            sim.apply_fault_plan(&plan),
+            Err(FaultError::UnknownLink(LinkId(999)))
+        );
+        sim.set_recorder(Box::new(quartz_obs::MemoryRecorder::new()));
+        sim.run(SimTime::from_ms(3));
+        let events = sim.take_recorder().expect("recorder attached").finish();
+        assert!(sim.fault_log().is_empty(), "a refused plan logged a fault");
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, quartz_obs::Event::Fault { .. })));
+        let st = sim.stats();
+        assert!(st.delivered > 100);
+        assert_eq!(st.dropped, 0, "the refused cut never hit the link");
     }
 
     #[test]
@@ -1056,7 +1110,7 @@ mod tests {
         let cut_at = SimTime::from_ms(3);
         let mut plan = FaultPlan::new();
         plan.link_down(direct, cut_at);
-        sim.apply_fault_plan(&plan);
+        sim.apply_fault_plan(&plan).expect("mesh channel");
         sim.run(SimTime::from_ms(9));
 
         let log = sim.fault_log();
@@ -1107,7 +1161,7 @@ mod tests {
         let direct = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
         let mut plan = FaultPlan::new();
         plan.link_down(direct, SimTime::from_ms(1));
-        sim.apply_fault_plan(&plan);
+        sim.apply_fault_plan(&plan).expect("mesh channel");
         sim.run(SimTime::from_ms(2));
 
         let log = sim.fault_log();
@@ -1147,7 +1201,7 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.switch_down(q.switches[2], SimTime::from_ms(3))
             .switch_up(q.switches[2], SimTime::from_ms(6));
-        sim.apply_fault_plan(&plan);
+        sim.apply_fault_plan(&plan).expect("mesh switch");
 
         sim.run(SimTime::from_ms(6));
         let mid = sim.stats().clone();
@@ -1167,11 +1221,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only switches fail")]
-    fn failing_a_host_panics() {
+    fn failing_a_host_is_refused() {
         let (net, h1, _) = dumbbell(SwitchRole::TopOfRack, 10.0);
         let mut sim = Simulator::new(net, SimConfig::default());
-        sim.fail_switch_at(h1, SimTime::ZERO);
+        let mut plan = FaultPlan::new();
+        plan.switch_down(h1, SimTime::ZERO);
+        assert_eq!(sim.apply_fault_plan(&plan), Err(FaultError::NotASwitch(h1)));
     }
 
     #[test]
@@ -1207,7 +1262,9 @@ mod tests {
             );
         }
         let direct = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
-        sim.fail_link_at(direct, cut_at);
+        let mut plan = FaultPlan::new();
+        plan.link_down(direct, cut_at);
+        sim.apply_fault_plan(&plan).expect("mesh channel");
         sim.run(SimTime::from_ms(10));
         let st = sim.stats();
         assert_eq!(st.mean_hops(0), 3.0, "direct mesh path is 3 links");

@@ -202,7 +202,8 @@ fn simulator_auto() -> Golden {
         .link_up(cut, SimTime::from_us(1_100))
         .switch_down(q.switches[4], SimTime::from_us(700))
         .switch_up(q.switches[4], SimTime::from_us(1_500));
-    sim.apply_fault_plan(&plan);
+    sim.apply_fault_plan(&plan)
+        .expect("mesh links and switches");
     sim.set_recorder(Box::new(MemoryRecorder::new()));
     sim.enable_metrics();
     sim.run(SimTime::from_ms(4));
@@ -268,8 +269,9 @@ fn simulator_manual() -> Golden {
         .net
         .link_between(q.switches[0], q.switches[2])
         .expect("mesh channel");
-    let cut_at = sim.now() + 1_000;
-    sim.fail_link_at(cut, cut_at);
+    let mut plan = FaultPlan::new();
+    plan.link_down(cut, sim.now() + 1_000);
+    sim.apply_fault_plan(&plan).expect("mesh channel");
     sim.run(SimTime::from_ms(1));
     sim.reroute();
     sim.run(SimTime::from_ms(8));
@@ -363,7 +365,8 @@ fn sharded(domains: usize) -> Golden {
         .link_up(uplink, SimTime::from_us(1_300))
         .switch_down(c.uppers[2], SimTime::from_us(900))
         .switch_up(c.uppers[2], SimTime::from_us(1_600));
-    sim.apply_fault_plan(&plan);
+    sim.apply_fault_plan(&plan)
+        .expect("composite links and switches");
     sim.set_recorder(Box::new(MemoryRecorder::new()));
     sim.enable_metrics();
     sim.run(SimTime::from_ms(5), &ThreadPool::sequential());
@@ -421,7 +424,7 @@ fn simulator_incast() -> Golden {
     for (src, dst, kind, tag, start) in incast_flows(&q) {
         sim.add_flow(src, dst, 1_000, kind, tag, start);
     }
-    sim.apply_fault_plan(&plan);
+    sim.apply_fault_plan(&plan).expect("mesh links");
     sim.set_recorder(Box::new(MemoryRecorder::new()));
     sim.enable_metrics();
     sim.run(SimTime::from_ms(40));
@@ -443,7 +446,7 @@ fn sharded_incast(domains: usize) -> Golden {
     for (src, dst, kind, tag, start) in incast_flows(&q) {
         sim.add_flow(src, dst, 1_000, kind, tag, start);
     }
-    sim.apply_fault_plan(&plan);
+    sim.apply_fault_plan(&plan).expect("mesh links");
     sim.set_recorder(Box::new(MemoryRecorder::new()));
     sim.enable_metrics();
     sim.run(SimTime::from_ms(40), &ThreadPool::sequential());

@@ -180,7 +180,8 @@ fn repair_reconvergence_closes_every_fault_record() {
             ..SimConfig::default()
         },
     );
-    sim.apply_fault_plan(&compiled.plan);
+    sim.apply_fault_plan(&compiled.plan)
+        .expect("the compiled plan names mesh links");
     sim.run(SimTime::from_ms(3));
     let log = sim.fault_log();
     assert_eq!(log.len(), compiled.plan.len());

@@ -242,7 +242,7 @@ fn mesh_digest(k: usize, workers: usize) -> Digest {
         let mut plan = FaultPlan::new();
         plan.link_down(ring_link, SimTime::from_ns(500_000))
             .link_up(ring_link, SimTime::from_ns(1_200_000));
-        sim.apply_fault_plan(&plan);
+        sim.apply_fault_plan(&plan).expect("ring link");
     });
     digest
 }

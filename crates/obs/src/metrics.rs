@@ -10,9 +10,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default histogram bucket width (and [`HistogramColumn`]'s): 100 µs
-/// of simulated time.
-pub const DEFAULT_BUCKET_NS: u64 = 100_000;
+/// Width of every [`TimeHistogram`] bucket: 100 µs of simulated time.
+pub const BUCKET_NS: u64 = 100_000;
 
 /// Aggregate statistics of the samples that landed in one time bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,35 +45,27 @@ impl BucketStats {
 }
 
 /// A histogram over simulated time: samples are bucketed by the
-/// sim-time nanosecond at which they were observed, and each bucket
-/// keeps count/sum/min/max of the observed values.
+/// sim-time nanosecond at which they were observed, in [`BUCKET_NS`]
+/// buckets, and each bucket keeps count/sum/min/max of the observed
+/// values.
 ///
 /// This is the shape behind "queue depth over time" and "link
 /// utilization over time": the bucket key is *when*, the stats are
 /// *what was seen then*.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TimeHistogram {
-    bucket_ns: u64,
     buckets: BTreeMap<u64, BucketStats>,
 }
 
 impl TimeHistogram {
-    /// An empty histogram with the given bucket width (ns of sim time).
-    pub fn new(bucket_ns: u64) -> TimeHistogram {
-        TimeHistogram {
-            bucket_ns: bucket_ns.max(1),
-            buckets: BTreeMap::new(),
-        }
-    }
-
-    /// Bucket width in nanoseconds of simulated time.
-    pub fn bucket_ns(&self) -> u64 {
-        self.bucket_ns
+    /// An empty histogram.
+    pub fn new() -> TimeHistogram {
+        TimeHistogram::default()
     }
 
     /// Records `value` observed at sim time `t_ns`.
     pub fn observe(&mut self, t_ns: u64, value: u64) {
-        let key = t_ns / self.bucket_ns * self.bucket_ns;
+        let key = t_ns / BUCKET_NS * BUCKET_NS;
         self.buckets
             .entry(key)
             .and_modify(|b| b.absorb(BucketStats::one(value)))
@@ -91,13 +82,11 @@ impl TimeHistogram {
         self.buckets.values().map(|b| b.count).sum()
     }
 
-    /// Folds `other` into `self`. If the widths differ, `other`'s
-    /// buckets are re-bucketed by their start time into `self`'s width.
+    /// Folds `other` into `self`, bucket by bucket.
     pub fn merge(&mut self, other: &TimeHistogram) {
         for (&start, stats) in &other.buckets {
-            let key = start / self.bucket_ns * self.bucket_ns;
             self.buckets
-                .entry(key)
+                .entry(start)
                 .and_modify(|b| b.absorb(*stats))
                 .or_insert(*stats);
         }
@@ -128,8 +117,8 @@ impl CounterColumn {
     }
 }
 
-/// [`TimeHistogram`]s of [`DEFAULT_BUCKET_NS`] buckets indexed by a
-/// dense id, grown on first touch and named only when rendered.
+/// [`TimeHistogram`]s indexed by a dense id, grown on first touch and
+/// named only when rendered.
 #[derive(Clone, Debug, Default)]
 pub struct HistogramColumn(Vec<TimeHistogram>);
 
@@ -137,9 +126,8 @@ impl HistogramColumn {
     /// Records `value` at sim time `t_ns` into histogram `i`.
     #[inline]
     pub fn observe(&mut self, i: usize, t_ns: u64, value: u64) {
-        let new = || TimeHistogram::new(DEFAULT_BUCKET_NS);
         if i >= self.0.len() {
-            self.0.resize_with(i + 1, new);
+            self.0.resize_with(i + 1, TimeHistogram::new);
         }
         self.0[i].observe(t_ns, value);
     }
@@ -258,8 +246,7 @@ impl MetricsRegistry {
         for (name, h) in &self.histograms {
             let _ = write!(
                 out,
-                "{{\"metric\":\"histogram\",\"name\":\"{name}\",\"bucket_ns\":{},\"buckets\":[",
-                h.bucket_ns()
+                "{{\"metric\":\"histogram\",\"name\":\"{name}\",\"bucket_ns\":{BUCKET_NS},\"buckets\":["
             );
             for (i, (start, b)) in h.buckets().enumerate() {
                 let _ = write!(
@@ -309,10 +296,10 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_sim_time() {
-        let mut h = TimeHistogram::new(100);
+        let mut h = TimeHistogram::new();
         h.observe(0, 10);
-        h.observe(99, 30);
-        h.observe(100, 7);
+        h.observe(BUCKET_NS - 1, 30);
+        h.observe(BUCKET_NS, 7);
         let buckets: Vec<_> = h.buckets().map(|(t, b)| (t, *b)).collect();
         assert_eq!(buckets.len(), 2);
         assert_eq!(buckets[0].0, 0);
@@ -320,14 +307,14 @@ mod tests {
         assert_eq!(buckets[0].1.sum, 40);
         assert_eq!(buckets[0].1.min, 10);
         assert_eq!(buckets[0].1.max, 30);
-        assert_eq!(buckets[1].0, 100);
+        assert_eq!(buckets[1].0, BUCKET_NS);
         assert_eq!(h.count(), 3);
     }
 
     #[test]
     fn merge_is_order_sensitive_only_for_gauges() {
         let series = |t_ns, value| {
-            let mut h = TimeHistogram::new(DEFAULT_BUCKET_NS);
+            let mut h = TimeHistogram::new();
             h.observe(t_ns, value);
             h
         };
@@ -364,8 +351,8 @@ mod tests {
         m.inc("z.count", 1);
         m.inc("a.count", 2);
         m.set_gauge("mid", 0.5);
-        let mut h = TimeHistogram::new(100);
-        h.observe(150, 3);
+        let mut h = TimeHistogram::new();
+        h.observe(150_000, 3);
         m.add_histogram("h", &h);
         let s = m.to_ndjson();
         let lines: Vec<_> = s.lines().collect();
@@ -375,7 +362,7 @@ mod tests {
                 "{\"metric\":\"counter\",\"name\":\"a.count\",\"value\":2}",
                 "{\"metric\":\"counter\",\"name\":\"z.count\",\"value\":1}",
                 "{\"metric\":\"gauge\",\"name\":\"mid\",\"value\":0.5}",
-                "{\"metric\":\"histogram\",\"name\":\"h\",\"bucket_ns\":100,\"buckets\":[{\"t\":100,\"count\":1,\"sum\":3,\"min\":3,\"max\":3}]}",
+                "{\"metric\":\"histogram\",\"name\":\"h\",\"bucket_ns\":100000,\"buckets\":[{\"t\":100000,\"count\":1,\"sum\":3,\"min\":3,\"max\":3}]}",
             ]
         );
     }
@@ -393,16 +380,5 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.counter("c3"), 2);
         assert_eq!(m.histogram("h2").map(TimeHistogram::count), Some(1));
-    }
-
-    #[test]
-    fn width_mismatch_rebuckets_by_start() {
-        let mut wide = TimeHistogram::new(1_000);
-        let mut narrow = TimeHistogram::new(10);
-        narrow.observe(1_005, 1);
-        narrow.observe(15, 2);
-        wide.merge(&narrow);
-        let buckets: Vec<_> = wide.buckets().map(|(t, b)| (t, b.count)).collect();
-        assert_eq!(buckets, vec![(0, 1), (1_000, 1)]);
     }
 }

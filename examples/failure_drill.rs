@@ -4,6 +4,7 @@
 //!
 //! Run with `cargo run --release --example failure_drill`.
 
+use quartz::netsim::faults::FaultPlan;
 use quartz::netsim::sim::{FlowKind, SimConfig, Simulator};
 use quartz::netsim::time::SimTime;
 use quartz::topology::builders::quartz_mesh;
@@ -27,7 +28,10 @@ fn main() {
 
     // T+10 ms: backhoe finds the direct S0–S1 channel.
     let direct = q.net.link_between(q.switches[0], q.switches[1]).unwrap();
-    sim.fail_link_at(direct, SimTime::from_ms(10));
+    let mut plan = FaultPlan::new();
+    plan.link_down(direct, SimTime::from_ms(10));
+    sim.apply_fault_plan(&plan)
+        .expect("the mesh has the channel");
 
     sim.run(SimTime::from_ms(10));
     let healthy = (sim.stats().delivered, sim.stats().dropped);

@@ -15,14 +15,8 @@ use quartz::topology::builders::quartz_mesh;
 
 fn paper_scenario(seed: u64) -> CutScenarioConfig {
     CutScenarioConfig {
-        switches: 33,
-        hosts_per_switch: 1,
-        cut_at: SimTime::from_ms(1),
-        reconvergence_ns: 50_000,
         duration: SimTime::from_ms(3),
-        mean_gap_ns: 4_000.0,
-        background_pairs: 16,
-        seed,
+        ..CutScenarioConfig::paper(seed)
     }
 }
 
@@ -113,7 +107,7 @@ fn fault_plan_drives_the_simulator_fault_log() {
     let mut plan = FaultPlan::new();
     plan.link_down(l03, SimTime::from_ms(1))
         .link_down(l26, SimTime::from_us(1_500));
-    sim.apply_fault_plan(&plan);
+    sim.apply_fault_plan(&plan).expect("mesh channels");
     sim.run(SimTime::from_ms(5));
 
     let log = sim.fault_log();
